@@ -145,6 +145,12 @@ struct DestMig {
     stage: Stage,
     resident: Vec<u8>,
     swappable: Vec<u8>,
+    /// Sizes the offer announced for the two pulls still to start. Each
+    /// sizes its reassembly buffer: `image_len` is what
+    /// `reserve_incoming` admitted, the state records are 16-bit on the
+    /// wire.
+    swappable_len: u16,
+    image_len: u32,
     received: u64,
     installed: bool,
 }
@@ -675,6 +681,8 @@ impl MigrationEngine {
                 stage: Stage::Resident,
                 resident: Vec::new(),
                 swappable: Vec::new(),
+                swappable_len: info.swappable_len,
+                image_len: info.image_len,
                 received: 0,
                 installed: false,
             },
@@ -686,6 +694,7 @@ impl MigrationEngine {
             info.pid,
             from,
             AreaSel::Resident,
+            u32::from(info.resident_len),
             phys,
             out,
         );
@@ -759,6 +768,7 @@ impl MigrationEngine {
                     mig.pid,
                     src,
                     AreaSel::Swappable,
+                    u32::from(mig.swappable_len),
                     phys,
                     out,
                 );
@@ -777,6 +787,7 @@ impl MigrationEngine {
                     mig.pid,
                     src,
                     AreaSel::Image,
+                    mig.image_len,
                     phys,
                     out,
                 );

@@ -66,6 +66,15 @@ impl Wire for Checkpoint {
         wire::put_bytes(buf, &self.image);
     }
 
+    fn wire_len(&self) -> usize {
+        ProcessId::WIRE_LEN
+            + MachineId::WIRE_LEN
+            + self.taken_at.wire_len()
+            + wire::bytes_len(self.resident.len())
+            + wire::bytes_len(self.swappable.len())
+            + wire::bytes_len(self.image.len())
+    }
+
     fn decode(buf: &mut Bytes) -> core::result::Result<Self, WireError> {
         let pid = ProcessId::decode(buf)?;
         let taken_on = MachineId::decode(buf)?;

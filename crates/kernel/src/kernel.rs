@@ -308,6 +308,12 @@ pub struct Kernel {
     /// [`Kernel::next_deadline`] an O(log n) peek and [`Kernel::on_time`]
     /// pop-due-only instead of a full process-table scan.
     timer_heap: BinaryHeap<Reverse<(Time, ProcessId)>>,
+    /// Delivery list [`Kernel::on_frame`] hands the channel, kept between
+    /// frames for its capacity.
+    delivered: Vec<(CorrId, Bytes)>,
+    /// Action list for the move-data engine, kept between packets for its
+    /// capacity.
+    md_actions: Vec<MdAction>,
 }
 
 impl Kernel {
@@ -335,6 +341,8 @@ impl Kernel {
             dead_events: Vec::new(),
             det_stats: DetectorStats::default(),
             timer_heap: BinaryHeap::new(),
+            delivered: Vec::new(),
+            md_actions: Vec::new(),
         }
     }
 
@@ -985,8 +993,12 @@ impl Kernel {
         out: &mut Outbox,
     ) {
         self.peer_heard(now, from);
-        let delivered = self.endpoint.on_frame(now, from, frame, phys);
-        for (corr, bytes) in delivered {
+        // One delivery list per kernel, not per frame (`submit` never
+        // re-enters `on_frame`, so the list is free while it is out).
+        let mut delivered = std::mem::take(&mut self.delivered);
+        self.endpoint
+            .on_frame_into(now, from, frame, phys, &mut delivered);
+        for (corr, bytes) in delivered.drain(..) {
             match Message::from_bytes(&bytes) {
                 Ok(mut msg) => {
                     // The correlation id travelled alongside the wire bytes
@@ -1000,16 +1012,30 @@ impl Kernel {
                 }
             }
         }
+        self.delivered = delivered;
     }
 
     fn transmit(&mut self, now: Time, to: MachineId, msg: &Message, phys: &mut dyn Phys) {
+        let first = msg.payload.first().copied();
+        self.account_transmit(to, &msg.header, msg.wire_size(), first);
+        self.send_encoded(now, to, msg.to_bytes(), msg.corr, phys);
+    }
+
+    /// Count one message of `size` encoded bytes leaving for `to`;
+    /// `first` is the first byte of its payload (the move-data kind).
+    fn account_transmit(
+        &mut self,
+        to: MachineId,
+        header: &MsgHeader,
+        size: usize,
+        first: Option<u8>,
+    ) {
         self.stats.transmitted += 1;
-        let size = msg.wire_size();
         let t = &mut self.stats.traffic;
-        match msg.header.msg_type {
+        match header.msg_type {
             tags::KERNEL_OP => t.kernel_op.add(size),
             tags::MIGRATE => t.migrate.add(size),
-            tags::MOVE_DATA => match msg.payload.first() {
+            tags::MOVE_DATA => match first {
                 Some(1) | Some(2) => t.md_req.add(size),
                 Some(3) => t.md_data.add(size),
                 Some(4) => t.md_ack.add(size),
@@ -1023,18 +1049,23 @@ impl Kernel {
         // *sending* process for traffic that actually leaves the machine.
         // (A send to a colocated process — even over a stale link — never
         // reaches the transport, so it never counts as remote.)
-        if !msg.header.flags.contains(MsgFlags::FROM_KERNEL)
-            && msg.header.src_machine == self.machine
-        {
-            if let Some(proc) = self.procs.get_mut(&msg.header.src) {
-                *proc.bytes_sent_to.entry(to).or_insert(0) += msg.wire_size() as u64;
+        if !header.flags.contains(MsgFlags::FROM_KERNEL) && header.src_machine == self.machine {
+            if let Some(proc) = self.procs.get_mut(&header.src) {
+                *proc.bytes_sent_to.entry(to).or_insert(0) += size as u64;
             }
         }
-        if self
-            .endpoint
-            .send(now, to, msg.to_bytes(), msg.corr, phys)
-            .is_some()
-        {
+    }
+
+    /// Hand one encoded message to the reliable channel.
+    fn send_encoded(
+        &mut self,
+        now: Time,
+        to: MachineId,
+        bytes: Bytes,
+        corr: CorrId,
+        phys: &mut dyn Phys,
+    ) {
+        if self.endpoint.send(now, to, bytes, corr, phys).is_some() {
             // The channel to a confirmed-dead peer accepts nothing; the
             // frame comes straight back as a local bounce.
             self.det_stats.bounced += 1;
@@ -1048,20 +1079,7 @@ impl Kernel {
     /// Deliver (or route) one message. This is the single entry point for
     /// messages originated locally *and* arriving from the network.
     pub fn submit(&mut self, now: Time, mut msg: Message, phys: &mut dyn Phys, out: &mut Outbox) {
-        self.stats.submitted += 1;
-        // Causal tracing: the first kernel to see a message stamps it with
-        // a fresh correlation id. Resubmissions (forwarding, pending-queue
-        // flush in step 6) and network arrivals already carry one, so the
-        // id identifies the message's whole journey across machines.
-        if msg.corr.is_none() {
-            msg.corr = CorrId::new(self.machine, self.next_corr);
-            self.next_corr += 1;
-            out.trace.push(TraceEvent::Submitted {
-                corr: msg.corr,
-                dest: msg.header.dest.pid,
-                msg_type: msg.header.msg_type,
-            });
-        }
+        msg.corr = self.count_submitted(msg.corr, &msg.header, out);
         let dest = msg.header.dest;
         // 1. Is the destination process resident here (by pid, regardless
         //    of the — possibly stale — location hint)?
@@ -1148,22 +1166,22 @@ impl Kernel {
                         migrated: dest.pid,
                         new_machine: to,
                     });
-                    let mut update = self.kernel_msg(
-                        ProcessAddress::kernel_of(sender_machine),
-                        tags::LINK_MAINT,
-                        LinkMaintMsg::LinkUpdate {
-                            sender,
-                            migrated: dest.pid,
-                            new_machine: to,
-                        }
-                        .to_bytes(),
-                        vec![],
-                    );
                     // The §5 by-product inherits the chased message's
                     // correlation id: cause (forwarded message) and effect
                     // (link repair) are one traced journey.
-                    update.corr = msg.corr;
-                    self.submit(now, update, phys, out);
+                    self.send_to_kernel(
+                        now,
+                        sender_machine,
+                        tags::LINK_MAINT,
+                        &LinkMaintMsg::LinkUpdate {
+                            sender,
+                            migrated: dest.pid,
+                            new_machine: to,
+                        },
+                        msg.corr,
+                        phys,
+                        out,
+                    );
                 }
                 self.submit(now, msg, phys, out);
                 return;
@@ -1201,6 +1219,72 @@ impl Kernel {
         }
     }
 
+    /// First step of every submission: count it and settle its
+    /// correlation id. Causal tracing: the first kernel to see a message
+    /// stamps it with a fresh id. Resubmissions (forwarding, pending-queue
+    /// flush in step 6) and network arrivals already carry one, so the id
+    /// identifies the message's whole journey across machines.
+    fn count_submitted(&mut self, corr: CorrId, header: &MsgHeader, out: &mut Outbox) -> CorrId {
+        self.stats.submitted += 1;
+        if !corr.is_none() {
+            return corr;
+        }
+        let corr = CorrId::new(self.machine, self.next_corr);
+        self.next_corr += 1;
+        out.trace.push(TraceEvent::Submitted {
+            corr,
+            dest: header.dest.pid,
+            msg_type: header.msg_type,
+        });
+        corr
+    }
+
+    /// Send a kernel-to-kernel protocol message whose payload is `body`,
+    /// under `corr` ([`CorrId::NONE`] for a fresh journey).
+    ///
+    /// Bound for another machine this takes the steps [`Kernel::submit`]
+    /// takes for such a message — count, stamp, transmit — but writes
+    /// header and body once into the buffer the channel will carry
+    /// ([`Message::encode_with_body`]) instead of body → payload → frame.
+    /// Every other case goes through `submit` itself.
+    #[allow(clippy::too_many_arguments)]
+    fn send_to_kernel<B: Wire>(
+        &mut self,
+        now: Time,
+        to: MachineId,
+        msg_type: u16,
+        body: &B,
+        corr: CorrId,
+        phys: &mut dyn Phys,
+        out: &mut Outbox,
+    ) {
+        let dest = ProcessAddress::kernel_of(to);
+        if to == self.machine || self.procs.contains_key(&dest.pid) {
+            let mut msg = self.kernel_msg(dest, msg_type, body.to_bytes(), vec![]);
+            msg.corr = corr;
+            self.submit(now, msg, phys, out);
+            return;
+        }
+        let header = self.kernel_header(dest, msg_type);
+        let corr = self.count_submitted(corr, &header, out);
+        let bytes = Message::encode_with_body(&header, &[], body);
+        let first = bytes.get(bytes.len() - body.wire_len()).copied();
+        self.account_transmit(to, &header, bytes.len(), first);
+        self.send_encoded(now, to, bytes, corr, phys);
+    }
+
+    /// Header of a kernel-originated message.
+    fn kernel_header(&self, dest: ProcessAddress, msg_type: u16) -> MsgHeader {
+        MsgHeader {
+            dest,
+            src: self.kernel_pid(),
+            src_machine: self.machine,
+            msg_type,
+            flags: MsgFlags::FROM_KERNEL,
+            hops: 0,
+        }
+    }
+
     /// Build a kernel-originated message.
     fn kernel_msg(
         &self,
@@ -1210,14 +1294,7 @@ impl Kernel {
         links: Vec<Link>,
     ) -> Message {
         Message {
-            header: MsgHeader {
-                dest,
-                src: self.kernel_pid(),
-                src_machine: self.machine,
-                msg_type,
-                flags: MsgFlags::FROM_KERNEL,
-                hops: 0,
-            },
+            header: self.kernel_header(dest, msg_type),
             links,
             payload,
             corr: CorrId::NONE,
@@ -1388,17 +1465,20 @@ impl Kernel {
         self.mem_used = self.mem_used.saturating_sub(proc.image.total_len() as u64);
         self.stats.exited += 1;
         out.trace.push(TraceEvent::Exited { pid });
-        let actions = self.md.abort_ops_touching(pid);
-        self.apply_md_actions(now, actions, phys, out);
+        let mut actions = self.md.abort_ops_touching(pid);
+        self.apply_md_actions(now, &mut actions, phys, out);
         if self.cfg.gc_forwarding {
             if let Some(prev) = proc.migrated_from {
-                let notice = self.kernel_msg(
-                    ProcessAddress::kernel_of(prev),
+                let notice = LinkMaintMsg::DeathNotice { pid };
+                self.send_to_kernel(
+                    now,
+                    prev,
                     tags::LINK_MAINT,
-                    LinkMaintMsg::DeathNotice { pid }.to_bytes(),
-                    vec![],
+                    &notice,
+                    CorrId::NONE,
+                    phys,
+                    out,
                 );
-                self.submit(now, notice, phys, out);
             }
         }
     }
@@ -1434,11 +1514,17 @@ impl Kernel {
                         // Kernel-addressed writes are not part of any
                         // protocol we speak; refuse.
                         let a = self.md.abort_reply(op, msg.header.src_machine, 2);
-                        self.apply_md_actions(now, vec![a], phys, out);
+                        self.apply_md_actions(now, &mut vec![a], phys, out);
                     }
                     other => {
-                        let actions = self.md.on_msg(msg.header.src_machine, other);
-                        self.apply_md_actions(now, actions, phys, out);
+                        // A nested packet (a local peer) finds the list
+                        // taken and starts a fresh one; only capacity is
+                        // at stake.
+                        let mut actions = std::mem::take(&mut self.md_actions);
+                        self.md
+                            .on_msg_into(msg.header.src_machine, other, &mut actions);
+                        self.apply_md_actions(now, &mut actions, phys, out);
+                        self.md_actions = actions;
                     }
                 }
             }
@@ -1468,13 +1554,16 @@ impl Kernel {
                         if let Some(entry) = self.forwarding.remove(&pid) {
                             out.trace.push(TraceEvent::ForwardingCollected { pid });
                             if let Some(prev) = entry.prev {
-                                let notice = self.kernel_msg(
-                                    ProcessAddress::kernel_of(prev),
+                                let notice = LinkMaintMsg::DeathNotice { pid };
+                                self.send_to_kernel(
+                                    now,
+                                    prev,
                                     tags::LINK_MAINT,
-                                    LinkMaintMsg::DeathNotice { pid }.to_bytes(),
-                                    vec![],
+                                    &notice,
+                                    CorrId::NONE,
+                                    phys,
+                                    out,
                                 );
-                                self.submit(now, notice, phys, out);
                             }
                         }
                     }
@@ -1592,11 +1681,11 @@ impl Kernel {
     ) {
         let requester = msg.header.src_machine;
         let from_kernel = msg.header.flags.contains(MsgFlags::FROM_KERNEL);
-        let actions = match self.read_area(target, sel, offset, len, None, from_kernel) {
+        let mut actions = match self.read_area(target, sel, offset, len, None, from_kernel) {
             Ok(data) => self.md.begin_serve(op, requester, data),
             Err(_) => vec![self.md.abort_reply(op, requester, 2)],
         };
-        self.apply_md_actions(now, actions, phys, out);
+        self.apply_md_actions(now, &mut actions, phys, out);
     }
 
     /// Read an area of `pid` for a move-data serve. Migration selectors
@@ -1681,13 +1770,13 @@ impl Kernel {
                 ..
             } => {
                 let link = msg.links.first().copied();
-                let actions =
+                let mut actions =
                     match self.read_area(pid, AreaSel::LinkArea, offset, len, link.as_ref(), false)
                     {
                         Ok(data) => self.md.begin_serve(op, requester, data),
                         Err(_) => vec![self.md.abort_reply(op, requester, 2)],
                     };
-                self.apply_md_actions(now, actions, phys, out);
+                self.apply_md_actions(now, &mut actions, phys, out);
             }
             MoveDataMsg::WriteReq {
                 op,
@@ -1706,14 +1795,14 @@ impl Kernel {
                 } else {
                     self.md.abort_reply(op, requester, 2)
                 };
-                self.apply_md_actions(now, vec![action], phys, out);
+                self.apply_md_actions(now, &mut vec![action], phys, out);
             }
             other => {
                 // Data/Ack/Done never travel DTK; a request with a
                 // migration selector over a user link is refused.
                 if let MoveDataMsg::ReadReq { op, .. } | MoveDataMsg::WriteReq { op, .. } = other {
                     let a = self.md.abort_reply(op, requester, 2);
-                    self.apply_md_actions(now, vec![a], phys, out);
+                    self.apply_md_actions(now, &mut vec![a], phys, out);
                 }
             }
         }
@@ -1809,24 +1898,19 @@ impl Kernel {
         }
     }
 
-    /// Carry out actions returned by the move-data engine.
+    /// Carry out actions returned by the move-data engine, leaving the
+    /// list empty (and its capacity with the caller).
     fn apply_md_actions(
         &mut self,
         now: Time,
-        actions: Vec<MdAction>,
+        actions: &mut Vec<MdAction>,
         phys: &mut dyn Phys,
         out: &mut Outbox,
     ) {
-        for a in actions {
+        for a in actions.drain(..) {
             match a {
                 MdAction::Send { to, msg } => {
-                    let m = self.kernel_msg(
-                        ProcessAddress::kernel_of(to),
-                        tags::MOVE_DATA,
-                        msg.to_bytes(),
-                        vec![],
-                    );
-                    self.submit(now, m, phys, out);
+                    self.send_to_kernel(now, to, tags::MOVE_DATA, &msg, CorrId::NONE, phys, out);
                 }
                 MdAction::WriteProcess { pid, off, bytes } => {
                     if let Some(proc) = self.procs.get_mut(&pid) {
@@ -1895,7 +1979,10 @@ impl Kernel {
 
     /// Start a kernel-purpose pull (migration state transfer) from
     /// `source_machine`'s kernel. Completion arrives in
-    /// [`Outbox::pull_done`] with `cookie`.
+    /// [`Outbox::pull_done`] with `cookie`. `expect` is the area's size as
+    /// the accepted offer announced it; the reassembly buffer grows to
+    /// exactly that (see [`MoveData::start_pull_sized`]), so pass only
+    /// what [`Kernel::reserve_incoming`] admitted.
     #[allow(clippy::too_many_arguments)]
     pub fn start_kernel_pull(
         &mut self,
@@ -1904,19 +1991,27 @@ impl Kernel {
         target: ProcessId,
         source_machine: MachineId,
         sel: AreaSel,
+        expect: u32,
         phys: &mut dyn Phys,
         out: &mut Outbox,
     ) -> u16 {
-        let (op, readreq) = self
-            .md
-            .start_pull(PullPurpose::Kernel { cookie }, target, sel, 0, 0);
-        let msg = self.kernel_msg(
-            ProcessAddress::kernel_of(source_machine),
-            tags::MOVE_DATA,
-            readreq.to_bytes(),
-            vec![],
+        let (op, readreq) = self.md.start_pull_sized(
+            PullPurpose::Kernel { cookie },
+            target,
+            sel,
+            0,
+            0,
+            expect as usize,
         );
-        self.submit(now, msg, phys, out);
+        self.send_to_kernel(
+            now,
+            source_machine,
+            tags::MOVE_DATA,
+            &readreq,
+            CorrId::NONE,
+            phys,
+            out,
+        );
         op
     }
 
@@ -1949,8 +2044,8 @@ impl Kernel {
             proc.in_migration = true;
             proc.refresh_image();
         }
-        let actions = self.md.abort_ops_touching(pid);
-        self.apply_md_actions(now, actions, phys, out);
+        let mut actions = self.md.abort_ops_touching(pid);
+        self.apply_md_actions(now, &mut actions, phys, out);
         let Some(proc) = self.procs.get(&pid) else {
             return Err(DemosError::NoSuchProcess(pid));
         };

@@ -149,6 +149,10 @@ impl Wire for LinkTable {
         }
     }
 
+    fn wire_len(&self) -> usize {
+        4 + 2 + self.slots.len() * (4 + Link::WIRE_LEN)
+    }
+
     fn decode(buf: &mut Bytes) -> Result2<Self> {
         if buf.remaining() < 6 {
             return Err(WireError::Truncated("LinkTable"));

@@ -78,6 +78,25 @@ impl Wire for KernelMgmt {
         }
     }
 
+    fn wire_len(&self) -> usize {
+        match self {
+            KernelMgmt::CreateProcess {
+                name,
+                state,
+                layout,
+                ..
+            } => {
+                1 + 4
+                    + wire::bytes_len(name.len())
+                    + wire::bytes_len(state.len())
+                    + layout.wire_len()
+                    + 1
+            }
+            KernelMgmt::Created { .. } => 1 + 4 + ProcessId::WIRE_LEN,
+            KernelMgmt::CreateFailed { .. } => 1 + 4 + 1,
+        }
+    }
+
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         if buf.remaining() < 1 {
             return Err(WireError::Truncated("KernelMgmt"));

@@ -156,12 +156,31 @@ impl Outbound {
 #[derive(Debug)]
 struct Inbound {
     buf: Vec<u8>,
+    /// Bytes the reader was told to expect (0 = unknown): the ceiling of
+    /// `buf`'s growth.
+    expect: usize,
     next_seq: u32,
     /// For pulls: purpose to echo on completion.
     purpose: Option<PullPurpose>,
     /// For inbound pushes: validated sink in a local process.
     sink: Option<PushSink>,
     received_packets: u32,
+}
+
+impl Inbound {
+    /// Append one packet to the reassembly buffer. The buffer doubles as a
+    /// `Vec` would, except that no step goes past the announced size: the
+    /// last one lands on it exactly instead of on the next power of two
+    /// (1 MiB held for a 512 KiB image). A stream that outgrows the
+    /// announcement falls back to plain `Vec` growth.
+    fn collect(&mut self, bytes: &[u8]) {
+        let need = self.buf.len() + bytes.len();
+        if need > self.buf.capacity() && need <= self.expect {
+            let target = (self.buf.capacity() * 2).clamp(need, self.expect);
+            self.buf.reserve_exact(target - self.buf.len());
+        }
+        self.buf.extend_from_slice(bytes);
+    }
 }
 
 /// A validated write window in a local process.
@@ -245,12 +264,32 @@ impl MoveData {
         offset: u32,
         len: u32,
     ) -> (u16, MoveDataMsg) {
+        self.start_pull_sized(purpose, target, sel, offset, len, 0)
+    }
+
+    /// [`MoveData::start_pull`] for a reader that knows how many bytes
+    /// will arrive: the reassembly buffer stops growing at exactly
+    /// `expect` bytes, not on the next power of two. `expect` only sizes the
+    /// buffer — a stream of any other length is still collected and
+    /// judged by its own `Done` — and it must be a figure the caller has
+    /// already admitted against a limit of its own, never a length taken
+    /// unchecked from the wire.
+    pub fn start_pull_sized(
+        &mut self,
+        purpose: PullPurpose,
+        target: ProcessId,
+        sel: AreaSel,
+        offset: u32,
+        len: u32,
+        expect: usize,
+    ) -> (u16, MoveDataMsg) {
         let op = self.next_pull & !PUSH_BIT;
         self.next_pull = self.next_pull.wrapping_add(1) & !PUSH_BIT;
         self.pulls.insert(
             op,
             Inbound {
                 buf: Vec::new(),
+                expect,
                 next_seq: 0,
                 purpose: Some(purpose),
                 sink: None,
@@ -340,6 +379,7 @@ impl MoveData {
             (from, op),
             Inbound {
                 buf: Vec::new(),
+                expect: 0,
                 next_seq: 0,
                 purpose: None,
                 sink: Some(PushSink {
@@ -466,6 +506,14 @@ impl MoveData {
     /// Handle a protocol message from `from`'s kernel.
     pub fn on_msg(&mut self, from: MachineId, msg: MoveDataMsg) -> Vec<MdAction> {
         let mut actions = Vec::new();
+        self.on_msg_into(from, msg, &mut actions);
+        actions
+    }
+
+    /// [`MoveData::on_msg`] appending to a list the caller owns: the
+    /// kernel handles a packet per event and keeps one list for all of
+    /// them.
+    pub fn on_msg_into(&mut self, from: MachineId, msg: MoveDataMsg, actions: &mut Vec<MdAction>) {
         match msg {
             MoveDataMsg::Data { op, seq, bytes } => {
                 self.bytes_moved += bytes.len() as u64;
@@ -475,7 +523,7 @@ impl MoveData {
                 } else {
                     self.inbound_pushes.get_mut(&(from, op))
                 };
-                let Some(ib) = ib else { return actions };
+                let Some(ib) = ib else { return };
                 // Transport delivers in order; a gap means a protocol bug.
                 debug_assert_eq!(seq, ib.next_seq, "move-data stream out of order");
                 ib.next_seq = seq + 1;
@@ -495,7 +543,7 @@ impl MoveData {
                         bytes,
                     });
                 } else {
-                    ib.buf.extend_from_slice(&bytes);
+                    ib.collect(&bytes);
                 }
             }
             MoveDataMsg::Ack { op, seq } => {
@@ -505,7 +553,7 @@ impl MoveData {
                 } else {
                     self.serves.get_mut(&(from, op))
                 };
-                let Some(ob) = ob else { return actions };
+                let Some(ob) = ob else { return };
                 if seq == GO_SEQ {
                     // Go-ahead: now we know which kernel accepted the push.
                     if ob.peer.is_none() {
@@ -514,7 +562,7 @@ impl MoveData {
                 } else {
                     ob.acked = ob.acked.max(seq + 1);
                 }
-                Self::pump(&self.cfg, op, ob, &mut actions);
+                Self::pump(&self.cfg, op, ob, actions);
                 // A fully-emitted serve can be dropped; pushes wait for the
                 // receiver's Done confirmation.
                 if !is_push && ob.fully_sent {
@@ -600,7 +648,6 @@ impl MoveData {
                 debug_assert!(false, "requests are handled by the kernel");
             }
         }
-        actions
     }
 }
 

@@ -271,6 +271,22 @@ impl Endpoint {
         frame: Frame,
         phys: &mut dyn Phys,
     ) -> Vec<(CorrId, Bytes)> {
+        let mut delivered = Vec::new();
+        self.on_frame_into(now, from, frame, phys, &mut delivered);
+        delivered
+    }
+
+    /// [`Endpoint::on_frame`] appending the deliverable pairs to a list
+    /// the caller owns, so a kernel handling a frame per event reuses one
+    /// allocation instead of building a `Vec` per frame.
+    pub fn on_frame_into(
+        &mut self,
+        now: Time,
+        from: MachineId,
+        frame: Frame,
+        phys: &mut dyn Phys,
+        delivered: &mut Vec<(CorrId, Bytes)>,
+    ) {
         let cfg = self.cfg;
         let src = self.machine;
         let peer = self.peers.entry(from).or_default();
@@ -284,7 +300,7 @@ impl Endpoint {
         if frame.epoch() != peer.epoch {
             self.stats.stale_drops += 1;
             phys.note(NetEvent::StaleEpochDrop);
-            return Vec::new();
+            return;
         }
         let epoch = peer.epoch;
         match frame {
@@ -295,32 +311,29 @@ impl Endpoint {
                 if seq <= peer.recv_cum {
                     self.stats.dedup_drops += 1;
                     phys.note(NetEvent::DedupDrop);
-                    phys.transmit(
-                        now,
-                        src,
-                        from,
-                        Frame::Ack {
-                            epoch,
-                            cum: peer.recv_cum,
-                        },
-                    );
-                    return Vec::new();
-                }
-                match peer.reorder.entry(seq) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert((meta.corr, payload));
+                } else if seq == peer.recv_cum + 1 {
+                    // The next frame in sequence — the common case — goes
+                    // straight out; the reorder buffer cannot hold this
+                    // sequence number (it would have been drained when its
+                    // predecessor was delivered).
+                    peer.recv_cum = seq;
+                    delivered.push((meta.corr, payload));
+                    while let Some(p) = peer.reorder.remove(&(peer.recv_cum + 1)) {
+                        peer.recv_cum += 1;
+                        delivered.push(p);
                     }
-                    std::collections::btree_map::Entry::Occupied(_) => {
-                        // Retransmission of a frame already buffered out of
-                        // order: suppressed, but still re-acked below.
-                        self.stats.dedup_drops += 1;
-                        phys.note(NetEvent::DedupDrop);
+                } else {
+                    match peer.reorder.entry(seq) {
+                        std::collections::btree_map::Entry::Vacant(e) => {
+                            e.insert((meta.corr, payload));
+                        }
+                        std::collections::btree_map::Entry::Occupied(_) => {
+                            // Retransmission of a frame already buffered out
+                            // of order: suppressed, but still re-acked below.
+                            self.stats.dedup_drops += 1;
+                            phys.note(NetEvent::DedupDrop);
+                        }
                     }
-                }
-                let mut delivered = Vec::new();
-                while let Some(p) = peer.reorder.remove(&(peer.recv_cum + 1)) {
-                    peer.recv_cum += 1;
-                    delivered.push(p);
                 }
                 phys.transmit(
                     now,
@@ -331,7 +344,6 @@ impl Endpoint {
                         cum: peer.recv_cum,
                     },
                 );
-                delivered
             }
             Frame::Ack { cum, .. } => {
                 let mut popped = 0u64;
@@ -367,7 +379,6 @@ impl Endpoint {
                     self.rto_heap.push(Reverse((deadline, from)));
                     Some(deadline)
                 };
-                Vec::new()
             }
         }
     }

@@ -3,8 +3,10 @@
 //! the physical layer — the §2.1 guarantee ("any message sent will
 //! eventually be delivered") must hold whenever the network is fair.
 
+use std::collections::BTreeSet;
+
 use bytes::Bytes;
-use demos_net::{ChannelConfig, Endpoint, Frame, Phys};
+use demos_net::{ChannelConfig, ChannelStats, Endpoint, Frame, FrameMeta, NetEvent, Phys};
 use demos_types::{CorrId, Duration, MachineId, Time};
 use proptest::prelude::*;
 
@@ -113,6 +115,98 @@ proptest! {
             prop_assert_eq!(a_stats.retransmits, 0, "clean network needs no retransmits");
             prop_assert_eq!(b_stats.dedup_drops, 0, "clean network has no duplicates");
         }
+    }
+
+    /// Delivery oracle for the receive side. One endpoint is fed an
+    /// arbitrary interleaving of the data frames 1..=n — duplicates,
+    /// overtaking, stragglers from the previous connection epoch — and
+    /// must do what a receiver that simply remembers every sequence
+    /// number it has seen would do: hand each message over once, in
+    /// order, as soon as the prefix is complete; acknowledge every
+    /// current-epoch frame with the cumulative point; count every
+    /// duplicate and every straggler. The in-order frame takes a path
+    /// that never touches the reorder buffer; this keeps the two paths
+    /// from drifting apart.
+    #[test]
+    fn receiver_matches_the_sort_and_dedup_reference(
+        n in 1u64..48,
+        arrivals in proptest::collection::vec((any::<u16>(), 0u8..8), 0..256),
+        epoch in 1u32..4,
+    ) {
+        #[derive(Default)]
+        struct Wire {
+            acks: Vec<(u32, u64)>,
+            notes: ChannelStats,
+        }
+        impl Phys for Wire {
+            fn transmit(&mut self, _now: Time, src: MachineId, dst: MachineId, frame: Frame) {
+                assert_eq!((src, dst), (MachineId(1), MachineId(0)));
+                match frame {
+                    Frame::Ack { epoch, cum } => self.acks.push((epoch, cum)),
+                    Frame::Data { .. } => panic!("a receiver sends only acks"),
+                }
+            }
+            fn note(&mut self, ev: NetEvent) {
+                match ev {
+                    NetEvent::DupAck => self.notes.dup_acks += 1,
+                    NetEvent::DedupDrop => self.notes.dedup_drops += 1,
+                    NetEvent::StaleEpochDrop => self.notes.stale_drops += 1,
+                }
+            }
+        }
+        let corr_of = |seq: u64| CorrId::new(MachineId(0), seq);
+        let frame = |epoch: u32, seq: u64| Frame::Data {
+            epoch,
+            seq,
+            payload: Bytes::from(seq.to_be_bytes().to_vec()),
+            meta: FrameMeta::new(corr_of(seq)),
+        };
+        let mut b = Endpoint::new(MachineId(1), ChannelConfig::default());
+        b.reset_peer(MachineId(0), epoch);
+        let mut wire = Wire::default();
+        let mut got: Vec<(CorrId, Bytes)> = Vec::new();
+
+        // The reference: a set of sequence numbers, nothing else.
+        let mut seen: BTreeSet<u64> = BTreeSet::new();
+        let mut cum = 0u64;
+        let mut want: Vec<u64> = Vec::new();
+        let mut want_acks: Vec<(u32, u64)> = Vec::new();
+        let mut want_stats = ChannelStats::default();
+
+        // Every sequence number arrives at least once, after the noise.
+        let tail = (1..=n).map(|seq| (seq, false));
+        let noise = arrivals
+            .iter()
+            .map(|&(pick, kind)| (1 + u64::from(pick) % n, kind == 0));
+        for (seq, stale) in noise.chain(tail) {
+            let before = got.len();
+            let f = if stale { frame(epoch - 1, seq) } else { frame(epoch, seq) };
+            b.on_frame_into(Time(1), MachineId(0), f, &mut wire, &mut got);
+            if stale {
+                want_stats.stale_drops += 1;
+            } else {
+                if !seen.insert(seq) {
+                    want_stats.dedup_drops += 1;
+                }
+                while seen.contains(&(cum + 1)) {
+                    cum += 1;
+                    want.push(cum);
+                }
+                want_acks.push((epoch, cum));
+            }
+            // The caller's list is appended to, never rewritten.
+            prop_assert!(got.len() >= before);
+            prop_assert_eq!(got.len(), want.len());
+        }
+        let want_msgs: Vec<(CorrId, Bytes)> = want
+            .iter()
+            .map(|&seq| (corr_of(seq), Bytes::from(seq.to_be_bytes().to_vec())))
+            .collect();
+        prop_assert_eq!(want, (1..=n).collect::<Vec<u64>>(), "reference delivers 1..=n");
+        prop_assert_eq!(got, want_msgs, "exactly once, in order, with its correlation id");
+        prop_assert_eq!(wire.acks, want_acks);
+        prop_assert_eq!(b.channel_stats(), want_stats);
+        prop_assert_eq!(wire.notes, want_stats, "every drop is also reported to the network");
     }
 
     /// Sequence windows never confuse two independent peers.

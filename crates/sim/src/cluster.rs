@@ -451,14 +451,15 @@ impl Cluster {
     }
 
     fn drain_outbox(&mut self, machine: MachineId) {
-        let events = std::mem::take(&mut self.outbox.trace);
         let rec = &mut self.recorders[machine.0 as usize];
         if rec.capacity() > 0 {
-            for ev in &events {
+            for ev in &self.outbox.trace {
                 rec.record(flight::encode(self.now, machine, ev));
             }
         }
-        self.trace.extend(self.now, machine, events);
+        // Drained in place: the outbox keeps its buffer for the next event.
+        self.trace
+            .extend(self.now, machine, self.outbox.trace.drain(..));
         debug_assert!(
             self.outbox.migration_inbox.is_empty() && self.outbox.pull_done.is_empty(),
             "node must drain engine items"

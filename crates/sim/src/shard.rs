@@ -281,22 +281,24 @@ impl<'a> Worker<'a> {
     /// Drain the outbox after one handler call into the recorder ring and
     /// a tagged trace segment.
     fn drain(&mut self, machine: MachineId, phase: u8, key: SendKey) {
-        let events = std::mem::take(&mut self.outbox.trace);
         let l = (machine.0 as usize) - self.base;
         let rec = &mut self.recorders[l];
         if rec.capacity() > 0 {
-            for ev in &events {
+            for ev in &self.outbox.trace {
                 rec.record(flight::encode(self.now, machine, ev));
             }
         }
-        if self.trace_on && !events.is_empty() {
+        if self.trace_on && !self.outbox.trace.is_empty() {
             self.segments.push(Segment {
                 at: self.now,
                 phase,
                 key,
                 machine,
-                events,
+                events: std::mem::take(&mut self.outbox.trace),
             });
+        } else {
+            // Untraced: the outbox keeps its buffer for the next event.
+            self.outbox.trace.clear();
         }
         debug_assert!(
             self.outbox.migration_inbox.is_empty() && self.outbox.pull_done.is_empty(),

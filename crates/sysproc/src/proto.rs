@@ -83,6 +83,16 @@ impl Wire for SbMsg {
         }
     }
 
+    fn wire_len(&self) -> usize {
+        match self {
+            SbMsg::Register { name }
+            | SbMsg::Lookup { name }
+            | SbMsg::Found { name }
+            | SbMsg::NotFound { name } => 1 + wire::bytes_len(name.len()),
+            SbMsg::Registered { .. } => 1 + 1,
+        }
+    }
+
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         if buf.remaining() < 1 {
             return Err(WireError::Truncated("SbMsg"));
@@ -191,6 +201,27 @@ impl Wire for PmMsg {
         }
     }
 
+    fn wire_len(&self) -> usize {
+        match self {
+            PmMsg::Spawn {
+                program,
+                state,
+                layout,
+                ..
+            } => {
+                1 + MachineId::WIRE_LEN
+                    + wire::bytes_len(program.len())
+                    + wire::bytes_len(state.len())
+                    + layout.wire_len()
+                    + 1
+            }
+            PmMsg::Spawned { .. } => 1 + MachineId::WIRE_LEN + 4,
+            PmMsg::SpawnFailed { .. } => 1 + 1,
+            PmMsg::Migrate { .. } => 1 + MachineId::WIRE_LEN,
+            PmMsg::Kill => 1,
+        }
+    }
+
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         if buf.remaining() < 1 {
             return Err(WireError::Truncated("PmMsg"));
@@ -295,6 +326,14 @@ impl Wire for MemMsg {
                 buf.put_u8(*ok as u8);
                 buf.put_u64(*free);
             }
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        match self {
+            MemMsg::Reserve { .. } | MemMsg::Release { .. } => 1 + MachineId::WIRE_LEN + 8,
+            MemMsg::Query { .. } => 1 + MachineId::WIRE_LEN,
+            MemMsg::Granted { .. } => 1 + 1 + 8,
         }
     }
 
@@ -533,6 +572,26 @@ impl Wire for FsMsg {
                 buf.put_u32(*tok);
                 buf.put_u32(*blk);
             }
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        match self {
+            FsMsg::DirCreate { name, .. } | FsMsg::DirLookup { name, .. } => {
+                1 + 4 + wire::bytes_len(name.len())
+            }
+            FsMsg::Create { name } | FsMsg::Open { name } => 1 + wire::bytes_len(name.len()),
+            FsMsg::Read { .. } => 1 + 4 + 4 + 4,
+            FsMsg::Write { bytes, .. }
+            | FsMsg::BWrite { bytes, .. }
+            | FsMsg::BData { bytes, .. } => 1 + 4 + 4 + wire::bytes_len(bytes.len()),
+            FsMsg::Data { bytes } => 1 + wire::bytes_len(bytes.len()),
+            FsMsg::DirDone { .. }
+            | FsMsg::Done { .. }
+            | FsMsg::BRead { .. }
+            | FsMsg::BOk { .. } => 1 + 4 + 4,
+            FsMsg::Err { .. } => 1 + 1,
+            FsMsg::BAlloc { .. } => 1 + 4,
         }
     }
 

@@ -196,9 +196,9 @@ impl PartialEq for Message {
 
 impl Message {
     /// Total encoded size of this message in bytes: what the simulated
-    /// network charges for it.
+    /// network charges for it. Same as [`Wire::wire_len`].
     pub fn wire_size(&self) -> usize {
-        MsgHeader::WIRE_LEN + 1 + 4 + self.links.len() * Link::WIRE_LEN + self.payload.len()
+        framed_len(self.links.len(), self.payload.len())
     }
 
     /// Payload length in bytes — the quantity §6 reports for the 6–12-byte
@@ -211,32 +211,80 @@ impl Message {
     pub fn reply_link(&self) -> Option<Link> {
         self.links.first().copied()
     }
+
+    /// The wire image of a message whose payload is `body`'s encoding —
+    /// byte-identical to building the [`Message`] with
+    /// `payload: body.to_bytes()` and encoding that, but header, links and
+    /// body are written once, into one exact-size buffer, instead of the
+    /// body being serialised into a payload buffer and copied from there.
+    pub fn encode_with_body<B: Wire>(header: &MsgHeader, links: &[Link], body: &B) -> Bytes {
+        let body_len = body.wire_len();
+        let mut buf = BytesMut::with_capacity(framed_len(links.len(), body_len));
+        let take = put_framing(&mut buf, header, links, body_len);
+        if take == body_len {
+            body.encode(&mut buf);
+        } else {
+            // A body the four-byte length cannot express is cut exactly
+            // as an oversized payload would be.
+            buf.put_slice(&body.to_bytes()[..take]);
+        }
+        debug_assert_eq!(buf.len(), framed_len(links.len(), body_len));
+        buf.freeze()
+    }
+}
+
+/// How many of `n_links` links and `payload_len` payload bytes the
+/// one-byte count and four-byte length can express. Out-of-invariant
+/// messages (links > u8, payload > u32 — both impossible via the
+/// constructors) are clamped to keep the frame wire-consistent instead of
+/// aborting a kernel mid-protocol.
+fn clamped(n_links: usize, payload_len: usize) -> (usize, usize) {
+    (
+        n_links.min(usize::from(u8::MAX)),
+        payload_len.min(crate::wire::max_prefixed_len()),
+    )
+}
+
+/// Encoded size of a message carrying `n_links` links and `payload_len`
+/// payload bytes, after the encode-side clamps.
+fn framed_len(n_links: usize, payload_len: usize) -> usize {
+    let (n_links, payload_len) = clamped(n_links, payload_len);
+    MsgHeader::WIRE_LEN + 1 + 4 + n_links * Link::WIRE_LEN + payload_len
+}
+
+/// Write everything that precedes the payload: header, counts, links.
+/// Returns how many payload bytes the caller must now append (the length
+/// just written); every clamp is counted, once.
+fn put_framing(
+    buf: &mut BytesMut,
+    header: &MsgHeader,
+    links: &[Link],
+    payload_len: usize,
+) -> usize {
+    let (n_links, take) = clamped(links.len(), payload_len);
+    if n_links != links.len() {
+        crate::wire::codec_stats::note_clamp();
+    }
+    if take != payload_len {
+        crate::wire::codec_stats::note_clamp();
+    }
+    header.encode(buf);
+    buf.put_u8(u8::try_from(n_links).unwrap_or(u8::MAX));
+    buf.put_u32(u32::try_from(take).unwrap_or(u32::MAX));
+    for l in &links[..n_links] {
+        l.encode(buf);
+    }
+    take
 }
 
 impl Wire for Message {
     fn encode(&self, buf: &mut BytesMut) {
-        self.header.encode(buf);
-        // Out-of-invariant messages (links > u8, payload > u32 — both
-        // impossible via the constructors) are clamped to keep the frame
-        // wire-consistent, and counted, instead of aborting a kernel
-        // mid-protocol.
-        let n_links = u8::try_from(self.links.len()).unwrap_or_else(|_| {
-            crate::wire::codec_stats::note_clamp();
-            u8::MAX
-        });
-        let payload_len = u32::try_from(self.payload.len()).unwrap_or_else(|_| {
-            crate::wire::codec_stats::note_clamp();
-            u32::MAX
-        });
-        buf.put_u8(n_links);
-        buf.put_u32(payload_len);
-        for l in self.links.iter().take(usize::from(n_links)) {
-            l.encode(buf);
-        }
-        let take = usize::try_from(payload_len)
-            .unwrap_or(usize::MAX)
-            .min(self.payload.len());
+        let take = put_framing(buf, &self.header, &self.links, self.payload.len());
         buf.put_slice(&self.payload[..take]);
+    }
+
+    fn wire_len(&self) -> usize {
+        self.wire_size()
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {

@@ -105,6 +105,13 @@ impl Wire for KernelOp {
         }
     }
 
+    fn wire_len(&self) -> usize {
+        match self {
+            KernelOp::Suspend | KernelOp::Resume | KernelOp::Kill | KernelOp::QueryStatus => 2,
+            KernelOp::MigrateRequest { .. } => 2 + MachineId::WIRE_LEN + 2,
+        }
+    }
+
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         if buf.remaining() < 2 {
             return Err(WireError::Truncated("KernelOp"));
@@ -259,6 +266,18 @@ impl Wire for MigrateMsg {
                 buf.put_u16(*ctx);
                 pid.encode(buf);
             }
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        match self {
+            MigrateMsg::Offer { .. } => 1 + 2 + ProcessId::WIRE_LEN + 2 + 2 + 4,
+            MigrateMsg::Accept { .. } => 1 + 2 + 2 + 2,
+            MigrateMsg::Reject { .. } => 1 + 2 + ProcessId::WIRE_LEN + 1,
+            MigrateMsg::TransferComplete { .. } => 1 + 2 + 4,
+            MigrateMsg::CleanupDone { .. } => 1 + 2 + 2,
+            MigrateMsg::Done { .. } => 1 + ProcessId::WIRE_LEN + MachineId::WIRE_LEN + 1,
+            MigrateMsg::Abort { .. } => 1 + 2 + ProcessId::WIRE_LEN,
         }
     }
 
@@ -522,6 +541,18 @@ impl Wire for MoveDataMsg {
         }
     }
 
+    fn wire_len(&self) -> usize {
+        match self {
+            MoveDataMsg::ReadReq { .. } | MoveDataMsg::WriteReq { .. } => {
+                1 + 2 + ProcessId::WIRE_LEN + 1 + 4 + 4
+            }
+            MoveDataMsg::Data { bytes, .. } => 1 + 2 + 4 + wire::bytes_len(bytes.len()),
+            MoveDataMsg::Ack { .. } => 1 + 2 + 4,
+            MoveDataMsg::Done { .. } => 1 + 2 + 1 + 4,
+            MoveDataMsg::Abort { .. } => 1 + 2 + 1,
+        }
+    }
+
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         if buf.remaining() < 1 {
             return Err(WireError::Truncated("MoveDataMsg"));
@@ -679,6 +710,15 @@ impl Wire for LinkMaintMsg {
                 from.encode(buf);
                 buf.put_u64(*seq);
             }
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        match self {
+            LinkMaintMsg::LinkUpdate { .. } => 1 + 2 * ProcessId::WIRE_LEN + MachineId::WIRE_LEN,
+            LinkMaintMsg::NonDeliverable { .. } => 1 + ProcessId::WIRE_LEN + 2 + 1,
+            LinkMaintMsg::DeathNotice { .. } => 1 + ProcessId::WIRE_LEN,
+            LinkMaintMsg::Heartbeat { .. } => 1 + MachineId::WIRE_LEN + 8,
         }
     }
 

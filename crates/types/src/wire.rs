@@ -59,20 +59,17 @@ pub trait Wire: Sized {
     /// of one encoded value.
     fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
 
-    /// Length in bytes that [`Wire::encode`] will append.
-    ///
-    /// The default implementation encodes into a scratch buffer; fixed-size
-    /// types override it with a constant.
-    fn wire_len(&self) -> usize {
-        let mut buf = BytesMut::new();
-        self.encode(&mut buf);
-        buf.len()
-    }
+    /// Exact length in bytes that [`Wire::encode`] will append, computed
+    /// arithmetically (never by encoding): [`Wire::to_bytes`] sizes its one
+    /// buffer from it, so a value is serialised exactly once.
+    fn wire_len(&self) -> usize;
 
-    /// Encode into a fresh, frozen buffer.
+    /// Encode into a fresh, frozen buffer of exactly [`Wire::wire_len`]
+    /// bytes.
     fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_len());
         self.encode(&mut buf);
+        debug_assert_eq!(buf.len(), self.wire_len(), "wire_len disagrees with encode");
         buf.freeze()
     }
 
@@ -111,13 +108,24 @@ pub fn get_bytes(buf: &mut Bytes, what: &'static str, max: usize) -> Result<Byte
     Ok(buf.split_to(len))
 }
 
+/// Longest byte string a `u32` length prefix can describe.
+pub(crate) fn max_prefixed_len() -> usize {
+    usize::try_from(u32::MAX).unwrap_or(usize::MAX)
+}
+
+/// Bytes [`put_bytes`] / [`put_string`] append for an `n`-byte input:
+/// the `u32` prefix plus the (clamped) contents.
+pub fn bytes_len(n: usize) -> usize {
+    4 + n.min(max_prefixed_len())
+}
+
 /// Write a length-prefixed (`u32`) byte string. Inputs longer than the
 /// prefix can express are truncated (and counted in [`codec_stats`])
 /// rather than aborting: encode sits on every kernel handler path, and a
 /// handler must degrade, not die. Honest senders never hit the clamp —
 /// every protocol payload is bounded far below 4 GiB.
 pub fn put_bytes(buf: &mut BytesMut, bytes: &[u8]) {
-    let max = usize::try_from(u32::MAX).unwrap_or(usize::MAX);
+    let max = max_prefixed_len();
     let bytes = if bytes.len() > max {
         codec_stats::note_clamp();
         &bytes[..max]

@@ -7,6 +7,15 @@
 //! The build environment has no network access, so external crates are
 //! replaced by shims that keep the public surface source-compatible.
 //!
+//! Buffer ownership: a [`BytesMut`] is a plain `Vec<u8>`; [`BytesMut::freeze`]
+//! and `Bytes::from(Vec<u8>)` move that `Vec` behind an `Arc` — no second
+//! buffer, no memcpy — and every clone, [`Bytes::slice`] and
+//! [`Bytes::split_to`] shares it. Static and empty views borrow
+//! `&'static [u8]` and never allocate. (The real crate reaches the same
+//! ownership rules through a vtable and raw pointers; this shim stays
+//! inside safe Rust and pays one small `Arc` header allocation per
+//! frozen buffer instead.)
+//!
 //! [`bytes`]: https://docs.rs/bytes
 
 #![forbid(unsafe_code)]
@@ -23,25 +32,35 @@ use std::sync::Arc;
 /// [`Bytes::split_to`] produce zero-copy sub-views.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Storage,
     start: usize,
     end: usize,
 }
 
+/// Where a view's bytes live.
+#[derive(Clone)]
+enum Storage {
+    /// Borrowed for the life of the program: nothing to allocate or count.
+    Static(&'static [u8]),
+    /// The `Vec` a builder filled, handed over whole behind the `Arc`.
+    Shared(Arc<Vec<u8>>),
+}
+
 impl Bytes {
-    /// An empty `Bytes`.
-    pub fn new() -> Self {
-        Bytes {
-            data: Arc::from(&[][..]),
-            start: 0,
-            end: 0,
-        }
+    /// An empty `Bytes`. Does not allocate.
+    #[inline]
+    pub const fn new() -> Self {
+        Bytes::from_static(&[])
     }
 
-    /// Wrap a static byte slice without copying.
-    pub fn from_static(bytes: &'static [u8]) -> Self {
-        // Arc::from copies; for a shim that is fine — semantics match.
-        Bytes::from(bytes.to_vec())
+    /// Wrap a static byte slice without copying or allocating.
+    #[inline]
+    pub const fn from_static(bytes: &'static [u8]) -> Self {
+        Bytes {
+            data: Storage::Static(bytes),
+            start: 0,
+            end: bytes.len(),
+        }
     }
 
     /// Copy `data` into a fresh `Bytes`.
@@ -50,11 +69,13 @@ impl Bytes {
     }
 
     /// Number of bytes in the view.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// Whether the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -77,13 +98,14 @@ impl Bytes {
             self.len()
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
     }
 
     /// Split off and return the first `at` bytes, leaving the rest.
+    #[inline]
     pub fn split_to(&mut self, at: usize) -> Self {
         assert!(
             at <= self.len(),
@@ -91,7 +113,7 @@ impl Bytes {
             self.len()
         );
         let head = Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start,
             end: self.start + at,
         };
@@ -104,8 +126,13 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        let all: &[u8] = match &self.data {
+            Storage::Static(s) => s,
+            Storage::Shared(v) => v,
+        };
+        &all[self.start..self.end]
     }
 }
 
@@ -117,12 +144,14 @@ impl Default for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -193,10 +222,14 @@ impl PartialEq<Vec<u8>> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes the `Vec`'s buffer as it is: no copy, no reallocation.
     fn from(v: Vec<u8>) -> Self {
+        if v.is_empty() {
+            return Bytes::new();
+        }
         let len = v.len();
         Bytes {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Storage::Shared(Arc::new(v)),
             start: 0,
             end: len,
         }
@@ -205,24 +238,19 @@ impl From<Vec<u8>> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Self {
-        let len = v.len();
-        Bytes {
-            data: Arc::from(v),
-            start: 0,
-            end: len,
-        }
+        Bytes::from(Vec::from(v))
     }
 }
 
 impl From<&'static [u8]> for Bytes {
     fn from(v: &'static [u8]) -> Self {
-        Bytes::from(v.to_vec())
+        Bytes::from_static(v)
     }
 }
 
 impl From<&'static str> for Bytes {
     fn from(v: &'static str) -> Self {
-        Bytes::from(v.as_bytes().to_vec())
+        Bytes::from_static(v.as_bytes())
     }
 }
 
@@ -260,11 +288,13 @@ pub struct BytesMut {
 
 impl BytesMut {
     /// New empty buffer.
+    #[inline]
     pub fn new() -> Self {
         BytesMut { buf: Vec::new() }
     }
 
     /// New empty buffer with `cap` bytes of capacity.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             buf: Vec::with_capacity(cap),
@@ -272,11 +302,13 @@ impl BytesMut {
     }
 
     /// Length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
@@ -287,11 +319,13 @@ impl BytesMut {
     }
 
     /// Append a slice.
+    #[inline]
     pub fn extend_from_slice(&mut self, extend: &[u8]) {
         self.buf.extend_from_slice(extend)
     }
 
-    /// Convert into an immutable [`Bytes`].
+    /// Convert into an immutable [`Bytes`] over the same buffer (no copy).
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -299,18 +333,21 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.buf
     }
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.buf
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.buf
     }
@@ -343,11 +380,13 @@ pub trait Buf {
     fn advance(&mut self, cnt: usize);
 
     /// Whether any bytes remain.
+    #[inline]
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
 
     /// Read one byte.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let v = self.chunk()[0];
         self.advance(1);
@@ -355,6 +394,7 @@ pub trait Buf {
     }
 
     /// Read a big-endian `u16`.
+    #[inline]
     fn get_u16(&mut self) -> u16 {
         let c = self.chunk();
         let v = u16::from_be_bytes([c[0], c[1]]);
@@ -363,6 +403,7 @@ pub trait Buf {
     }
 
     /// Read a big-endian `u32`.
+    #[inline]
     fn get_u32(&mut self) -> u32 {
         let c = self.chunk();
         let v = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
@@ -371,6 +412,7 @@ pub trait Buf {
     }
 
     /// Read a big-endian `u64`.
+    #[inline]
     fn get_u64(&mut self) -> u64 {
         let c = self.chunk();
         let v = u64::from_be_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
@@ -379,6 +421,7 @@ pub trait Buf {
     }
 
     /// Copy `dst.len()` bytes out, consuming them.
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         dst.copy_from_slice(&self.chunk()[..dst.len()]);
         self.advance(dst.len());
@@ -386,12 +429,15 @@ pub trait Buf {
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(
             cnt <= self.len(),
@@ -403,12 +449,15 @@ impl Buf for Bytes {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         *self = &self[cnt..];
     }
@@ -421,33 +470,39 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Append one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Append a big-endian `u16`.
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian `u32`.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian `u64`.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
@@ -486,15 +541,91 @@ mod tests {
     }
 
     #[test]
+    fn freeze_hands_the_buffer_over_without_copying() {
+        let mut b = BytesMut::with_capacity(64);
+        b.put_slice(b"exact-size wire image");
+        let before = b.as_ptr();
+        let frozen = b.freeze();
+        assert_eq!(frozen.as_ptr(), before, "same buffer, not a copy");
+        assert_eq!(&frozen[..], b"exact-size wire image");
+        // The same rule for a `Vec` (and so a `String` or boxed slice).
+        let v = vec![7u8; 100];
+        let before = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), before);
+    }
+
+    #[test]
+    fn clone_slice_and_split_share_the_frozen_buffer() {
+        let b = Bytes::from((0u8..32).collect::<Vec<u8>>());
+        let base = b.as_ptr();
+        assert_eq!(b.clone().as_ptr(), base);
+        assert_eq!(b.slice(4..20).as_ptr(), base.wrapping_add(4));
+        assert_eq!(b.slice(4..20).slice(2..).as_ptr(), base.wrapping_add(6));
+        let mut rest = b.clone();
+        let head = rest.split_to(10);
+        assert_eq!(head.as_ptr(), base);
+        assert_eq!(rest.as_ptr(), base.wrapping_add(10));
+        let mut cursor = b.clone();
+        cursor.advance(3);
+        assert_eq!(cursor.as_ptr(), base.wrapping_add(3));
+        // Views outlive the handle they were cut from.
+        drop(b);
+        assert_eq!(&head[..], &(0u8..10).collect::<Vec<u8>>()[..]);
+    }
+
+    #[test]
+    fn static_and_empty_views_borrow_instead_of_allocating() {
+        // Usable in a constant: no allocation can hide in there.
+        const EMPTY: Bytes = Bytes::new();
+        const GREETING: Bytes = Bytes::from_static(b"hello");
+        static TEXT: &[u8] = b"static text";
+        assert!(EMPTY.is_empty());
+        assert_eq!(Bytes::default(), EMPTY);
+        assert_eq!(&GREETING[..], b"hello");
+        assert_eq!(Bytes::from_static(TEXT).as_ptr(), TEXT.as_ptr());
+        assert_eq!(Bytes::from(TEXT).as_ptr(), TEXT.as_ptr());
+        assert_eq!(Bytes::from("static text").len(), TEXT.len());
+        assert_eq!(
+            Bytes::from_static(TEXT).slice(7..),
+            Bytes::from_static(b"text")
+        );
+        assert!(Bytes::from(Vec::new()).is_empty());
+        assert!(BytesMut::new().freeze().is_empty());
+    }
+
+    #[test]
+    fn bytes_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Bytes>();
+        assert_send_sync::<BytesMut>();
+        let b = Bytes::from(vec![1, 2, 3]);
+        let view = b.slice(1..);
+        let sum: u8 = std::thread::spawn(move || view.iter().sum())
+            .join()
+            .expect("reader thread");
+        assert_eq!(sum, 5);
+        assert_eq!(b.len(), 3);
+    }
+
+    #[test]
     fn equality_is_by_content() {
         let a = Bytes::from(vec![1, 2, 3]);
         let b = Bytes::from(vec![0, 1, 2, 3]).slice(1..);
         assert_eq!(a, b);
+        // Where the bytes live is not part of the value.
+        assert_eq!(a, Bytes::from_static(&[1, 2, 3]));
+        assert_eq!(a, &[1u8, 2, 3][..]);
+        assert_eq!(a, vec![1u8, 2, 3]);
+        assert_ne!(a, Bytes::new());
     }
 
     #[test]
     fn debug_is_printable() {
         let b = Bytes::from_static(b"ok\x01");
         assert_eq!(format!("{b:?}"), "b\"ok\\x01\"");
+        assert_eq!(
+            format!("{:?}", Bytes::from(b"ok\x01".to_vec())),
+            "b\"ok\\x01\""
+        );
     }
 }
