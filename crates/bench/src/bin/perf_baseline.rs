@@ -135,6 +135,13 @@ struct ParSample {
     wall_secs: f64,
     events_per_sec: f64,
     segments: u64,
+    /// Window rounds of one run, from `Cluster::shard_stats`.
+    windows: u64,
+    /// Busiest shard's visits summed per window, over the balanced share
+    /// (total visits / shards): 1.0 is perfectly balanced windows, S is
+    /// one shard working per window. Whatever exceeds 1 is barrier wait
+    /// that no synchronisation primitive can remove.
+    imbalance: f64,
 }
 
 /// A cluster whose workload grows with its size: a cross-cluster
@@ -175,6 +182,8 @@ fn measure_parallel(n: usize, threads: usize, virt: Duration, min_wall: f64) -> 
     };
     let mut visits = 0u64;
     let mut segments = 0u64;
+    let mut windows = 0u64;
+    let mut imbalance = 1.0f64;
     let mut wall = 0.0f64;
     while wall < min_wall {
         let mut cluster = warm_parallel_cluster(n, threads);
@@ -184,6 +193,13 @@ fn measure_parallel(n: usize, threads: usize, virt: Duration, min_wall: f64) -> 
         wall += t0.elapsed().as_secs_f64();
         visits += visits_of(&cluster) - before;
         segments = cluster.parallel_segments();
+        // Exact counts, identical for every repetition.
+        let st = cluster.shard_stats();
+        windows = st.windows;
+        let sharded: u64 = st.visits.iter().sum();
+        if sharded > 0 {
+            imbalance = (st.critical_visits * st.visits.len() as u64) as f64 / sharded as f64;
+        }
     }
     ParSample {
         machines: n,
@@ -192,6 +208,8 @@ fn measure_parallel(n: usize, threads: usize, virt: Duration, min_wall: f64) -> 
         wall_secs: wall,
         events_per_sec: visits as f64 / wall,
         segments,
+        windows,
+        imbalance,
     }
 }
 
@@ -259,7 +277,8 @@ fn render_json(
             .map_or(1.0, |q| q.events_per_sec);
         out.push_str(&format!(
             "    {{\"m\": {}, \"threads\": {}, \"visits\": {}, \"wall_secs\": {:.4}, \
-             \"visits_per_sec\": {:.1}, \"speedup\": {:.3}, \"segments\": {}}}{}\n",
+             \"visits_per_sec\": {:.1}, \"speedup\": {:.3}, \"segments\": {}, \
+             \"windows\": {}, \"imbalance\": {:.3}}}{}\n",
             p.machines,
             p.threads,
             p.visits,
@@ -267,6 +286,8 @@ fn render_json(
             p.events_per_sec,
             p.events_per_sec / base,
             p.segments,
+            p.windows,
+            p.imbalance,
             if i + 1 < par.len() { "," } else { "" }
         ));
     }
@@ -359,10 +380,10 @@ fn main() {
     );
     let recorder = (rec_on, rec_off);
 
-    // Parallel strong scaling: scaled workload, shard counts 1..8. On a
-    // single-core runner the parallel rows mostly pay barrier overhead;
-    // the committed JSON records `cores` so readers can tell which
-    // regime the numbers come from.
+    // Parallel strong scaling: scaled workload, shard counts 1..8. With
+    // more shards than cores the workers park at the barrier and the rows
+    // mostly pay for that; the committed JSON records `cores` so readers
+    // can tell which regime the numbers come from.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut par = Vec::new();
     for &n in &PAR_SIZES {
@@ -377,14 +398,16 @@ fn main() {
                 .map_or(p.events_per_sec, |q| q.events_per_sec);
             eprintln!(
                 "parallel m={:4} threads={}  visits={:9}  wall={:.3}s  \
-                 visits/sec={:.0}  speedup={:.2}x  segments={}",
+                 visits/sec={:.0}  speedup={:.2}x  segments={}  windows={}  imbalance={:.2}",
                 p.machines,
                 p.threads,
                 p.visits,
                 p.wall_secs,
                 p.events_per_sec,
                 p.events_per_sec / base,
-                p.segments
+                p.segments,
+                p.windows,
+                p.imbalance
             );
             par.push(p);
         }

@@ -6,7 +6,7 @@
 //! the [`MigrationEngine`] before control returns — including any produced
 //! recursively while the engine itself acts on the kernel.
 
-use demos_kernel::{Kernel, KernelConfig, Outbox, Registry};
+use demos_kernel::{Kernel, KernelConfig, KernelPullDone, Outbox, Registry};
 use demos_net::{Frame, Phys};
 use demos_types::{Duration, Link, MachineId, Message, ProcessId, Result, Time};
 
@@ -23,6 +23,10 @@ pub struct Node {
     pub engine: MigrationEngine,
     /// Dead-peer verdicts already relayed to the engine.
     notified_dead: BTreeSet<MachineId>,
+    /// The batch [`Node::drain`] is feeding the engine, swapped with the
+    /// outbox's lists so both keep their capacity between rounds.
+    inbox: Vec<Message>,
+    pulls: Vec<KernelPullDone>,
 }
 
 impl Node {
@@ -37,6 +41,8 @@ impl Node {
             kernel: Kernel::new(machine, kcfg, registry),
             engine: MigrationEngine::new(machine, mcfg),
             notified_dead: BTreeSet::new(),
+            inbox: Vec::new(),
+            pulls: Vec::new(),
         }
     }
 
@@ -55,12 +61,12 @@ impl Node {
             if out.migration_inbox.is_empty() && out.pull_done.is_empty() {
                 return;
             }
-            let msgs: Vec<Message> = out.migration_inbox.drain(..).collect();
-            let pulls: Vec<demos_kernel::KernelPullDone> = out.pull_done.drain(..).collect();
-            for m in msgs {
+            std::mem::swap(&mut self.inbox, &mut out.migration_inbox);
+            std::mem::swap(&mut self.pulls, &mut out.pull_done);
+            for m in self.inbox.drain(..) {
                 self.engine.handle(now, &mut self.kernel, m, phys, out);
             }
-            for p in pulls {
+            for p in self.pulls.drain(..) {
                 self.engine
                     .on_pull_done(now, &mut self.kernel, p, phys, out);
             }

@@ -311,6 +311,9 @@ pub struct Kernel {
     /// Delivery list [`Kernel::on_frame`] hands the channel, kept between
     /// frames for its capacity.
     delivered: Vec<(CorrId, Bytes)>,
+    /// Due-process list of [`Kernel::on_time`], kept between firings for
+    /// its capacity.
+    due_pids: Vec<ProcessId>,
     /// Action list for the move-data engine, kept between packets for its
     /// capacity.
     md_actions: Vec<MdAction>,
@@ -342,6 +345,7 @@ impl Kernel {
             det_stats: DetectorStats::default(),
             timer_heap: BinaryHeap::new(),
             delivered: Vec::new(),
+            due_pids: Vec::new(),
             md_actions: Vec::new(),
         }
     }
@@ -926,7 +930,7 @@ impl Kernel {
         // Sorting restores the pre-index order (ascending pid), keeping
         // synthetic TIMER message creation — and thus the trace — byte
         // identical to the scan-everything loop.
-        let mut due_pids: Vec<ProcessId> = Vec::new();
+        let mut due_pids = std::mem::take(&mut self.due_pids);
         while let Some(&Reverse((t, pid))) = self.timer_heap.peek() {
             if !self.timer_entry_valid(t, pid) {
                 self.timer_heap.pop();
@@ -940,7 +944,7 @@ impl Kernel {
         }
         due_pids.sort_unstable();
         due_pids.dedup();
-        for pid in due_pids {
+        for pid in due_pids.drain(..) {
             let Some(proc) = self.procs.get_mut(&pid) else {
                 continue;
             };
@@ -955,6 +959,7 @@ impl Kernel {
                 self.wake(pid);
             }
         }
+        self.due_pids = due_pids;
     }
 
     fn synthetic_msg(&self, pid: ProcessId, msg_type: u16, payload: Bytes) -> Message {

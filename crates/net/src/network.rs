@@ -243,18 +243,17 @@ impl SimNetwork {
 
     /// Pop the earliest arrival if it is due at or before `now`.
     pub fn pop_due(&mut self, now: Time) -> Option<(Time, MachineId, MachineId, Frame)> {
-        if self.heap.peek().is_some_and(|Reverse(a)| a.at <= now) {
+        while self.heap.peek().is_some_and(|Reverse(a)| a.at <= now) {
             let Reverse(a) = self.heap.pop()?;
             // A machine that crashed after the frame departed still loses it.
             if self.is_down(a.dst) || self.is_down(a.src) {
                 self.stats.frames_dropped += 1;
-                return self.pop_due(now);
+                continue;
             }
             self.stats.frames_delivered += 1;
-            Some((a.at, a.src, a.dst, a.frame))
-        } else {
-            None
+            return Some((a.at, a.src, a.dst, a.frame));
         }
+        None
     }
 
     /// Number of frames currently in flight.
@@ -510,6 +509,27 @@ mod tests {
         net.set_down(m(1), true);
         assert!(net.pop_due(Time(1_000_000)).is_none());
         assert_eq!(net.stats().frames_dropped, 1);
+    }
+
+    /// A crash with a deep in-flight queue: every frame is dropped in one
+    /// `pop_due` call, which must not nest a stack frame per drop.
+    #[test]
+    fn crash_drops_a_deep_in_flight_queue_without_recursing() {
+        const FRAMES: u64 = 200_000;
+        let topo = Topology::full_mesh(3, EdgeParams::fast());
+        let mut net = SimNetwork::new(topo, 1);
+        for i in 0..FRAMES {
+            net.transmit(Time(0), m(0), m(1), data(i));
+        }
+        net.transmit(Time(0), m(0), m(2), data(FRAMES));
+        assert_eq!(net.in_flight() as u64, FRAMES + 1);
+        net.set_down(m(1), true);
+        // The survivor's frame is behind every dropped one.
+        let (_, _, dst, f) = net.pop_due(Time(1_000_000)).unwrap();
+        assert_eq!((dst, f), (m(2), data(FRAMES)));
+        assert!(net.pop_due(Time(1_000_000)).is_none());
+        assert_eq!(net.stats().frames_dropped, FRAMES);
+        assert_eq!(net.stats().frames_delivered, 1);
     }
 
     #[test]

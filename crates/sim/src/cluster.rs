@@ -15,8 +15,7 @@
 //! the same configuration replays identically — the property the replay
 //! tests pin with trace fingerprints.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use demos_core::{MigrationConfig, Node};
@@ -31,9 +30,11 @@ use demos_types::{
 
 use demos_obs::FlightRecorder;
 
+use crate::evindex::EventIndex;
 use crate::flight::{self, DEFAULT_RECORDER_CAPACITY};
 use crate::partition::ShardPlan;
 use crate::recovery::{RecoveryConfig, RecoveryEpisode, RecoveryManager};
+use crate::shard::ShardStats;
 use crate::trace::Trace;
 
 /// Cluster construction.
@@ -187,9 +188,7 @@ impl ClusterBuilder {
             migration: self.migration,
             recovery: self.recovery.map(RecoveryManager::new),
             crash_log: BTreeMap::new(),
-            events: BinaryHeap::new(),
-            node_deadline: vec![None; n],
-            runnable: BTreeSet::new(),
+            idx: EventIndex::new(0, n),
             dirty: Vec::new(),
             cpu_scratch: Vec::new(),
             fired_scratch: Vec::new(),
@@ -198,6 +197,7 @@ impl ClusterBuilder {
             send_idx: vec![0; n],
             plan_cache: None,
             parallel_segments: 0,
+            shard_stats: ShardStats::default(),
         };
         // Prime the event index with each node's boot state (e.g. the
         // heartbeat schedules armed by `watch_peers` above).
@@ -207,13 +207,6 @@ impl ClusterBuilder {
         c
     }
 }
-
-/// Event kinds in the cluster's global index. Node deadlines (timers,
-/// retransmissions, heartbeats, migration timeouts) and CPU completions
-/// share one heap; the kind is part of the entry so validity can be
-/// checked per kind.
-pub(crate) const EV_TIMER: u8 = 0;
-pub(crate) const EV_CPU: u8 = 1;
 
 /// Instrumentation for the event loop: how many nodes each phase of
 /// [`Cluster::step`] actually touches. The scheduler-cost regression test
@@ -263,17 +256,9 @@ pub struct Cluster {
     migration: MigrationConfig,
     recovery: Option<RecoveryManager>,
     crash_log: BTreeMap<MachineId, Time>,
-    /// Global event index: min-heap of `(time, kind, node)` entries over
-    /// node deadlines and CPU completions, lazily invalidated (see
-    /// [`Cluster::event_valid`]). Makes finding the next event an
-    /// O(log n) peek instead of a scan over every machine.
-    pub(crate) events: BinaryHeap<Reverse<(Time, u8, usize)>>,
-    /// Authoritative cache of each node's earliest deadline; a TIMER heap
-    /// entry is live iff it matches this cache.
-    pub(crate) node_deadline: Vec<Option<Time>>,
-    /// Nodes whose run queue may hold work, maintained incrementally —
-    /// `run_cpus` walks this set instead of `0..nodes.len()`.
-    pub(crate) runnable: BTreeSet<usize>,
+    /// Node deadlines, CPU completions and the runnable set: finding the
+    /// next event is an O(1) peek instead of a scan over every machine.
+    pub(crate) idx: EventIndex,
     /// Nodes handed out via [`Cluster::node_mut`] since the last event-loop
     /// entry; their cached state is recomputed before it is trusted.
     dirty: Vec<usize>,
@@ -288,11 +273,12 @@ pub struct Cluster {
     /// (monotone across segments; only key *order* matters).
     pub(crate) send_idx: Vec<u64>,
     /// Shard plan memoised against (topology version, shard count).
-    plan_cache: Option<(usize, ShardPlan)>,
+    plan_cache: Option<(usize, Arc<ShardPlan>)>,
     /// How many parallel segments have actually executed — lets tests
     /// assert the parallel path was exercised rather than silently
     /// falling back to sequential.
     pub(crate) parallel_segments: u64,
+    pub(crate) shard_stats: ShardStats,
 }
 
 impl Cluster {
@@ -609,8 +595,7 @@ impl Cluster {
         self.crashed[m.0 as usize] = true;
         self.crash_log.insert(m, self.now);
         self.net.set_down(m, true);
-        // Clears the cached deadline and runnable membership; entries
-        // already in the heap die by validity check.
+        // Clears the deadline, the CPU wake-up and runnable membership.
         self.touch_node(m.0 as usize);
     }
 
@@ -779,79 +764,11 @@ impl Cluster {
         Duration::from_micros(micros.min(u64::MAX as u128) as u64)
     }
 
-    /// Re-derive node `i`'s cached deadline and runnable membership after
-    /// a mutation, pushing fresh heap entries on change. Lazy
-    /// invalidation: entries obsoleted here are not removed, they are
-    /// discarded when popped (see [`Cluster::event_valid`]).
+    /// Re-derive node `i`'s indexed deadline and runnable membership
+    /// after a mutation.
     pub(crate) fn touch_node(&mut self, i: usize) {
-        if self.crashed[i] {
-            self.node_deadline[i] = None;
-            self.runnable.remove(&i);
-            return;
-        }
-        let d = self.nodes[i].next_deadline();
-        if d != self.node_deadline[i] {
-            self.node_deadline[i] = d;
-            if let Some(t) = d {
-                self.events.push(Reverse((t, EV_TIMER, i)));
-            }
-        }
-        if self.nodes[i].has_runnable() {
-            if self.runnable.insert(i) && self.cpu_busy_until[i] > self.now {
-                // Became runnable while the CPU is mid-activation: index
-                // the completion instant so `step` wakes up to run it.
-                self.events
-                    .push(Reverse((self.cpu_busy_until[i], EV_CPU, i)));
-            }
-        } else {
-            self.runnable.remove(&i);
-        }
-    }
-
-    /// Whether a heap entry still reflects reality. A TIMER entry is live
-    /// iff it matches the cached deadline; a CPU entry iff the node is
-    /// still runnable and its CPU really frees at that future instant
-    /// (`t > now` keeps an already-free CPU from masquerading as a
-    /// pending event and shifting sample/recovery times).
-    fn event_valid(&self, t: Time, kind: u8, i: usize) -> bool {
-        if self.crashed[i] {
-            return false;
-        }
-        match kind {
-            EV_TIMER => self.node_deadline[i] == Some(t),
-            _ => t > self.now && self.cpu_busy_until[i] == t && self.runnable.contains(&i),
-        }
-    }
-
-    /// Earliest valid indexed event, discarding stale entries from the
-    /// top. Amortised O(log n): every discarded entry was paid for by the
-    /// push that obsoleted it.
-    fn peek_events(&mut self) -> Option<Time> {
-        while let Some(&Reverse((t, kind, i))) = self.events.peek() {
-            if self.event_valid(t, kind, i) {
-                return Some(t);
-            }
-            self.events.pop();
-        }
-        None
-    }
-
-    /// Pop every node with a valid deadline due at or before `now` into
-    /// `due` — ascending machine order, deduplicated. Only TIMER entries
-    /// qualify: a CPU entry at or before `now` means the CPU is already
-    /// free and `run_cpus` handles it.
-    fn pop_due_nodes(&mut self, due: &mut Vec<usize>) {
-        while let Some(&Reverse((t, kind, i))) = self.events.peek() {
-            if t > self.now {
-                break;
-            }
-            self.events.pop();
-            if kind == EV_TIMER && self.event_valid(t, kind, i) {
-                due.push(i);
-            }
-        }
-        due.sort_unstable();
-        due.dedup();
+        let (down, busy) = (self.crashed[i], self.cpu_busy_until[i]);
+        self.idx.touch(i, &mut self.nodes[i], down, busy, self.now);
     }
 
     /// Re-index every node mutated through [`Cluster::node_mut`] since the
@@ -872,7 +789,7 @@ impl Cluster {
         self.flush_dirty();
         let mut candidates = std::mem::take(&mut self.cpu_scratch);
         candidates.clear();
-        candidates.extend(self.runnable.iter().copied());
+        candidates.extend(self.idx.runnable().iter().copied());
         for &i in &candidates {
             if self.crashed[i] || self.cpu_busy_until[i] > self.now {
                 continue;
@@ -888,12 +805,6 @@ impl Cluster {
             }
             self.drain_outbox(MachineId(i as u16));
             self.touch_node(i);
-            if self.runnable.contains(&i) && self.cpu_busy_until[i] > self.now {
-                // Still has work queued behind the running activation:
-                // index the completion instant.
-                self.events
-                    .push(Reverse((self.cpu_busy_until[i], EV_CPU, i)));
-            }
         }
         self.cpu_scratch = candidates;
     }
@@ -901,15 +812,16 @@ impl Cluster {
     /// Advance to the next event. Returns `false` when the simulation is
     /// quiescent (no pending frames, deadlines, or runnable work).
     ///
-    /// The next-event time is an O(log n) peek over the network's arrival
-    /// queue and the cluster event index — no per-node scan. Tie-breaking
+    /// The next-event time is a peek over the network's arrival queue and
+    /// the cluster event index — no per-node scan. Tie-breaking
     /// is unchanged from the scanning loop: frames deliver first (network
     /// arrival order), then due node deadlines fire in ascending machine
     /// order, then recovery runs, then sampling.
     pub fn step(&mut self) -> bool {
         self.run_cpus();
         // Find the earliest future event.
-        let t_next = match (self.net.next_arrival_at(), self.peek_events()) {
+        let indexed = self.idx.peek(self.now, &self.cpu_busy_until);
+        let t_next = match (self.net.next_arrival_at(), indexed) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
@@ -932,7 +844,7 @@ impl Cluster {
         // Fire due deadlines.
         let mut fired = std::mem::take(&mut self.fired_scratch);
         fired.clear();
-        self.pop_due_nodes(&mut fired);
+        self.idx.pop_due(self.now, &mut fired);
         for &i in &fired {
             let now = self.now;
             self.step_stats.timer_visits += 1;
@@ -1234,10 +1146,18 @@ impl Cluster {
         self.parallel_segments
     }
 
+    /// What the sharded executor did so far: windows, final batches,
+    /// per-shard visits and mailbox high-water, summed over every
+    /// parallel segment. Exact and deterministic (no clock is read).
+    pub fn shard_stats(&self) -> &ShardStats {
+        &self.shard_stats
+    }
+
     /// The shard plan for the current configuration, or `None` when the
     /// sequential loop must be used. Memoised against the topology
-    /// version, so fault-free steady state never re-partitions.
-    fn parallel_plan(&mut self) -> Option<ShardPlan> {
+    /// version and shared, so fault-free steady state neither
+    /// re-partitions nor copies the plan per run.
+    fn parallel_plan(&mut self) -> Option<Arc<ShardPlan>> {
         if !self.parallel_ready() {
             return None;
         }
@@ -1248,10 +1168,10 @@ impl Cluster {
             .is_some_and(|(s, p)| *s == self.shards && p.topo_version == topo.version());
         if fresh {
             let plan = ShardPlan::new(self.nodes.len(), self.shards, topo);
-            self.plan_cache = Some((self.shards, plan));
+            self.plan_cache = Some((self.shards, Arc::new(plan)));
         }
         let plan = &self.plan_cache.as_ref().expect("just cached").1;
-        (plan.shards > 1).then(|| plan.clone())
+        (plan.shards > 1).then(|| Arc::clone(plan))
     }
 
     /// Run until virtual time `t` (or quiescence, whichever first).

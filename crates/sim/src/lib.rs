@@ -30,6 +30,7 @@ pub mod balance;
 pub mod boot;
 pub mod cluster;
 pub mod coverage;
+mod evindex;
 pub mod export;
 pub mod flight;
 pub mod metrics;
@@ -51,6 +52,7 @@ pub use flight::DEFAULT_RECORDER_CAPACITY;
 pub use partition::ShardPlan;
 pub use recovery::{RecoveryConfig, RecoveryEpisode, RecoveryManager, RecoveryStats};
 pub use report::{migrations_of, render, MigrationReport};
+pub use shard::ShardStats;
 pub use span::{
     latency_histogram, migration_spans_of, phase_histograms, spans_of, Hop, HopKind,
     MigrationOutcome, MigrationSpan, PhaseHistograms, Span,

@@ -3,18 +3,24 @@
 //! The cluster is split into [`ShardPlan`] ranges, one worker thread per
 //! shard, each running a faithful port of the sequential
 //! [`Cluster::step`] loop over its own machines. Synchronization is
-//! **conservative**: a coordinator repeatedly grants every shard a window
+//! **conservative**: every round, each shard runs a window
 //! `[·, min(next event anywhere) + lookahead)` — where lookahead is the
 //! minimum cross-shard link latency — inside which no not-yet-sent
 //! cross-shard frame can possibly arrive, so the shards execute the
 //! window without communicating. Cross-shard frames produced inside a
 //! window are exchanged at the barrier and heaped before the next window.
 //!
+//! There is no coordinator: each worker publishes its event horizon,
+//! waits at a [`WindowBarrier`], computes the next window from *all*
+//! published horizons (the same arithmetic on the same values, so the
+//! same answer everywhere), takes its mail, and waits once more so that
+//! nobody overwrites a horizon or mailbox a neighbour is still reading.
+//!
 //! # Determinism
 //!
 //! Everything a worker does is a pure function of its shard's state and
-//! the frames it received at barriers; the coordinator's window choices
-//! are pure functions of published event times. Nothing reads wall clock,
+//! the frames it received at barriers; the window choices are pure
+//! functions of published event times. Nothing reads wall clock,
 //! thread ids, or lock-acquisition order (mailboxes are drained in shard
 //! order), so a run is bit-deterministic for a given (seed, shard count).
 //!
@@ -42,9 +48,9 @@
 //! sequential loop; `Cluster::parallel_ready` is the single gate.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 use demos_core::Node;
 use demos_kernel::{Outbox, TraceEvent};
@@ -52,7 +58,8 @@ use demos_net::{InFlight, NetEvent, NetStats, Phys, SendKey, Topology};
 use demos_obs::FlightRecorder;
 use demos_types::{Duration, MachineId, Time};
 
-use crate::cluster::{Cluster, StepStats, EV_CPU, EV_TIMER};
+use crate::cluster::{Cluster, StepStats};
+use crate::evindex::EventIndex;
 use crate::flight;
 use crate::partition::ShardPlan;
 
@@ -61,35 +68,111 @@ const PHASE_FRAME: u8 = 1;
 const PHASE_TIMER: u8 = 2;
 const PHASE_CPU: u8 = 3;
 
-/// Coordinator → worker commands.
-const M_WINDOW: u8 = 0;
-const M_FINAL: u8 = 1;
-const M_EXIT: u8 = 2;
-
 /// "No pending event" sentinel for published times.
 const T_NONE: u64 = u64::MAX;
+
+/// What the sharded executor did, counted inside the workers and summed
+/// over every parallel segment. Exact and deterministic for a given
+/// (seed, shard count): no clock is read.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Window rounds run (two barrier waits per worker each).
+    pub windows: u64,
+    /// Overshoot batches run at a segment's closing instant.
+    pub final_batches: u64,
+    /// Node visits, per shard.
+    pub visits: Vec<u64>,
+    /// The busiest shard's node visits, summed window by window: the
+    /// critical path. `critical_visits · S / Σ visits` is 1 when every
+    /// window is balanced and S when one shard does all the work; what
+    /// it exceeds 1 by is time the other shards spend at the barrier.
+    pub critical_visits: u64,
+    /// The most frames each shard took from its mailboxes at one barrier.
+    pub mailbox_high_water: Vec<u64>,
+}
+
+/// How long a waiter busy-waits before it starts yielding its core.
+const SPIN_LIMIT: u32 = 1 << 8;
+
+/// The per-window rendezvous: a sense-reversing barrier over two atomics.
+/// The last arriver resets `arrived` and bumps `generation`; everyone
+/// else waits for the bump. When every party can own a core the wait is
+/// a busy-wait — a parked vCPU takes of the order of a millisecond to
+/// come back, as long as a whole window — otherwise waiters would spin
+/// against the threads they wait for, so they park at once.
+struct WindowBarrier {
+    parties: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    spin: bool,
+    lock: Mutex<()>,
+    parked: Condvar,
+}
+
+impl WindowBarrier {
+    fn new(parties: usize, spin: bool) -> Self {
+        WindowBarrier {
+            parties,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            spin,
+            lock: Mutex::new(()),
+            parked: Condvar::new(),
+        }
+    }
+
+    /// Block until all `parties` have called `wait` this generation.
+    /// Everything written before a party's `wait` is visible to every
+    /// party after it: arrivals are `AcqRel` on `arrived`, and the bump
+    /// is a `Release` store paired with the waiters' `Acquire` loads.
+    fn wait(&self) {
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // Reset before the bump: nobody re-arrives until they see it.
+            self.arrived.store(0, Ordering::Relaxed);
+            if self.spin {
+                self.generation.store(gen + 1, Ordering::Release);
+            } else {
+                // Under the lock, or a waiter could check, miss the bump
+                // and park after the notification.
+                let _guard = self.lock.lock().expect("barrier lock poisoned");
+                self.generation.store(gen + 1, Ordering::Release);
+                self.parked.notify_all();
+            }
+        } else if self.spin {
+            let mut spins = 0u32;
+            while self.generation.load(Ordering::Acquire) == gen {
+                if spins < SPIN_LIMIT {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        } else {
+            let mut guard = self.lock.lock().expect("barrier lock poisoned");
+            while self.generation.load(Ordering::Acquire) == gen {
+                guard = self.parked.wait(guard).expect("barrier lock poisoned");
+            }
+        }
+    }
+}
 
 /// Barrier-shared coordination state. All cross-thread data flows through
 /// here, and only at barriers.
 struct Shared {
-    /// Rendezvous: `shards + 1` parties (workers + coordinator). Each
-    /// round is two waits: release (command visible) and collect
-    /// (published times + mailboxes visible).
-    barrier: Barrier,
-    /// Current command.
-    mode: AtomicU8,
-    /// Command parameter: window end (exclusive) or final-batch instant,
-    /// in microseconds.
-    param: AtomicU64,
+    barrier: WindowBarrier,
     /// Per shard: earliest pending local event after its last round.
     next_local: Vec<AtomicU64>,
     /// Per shard: earliest arrival among cross-shard frames it *posted*
     /// during its last round (they are in mailboxes, visible to no heap,
-    /// so the coordinator must count them separately).
+    /// so the horizon must count them separately).
     posted_min: Vec<AtomicU64>,
+    /// Per shard: node visits of its last window (statistics only).
+    visits: Vec<AtomicU64>,
     /// `mail[dst][src]`: frames posted by shard `src` for shard `dst`.
-    /// Locks are uncontended by construction (one writer, and readers
-    /// only at barriers).
+    /// Locks are uncontended by construction (one writer before the
+    /// round's first wait, one reader between its two waits).
     mail: Vec<Vec<Mutex<Vec<InFlight>>>>,
 }
 
@@ -107,10 +190,15 @@ struct Segment {
 /// place; this is only the owned state).
 struct WorkerResult {
     now: Time,
+    /// The closing instant every worker computed, `None` if quiescent.
+    fin: Option<u64>,
     leftovers: Vec<InFlight>,
     segments: Vec<Segment>,
     net_stats: NetStats,
     step_stats: StepStats,
+    windows: u64,
+    critical_visits: u64,
+    mailbox_high_water: u64,
 }
 
 /// The physical layer a shard's nodes transmit into: local-destination
@@ -191,7 +279,7 @@ impl Phys for ShardNet<'_> {
 }
 
 /// One shard's executable state: disjoint `&mut` slices of the cluster's
-/// per-machine storage plus a private port of the event-loop caches.
+/// per-machine storage plus an event index of its own.
 struct Worker<'a> {
     sid: usize,
     base: usize,
@@ -204,67 +292,21 @@ struct Worker<'a> {
     now: Time,
     net: ShardNet<'a>,
     outbox: Outbox,
-    /// Local event index over `(time, kind, global machine)`.
-    events: BinaryHeap<Reverse<(Time, u8, usize)>>,
-    /// Cached earliest deadline per local node.
-    node_deadline: Vec<Option<Time>>,
-    /// Runnable set, in global machine indices.
-    runnable: BTreeSet<usize>,
+    idx: EventIndex,
     segments: Vec<Segment>,
     stats: StepStats,
+    windows: u64,
+    critical_visits: u64,
+    mailbox_high_water: u64,
     cpu_scratch: Vec<usize>,
     fired_scratch: Vec<usize>,
 }
 
 impl<'a> Worker<'a> {
-    fn local(&self, i: usize) -> usize {
-        i - self.base
-    }
-
-    /// Port of `Cluster::touch_node` over the shard-local caches.
     fn touch_node(&mut self, i: usize) {
-        let l = self.local(i);
-        if self.net.down[i] {
-            self.node_deadline[l] = None;
-            self.runnable.remove(&i);
-            return;
-        }
-        let d = self.nodes[l].next_deadline();
-        if d != self.node_deadline[l] {
-            self.node_deadline[l] = d;
-            if let Some(t) = d {
-                self.events.push(Reverse((t, EV_TIMER, i)));
-            }
-        }
-        if self.nodes[l].has_runnable() {
-            if self.runnable.insert(i) && self.cpu_busy_until[l] > self.now {
-                self.events
-                    .push(Reverse((self.cpu_busy_until[l], EV_CPU, i)));
-            }
-        } else {
-            self.runnable.remove(&i);
-        }
-    }
-
-    fn event_valid(&self, t: Time, kind: u8, i: usize) -> bool {
         let l = i - self.base;
-        if self.net.down[i] {
-            return false;
-        }
-        match kind {
-            EV_TIMER => self.node_deadline[l] == Some(t),
-            _ => t > self.now && self.cpu_busy_until[l] == t && self.runnable.contains(&i),
-        }
-    }
-
-    fn peek_events(&mut self) -> Option<Time> {
-        while let Some(&Reverse((t, kind, i))) = self.events.peek() {
-            if self.event_valid(t, kind, i) {
-                return Some(t);
-            }
-            self.events.pop();
-        }
-        None
+        let (down, busy) = (self.net.down[i], self.cpu_busy_until[l]);
+        self.idx.touch(i, &mut self.nodes[l], down, busy, self.now);
     }
 
     /// Earliest pending local event: frame arrival (frames to crashed
@@ -272,7 +314,7 @@ impl<'a> Worker<'a> {
     /// drops them on pop) or indexed node event.
     fn peek_next(&mut self) -> Option<Time> {
         let arr = self.net.arrivals.peek().map(|Reverse(a)| a.at);
-        match (arr, self.peek_events()) {
+        match (arr, self.idx.peek(self.now, self.cpu_busy_until)) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -310,7 +352,7 @@ impl<'a> Worker<'a> {
     fn run_cpus(&mut self) {
         let mut candidates = std::mem::take(&mut self.cpu_scratch);
         candidates.clear();
-        candidates.extend(self.runnable.iter().copied());
+        candidates.extend(self.idx.runnable().iter().copied());
         for &i in &candidates {
             let l = i - self.base;
             if self.net.down[i] || self.cpu_busy_until[l] > self.now {
@@ -331,10 +373,6 @@ impl<'a> Worker<'a> {
                 SendKey::canonical(self.net.era, self.now.as_micros(), PHASE_CPU, i as u16, 0);
             self.drain(MachineId(i as u16), PHASE_CPU, key);
             self.touch_node(i);
-            if self.runnable.contains(&i) && self.cpu_busy_until[l] > self.now {
-                self.events
-                    .push(Reverse((self.cpu_busy_until[l], EV_CPU, i)));
-            }
         }
         self.cpu_scratch = candidates;
     }
@@ -368,22 +406,12 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Fire due deadlines in ascending machine order (port of
-    /// `Cluster::pop_due_nodes` + the firing loop).
+    /// Fire due deadlines in ascending machine order (port of the firing
+    /// loop in `Cluster::step`).
     fn fire_due(&mut self) {
         let mut fired = std::mem::take(&mut self.fired_scratch);
         fired.clear();
-        while let Some(&Reverse((t, kind, i))) = self.events.peek() {
-            if t > self.now {
-                break;
-            }
-            self.events.pop();
-            if kind == EV_TIMER && self.event_valid(t, kind, i) {
-                fired.push(i);
-            }
-        }
-        fired.sort_unstable();
-        fired.dedup();
+        self.idx.pop_due(self.now, &mut fired);
         for &i in &fired {
             self.stats.timer_visits += 1;
             self.net.phase = PHASE_TIMER;
@@ -422,36 +450,30 @@ impl<'a> Worker<'a> {
         if t > self.now {
             self.now = t;
         }
-        if self
-            .net
-            .arrivals
-            .peek()
-            .is_some_and(|Reverse(a)| a.at <= self.now)
-            || self.peek_events().is_some_and(|e| e <= self.now)
-        {
+        if self.peek_next().is_some_and(|e| e <= self.now) {
             self.stats.steps += 1;
         }
         self.deliver_due();
         self.fire_due();
     }
 
-    /// Merge mail delivered at the last barrier into the arrival heap.
-    /// Drained in ascending source-shard order (deterministic, though the
-    /// heap makes insertion order irrelevant).
+    /// Merge the mail posted before this round's first wait into the
+    /// arrival heap. Drained in ascending source-shard order
+    /// (deterministic, though the heap makes insertion order irrelevant).
     fn take_mail(&mut self, shared: &Shared) {
-        for src in 0..shared.mail[self.sid].len() {
-            let mut inbox = shared.mail[self.sid][src]
-                .lock()
-                .expect("mailbox lock poisoned");
+        let mut taken = 0u64;
+        for slot in &shared.mail[self.sid] {
+            let mut inbox = slot.lock().expect("mailbox lock poisoned");
+            taken += inbox.len() as u64;
             for a in inbox.drain(..) {
                 self.net.arrivals.push(Reverse(a));
             }
         }
+        self.mailbox_high_water = self.mailbox_high_water.max(taken);
     }
 
-    /// Post this round's outgoing cross-shard frames and publish event
-    /// horizons for the coordinator.
-    fn flush_and_publish(&mut self, shared: &Shared) {
+    /// Post this round's outgoing cross-shard frames.
+    fn post_mail(&mut self, shared: &Shared) {
         for (ds, out) in self.net.outmail.iter_mut().enumerate() {
             if out.is_empty() {
                 continue;
@@ -461,46 +483,77 @@ impl<'a> Worker<'a> {
                 .expect("mailbox lock poisoned")
                 .append(out);
         }
-        shared.posted_min[self.sid].store(self.net.posted_min, Ordering::Release);
-        self.net.posted_min = T_NONE;
-        let next = self.peek_next().map_or(T_NONE, |t| t.as_micros());
-        shared.next_local[self.sid].store(next, Ordering::Release);
     }
 
-    /// The worker thread body: obey coordinator commands until EXIT.
-    fn run(mut self, shared: &Shared, results: &Mutex<Vec<Option<WorkerResult>>>) {
-        loop {
-            shared.barrier.wait();
-            let mode = shared.mode.load(Ordering::Acquire);
-            let param = shared.param.load(Ordering::Acquire);
-            match mode {
-                M_WINDOW => {
-                    self.take_mail(shared);
-                    self.run_window(Time::from_micros(param));
-                    self.flush_and_publish(shared);
-                }
-                M_FINAL => {
-                    self.take_mail(shared);
-                    self.final_batch(Time::from_micros(param));
-                    self.flush_and_publish(shared);
-                }
-                _ => {
-                    let sid = self.sid;
-                    let result = WorkerResult {
-                        now: self.now,
-                        leftovers: self.net.arrivals.drain().map(|Reverse(a)| a).collect(),
-                        segments: std::mem::take(&mut self.segments),
-                        net_stats: self.net.stats,
-                        step_stats: self.stats,
-                    };
-                    results.lock().expect("results lock poisoned")[sid] = Some(result);
-                    shared.barrier.wait();
-                    return;
-                }
+    /// The worker thread body: run windows up to `bound_us`, then the
+    /// overshoot batch at the first global event time at or after it.
+    /// Every worker derives the same windows from the same published
+    /// horizons, so all leave the loop in the same round.
+    fn run(mut self, shared: &Shared, bound_us: u64, lookahead_us: Option<u64>) -> WorkerResult {
+        // The first window ends at `now`: a pure CPU pass (work made
+        // runnable by external ops since the last run), mirroring the
+        // `run_cpus` at the top of the first sequential step.
+        let mut end_us = self.now.as_micros();
+        let fin = loop {
+            let visits_before = self.stats.node_visits();
+            self.run_window(Time::from_micros(end_us));
+            self.windows += 1;
+            self.post_mail(shared);
+            // Relaxed: the barrier orders these stores before the loads.
+            let next = self.peek_next().map_or(T_NONE, |t| t.as_micros());
+            shared.next_local[self.sid].store(next, Ordering::Relaxed);
+            shared.posted_min[self.sid].store(self.net.posted_min, Ordering::Relaxed);
+            self.net.posted_min = T_NONE;
+            let visits = self.stats.node_visits() - visits_before;
+            shared.visits[self.sid].store(visits, Ordering::Relaxed);
+
+            shared.barrier.wait(); // every horizon and mailbox is posted
+            let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
+            let t_min = shared
+                .next_local
+                .iter()
+                .chain(&shared.posted_min)
+                .map(read)
+                .fold(T_NONE, u64::min);
+            self.critical_visits += shared.visits.iter().map(read).fold(0, u64::max);
+            self.take_mail(shared);
+            shared.barrier.wait(); // ... and read: the next round may overwrite them
+
+            if t_min == T_NONE {
+                break None; // quiescent
             }
-            shared.barrier.wait();
+            if t_min >= bound_us {
+                self.final_batch(Time::from_micros(t_min));
+                // Never taken by a worker; reassembly collects it.
+                self.post_mail(shared);
+                break Some(t_min);
+            }
+            end_us = match lookahead_us {
+                Some(l) => t_min.saturating_add(l).min(bound_us),
+                None => bound_us,
+            };
+        };
+        WorkerResult {
+            now: self.now,
+            fin,
+            leftovers: self.net.arrivals.drain().map(|Reverse(a)| a).collect(),
+            segments: self.segments,
+            net_stats: self.net.stats,
+            step_stats: self.stats,
+            windows: self.windows,
+            critical_visits: self.critical_visits,
+            mailbox_high_water: self.mailbox_high_water,
         }
     }
+}
+
+/// Whether `parties` busy-waiting threads can each own a core. The core
+/// count is read once: the query walks cgroup files, and a chaos run asks
+/// once per quantum.
+fn can_spin(parties: usize) -> bool {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()));
+    parties <= *cores
 }
 
 /// Split `slice` into the plan's contiguous per-shard sub-slices.
@@ -537,16 +590,14 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
     }
 
     let shared = Shared {
-        barrier: Barrier::new(s + 1),
-        mode: AtomicU8::new(M_WINDOW),
-        param: AtomicU64::new(0),
+        barrier: WindowBarrier::new(s, can_spin(s)),
         next_local: (0..s).map(|_| AtomicU64::new(T_NONE)).collect(),
         posted_min: (0..s).map(|_| AtomicU64::new(T_NONE)).collect(),
+        visits: (0..s).map(|_| AtomicU64::new(0)).collect(),
         mail: (0..s)
             .map(|_| (0..s).map(|_| Mutex::new(Vec::new())).collect())
             .collect(),
     };
-    let results: Mutex<Vec<Option<WorkerResult>>> = Mutex::new((0..s).map(|_| None).collect());
 
     let trace_on = c.trace.is_enabled();
     let crashed = &c.crashed;
@@ -598,11 +649,12 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
                 stats: NetStats::default(),
             },
             outbox: Outbox::default(),
-            events: BinaryHeap::new(),
-            node_deadline: vec![None; end - base],
-            runnable: BTreeSet::new(),
+            idx: EventIndex::new(base, end - base),
             segments: Vec::new(),
             stats: StepStats::default(),
+            windows: 0,
+            critical_visits: 0,
+            mailbox_high_water: 0,
             cpu_scratch: Vec::new(),
             fired_scratch: Vec::new(),
         };
@@ -613,56 +665,34 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
     }
 
     let bound_us = bound.as_micros();
-    let mut fin: Option<u64> = None;
-    std::thread::scope(|scope| {
-        for w in workers.drain(..) {
-            let shared = &shared;
-            let results = &results;
-            scope.spawn(move || w.run(shared, results));
-        }
-        // The first window ends at `now`: a pure CPU pass (work made
-        // runnable by external ops since the last run), mirroring the
-        // `run_cpus` at the top of the first sequential step.
-        let mut end_us = start_now.as_micros();
-        loop {
-            shared.mode.store(M_WINDOW, Ordering::Release);
-            shared.param.store(end_us, Ordering::Release);
-            shared.barrier.wait(); // release
-            shared.barrier.wait(); // collect
-            let mut t_min = T_NONE;
-            for a in shared.next_local.iter().chain(shared.posted_min.iter()) {
-                t_min = t_min.min(a.load(Ordering::Acquire));
-            }
-            if t_min == T_NONE {
-                break; // quiescent
-            }
-            if t_min >= bound_us {
-                fin = Some(t_min);
-                break;
-            }
-            end_us = match lookahead_us {
-                Some(l) => t_min.saturating_add(l).min(bound_us),
-                None => bound_us,
-            };
-        }
-        if let Some(t) = fin {
-            shared.mode.store(M_FINAL, Ordering::Release);
-            shared.param.store(t, Ordering::Release);
-            shared.barrier.wait();
-            shared.barrier.wait();
-        }
-        shared.mode.store(M_EXIT, Ordering::Release);
-        shared.barrier.wait();
-        shared.barrier.wait();
+    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
+        let shared = &shared;
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|w| scope.spawn(move || w.run(shared, bound_us, lookahead_us)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
     });
 
     // ------------------------------------------------------------------
     // Reassembly
     // ------------------------------------------------------------------
-    let results = results.into_inner().expect("results lock poisoned");
+    let fin = results[0].fin;
     let mut segments: Vec<Segment> = Vec::new();
     let mut new_now = start_now;
-    for r in results.into_iter().flatten() {
+    let stats = &mut c.shard_stats;
+    stats.windows += results[0].windows;
+    stats.final_batches += u64::from(fin.is_some());
+    stats.critical_visits += results[0].critical_visits;
+    if stats.visits.len() < s {
+        stats.visits.resize(s, 0);
+        stats.mailbox_high_water.resize(s, 0);
+    }
+    for (sid, r) in results.into_iter().enumerate() {
+        debug_assert_eq!(r.fin, fin, "workers disagree on the closing instant");
         new_now = new_now.max(r.now);
         c.net.restore_in_flight(r.leftovers);
         c.net.absorb_stats(r.net_stats);
@@ -670,6 +700,8 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
         c.step_stats.cpu_visits += r.step_stats.cpu_visits;
         c.step_stats.frame_visits += r.step_stats.frame_visits;
         c.step_stats.timer_visits += r.step_stats.timer_visits;
+        stats.visits[sid] += r.step_stats.node_visits();
+        stats.mailbox_high_water[sid] = stats.mailbox_high_water[sid].max(r.mailbox_high_water);
         segments.extend(r.segments);
     }
     // Mail posted by the final batch was never taken by a worker.
@@ -692,13 +724,8 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
     for seg in segments {
         c.trace.extend(seg.at, seg.machine, seg.events);
     }
-    // Rebuild the sequential event caches from scratch; stale entries
-    // from before the segment are gone with the clear.
-    c.events.clear();
-    c.runnable.clear();
-    for i in 0..n {
-        c.node_deadline[i] = None;
-    }
+    // Rebuild the sequential event index from scratch.
+    c.idx = EventIndex::new(0, n);
     for i in 0..n {
         c.touch_node(i);
     }
@@ -709,15 +736,14 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
     fin.map(Time::from_micros)
 }
 
-/// Parallel `run_until`: windows clipped at sampling due-points and the
-/// deadline, overshoot batch at each stop, boundary CPU pass at the end —
-/// semantics identical to the sequential `Cluster::run_until`.
-pub(crate) fn run_until_parallel(c: &mut Cluster, t: Time, plan: &ShardPlan) {
-    while c.now < t {
+/// Run parallel segments, clipped at sampling due-points, until `deadline`
+/// has been reached (`true`) or the cluster is quiescent (`false`).
+fn run_segments(c: &mut Cluster, deadline: Time, plan: &ShardPlan) -> bool {
+    while c.now < deadline {
         let due = c.series.as_ref().map(|s| s.next_due());
-        let bound = due.map_or(t, |d| d.min(t));
+        let bound = due.map_or(deadline, |d| d.min(deadline));
         match run_scope(c, bound, plan) {
-            None => return, // quiescent: no boundary CPU pass (matches sequential)
+            None => return false,
             Some(fin) => {
                 if due.is_some_and(|d| fin >= d) {
                     c.sample_now();
@@ -725,24 +751,65 @@ pub(crate) fn run_until_parallel(c: &mut Cluster, t: Time, plan: &ShardPlan) {
             }
         }
     }
-    c.run_cpus();
+    true
+}
+
+/// Parallel `run_until`: overshoot batch at each stop, boundary CPU pass
+/// at the end unless quiescent — semantics identical to the sequential
+/// `Cluster::run_until`.
+pub(crate) fn run_until_parallel(c: &mut Cluster, t: Time, plan: &ShardPlan) {
+    if run_segments(c, t, plan) {
+        c.run_cpus();
+    }
 }
 
 /// Parallel `run_quiescent`: like [`run_until_parallel`] but without the
 /// boundary CPU pass, returning the finishing time.
 pub(crate) fn run_quiescent_parallel(c: &mut Cluster, limit: Duration, plan: &ShardPlan) -> Time {
     let deadline = c.now + limit;
-    while c.now < deadline {
-        let due = c.series.as_ref().map(|s| s.next_due());
-        let bound = due.map_or(deadline, |d| d.min(deadline));
-        match run_scope(c, bound, plan) {
-            None => return c.now,
-            Some(fin) => {
-                if due.is_some_and(|d| fin >= d) {
-                    c.sample_now();
-                }
+    run_segments(c, deadline, plan);
+    c.now
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The two-wait round the workers run, with a counter in place of a
+    /// horizon: publish the round, wait, read a neighbour, wait. Without
+    /// the second wait a fast thread publishes round `r + 1` while a slow
+    /// one still reads round `r`.
+    fn stress(parties: usize, spin: bool) {
+        const ROUNDS: u64 = 10_000;
+        let barrier = WindowBarrier::new(parties, spin);
+        let published: Vec<AtomicU64> = (0..parties).map(|_| AtomicU64::new(0)).collect();
+        std::thread::scope(|scope| {
+            for me in 0..parties {
+                let (barrier, published) = (&barrier, &published);
+                scope.spawn(move || {
+                    for round in 1..=ROUNDS {
+                        published[me].store(round, Ordering::Relaxed);
+                        barrier.wait();
+                        for other in published {
+                            assert_eq!(other.load(Ordering::Relaxed), round);
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn barrier_holds_every_round_spinning_and_parked() {
+        for parties in [2, 3, 8] {
+            // Parked: what an oversubscribed run selects.
+            stress(parties, false);
+            // Spinning: only where the executor would select it — eight
+            // spinners on two cores make progress one yield at a time.
+            if can_spin(parties) {
+                stress(parties, true);
             }
         }
     }
-    c.now
 }

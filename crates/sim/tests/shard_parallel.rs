@@ -154,12 +154,27 @@ fn uneven_and_wide_shard_counts_agree() {
 }
 
 /// Bit-determinism of the parallel executor itself: two identical runs
-/// at S = 4 agree byte-for-byte (thread scheduling must not leak in).
+/// at S = 4 agree byte-for-byte (thread scheduling must not leak in),
+/// `Cluster::shard_stats` included.
 #[test]
 fn parallel_runs_are_deterministic() {
-    let (a, _) = run_observed(64, 4, 30);
-    let (b, _) = run_observed(64, 4, 30);
-    assert_eq!(a, b);
+    let run = || {
+        let mut c = build(64, 4);
+        c.run_for(Duration::from_millis(30));
+        (observe(&c), c.shard_stats().clone())
+    };
+    let (a, stats) = run();
+    assert_eq!((a, stats.clone()), run());
+    // The executor's own counters: exact, so equal above, and consistent.
+    assert!(stats.windows > 0 && stats.final_batches > 0);
+    assert_eq!(stats.visits.len(), 4);
+    let total: u64 = stats.visits.iter().sum();
+    assert!(
+        stats.critical_visits <= total && total <= 4 * stats.critical_visits,
+        "critical path {} outside [total / 4, total] of {total}",
+        stats.critical_visits
+    );
+    assert!(stats.mailbox_high_water.iter().any(|&f| f > 0));
 }
 
 /// Migration mid-workload: processes hopping across shard boundaries
@@ -215,6 +230,51 @@ fn crash_and_revive_stay_identical() {
         observe(&c)
     };
     assert_eq!(run(4), run(1));
+}
+
+/// The crash branch that clears two index slots at once: the victim
+/// holds a deadline (its burner's next tick, a retransmission timer) *and*
+/// a queued activation behind a busy CPU (its wake-up slot) when it dies.
+#[test]
+fn crash_with_deadline_and_queued_activation_stays_identical() {
+    let victim = m(13);
+    let build = |shards: usize| {
+        let mut c = ClusterBuilder::new(16).seed(3).shards(shards).build();
+        pingpong_pair(&mut c, m(2), victim, 0);
+        c.spawn(
+            victim,
+            "cpu_burner",
+            &CpuBurner::state(0, 120, 900),
+            ImageLayout::default(),
+        )
+        .unwrap();
+        c
+    };
+    let loaded = |c: &Cluster| {
+        // Work still queued after a run means the CPU is mid-activation.
+        c.node(victim).has_runnable() && c.node(victim).next_timer_at().is_some()
+    };
+    // Find, on the sequential loop, an instant at which the victim holds both.
+    let mut probe = build(1);
+    while !loaded(&probe) {
+        assert!(probe.now() < Time::from_micros(20_000), "never loaded");
+        probe.run_for(Duration::from_micros(5));
+    }
+    let at = probe.now();
+    let run = |shards: usize| {
+        let mut c = build(shards);
+        c.run_until(at);
+        assert!(loaded(&c), "S={shards}: victim not loaded at {at:?}");
+        c.crash(victim);
+        c.run_for(Duration::from_millis(4));
+        c.revive(victim);
+        c.run_for(Duration::from_millis(4));
+        (observe(&c), c.parallel_segments())
+    };
+    let (seq, _) = run(1);
+    let (par, segs) = run(2);
+    assert!(segs > 0);
+    assert_eq!(par, seq);
 }
 
 /// Fallback rules: configurations the conservative executor cannot
