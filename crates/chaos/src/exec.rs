@@ -101,17 +101,36 @@ const HB_EVERY: Duration = Duration::from_millis(5);
 /// Checkpoint cadence for recovery scenarios.
 const CK_EVERY: Duration = Duration::from_millis(5);
 
-/// A finished execution with the cluster still alive: the report plus
-/// everything derived artifacts need (trace export, flight dump,
-/// coverage extraction, applied-fault log).
-pub(crate) struct Executed {
-    /// The verdict.
-    pub report: RunReport,
+/// A finished execution with the cluster still alive: the verdict plus
+/// everything a report and the derived artifacts need (trace export,
+/// flight dump, coverage extraction, applied-fault log). The trace is
+/// not rendered yet — each entry point below makes exactly the passes
+/// over it that its caller asked for.
+struct Executed {
+    /// The first invariant violation, if any.
+    violation: Option<Violation>,
     /// The cluster at the end of the run, trace and recorder intact.
-    pub cluster: Cluster,
+    cluster: Cluster,
     /// Events actually applied, with the virtual time each landed at —
     /// the context `fault × phase` coverage needs.
-    pub faults: Vec<(u64, EventKind)>,
+    faults: Vec<(u64, EventKind)>,
+    /// Schedule events skipped by safety guards.
+    skipped: usize,
+}
+
+impl Executed {
+    /// The report, given the trace's fingerprint, and the cluster back.
+    fn finish(self, fingerprint: u64) -> (RunReport, Cluster) {
+        let report = RunReport {
+            violation: self.violation,
+            fingerprint,
+            end_us: self.cluster.now().as_micros(),
+            events_applied: self.faults.len(),
+            events_skipped: self.skipped,
+            parallel_segments: self.cluster.parallel_segments(),
+        };
+        (report, self.cluster)
+    }
 }
 
 /// Execute `sc` and return the report, the JSON-lines trace export, and
@@ -120,10 +139,34 @@ pub(crate) struct Executed {
 /// trace it is bounded, so it stays useful on schedules long enough to
 /// make the trace export unwieldy.
 pub fn run_capture(sc: &Scenario, cfg: &RunConfig) -> (RunReport, String, Vec<u8>) {
-    let done = execute(sc, cfg);
-    let lines = trace_json_lines(done.cluster.trace());
-    let flight = done.cluster.recorder_dump();
-    (done.report, lines, flight)
+    let done = execute(sc, cfg, Checker::continuous);
+    // One pass renders both: the report's fingerprint and the export.
+    let (fingerprint, lines) = done.cluster.trace().fingerprint_and_json_lines();
+    let (report, cluster) = done.finish(fingerprint);
+    (report, lines, cluster.recorder_dump())
+}
+
+/// Execute `sc` and return the report plus the JSON-lines trace export
+/// (no flight dump).
+pub fn run_full(sc: &Scenario, cfg: &RunConfig) -> (RunReport, String) {
+    let done = execute(sc, cfg, Checker::continuous);
+    let (fingerprint, lines) = done.cluster.trace().fingerprint_and_json_lines();
+    (done.finish(fingerprint).0, lines)
+}
+
+/// Execute `sc` and return the report beside the finished cluster —
+/// trace, recorder and kernels as the run left them — for a caller that
+/// takes its own views of the trace.
+pub fn run_cluster(sc: &Scenario, cfg: &RunConfig) -> (RunReport, Cluster) {
+    let done = execute(sc, cfg, Checker::continuous);
+    let fingerprint = done.cluster.trace().fingerprint();
+    done.finish(fingerprint)
+}
+
+/// Execute `sc` and return the report alone: the trace is fingerprinted,
+/// and neither the export nor the flight dump is rendered.
+pub fn run(sc: &Scenario, cfg: &RunConfig) -> RunReport {
+    run_cluster(sc, cfg).0
 }
 
 /// Execute `sc` and return the report plus the run's schedule-coverage
@@ -132,16 +175,21 @@ pub fn run_capture(sc: &Scenario, cfg: &RunConfig) -> (RunReport, String, Vec<u8
 /// the violation variant if the run failed. This is the fuzzer's
 /// feedback path.
 pub fn run_with_coverage(sc: &Scenario, cfg: &RunConfig) -> (RunReport, FeatureSet) {
-    let done = execute(sc, cfg);
+    let done = execute(sc, cfg, Checker::continuous);
     let mut set = demos_sim::coverage_of(&done.cluster);
     fault_phase_features(done.cluster.trace().records(), &done.faults, &mut set);
-    if let Some(v) = &done.report.violation {
+    if let Some(v) = &done.violation {
         set.insert(violation_feature(v));
     }
-    (done.report, set)
+    let fingerprint = done.cluster.trace().fingerprint();
+    (done.finish(fingerprint).0, set)
 }
 
-pub(crate) fn execute(sc: &Scenario, cfg: &RunConfig) -> Executed {
+/// What runs between quanta: [`Checker::continuous`], except in the
+/// parity test, which runs a reference beside it.
+type QuantumCheck = fn(&mut Checker, &Cluster) -> Option<Violation>;
+
+fn execute(sc: &Scenario, cfg: &RunConfig, check: QuantumCheck) -> Executed {
     // Recovery machinery is active only when the scenario asks for it and
     // the ablation flag doesn't veto it.
     let recovery = sc.recovery && !cfg.disable_recovery;
@@ -191,7 +239,7 @@ pub(crate) fn execute(sc: &Scenario, cfg: &RunConfig) -> Executed {
     let mut faults: Vec<(u64, EventKind)> = Vec::new();
     let mut skipped = 0usize;
     for e in &events {
-        violation = advance(&mut c, &checker, e.at_us, quantum);
+        violation = advance(&mut c, &mut checker, check, e.at_us, quantum);
         if violation.is_some() {
             break;
         }
@@ -202,7 +250,7 @@ pub(crate) fn execute(sc: &Scenario, cfg: &RunConfig) -> Executed {
         }
     }
     if violation.is_none() {
-        violation = advance(&mut c, &checker, sc.horizon_us, quantum);
+        violation = advance(&mut c, &mut checker, check, sc.horizon_us, quantum);
     }
     if violation.is_none() {
         // Lift every transient fault. Classic scenarios also revive
@@ -220,7 +268,7 @@ pub(crate) fn execute(sc: &Scenario, cfg: &RunConfig) -> Executed {
             }
         }
         if recovery {
-            violation = settle_recovery(&mut c, &checker, sc, quantum);
+            violation = settle_recovery(&mut c, &mut checker, check, sc, quantum);
             // The detector never lets the transport go idle (beats fly
             // forever); stop it so the drain below reaches quiescence.
             c.stop_heartbeats();
@@ -228,36 +276,18 @@ pub(crate) fn execute(sc: &Scenario, cfg: &RunConfig) -> Executed {
     }
     if violation.is_none() {
         let deadline = c.now().as_micros() + sc.drain_us;
-        violation = advance(&mut c, &checker, deadline, quantum);
+        violation = advance(&mut c, &mut checker, check, deadline, quantum);
     }
     if violation.is_none() {
         violation = checker.final_check(&c);
     }
 
-    let report = RunReport {
-        violation,
-        fingerprint: c.trace().fingerprint(),
-        end_us: c.now().as_micros(),
-        events_applied: faults.len(),
-        events_skipped: skipped,
-        parallel_segments: c.parallel_segments(),
-    };
     Executed {
-        report,
+        violation,
         cluster: c,
         faults,
+        skipped,
     }
-}
-
-/// Execute `sc` and return the report plus the JSON-lines trace export.
-pub fn run_full(sc: &Scenario, cfg: &RunConfig) -> (RunReport, String) {
-    let (report, lines, _) = run_capture(sc, cfg);
-    (report, lines)
-}
-
-/// Execute `sc`, discarding the trace export.
-pub fn run(sc: &Scenario, cfg: &RunConfig) -> RunReport {
-    run_full(sc, cfg).0
 }
 
 /// Post-horizon settle phase for recovery scenarios: keep the cluster
@@ -268,7 +298,8 @@ pub fn run(sc: &Scenario, cfg: &RunConfig) -> RunReport {
 /// vanished process — this phase only gives it the time it is owed.
 fn settle_recovery(
     c: &mut Cluster,
-    checker: &Checker,
+    checker: &mut Checker,
+    check: QuantumCheck,
     sc: &Scenario,
     quantum: Duration,
 ) -> Option<Violation> {
@@ -298,7 +329,7 @@ fn settle_recovery(
             return None;
         }
         let t = (c.now().as_micros() + 10_000).min(budget_us);
-        let v = advance(c, checker, t, quantum);
+        let v = advance(c, checker, check, t, quantum);
         if v.is_some() {
             return v;
         }
@@ -310,17 +341,18 @@ fn settle_recovery(
 /// invariants every `quantum`. Returns the first violation.
 fn advance(
     c: &mut Cluster,
-    checker: &Checker,
+    checker: &mut Checker,
+    check: QuantumCheck,
     until_us: u64,
     quantum: Duration,
 ) -> Option<Violation> {
     let now_us = c.now().as_micros();
     if until_us <= now_us {
-        return checker.continuous(c);
+        return check(checker, c);
     }
     let mut v = None;
     c.run_with_quantum(Duration::from_micros(until_us - now_us), quantum, |cl| {
-        v = checker.continuous(cl);
+        v = check(checker, cl);
         v.is_none()
     });
     v
@@ -509,35 +541,11 @@ fn apply_event(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Export the trace as JSON lines: one object per record, in order. Two
 /// runs of the same scenario must produce byte-identical output (the
 /// determinism test pins this).
 pub fn trace_json_lines(trace: &Trace) -> String {
-    let mut out = String::new();
-    for r in trace.records() {
-        out.push_str(&format!(
-            "{{\"at\":{},\"machine\":{},\"event\":\"{}\"}}\n",
-            r.at.as_micros(),
-            r.machine.0,
-            json_escape(&format!("{:?}", r.event))
-        ));
-    }
-    out
+    trace.json_lines()
 }
 
 #[cfg(test)]
@@ -662,9 +670,59 @@ mod tests {
         );
     }
 
+    /// The checker as it was before the ledger became a resumable fold:
+    /// every quantum re-reads the trace from record 0. Everything but the
+    /// ledger comes from the real checker (on a fold that never resumes);
+    /// the duplicate verdict is recomputed here from `ledger_of`.
+    fn refolding_check(k: &mut Checker, c: &Cluster) -> Option<Violation> {
+        k.ledger = demos_sim::span::LedgerFold::default();
+        let v = k.continuous(c);
+        let dupes = demos_sim::span::ledger_of(c.trace()).duplicates();
+        match &v {
+            Some(Violation::Duplicated { count, sample }) => {
+                let first: Vec<String> = dupes.iter().take(3).map(|d| format!("{d:?}")).collect();
+                assert_eq!((*count, sample), (dupes.len(), &first.join(", ")));
+            }
+            // An earlier check in the chain answered first.
+            Some(_) => {}
+            None => assert!(dupes.is_empty(), "missed duplicates: {dupes:?}"),
+        }
+        v
+    }
+
     #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn fold_and_refold_reach_the_same_verdict_at_the_same_quantum() {
+        let no_forwarding = RunConfig {
+            disable_forwarding: true,
+            ..RunConfig::default()
+        };
+        let no_recovery = RunConfig {
+            disable_recovery: true,
+            ..RunConfig::default()
+        };
+        let mut caught = std::collections::BTreeMap::<&str, usize>::new();
+        for seed in 0..32 {
+            for (sc, cfg) in [
+                (Scenario::generate(seed), no_forwarding),
+                (Scenario::generate_recovery(seed), no_recovery),
+                (Scenario::generate_recovery(seed), RunConfig::default()),
+            ] {
+                let fold = execute(&sc, &cfg, Checker::continuous);
+                let refold = execute(&sc, &cfg, refolding_check);
+                let fingerprints = [&fold, &refold].map(|d| d.cluster.trace().fingerprint());
+                let (fold, _) = fold.finish(fingerprints[0]);
+                let (refold, _) = refold.finish(fingerprints[1]);
+                assert_eq!(fold.violation, refold.violation, "seed {seed} {cfg:?}");
+                assert_eq!(fold.end_us, refold.end_us, "seed {seed} {cfg:?}");
+                assert_eq!(fold.events_applied, refold.events_applied);
+                assert_eq!(fold.fingerprint, refold.fingerprint, "seed {seed} {cfg:?}");
+                if let Some(v) = &fold.violation {
+                    *caught.entry(v.slug()).or_default() += 1;
+                }
+            }
+        }
+        // The ablations are caught mid-run and at quiescence alike.
+        assert!(caught.len() >= 2, "violation variants seen: {caught:?}");
     }
 
     #[test]

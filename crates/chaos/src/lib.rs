@@ -48,8 +48,8 @@ pub mod shrink;
 
 pub use campaign::{campaign, CampaignConfig, CampaignReport, FoundBug, Generator};
 pub use exec::{
-    run, run_capture, run_full, run_with_coverage, trace_json_lines, RunConfig, RunReport,
-    BURST_TAG,
+    run, run_capture, run_cluster, run_full, run_with_coverage, trace_json_lines, RunConfig,
+    RunReport, BURST_TAG,
 };
 pub use invariants::{Checker, Violation};
 pub use mutate::mutate;

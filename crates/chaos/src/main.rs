@@ -40,6 +40,7 @@
 //! a seed — colliding variants get a suffixed name.
 
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use demos_chaos::{
     campaign, coverage, run, run_capture, run_with_coverage, shrink, CampaignConfig,
@@ -221,8 +222,16 @@ fn load_corpus(dir: &Path) -> Vec<(PathBuf, Scenario)> {
         .collect()
 }
 
+/// `1.20s, 103.4 execs/s` for a summary line: operator-side throughput,
+/// printed and nothing else — never part of a report fingerprint or of
+/// any seeded decision.
+fn throughput(execs: u64, started: Instant) -> String {
+    let secs = started.elapsed().as_secs_f64();
+    format!("{secs:.2}s, {:.1} execs/s", execs as f64 / secs.max(1e-9))
+}
+
 /// Replay-gate mode: every corpus entry must pass every invariant.
-fn replay_gate(args: &Args) -> ! {
+fn replay_gate(args: &Args, started: Instant) -> ! {
     let mut union = FeatureSet::new();
     let mut total = 0usize;
     let mut failed = 0usize;
@@ -252,9 +261,10 @@ fn replay_gate(args: &Args) -> ! {
         }
     }
     println!(
-        "replayed {total} corpus entr{} ({} feature(s)): {}",
-        if total == 1 { "y" } else { "ies" },
+        "replayed {total} corpus entr{} ({} feature(s)) in {}: {}",
+        plural_y(total),
         union.len(),
+        throughput(total as u64, started),
         if failed == 0 {
             "all clean".to_string()
         } else {
@@ -325,7 +335,7 @@ fn write_distilled(
 }
 
 /// Coverage-guided campaign mode.
-fn guided(args: &Args) -> ! {
+fn guided(args: &Args, started: Instant) -> ! {
     let corpus_texts: Vec<String>;
     let corpus: Vec<Scenario> = {
         let mut loaded = Vec::new();
@@ -352,8 +362,6 @@ fn guided(args: &Args) -> ! {
         corpus,
         stop_on_violation: args.until_failure,
     };
-    // lint:allow(D002 wall-clock time budget for the operator; polled between rounds only, never inside the seeded simulation)
-    let started = std::time::Instant::now();
     let budget = args.time_budget;
     let keep_going = move || match budget {
         Some(b) => started.elapsed() < b,
@@ -362,13 +370,14 @@ fn guided(args: &Args) -> ! {
     let report = campaign(&cfg, &keep_going);
 
     println!(
-        "campaign: {} exec(s), {} round(s), {} feature(s), pool {}, {} bug(s), digest {:016x}",
+        "campaign: {} exec(s), {} round(s), {} feature(s), pool {}, {} bug(s), digest {:016x}, in {}",
         report.execs,
         report.rounds,
         report.coverage.len(),
         report.pool.len(),
         report.bugs.len(),
-        report.fingerprint()
+        report.fingerprint(),
+        throughput(report.execs, started)
     );
     if !args.quiet {
         for (cl, n) in report.coverage.class_counts() {
@@ -425,14 +434,14 @@ fn plural_y(n: usize) -> &'static str {
 
 fn main() {
     let args = parse_args();
+    // lint:allow(D002 the operator's wall clock: the --time-budget poll between campaign rounds and the seconds / execs-per-second on the summary lines; never read inside the seeded simulation, never part of a report fingerprint)
+    let started = Instant::now();
     if !args.replay.is_empty() {
-        replay_gate(&args);
+        replay_gate(&args, started);
     }
     if args.guided {
-        guided(&args);
+        guided(&args, started);
     }
-    // lint:allow(D002 operator progress display only; never feeds the seeded simulation)
-    let started = std::time::Instant::now();
     let mut passed = 0u64;
     let mut i = 0u64;
     while i < args.iters {
@@ -500,8 +509,8 @@ fn main() {
         i += 1;
     }
     println!(
-        "{passed}/{} seed(s) passed in {:.1}s",
+        "{passed}/{} seed(s) passed in {}",
         args.iters,
-        started.elapsed().as_secs_f64()
+        throughput(args.iters, started)
     );
 }

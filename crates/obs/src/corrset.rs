@@ -28,7 +28,7 @@ pub enum DeliveryEvent {
     Failed,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct CorrState {
     submitted: bool,
     deliveries: u32,
@@ -38,7 +38,7 @@ struct CorrState {
 
 /// Per-[`CorrId`] delivery accounting. Feed it every traced event (in
 /// trace order) via [`DeliveryLedger::record`], then ask for violations.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeliveryLedger {
     per: BTreeMap<CorrId, CorrState>,
     duplicates: BTreeSet<CorrId>,

@@ -1248,28 +1248,29 @@ impl Cluster {
     }
 
     /// Follow forwarding addresses for `pid` starting from machine
-    /// `start`, returning every machine visited (`start` included). The
+    /// `start`, yielding every machine visited (`start` included). The
     /// walk stops at a machine that hosts the process, has no forwarding
-    /// entry, or is crashed — or after `len() + 1` entries, which can only
-    /// happen if the chain revisits a machine (a forwarding cycle; the
-    /// chaos acyclicity checker flags exactly that case).
-    pub fn forwarding_chain(&self, start: MachineId, pid: ProcessId) -> Vec<MachineId> {
-        let mut chain = vec![start];
-        let mut cur = start;
-        while chain.len() <= self.nodes.len() {
+    /// entry, or is crashed — or after `len() + 1` machines, which can only
+    /// happen if the chain revisits one (a forwarding cycle; the chaos
+    /// acyclicity checker flags exactly that case).
+    pub fn forwarding_walk(
+        &self,
+        start: MachineId,
+        pid: ProcessId,
+    ) -> impl Iterator<Item = MachineId> + '_ {
+        let step = move |&cur: &MachineId| {
             let i = cur.0 as usize;
             if self.crashed[i] || self.nodes[i].kernel.process(pid).is_some() {
-                break;
+                return None;
             }
-            match self.nodes[i].kernel.forwarding_next(pid) {
-                Some(next) => {
-                    chain.push(next);
-                    cur = next;
-                }
-                None => break,
-            }
-        }
-        chain
+            self.nodes[i].kernel.forwarding_next(pid)
+        };
+        std::iter::successors(Some(start), step).take(self.nodes.len() + 1)
+    }
+
+    /// [`forwarding_walk`](Cluster::forwarding_walk), collected.
+    pub fn forwarding_chain(&self, start: MachineId, pid: ProcessId) -> Vec<MachineId> {
+        self.forwarding_walk(start, pid).collect()
     }
 }
 

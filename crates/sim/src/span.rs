@@ -12,8 +12,8 @@
 use std::collections::BTreeMap;
 
 use demos_kernel::{MigrationPhase, TraceEvent};
-use demos_obs::Histogram;
-use demos_types::{CorrId, Duration, MachineId, ProcessId, Time};
+use demos_obs::{DeliveryEvent, DeliveryLedger, Histogram};
+use demos_types::{tags, CorrId, Duration, MachineId, ProcessId, Time};
 
 use crate::trace::Trace;
 
@@ -197,11 +197,19 @@ pub fn spans_of(trace: &Trace) -> Vec<Span> {
     spans.into_values().collect()
 }
 
-/// Reduce the trace to a [`DeliveryLedger`](demos_obs::DeliveryLedger)
-/// over **user-plane** messages (`msg_type >= tags::USER_BASE`) — the
-/// messages the paper's transparency claim is about. Kernel control
-/// traffic (migration protocol, link maintenance, timers) has hold /
-/// re-deliver semantics of its own and is excluded.
+/// The [`DeliveryLedger`] of a trace as a **resumable fold**: it keeps a
+/// cursor into the trace, and [`advance`](LedgerFold::advance) folds only
+/// the records appended since the last call. A consumer that looks at
+/// the ledger of a growing trace again and again (the chaos checker, at
+/// every quantum) therefore reads each record once. The fold lives in
+/// that consumer, not in [`Trace`] or the cluster: a run that never asks
+/// for a ledger pays nothing for one.
+///
+/// The ledger covers **user-plane** messages
+/// (`msg_type >= tags::USER_BASE`) — the messages the paper's
+/// transparency claim is about. Kernel control traffic (migration
+/// protocol, link maintenance, timers) has hold / re-deliver semantics of
+/// its own and is excluded.
 ///
 /// Two subtleties make a naive "one `Enqueued` per journey" rule wrong:
 ///
@@ -214,57 +222,89 @@ pub fn spans_of(trace: &Trace) -> Vec<Span> {
 ///   `hops` is therefore a legitimate re-home, and a synthetic
 ///   `Forwarded` is fed to the ledger; equal hops means the kernel
 ///   really delivered the same message twice.
-pub fn ledger_of(trace: &Trace) -> demos_obs::DeliveryLedger {
-    use demos_obs::DeliveryEvent;
-    use demos_types::tags;
-    let mut ledger = demos_obs::DeliveryLedger::new();
-    let mut last_hops: std::collections::BTreeMap<demos_types::CorrId, u8> =
-        std::collections::BTreeMap::new();
-    for r in trace.records() {
-        let Some(corr) = r.event.corr() else { continue };
-        let ev = match r.event {
-            TraceEvent::Submitted { msg_type, .. } if msg_type >= tags::USER_BASE => {
-                DeliveryEvent::Submitted
-            }
-            TraceEvent::Enqueued { msg_type, hops, .. } if msg_type >= tags::USER_BASE => {
-                let rehomed = last_hops.get(&corr).is_some_and(|&h| hops > h);
-                if rehomed {
-                    ledger.record(corr, DeliveryEvent::Forwarded);
-                }
-                last_hops.insert(corr, hops);
-                DeliveryEvent::Delivered
-            }
-            TraceEvent::KernelReceived { msg_type, .. } if msg_type >= tags::USER_BASE => {
-                DeliveryEvent::Delivered
-            }
-            TraceEvent::ForwardedMessage { msg_type, .. } if msg_type >= tags::USER_BASE => {
-                DeliveryEvent::Forwarded
-            }
-            TraceEvent::NonDeliverable { msg_type, .. } if msg_type >= tags::USER_BASE => {
-                DeliveryEvent::Failed
-            }
-            // Kernel-internal message types (guards above failed): not part
-            // of the user-visible delivery ledger.
-            TraceEvent::Submitted { .. }
-            | TraceEvent::Enqueued { .. }
-            | TraceEvent::KernelReceived { .. }
-            | TraceEvent::ForwardedMessage { .. }
-            | TraceEvent::NonDeliverable { .. } => continue,
-            // Listed explicitly (not `_`) so a new corr-carrying event must
-            // decide how it affects delivery accounting.
-            TraceEvent::Spawned { .. }
-            | TraceEvent::Exited { .. }
-            | TraceEvent::LinkUpdateSent { .. }
-            | TraceEvent::LinkUpdateApplied { .. }
-            | TraceEvent::Migration { .. }
-            | TraceEvent::ForwardingInstalled { .. }
-            | TraceEvent::ForwardingCollected { .. }
-            | TraceEvent::MoveDataDone { .. }
-            | TraceEvent::Log { .. } => continue,
-        };
-        ledger.record(corr, ev);
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LedgerFold {
+    ledger: DeliveryLedger,
+    /// Hop count of each message's latest `Enqueued` (re-home detection).
+    last_hops: BTreeMap<CorrId, u8>,
+    /// Records of the trace already folded.
+    cursor: usize,
+}
+
+impl LedgerFold {
+    /// A fold advanced over all of `trace`.
+    pub fn of(trace: &Trace) -> LedgerFold {
+        let mut fold = LedgerFold::default();
+        fold.advance(trace);
+        fold
     }
-    ledger
+
+    /// The ledger of every record folded so far.
+    pub fn ledger(&self) -> &DeliveryLedger {
+        &self.ledger
+    }
+
+    /// Fold the records `trace` gained since the last call. The trace
+    /// must be the one the earlier calls saw, only longer; one that is
+    /// *shorter* than the cursor was cleared ([`Trace::clear`]) in
+    /// between, and the fold starts over on what it holds now.
+    pub fn advance(&mut self, trace: &Trace) {
+        let records = trace.records();
+        if records.len() < self.cursor {
+            *self = LedgerFold::default();
+        }
+        for r in &records[self.cursor..] {
+            let Some(corr) = r.event.corr() else { continue };
+            let ev = match r.event {
+                TraceEvent::Submitted { msg_type, .. } if msg_type >= tags::USER_BASE => {
+                    DeliveryEvent::Submitted
+                }
+                TraceEvent::Enqueued { msg_type, hops, .. } if msg_type >= tags::USER_BASE => {
+                    let rehomed = self.last_hops.get(&corr).is_some_and(|&h| hops > h);
+                    if rehomed {
+                        self.ledger.record(corr, DeliveryEvent::Forwarded);
+                    }
+                    self.last_hops.insert(corr, hops);
+                    DeliveryEvent::Delivered
+                }
+                TraceEvent::KernelReceived { msg_type, .. } if msg_type >= tags::USER_BASE => {
+                    DeliveryEvent::Delivered
+                }
+                TraceEvent::ForwardedMessage { msg_type, .. } if msg_type >= tags::USER_BASE => {
+                    DeliveryEvent::Forwarded
+                }
+                TraceEvent::NonDeliverable { msg_type, .. } if msg_type >= tags::USER_BASE => {
+                    DeliveryEvent::Failed
+                }
+                // Kernel-internal message types (guards above failed): not part
+                // of the user-visible delivery ledger.
+                TraceEvent::Submitted { .. }
+                | TraceEvent::Enqueued { .. }
+                | TraceEvent::KernelReceived { .. }
+                | TraceEvent::ForwardedMessage { .. }
+                | TraceEvent::NonDeliverable { .. } => continue,
+                // Listed explicitly (not `_`) so a new corr-carrying event must
+                // decide how it affects delivery accounting.
+                TraceEvent::Spawned { .. }
+                | TraceEvent::Exited { .. }
+                | TraceEvent::LinkUpdateSent { .. }
+                | TraceEvent::LinkUpdateApplied { .. }
+                | TraceEvent::Migration { .. }
+                | TraceEvent::ForwardingInstalled { .. }
+                | TraceEvent::ForwardingCollected { .. }
+                | TraceEvent::MoveDataDone { .. }
+                | TraceEvent::Log { .. } => continue,
+            };
+            self.ledger.record(corr, ev);
+        }
+        self.cursor = records.len();
+    }
+}
+
+/// Reduce the whole trace to its [`DeliveryLedger`]: one
+/// [`LedgerFold::advance`] on a fresh fold.
+pub fn ledger_of(trace: &Trace) -> DeliveryLedger {
+    LedgerFold::of(trace).ledger
 }
 
 /// Histogram of end-to-end delivery latencies over `spans` (delivered

@@ -5,6 +5,8 @@
 //! paper's numbers from this log: administrative message counts, per-step
 //! migration timings, forwarding overhead and link-update convergence.
 
+use std::fmt::{self, Write as _};
+
 use demos_kernel::{MigrationPhase, TraceEvent, TraceRecord};
 use demos_types::{MachineId, ProcessId, Time};
 
@@ -113,19 +115,112 @@ impl Trace {
     }
 
     /// A compact deterministic fingerprint of the whole log, used by the
-    /// replay-determinism property tests.
+    /// replay-determinism property tests: FNV-1a over the bytes of
+    /// `{at}|{machine}|{event:?}`, record after record. The bytes are
+    /// hashed as `Debug` produces them — no record is rendered into a
+    /// `String` first.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over a debug rendering: slow but dependency-free and
-        // stable for identical logs.
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut hash = Fnv1a::default();
+        self.render(Some(&mut hash), None);
+        hash.0
+    }
+
+    /// The log as JSON lines, one
+    /// `{"at":…,"machine":…,"event":"<escaped {:?}>"}` object per record,
+    /// in order. Escaped are `"`, `\`, `\n`, `\t` and the other bytes
+    /// below 0x20 (`\u00XX`); everything else is copied as it is.
+    pub fn json_lines(&self) -> String {
+        let mut out = String::new();
+        self.render(None, Some(&mut out));
+        out
+    }
+
+    /// [`fingerprint`](Trace::fingerprint) and
+    /// [`json_lines`](Trace::json_lines) from one pass: each event's
+    /// `Debug` text — the expensive part both share — is produced once
+    /// and teed into the two sinks.
+    pub fn fingerprint_and_json_lines(&self) -> (u64, String) {
+        let (mut hash, mut out) = (Fnv1a::default(), String::new());
+        self.render(Some(&mut hash), Some(&mut out));
+        (hash.0, out)
+    }
+
+    /// The one record renderer. Each sink gets its own envelope; the
+    /// event's `Debug` goes through [`EventSink`] to whichever are there.
+    fn render(&self, mut hash: Option<&mut Fnv1a>, mut json: Option<&mut String>) {
+        // Neither sink can fail, so the `fmt::Result`s carry nothing.
         for r in &self.records {
-            let s = format!("{}|{}|{:?}", r.at.as_micros(), r.machine.0, r.event);
-            for b in s.as_bytes() {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x100000001b3);
+            let (at, machine) = (r.at.as_micros(), r.machine.0);
+            if let Some(h) = hash.as_deref_mut() {
+                let _ = write!(h, "{at}|{machine}|");
+            }
+            if let Some(out) = json.as_deref_mut() {
+                let _ = write!(out, "{{\"at\":{at},\"machine\":{machine},\"event\":\"");
+            }
+            let mut sink = EventSink {
+                hash: hash.as_deref_mut(),
+                json: json.as_deref_mut(),
+            };
+            let _ = write!(sink, "{:?}", r.event);
+            if let Some(out) = json.as_deref_mut() {
+                out.push_str("\"}\n");
             }
         }
-        h
+    }
+}
+
+/// FNV-1a over the bytes written to it.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf29ce484222325)
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
+        }
+        Ok(())
+    }
+}
+
+/// Where an event's `Debug` text goes: hashed, and/or JSON-string-escaped
+/// onto the end of the export.
+struct EventSink<'a> {
+    hash: Option<&'a mut Fnv1a>,
+    json: Option<&'a mut String>,
+}
+
+impl fmt::Write for EventSink<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if let Some(h) = self.hash.as_deref_mut() {
+            h.write_str(s)?;
+        }
+        let Some(out) = self.json.as_deref_mut() else {
+            return Ok(());
+        };
+        // Every escaped byte is ASCII, so cutting `s` at one is a
+        // character boundary and multi-byte characters pass untouched.
+        let mut done = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            out.push_str(&s[done..i]);
+            done = i + 1;
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\t' => out.push_str("\\t"),
+                _ => write!(out, "\\u{b:04x}")?,
+            }
+        }
+        out.push_str(&s[done..]);
+        Ok(())
     }
 }
 
@@ -191,6 +286,24 @@ mod tests {
             vec![TraceEvent::Exited { pid: pid(1) }],
         );
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn json_sink_escapes_raw_specials_and_copies_the_rest() {
+        // Derived `Debug` never hands the sink a raw control character, so
+        // that half of the escape table is only reachable directly.
+        let (mut hash, mut out) = (Fnv1a::default(), String::new());
+        let mut sink = EventSink {
+            hash: Some(&mut hash),
+            json: Some(&mut out),
+        };
+        sink.write_str("a\"b\\c\nd\te\u{1}f\u{1f}é→").unwrap();
+        sink.write_str("").unwrap();
+        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001f\\u001fé→");
+        // The hash side saw the text as written, not as escaped.
+        let mut plain = Fnv1a::default();
+        plain.write_str("a\"b\\c\nd\te\u{1}f\u{1f}é→").unwrap();
+        assert_eq!(hash.0, plain.0);
     }
 
     #[test]
