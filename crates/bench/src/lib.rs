@@ -122,7 +122,7 @@ pub fn measure_migration(
         (
             proc.serialize_resident().len() as u32,
             proc.serialize_swappable().len() as u32,
-            proc.image.to_flat().len() as u32,
+            proc.image.flat_len() as u32,
         )
     };
     let before_traffic = total_traffic(cluster);

@@ -801,8 +801,7 @@ impl MigrationEngine {
                     std::mem::take(&mut mig.swappable),
                 );
                 let received = mig.received;
-                match kernel
-                    .install_migrated(now, slot, src, &resident, &swappable, &done.data, out)
+                match kernel.install_migrated(now, slot, src, &resident, &swappable, done.data, out)
                 {
                     Ok(installed_pid) => {
                         debug_assert_eq!(installed_pid, pid);

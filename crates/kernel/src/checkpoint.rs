@@ -40,8 +40,10 @@ pub struct Checkpoint {
     pub resident: Vec<u8>,
     /// Swappable state (link table, accounting).
     pub swappable: Vec<u8>,
-    /// Flattened memory image.
-    pub image: Vec<u8>,
+    /// Flattened memory image. A checkpoint taken by
+    /// [`Kernel::checkpoint`] shares the live image's buffer; the process
+    /// copies on its next write, so the snapshot never changes.
+    pub image: Bytes,
 }
 
 impl Checkpoint {
@@ -81,7 +83,7 @@ impl Wire for Checkpoint {
         let taken_at = Time::decode(buf)?;
         let resident = wire::get_bytes(buf, "Checkpoint.resident", 1 << 16)?.to_vec();
         let swappable = wire::get_bytes(buf, "Checkpoint.swappable", 1 << 20)?.to_vec();
-        let image = wire::get_bytes(buf, "Checkpoint.image", 64 << 20)?.to_vec();
+        let image = wire::get_bytes(buf, "Checkpoint.image", 64 << 20)?;
         Ok(Checkpoint {
             pid,
             taken_on,
@@ -96,7 +98,8 @@ impl Wire for Checkpoint {
 impl Kernel {
     /// Take a checkpoint of a local process: refresh its image from the
     /// live program and serialize the three migration blobs. The process
-    /// keeps running (copy-on-write semantics are free in a simulator).
+    /// keeps running: the image is shared, not copied, and the process's
+    /// next write to it copies on write.
     pub fn checkpoint(&mut self, now: Time, pid: ProcessId) -> Result<Checkpoint> {
         if pid.is_kernel() {
             return Err(DemosError::KernelImmovable(self.machine()));
@@ -112,7 +115,7 @@ impl Kernel {
             taken_at: now,
             resident: proc.serialize_resident(),
             swappable: proc.serialize_swappable(),
-            image: proc.image.to_flat(),
+            image: proc.image.shared_flat(),
         })
     }
 
@@ -126,23 +129,17 @@ impl Kernel {
         ck: &Checkpoint,
         out: &mut Outbox,
     ) -> Result<ProcessId> {
+        let _ = now;
         let image = ProcessImage::from_flat(&ck.image).map_err(DemosError::Wire)?;
         let slot = self.reserve_incoming(ck.pid, image.total_len() as u64)?;
-        let pid = match self.install_migrated(
-            now,
-            slot,
-            ck.taken_on,
-            &ck.resident,
-            &ck.swappable,
-            &ck.image,
-            out,
-        ) {
-            Ok(pid) => pid,
-            Err(e) => {
-                self.release_reservation(slot);
-                return Err(e);
-            }
-        };
+        let pid =
+            match self.install_image(slot, ck.taken_on, &ck.resident, &ck.swappable, image, out) {
+                Ok(pid) => pid,
+                Err(e) => {
+                    self.release_reservation(slot);
+                    return Err(e);
+                }
+            };
         self.restart_migrated(pid, out)?;
         out.trace.push(TraceEvent::Migration {
             pid,

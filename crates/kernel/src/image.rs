@@ -10,6 +10,8 @@
 //! the paper describes (§6: "for non-trivial processes, the size of the
 //! program and data overshadow the size of the system information").
 
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use demos_types::wire::{self, Wire, WireError};
 
@@ -48,15 +50,29 @@ impl ImageLayout {
     }
 }
 
-/// The memory of one process: code, data and stack segments.
+/// The flat form's header: three big-endian `u32` segment lengths.
+const HEADER: usize = 12;
+
+/// The memory of one process: code, data and stack segments, held in the
+/// one *flat* form migration transfers —
+/// `[code_len u32][data_len u32][stack_len u32][code][data][stack]` — in
+/// one shared buffer. The segments are slices of it; nothing is ever
+/// flattened or split.
+///
+/// The buffer is shared, not copied, with whoever reads it while the
+/// process lives on: the move-data serve of migration step 5
+/// ([`Self::shared_flat`]), a [`crate::Checkpoint`], a clone. Every
+/// mutation goes through [`Arc::make_mut`], so a sharer keeps the bytes
+/// it was given even if the process thaws after an aborted migration and
+/// runs on (copy-on-write); an unshared image is mutated in place
+/// (DESIGN.md §9, "Life of a migrated image").
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProcessImage {
-    /// Code segment: `[name_len u16][name][zero padding]`.
-    pub code: Vec<u8>,
-    /// Data segment: `[state_len u32][state][zero padding]`.
-    pub data: Vec<u8>,
-    /// Stack segment (simulated; zeroed).
-    pub stack: Vec<u8>,
+    flat: Arc<Vec<u8>>,
+    /// Where the data and the stack segment start in `flat` (the code
+    /// segment starts at [`HEADER`]).
+    data_at: usize,
+    stack_at: usize,
 }
 
 impl ProcessImage {
@@ -64,28 +80,48 @@ impl ProcessImage {
     ///
     /// Segments are padded (never truncated) to the layout's declared
     /// sizes, so `total_len() >= layout.total()` and transfer costs track
-    /// the declared process size.
+    /// the declared process size. One allocation: header, name and state
+    /// are written straight into the zeroed flat buffer.
     pub fn build(name: &str, state: &[u8], layout: ImageLayout) -> Self {
-        let mut code = Vec::with_capacity(layout.code as usize);
-        code.extend_from_slice(&(name.len() as u16).to_be_bytes());
-        code.extend_from_slice(name.as_bytes());
-        if code.len() < layout.code as usize {
-            code.resize(layout.code as usize, 0);
+        let code_len = (layout.code as usize).max(2 + name.len());
+        let data_len = (layout.data as usize).max(4 + state.len());
+        let data_at = HEADER + code_len;
+        let stack_at = data_at + data_len;
+        let mut flat = vec![0; stack_at + layout.stack as usize];
+        flat[0..4].copy_from_slice(&(code_len as u32).to_be_bytes());
+        flat[4..8].copy_from_slice(&(data_len as u32).to_be_bytes());
+        flat[8..12].copy_from_slice(&layout.stack.to_be_bytes());
+        flat[HEADER..HEADER + 2].copy_from_slice(&(name.len() as u16).to_be_bytes());
+        flat[HEADER + 2..HEADER + 2 + name.len()].copy_from_slice(name.as_bytes());
+        write_state(&mut flat[data_at..stack_at], state);
+        ProcessImage {
+            flat: Arc::new(flat),
+            data_at,
+            stack_at,
         }
-        let mut image = ProcessImage {
-            code,
-            data: Vec::new(),
-            stack: vec![0; layout.stack as usize],
-        };
-        image.store_state(state, layout.data as usize);
-        image
+    }
+
+    /// Code segment: `[name_len u16][name][zero padding]`.
+    pub fn code(&self) -> &[u8] {
+        &self.flat[HEADER..self.data_at]
+    }
+
+    /// Data segment: `[state_len u32][state][zero padding]`.
+    pub fn data(&self) -> &[u8] {
+        &self.flat[self.data_at..self.stack_at]
+    }
+
+    /// Stack segment (simulated; zeroed).
+    pub fn stack(&self) -> &[u8] {
+        &self.flat[self.stack_at..]
     }
 
     /// Program name recorded in the code segment. Parses the header in
     /// place — only the name bytes themselves are copied out, never the
     /// whole (padded) segment.
     pub fn program_name(&self) -> Result<String, WireError> {
-        let Some(hdr) = self.code.get(..2) else {
+        let code = self.code();
+        let Some(hdr) = code.get(..2) else {
             return Err(WireError::Truncated("code segment"));
         };
         let len = u16::from_be_bytes([hdr[0], hdr[1]]) as usize;
@@ -95,7 +131,7 @@ impl ProcessImage {
                 len,
             });
         }
-        let Some(name) = self.code.get(2..2 + len) else {
+        let Some(name) = code.get(2..2 + len) else {
             return Err(WireError::BadLength {
                 what: "program name",
                 len,
@@ -111,7 +147,8 @@ impl ProcessImage {
     /// the `len` state bytes, not the whole (padded, possibly hundreds of
     /// KiB) segment it sits in.
     pub fn load_state(&self) -> Result<Bytes, WireError> {
-        let Some(hdr) = self.data.get(..4) else {
+        let data = self.data();
+        let Some(hdr) = data.get(..4) else {
             return Err(WireError::Truncated("data segment"));
         };
         let len = u32::from_be_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
@@ -121,7 +158,7 @@ impl ProcessImage {
                 len,
             });
         }
-        let Some(state) = self.data.get(4..4 + len) else {
+        let Some(state) = data.get(4..4 + len) else {
             return Err(WireError::BadLength {
                 what: "program state",
                 len,
@@ -131,67 +168,75 @@ impl ProcessImage {
     }
 
     /// (Re-)store program state into the data segment, preserving at least
-    /// `min_len` bytes of segment (grows if the state outgrew the segment:
-    /// the memory-table side of "definition of memory … if necessary",
-    /// §3.1 step 5).
+    /// `min_len` bytes of segment. In place while the segment keeps its
+    /// size; a state that outgrew it (or shrank back into `min_len`)
+    /// reassembles the buffer around the resized segment: the memory-table
+    /// side of "definition of memory … if necessary", §3.1 step 5.
     pub fn store_state(&mut self, state: &[u8], min_len: usize) {
-        self.data.clear();
-        self.data
-            .extend_from_slice(&(state.len() as u32).to_be_bytes());
-        self.data.extend_from_slice(state);
-        if self.data.len() < min_len {
-            self.data.resize(min_len, 0);
+        let data_len = min_len.max(4 + state.len());
+        if data_len != self.data().len() {
+            let stack_at = self.data_at + data_len;
+            let mut flat = Vec::with_capacity(stack_at + self.stack().len());
+            flat.extend_from_slice(&self.flat[..self.data_at]);
+            flat.resize(stack_at, 0);
+            flat.extend_from_slice(self.stack());
+            flat[4..8].copy_from_slice(&(data_len as u32).to_be_bytes());
+            self.flat = Arc::new(flat);
+            self.stack_at = stack_at;
         }
+        let data = &mut Arc::make_mut(&mut self.flat)[self.data_at..self.stack_at];
+        write_state(data, state);
+        data[4 + state.len()..].fill(0);
     }
 
     /// Total image size in bytes — what migration step 5 transfers.
     pub fn total_len(&self) -> usize {
-        self.code.len() + self.data.len() + self.stack.len()
+        self.flat.len() - HEADER
     }
 
-    /// Exact length of [`Self::to_flat`]'s output, without building it —
-    /// sizing a migration offer must not flatten (copy) the image.
+    /// Length of the flat form — what sizes a migration offer.
     pub fn flat_len(&self) -> usize {
-        12 + self.total_len()
+        self.flat.len()
     }
 
-    /// Concatenate the segments for a whole-image move-data read
-    /// (step 5 of §3.1 uses one data move for "code, data, and stack").
+    /// The flat form for a whole-image move-data read (step 5 of §3.1
+    /// uses one data move for "code, data, and stack"): shares the image's
+    /// buffer, and later writes to the image do not show through.
+    pub fn shared_flat(&self) -> Bytes {
+        Bytes::from(Arc::clone(&self.flat))
+    }
+
+    /// A copy of the flat form.
     pub fn to_flat(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.total_len());
-        out.extend_from_slice(&(self.code.len() as u32).to_be_bytes());
-        out.extend_from_slice(&(self.data.len() as u32).to_be_bytes());
-        out.extend_from_slice(&(self.stack.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.code);
-        out.extend_from_slice(&self.data);
-        out.extend_from_slice(&self.stack);
-        out
+        Vec::clone(&self.flat)
     }
 
-    /// Rebuild from [`Self::to_flat`] bytes. Parses the header in place
-    /// and copies each segment exactly once, straight out of `bytes` —
-    /// the old whole-blob staging copy doubled the install cost of a
-    /// 512 KiB image.
+    /// [`Self::from_flat_vec`] over a copy of `bytes`.
     pub fn from_flat(bytes: &[u8]) -> Result<Self, WireError> {
-        let Some(hdr) = bytes.get(..12) else {
+        Self::from_flat_vec(bytes.to_vec())
+    }
+
+    /// Adopt a reassembled flat form as the image: the header is checked
+    /// against the buffer's length and the buffer is kept as it is.
+    pub fn from_flat_vec(flat: Vec<u8>) -> Result<Self, WireError> {
+        let Some(hdr) = flat.get(..HEADER) else {
             return Err(WireError::Truncated("image header"));
         };
         let code_len = u32::from_be_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as u64;
         let data_len = u32::from_be_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]) as u64;
         let stack_len = u32::from_be_bytes([hdr[8], hdr[9], hdr[10], hdr[11]]) as u64;
         let total = code_len + data_len + stack_len;
-        if total != bytes.len() as u64 - 12 {
+        if total != (flat.len() - HEADER) as u64 {
             return Err(WireError::BadLength {
                 what: "image segments",
                 len: total as usize,
             });
         }
-        let code_end = 12 + code_len as usize;
-        let data_end = code_end + data_len as usize;
+        let data_at = HEADER + code_len as usize;
         Ok(ProcessImage {
-            code: bytes[12..code_end].to_vec(),
-            data: bytes[code_end..data_end].to_vec(),
-            stack: bytes[data_end..].to_vec(),
+            stack_at: data_at + data_len as usize,
+            data_at,
+            flat: Arc::new(flat),
         })
     }
 
@@ -200,7 +245,7 @@ impl ProcessImage {
     pub fn read_data(&self, offset: u32, len: u32) -> Option<&[u8]> {
         let start = offset as usize;
         let end = start.checked_add(len as usize)?;
-        self.data.get(start..end)
+        self.data().get(start..end)
     }
 
     /// Write into the data segment at `offset`.
@@ -209,12 +254,20 @@ impl ProcessImage {
         let Some(end) = start.checked_add(bytes.len()) else {
             return false;
         };
-        let Some(slice) = self.data.get_mut(start..end) else {
+        if end > self.data().len() {
             return false;
-        };
-        slice.copy_from_slice(bytes);
+        }
+        let at = self.data_at + start;
+        Arc::make_mut(&mut self.flat)[at..at + bytes.len()].copy_from_slice(bytes);
         true
     }
+}
+
+/// Write `[state_len u32][state]` at the head of a data segment; the
+/// caller owns the zero padding behind it.
+fn write_state(segment: &mut [u8], state: &[u8]) {
+    segment[..4].copy_from_slice(&(state.len() as u32).to_be_bytes());
+    segment[4..4 + state.len()].copy_from_slice(state);
 }
 
 /// Convenience: encode an image layout for the memory tables of the
@@ -267,9 +320,9 @@ mod tests {
         let img = ProcessImage::build("pingpong", b"state!", ImageLayout::default());
         assert_eq!(img.program_name().unwrap(), "pingpong");
         assert_eq!(&img.load_state().unwrap()[..], b"state!");
-        assert_eq!(img.code.len(), 8 * 1024);
-        assert_eq!(img.data.len(), 4 * 1024);
-        assert_eq!(img.stack.len(), 2 * 1024);
+        assert_eq!(img.code().len(), 8 * 1024);
+        assert_eq!(img.data().len(), 4 * 1024);
+        assert_eq!(img.stack().len(), 2 * 1024);
         assert_eq!(img.total_len() as u32, ImageLayout::default().total());
     }
 
@@ -282,15 +335,15 @@ mod tests {
         };
         let img = ProcessImage::build("p", &[7u8; 100], layout);
         assert_eq!(&img.load_state().unwrap()[..], &[7u8; 100][..]);
-        assert!(img.data.len() >= 104);
+        assert!(img.data().len() >= 104);
     }
 
     #[test]
     fn restore_state_in_place() {
         let mut img = ProcessImage::build("p", b"old", ImageLayout::default());
-        img.store_state(b"newer state", img.data.len());
+        img.store_state(b"newer state", img.data().len());
         assert_eq!(&img.load_state().unwrap()[..], b"newer state");
-        assert_eq!(img.data.len(), 4 * 1024, "declared size preserved");
+        assert_eq!(img.data().len(), 4 * 1024, "declared size preserved");
     }
 
     #[test]
@@ -350,11 +403,8 @@ mod tests {
 
     #[test]
     fn corrupt_code_segment_is_error() {
-        let img = ProcessImage {
-            code: vec![0xff],
-            data: vec![],
-            stack: vec![],
-        };
+        // One code byte, no data, no stack.
+        let img = ProcessImage::from_flat(&[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff]).unwrap();
         assert!(img.program_name().is_err());
         assert!(img.load_state().is_err());
     }

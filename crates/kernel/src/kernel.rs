@@ -36,7 +36,7 @@ use demos_types::{
     ProcessAddress, ProcessId, Result, Time,
 };
 
-use crate::image::ImageLayout;
+use crate::image::{ImageLayout, ProcessImage};
 use crate::movedata::{MdAction, MoveData, MoveDataConfig, PullPurpose};
 use crate::process::{ExecStatus, Process, TimerEntry};
 use crate::program::{local_tags, Ctx, Delivered, Effects, MoveDataReq, Registry};
@@ -262,6 +262,11 @@ pub struct Outbox {
     pub migration_inbox: Vec<Message>,
     /// Completions of kernel-purpose move-data pulls.
     pub pull_done: Vec<KernelPullDone>,
+    /// Scratch of [`Kernel::run_next`] and [`Kernel::on_time`]: an
+    /// activation's side-effect lists and a firing's due timers, kept
+    /// between calls for their capacity. Always empty between calls.
+    effects: Effects,
+    due_timers: Vec<TimerEntry>,
 }
 
 /// Sizes reported in a migration offer (message #2).
@@ -271,7 +276,7 @@ pub struct MigrationSizes {
     pub resident: u32,
     /// Swappable state bytes.
     pub swappable: u32,
-    /// Memory image bytes (flattened).
+    /// Memory image bytes (flat form, header included).
     pub image: u32,
     /// Messages pending on the queue at freeze time.
     pub queued: u16,
@@ -782,7 +787,6 @@ impl Kernel {
                 return Some((pid, cost));
             }
             self.stats.activations += 1;
-            let mut effects = Effects::default();
             let Some(mut program) = proc.program.take() else {
                 // Defensive: a runnable process should always hold its
                 // program; park it rather than abort the kernel.
@@ -792,7 +796,7 @@ impl Kernel {
             let machine = self.machine;
             if !proc.started {
                 proc.started = true;
-                let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, &mut effects);
+                let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
                 program.on_start(&mut ctx);
             } else {
                 let Some(msg) = proc.queue.pop_front() else {
@@ -804,7 +808,7 @@ impl Kernel {
                 proc.msgs_handled += 1;
                 if msg.header.msg_type == local_tags::TIMER {
                     let token = decode_timer_token(&msg.payload);
-                    let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, &mut effects);
+                    let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
                     program.on_timer(&mut ctx, token);
                 } else {
                     let links: Vec<LinkIdx> =
@@ -816,10 +820,13 @@ impl Kernel {
                         links,
                         forwarded: msg.header.flags.contains(MsgFlags::FORWARDED),
                     };
-                    let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, &mut effects);
+                    let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
                     program.on_message(&mut ctx, delivered);
                 }
             }
+            // The handler filled the outbox's scratch lists; take them out
+            // to apply them, and hand them back, drained, at the end.
+            let mut effects = std::mem::take(&mut out.effects);
             let Some(proc) = self.procs.get_mut(&pid) else {
                 continue;
             };
@@ -864,6 +871,9 @@ impl Kernel {
             } else {
                 self.schedule(pid);
             }
+            effects.exit = false;
+            effects.cpu = Duration::ZERO;
+            out.effects = effects;
             return Some((pid, cost));
         }
     }
@@ -922,7 +932,7 @@ impl Kernel {
     }
 
     /// Fire everything due at or before `now`.
-    pub fn on_time(&mut self, now: Time, phys: &mut dyn Phys, _out: &mut Outbox) {
+    pub fn on_time(&mut self, now: Time, phys: &mut dyn Phys, out: &mut Outbox) {
         let bounces = self.endpoint.on_timeout(now, phys);
         self.det_stats.bounced += bounces.len() as u64;
         self.heartbeat_tick(now, phys);
@@ -931,6 +941,7 @@ impl Kernel {
         // synthetic TIMER message creation — and thus the trace — byte
         // identical to the scan-everything loop.
         let mut due_pids = std::mem::take(&mut self.due_pids);
+        let mut due = std::mem::take(&mut out.due_timers);
         while let Some(&Reverse((t, pid))) = self.timer_heap.peek() {
             if !self.timer_entry_valid(t, pid) {
                 self.timer_heap.pop();
@@ -948,18 +959,19 @@ impl Kernel {
             let Some(proc) = self.procs.get_mut(&pid) else {
                 continue;
             };
-            let due = proc.take_due_timers(now);
+            proc.take_due_timers(now, &mut due);
             // Re-index the earliest residual (future) timer, if any.
             if let Some(t) = proc.next_timer() {
                 self.timer_heap.push(Reverse((t, pid)));
             }
-            for t in due {
+            for t in due.drain(..) {
                 let msg = self.synthetic_msg(pid, local_tags::TIMER, encode_timer_token(t.token));
                 self.enqueue_local_quiet(pid, msg);
                 self.wake(pid);
             }
         }
         self.due_pids = due_pids;
+        out.due_timers = due;
     }
 
     fn synthetic_msg(&self, pid: ProcessId, msg_type: u16, payload: Bytes) -> Message {
@@ -1732,7 +1744,7 @@ impl Kernel {
                         "image read requires migration authority",
                     ));
                 }
-                Ok(Bytes::from(proc.image.to_flat()))
+                Ok(proc.image.shared_flat())
             }
             AreaSel::LinkArea => {
                 let link = link.ok_or(DemosError::Internal("LinkArea read without link"))?;
@@ -2062,8 +2074,6 @@ impl Kernel {
         Ok(MigrationSizes {
             resident: proc.serialize_resident().len() as u32,
             swappable: proc.serialize_swappable().len() as u32,
-            // Arithmetic length, not `to_flat().len()`: sizing the offer
-            // must not flatten (copy) the whole image just to measure it.
             image: proc.image.flat_len() as u32,
             queued: proc.queue.len() as u16,
         })
@@ -2110,9 +2120,11 @@ impl Kernel {
     }
 
     /// Steps 4–5 complete (destination): construct the process from the
-    /// three transferred blobs against reservation `slot`. The process is
-    /// *not* yet scheduled; call [`Kernel::restart_migrated`] (step 8)
-    /// once the source has confirmed cleanup.
+    /// three transferred blobs against reservation `slot`. The reassembled
+    /// image is taken by value: the buffer the packets were written into
+    /// is the one the process runs on. The process is *not* yet scheduled;
+    /// call [`Kernel::restart_migrated`] (step 8) once the source has
+    /// confirmed cleanup.
     #[allow(clippy::too_many_arguments)]
     pub fn install_migrated(
         &mut self,
@@ -2121,10 +2133,26 @@ impl Kernel {
         from: MachineId,
         resident: &[u8],
         swappable: &[u8],
-        image_flat: &[u8],
+        image_flat: Vec<u8>,
         out: &mut Outbox,
     ) -> Result<ProcessId> {
-        let image = crate::image::ProcessImage::from_flat(image_flat).map_err(DemosError::Wire)?;
+        let _ = now;
+        let image = ProcessImage::from_flat_vec(image_flat).map_err(DemosError::Wire)?;
+        self.install_image(slot, from, resident, swappable, image, out)
+    }
+
+    /// The install core shared by migration and checkpoint restore: the
+    /// image arrives parsed, whichever way its bytes got here.
+    pub(crate) fn install_image(
+        &mut self,
+        slot: u16,
+        from: MachineId,
+        resident: &[u8],
+        swappable: &[u8],
+        image: ProcessImage,
+        out: &mut Outbox,
+    ) -> Result<ProcessId> {
+        let transferred = resident.len() + swappable.len() + image.flat_len();
         let mut proc =
             Process::from_migrated(resident, swappable, image).map_err(DemosError::Wire)?;
         proc.instantiate(&self.registry)?;
@@ -2148,9 +2176,8 @@ impl Kernel {
         out.trace.push(TraceEvent::Migration {
             pid,
             phase: MigrationPhase::ImageTransferred,
-            bytes: (resident.len() + swappable.len() + image_flat.len()) as u64,
+            bytes: transferred as u64,
         });
-        let _ = now;
         Ok(pid)
     }
 

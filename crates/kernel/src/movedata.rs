@@ -156,8 +156,8 @@ impl Outbound {
 #[derive(Debug)]
 struct Inbound {
     buf: Vec<u8>,
-    /// Bytes the reader was told to expect (0 = unknown): the ceiling of
-    /// `buf`'s growth.
+    /// Bytes the reader was told to expect (0 = unknown): what `buf`
+    /// reserves when the first packet arrives.
     expect: usize,
     next_seq: u32,
     /// For pulls: purpose to echo on completion.
@@ -168,16 +168,14 @@ struct Inbound {
 }
 
 impl Inbound {
-    /// Append one packet to the reassembly buffer. The buffer doubles as a
-    /// `Vec` would, except that no step goes past the announced size: the
-    /// last one lands on it exactly instead of on the next power of two
-    /// (1 MiB held for a 512 KiB image). A stream that outgrows the
-    /// announcement falls back to plain `Vec` growth.
+    /// Append one packet to the reassembly buffer. The first packet
+    /// reserves the announced size, once and exactly, so a stream of that
+    /// length is written into the buffer the installed image will keep
+    /// and never moves. With nothing announced, and past the
+    /// announcement, the buffer grows as any `Vec` does.
     fn collect(&mut self, bytes: &[u8]) {
-        let need = self.buf.len() + bytes.len();
-        if need > self.buf.capacity() && need <= self.expect {
-            let target = (self.buf.capacity() * 2).clamp(need, self.expect);
-            self.buf.reserve_exact(target - self.buf.len());
+        if self.buf.capacity() == 0 {
+            self.buf.reserve_exact(self.expect);
         }
         self.buf.extend_from_slice(bytes);
     }
@@ -268,9 +266,9 @@ impl MoveData {
     }
 
     /// [`MoveData::start_pull`] for a reader that knows how many bytes
-    /// will arrive: the reassembly buffer stops growing at exactly
-    /// `expect` bytes, not on the next power of two. `expect` only sizes the
-    /// buffer — a stream of any other length is still collected and
+    /// will arrive: the reassembly buffer is allocated once, at exactly
+    /// `expect` bytes, when the first packet arrives. `expect` only sizes
+    /// the buffer — a stream of any other length is still collected and
     /// judged by its own `Done` — and it must be a figure the caller has
     /// already admitted against a limit of its own, never a length taken
     /// unchecked from the wire.
@@ -936,6 +934,51 @@ mod tests {
             }
         }
         assert_eq!(acks, 2, "8 packets, ack every 4");
+    }
+
+    #[test]
+    fn sized_pull_buffer_never_moves() {
+        let mut reader = MoveData::new(cfg(100, 64));
+        let (op, _req) = reader.start_pull_sized(
+            PullPurpose::Kernel { cookie: 1 },
+            pid(1),
+            AreaSel::Image,
+            0,
+            0,
+            1000,
+        );
+        assert_eq!(reader.pulls[&op].buf.capacity(), 0, "nothing held yet");
+        let mut placed = None;
+        // Ten packets fill the announcement exactly; two more outgrow it.
+        for seq in 0..12 {
+            reader.on_msg(
+                m(1),
+                MoveDataMsg::Data {
+                    op,
+                    seq,
+                    bytes: Bytes::from_static(&[7; 100]),
+                },
+            );
+            let buf = &reader.pulls[&op].buf;
+            if seq < 10 {
+                let at = (buf.as_ptr(), buf.capacity());
+                assert_eq!(*placed.get_or_insert(at), at, "packet {seq}");
+                assert_eq!(at.1, 1000, "reserved exactly");
+            }
+            assert_eq!(buf.len(), (seq as usize + 1) * 100);
+        }
+        let done = reader.on_msg(
+            m(1),
+            MoveDataMsg::Done {
+                op,
+                status: 0,
+                total: 1200,
+            },
+        );
+        assert!(matches!(
+            &done[..],
+            [MdAction::PullDone { status: 0, data, .. }] if data.len() == 1200
+        ));
     }
 
     #[test]

@@ -355,9 +355,10 @@ impl Process {
         self.timers.iter().map(|t| t.at).min()
     }
 
-    /// Remove and return all timers due at or before `now`.
-    pub fn take_due_timers(&mut self, now: Time) -> Vec<TimerEntry> {
-        let mut due: Vec<TimerEntry> = Vec::new();
+    /// Move all timers due at or before `now` into `due` (cleared first;
+    /// the caller keeps the list between firings), in firing order.
+    pub fn take_due_timers(&mut self, now: Time, due: &mut Vec<TimerEntry>) {
+        due.clear();
         self.timers.retain(|t| {
             if t.at <= now {
                 due.push(*t);
@@ -367,7 +368,6 @@ impl Process {
             }
         });
         due.sort_by_key(|t| (t.at, t.token));
-        due
     }
 }
 
@@ -553,7 +553,8 @@ mod tests {
                 token: 9,
             },
         ];
-        let due = p.take_due_timers(Time(25));
+        let mut due = Vec::new();
+        p.take_due_timers(Time(25), &mut due);
         assert_eq!(due.iter().map(|t| t.token).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(p.timers.len(), 2);
         assert_eq!(p.next_timer(), Some(Time(30)));

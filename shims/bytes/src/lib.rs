@@ -10,11 +10,16 @@
 //! Buffer ownership: a [`BytesMut`] is a plain `Vec<u8>`; [`BytesMut::freeze`]
 //! and `Bytes::from(Vec<u8>)` move that `Vec` behind an `Arc` — no second
 //! buffer, no memcpy — and every clone, [`Bytes::slice`] and
-//! [`Bytes::split_to`] shares it. Static and empty views borrow
-//! `&'static [u8]` and never allocate. (The real crate reaches the same
-//! ownership rules through a vtable and raw pointers; this shim stays
-//! inside safe Rust and pays one small `Arc` header allocation per
-//! frozen buffer instead.)
+//! [`Bytes::split_to`] shares it. `Bytes::from(Arc<Vec<u8>>)` adopts a
+//! buffer its owner keeps a handle to (a process image being served to
+//! a migration): that `Arc` is the storage itself, so nothing is
+//! allocated, and the owner's later writes go through `Arc::make_mut`,
+//! which copies for as long as a view is alive (the real crate has no
+//! such `From` impl; `Bytes::from_owner` is its nearest equivalent).
+//! Static and empty views borrow `&'static [u8]` and never allocate.
+//! (The real crate reaches the same ownership rules through a vtable and
+//! raw pointers; this shim stays inside safe Rust and pays one small
+//! `Arc` header allocation per frozen buffer instead.)
 //!
 //! [`bytes`]: https://docs.rs/bytes
 
@@ -227,9 +232,19 @@ impl From<Vec<u8>> for Bytes {
         if v.is_empty() {
             return Bytes::new();
         }
+        Bytes::from(Arc::new(v))
+    }
+}
+
+impl From<Arc<Vec<u8>>> for Bytes {
+    /// Adopts a buffer someone else also holds: the `Arc` *is* the shared
+    /// storage, so this is a move — no copy, no allocation. The view stays
+    /// valid whatever the other holders do, because they can only write
+    /// through [`Arc::make_mut`], which copies while this view exists.
+    fn from(v: Arc<Vec<u8>>) -> Self {
         let len = v.len();
         Bytes {
-            data: Storage::Shared(Arc::new(v)),
+            data: Storage::Shared(v),
             start: 0,
             end: len,
         }
@@ -571,6 +586,36 @@ mod tests {
         // Views outlive the handle they were cut from.
         drop(b);
         assert_eq!(&head[..], &(0u8..10).collect::<Vec<u8>>()[..]);
+    }
+
+    #[test]
+    fn an_adopted_arc_is_the_storage() {
+        let owner = Arc::new((0u8..64).collect::<Vec<u8>>());
+        let base = owner.as_ptr();
+        let b = Bytes::from(Arc::clone(&owner));
+        // Adoption moved the handle in: the same allocation, one more
+        // reference, nothing new.
+        assert_eq!(b.as_ptr(), base);
+        assert_eq!(Arc::strong_count(&owner), 2);
+        // Every view cut from it shares it too.
+        let mut rest = b.clone();
+        let head = rest.split_to(16);
+        assert_eq!(head.as_ptr(), base);
+        assert_eq!(rest.as_ptr(), base.wrapping_add(16));
+        assert_eq!(b.slice(8..24).as_ptr(), base.wrapping_add(8));
+        assert_eq!(Arc::strong_count(&owner), 4);
+        // The owner writes through `make_mut`: it gets a copy, the views
+        // keep the bytes they were given.
+        let mut owner = owner;
+        Arc::make_mut(&mut owner)[0] = 0xff;
+        assert_ne!(owner.as_ptr(), base);
+        assert_eq!(b[0], 0);
+        assert_eq!(head.as_ptr(), base);
+        // Views keep the buffer alive after the owner is gone; an empty
+        // buffer is adopted like any other.
+        drop(owner);
+        assert_eq!(&b[..4], &[0, 1, 2, 3]);
+        assert!(Bytes::from(Arc::new(Vec::new())).is_empty());
     }
 
     #[test]

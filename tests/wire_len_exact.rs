@@ -226,7 +226,7 @@ proptest! {
             taken_at: Time(at),
             resident: resident.to_vec(),
             swappable: swappable.to_vec(),
-            image: image.to_vec(),
+            image,
         });
     }
 
