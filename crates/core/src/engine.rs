@@ -18,6 +18,31 @@
 //! machine may simply refuse to accept any migrations not fitting its
 //! criteria". Timeouts abort half-done migrations and thaw the process at
 //! the source, so a crashed destination cannot wedge a process forever.
+//!
+//! # Two roles, explicit state
+//!
+//! A **destination** record (`incoming`, keyed by source machine and the
+//! source's context) is in one `DestPhase`: `Pulling(Resident)` →
+//! `Pulling(Swappable)` → `Pulling(Image)` → `Installed`. Only the
+//! completion of the outstanding pull advances it, and only an `Installed`
+//! record can commit.
+//!
+//! A **source** record (`outgoing`, keyed by the context minted here) has
+//! no phase beyond existing, from the freeze until it settles. After the
+//! offer the destination drives: its pulls are served by the kernel
+//! without consulting the engine, so the first pull — not `Accept`, which
+//! stays on the wire as message #3 and is handled by an empty arm — is the
+//! source's go-ahead, and nothing here would read a flag that recorded it.
+//!
+//! # Every ending, once
+//!
+//! A message acts only on the record that its context, its sender and
+//! (where it carries one) its pid all name; "names no live record" and
+//! "wrong phase" are written-out cases that change nothing. A record
+//! leaves its map through exactly one of: `finish_outgoing` (steps 6–7),
+//! `fail_outgoing` (one of the four `SourceFail` causes), `restart` (the
+//! commit, step 8) or `fail_incoming`. DESIGN.md §2 tabulates what each
+//! cause traces, whom it tells and the `Done.status` it reports.
 
 use std::collections::BTreeMap;
 
@@ -25,7 +50,7 @@ use demos_kernel::{Kernel, MigrationPhase, Outbox, TraceEvent};
 use demos_net::Phys;
 use demos_types::proto::{AreaSel, KernelOp, MigrateMsg, RejectReason};
 use demos_types::wire::Wire;
-use demos_types::{DemosError, Duration, Link, MachineId, Message, ProcessId, Result, Time};
+use demos_types::{tags, DemosError, Duration, Link, MachineId, Message, ProcessId, Result, Time};
 
 /// Destination-side acceptance policy (§3.2).
 #[derive(Clone, Copy, Debug)]
@@ -113,7 +138,7 @@ pub struct MigrationStats {
     pub retried: u64,
 }
 
-/// Transfer stage of an incoming migration.
+/// The three data moves of §6, in the order the destination pulls them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stage {
     Resident,
@@ -121,7 +146,17 @@ enum Stage {
     Image,
 }
 
-/// Source-side record of an outgoing migration.
+/// Where an incoming migration stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DestPhase {
+    /// The pull of this stage is outstanding; nothing is installed yet.
+    Pulling(Stage),
+    /// The process is installed and held (`in_migration`) until the source
+    /// confirms cleanup. From here a failure must destroy the copy.
+    Installed,
+}
+
+/// Source-side record of an outgoing migration, keyed by its context.
 #[derive(Debug)]
 struct SourceMig {
     pid: ProcessId,
@@ -130,19 +165,17 @@ struct SourceMig {
     /// Reply link from the `MigrateRequest`, forwarded inside the offer so
     /// the destination can send `Done` (message #9).
     reply: Option<Link>,
-    accepted: bool,
 }
 
-/// Destination-side record of an incoming migration.
+/// Destination-side record of an incoming migration, keyed by
+/// `(source machine, source's context)`.
 #[derive(Debug)]
 struct DestMig {
     pid: ProcessId,
-    src: MachineId,
-    src_ctx: u16,
     slot: u16,
     started: Time,
     reply: Option<Link>,
-    stage: Stage,
+    phase: DestPhase,
     resident: Vec<u8>,
     swappable: Vec<u8>,
     /// Sizes the offer announced for the two pulls still to start. Each
@@ -152,7 +185,54 @@ struct DestMig {
     swappable_len: u16,
     image_len: u32,
     received: u64,
-    installed: bool,
+}
+
+type DestKey = (MachineId, u16);
+
+/// Why an outgoing migration failed. One row each of the source table in
+/// DESIGN.md §2; [`MigrationEngine::fail_outgoing`] is the only reader.
+#[derive(Clone, Copy, Debug)]
+enum SourceFail {
+    /// The destination refused the offer.
+    Rejected(RejectReason),
+    /// The destination gave up mid-transfer and said so.
+    PeerAborted,
+    /// No completion within `cfg.timeout`.
+    TimedOut,
+    /// The destination was confirmed dead, or rebooted.
+    PeerDead,
+}
+
+impl SourceFail {
+    /// `Done.status` for the requester when no retry takes over.
+    fn status(self) -> u8 {
+        match self {
+            SourceFail::Rejected(reason) => 1 + reason as u8,
+            SourceFail::PeerAborted => 200,
+            SourceFail::TimedOut => 201,
+            SourceFail::PeerDead => 203,
+        }
+    }
+
+    /// The record traced after the thaw's own `Aborted`. The second
+    /// `Aborted` of peer death and the two empty rows are pinned by every
+    /// committed fingerprint: carried as data, not fixed here.
+    fn extra_trace(self) -> Option<MigrationPhase> {
+        match self {
+            SourceFail::Rejected(_) => Some(MigrationPhase::Rejected),
+            SourceFail::PeerAborted | SourceFail::TimedOut => None,
+            SourceFail::PeerDead => Some(MigrationPhase::Aborted),
+        }
+    }
+
+    /// Whether the destination may still hold a record that only an
+    /// `Abort` from here will settle before its own timeout.
+    fn tells_dest(self) -> bool {
+        match self {
+            SourceFail::TimedOut => true,
+            SourceFail::Rejected(_) | SourceFail::PeerAborted | SourceFail::PeerDead => false,
+        }
+    }
 }
 
 /// Retry bookkeeping for one process whose outgoing migration aborted.
@@ -171,7 +251,7 @@ pub struct MigrationEngine {
     cfg: MigrationConfig,
     next_ctx: u16,
     outgoing: BTreeMap<u16, SourceMig>,
-    incoming: BTreeMap<(MachineId, u16), DestMig>,
+    incoming: BTreeMap<DestKey, DestMig>,
     /// Alternate-destination candidates for retries (set by the harness).
     peers: Vec<MachineId>,
     /// Aborted outgoing migrations awaiting (or between) re-offers.
@@ -180,7 +260,7 @@ pub struct MigrationEngine {
 }
 
 /// Cookie layout for kernel pulls: src machine ≪ 32 | ctx ≪ 8 | stage.
-fn cookie(src: MachineId, ctx: u16, stage: Stage) -> u64 {
+fn cookie((src, ctx): DestKey, stage: Stage) -> u64 {
     ((src.0 as u64) << 32)
         | ((ctx as u64) << 8)
         | match stage {
@@ -190,17 +270,71 @@ fn cookie(src: MachineId, ctx: u16, stage: Stage) -> u64 {
         }
 }
 
-fn uncookie(c: u64) -> (MachineId, u16, Stage) {
+fn uncookie(c: u64) -> (DestKey, Stage) {
     let stage = match c & 0xff {
         0 => Stage::Resident,
         1 => Stage::Swappable,
         _ => Stage::Image,
     };
-    (
-        MachineId((c >> 32) as u16),
-        ((c >> 8) & 0xffff) as u16,
-        stage,
-    )
+    let key = (MachineId((c >> 32) as u16), ((c >> 8) & 0xffff) as u16);
+    (key, stage)
+}
+
+/// One entry into the engine: the instant, and the kernel, wire and outbox
+/// the handlers act through. Every message, notification, trace record and
+/// pull the engine emits goes through one of its four methods.
+struct Cx<'a> {
+    now: Time,
+    kernel: &'a mut Kernel,
+    phys: &'a mut dyn Phys,
+    out: &'a mut Outbox,
+}
+
+impl<'a> Cx<'a> {
+    fn new(now: Time, kernel: &'a mut Kernel, phys: &'a mut dyn Phys, out: &'a mut Outbox) -> Self {
+        Cx {
+            now,
+            kernel,
+            phys,
+            out,
+        }
+    }
+
+    fn trace(&mut self, pid: ProcessId, phase: MigrationPhase, bytes: u64) {
+        self.out
+            .trace
+            .push(TraceEvent::Migration { pid, phase, bytes });
+    }
+
+    /// Send a protocol message to `to`'s engine; `link` rides along (the
+    /// offer carries the requester's reply link).
+    fn send(&mut self, to: MachineId, msg: MigrateMsg, link: Option<Link>) {
+        let links = link.into_iter().collect();
+        self.kernel
+            .send_migrate_msg(self.now, to, msg.to_bytes(), links, self.phys, self.out);
+    }
+
+    /// Message #9: tell the requester, if there is one, how the migration
+    /// of `pid` to `dest` ended (`status` as mapped in DESIGN.md §2).
+    fn notify(&mut self, reply: Option<Link>, pid: ProcessId, dest: MachineId, status: u8) {
+        if let Some(r) = reply {
+            let done = MigrateMsg::Done { pid, dest, status }.to_bytes();
+            self.kernel
+                .send_kernel_to(self.now, r, tags::MIGRATE, done, self.phys, self.out);
+        }
+    }
+
+    /// Start the `stage` pull of `pid` for the incoming record `key`.
+    fn pull(&mut self, key: DestKey, pid: ProcessId, stage: Stage, len: u32) {
+        let sel = match stage {
+            Stage::Resident => AreaSel::Resident,
+            Stage::Swappable => AreaSel::Swappable,
+            Stage::Image => AreaSel::Image,
+        };
+        let c = cookie(key, stage);
+        self.kernel
+            .start_kernel_pull(self.now, c, pid, key.0, sel, len, self.phys, self.out);
+    }
 }
 
 impl MigrationEngine {
@@ -297,6 +431,17 @@ impl MigrationEngine {
         phys: &mut dyn Phys,
         out: &mut Outbox,
     ) -> Result<()> {
+        let cx = &mut Cx::new(now, kernel, phys, out);
+        self.start(cx, pid, dest, reply)
+    }
+
+    fn start(
+        &mut self,
+        cx: &mut Cx<'_>,
+        pid: ProcessId,
+        dest: MachineId,
+        reply: Option<Link>,
+    ) -> Result<()> {
         if dest == self.machine {
             return Err(DemosError::MigrationToSelf(pid));
         }
@@ -304,17 +449,26 @@ impl MigrationEngine {
             return Err(DemosError::AlreadyMigrating(pid));
         }
         // Step 1: freeze. Refuses unknown pids and double migrations.
-        let sizes = kernel.freeze_for_migration(now, pid, phys, out)?;
+        let sizes = cx
+            .kernel
+            .freeze_for_migration(cx.now, pid, cx.phys, cx.out)?;
+        // The counter wraps and a record can outlive 65 535 later offers
+        // (a reject/retry storm under a long timeout): skip the contexts
+        // still live — overwriting one leaves its process frozen forever.
+        // One record per local process at most, so the scan is short.
+        while self.outgoing.contains_key(&self.next_ctx) {
+            self.next_ctx = self.next_ctx.wrapping_add(1).max(1);
+        }
         let ctx = self.next_ctx;
-        self.next_ctx = self.next_ctx.wrapping_add(1).max(1);
+        self.next_ctx = ctx.wrapping_add(1).max(1);
+        let started = cx.now;
         self.outgoing.insert(
             ctx,
             SourceMig {
                 pid,
                 dest,
-                started: now,
+                started,
                 reply,
-                accepted: false,
             },
         );
         self.stats.started += 1;
@@ -327,19 +481,33 @@ impl MigrationEngine {
             swappable_len: sizes.swappable.min(u16::MAX as u32) as u16,
             image_len: sizes.image,
         };
-        let links = reply.into_iter().collect();
-        kernel.send_migrate_msg(now, dest, offer.to_bytes(), links, phys, out);
-        out.trace.push(TraceEvent::Migration {
-            pid,
-            phase: MigrationPhase::Offered,
-            bytes: sizes.resident as u64 + sizes.swappable as u64 + sizes.image as u64,
-        });
+        cx.send(dest, offer, reply);
+        let bytes = sizes.resident as u64 + sizes.swappable as u64 + sizes.image as u64;
+        cx.trace(pid, MigrationPhase::Offered, bytes);
         Ok(())
+    }
+
+    /// Whether `ctx`, sent by `from` (about `pid`, when the message names
+    /// one), names a live outgoing record. Contexts are per-source
+    /// counters: a stale message from another machine, or one whose own
+    /// migration already settled here, must not hit an unrelated record
+    /// that reused the number.
+    fn names_outgoing(&self, ctx: u16, from: MachineId, pid: Option<ProcessId>) -> bool {
+        self.outgoing
+            .get(&ctx)
+            .is_some_and(|m| m.dest == from && pid.is_none_or(|p| p == m.pid))
+    }
+
+    /// The phase of the incoming record `key` names, if it is live (and is
+    /// about `pid`, when the message names one).
+    fn incoming_phase(&self, key: DestKey, pid: Option<ProcessId>) -> Option<DestPhase> {
+        let mig = self.incoming.get(&key)?;
+        pid.is_none_or(|p| p == mig.pid).then_some(mig.phase)
     }
 
     /// Feed one message from the kernel's migration inbox (both the
     /// kernel-to-kernel `MIGRATE` protocol and `MigrateRequest` control
-    /// ops).
+    /// ops). Anything else, and anything that does not decode, is dropped.
     pub fn handle(
         &mut self,
         now: Time,
@@ -348,36 +516,27 @@ impl MigrationEngine {
         phys: &mut dyn Phys,
         out: &mut Outbox,
     ) {
-        if msg.header.msg_type == demos_types::tags::KERNEL_OP {
-            if let Ok(KernelOp::MigrateRequest { dest, .. }) = KernelOp::from_bytes(&msg.payload) {
-                let pid = msg.header.dest.pid;
-                let reply = msg.links.first().copied();
-                if let Err(e) = self.start_migration(now, kernel, pid, dest, reply, phys, out) {
-                    // Notify the requester of the failure, if possible.
-                    if let Some(r) = msg.links.first() {
-                        let done = MigrateMsg::Done {
-                            pid,
-                            dest,
-                            status: reject_status(&e),
-                        };
-                        kernel.send_kernel_to(
-                            now,
-                            *r,
-                            demos_types::tags::MIGRATE,
-                            done.to_bytes(),
-                            phys,
-                            out,
-                        );
+        let cx = &mut Cx::new(now, kernel, phys, out);
+        let from = msg.header.src_machine;
+        let reply = msg.links.first().copied();
+        let m = match msg.header.msg_type {
+            tags::MIGRATE => MigrateMsg::from_bytes(&msg.payload),
+            tags::KERNEL_OP => {
+                if let Ok(KernelOp::MigrateRequest { dest, .. }) =
+                    KernelOp::from_bytes(&msg.payload)
+                {
+                    let pid = msg.header.dest.pid;
+                    if let Err(e) = self.start(cx, pid, dest, reply) {
+                        cx.notify(reply, pid, dest, reject_status(&e));
                     }
                 }
+                return;
             }
-            return;
-        }
-        debug_assert_eq!(msg.header.msg_type, demos_types::tags::MIGRATE);
-        let Ok(m) = MigrateMsg::from_bytes(&msg.payload) else {
+            _ => return,
+        };
+        let Ok(m) = m else {
             return;
         };
-        let from = msg.header.src_machine;
         match m {
             MigrateMsg::Offer {
                 ctx,
@@ -386,256 +545,178 @@ impl MigrationEngine {
                 swappable_len,
                 image_len,
             } => {
-                let reply = msg.links.first().copied();
-                let dest = self.machine;
-                self.on_offer(
-                    now,
-                    kernel,
-                    from,
-                    ctx,
-                    OfferInfo {
-                        pid,
-                        src: from,
-                        dest,
-                        resident_len,
-                        swappable_len,
-                        image_len,
-                    },
-                    reply,
-                    phys,
-                    out,
-                );
+                let info = OfferInfo {
+                    pid,
+                    src: from,
+                    dest: self.machine,
+                    resident_len,
+                    swappable_len,
+                    image_len,
+                };
+                self.on_offer(cx, ctx, info, reply);
             }
-            MigrateMsg::Accept { ctx, .. } => {
-                // Guard on the sender: contexts are per-source counters, so
-                // a stale Accept from another machine could otherwise hit an
-                // unrelated outgoing migration that reused the number.
-                if let Some(mig) = self.outgoing.get_mut(&ctx).filter(|m| m.dest == from) {
-                    mig.accepted = true;
-                }
-            }
+            // Message #3 is an acknowledgement only: the source's go-ahead
+            // is the first pull, which the kernel's move-data machinery
+            // serves without consulting the engine.
+            MigrateMsg::Accept { .. } => {}
             MigrateMsg::Reject { ctx, pid, reason } => {
-                let matches = self
-                    .outgoing
-                    .get(&ctx)
-                    .is_some_and(|m| m.dest == from && m.pid == pid);
-                if matches {
-                    let Some(mig) = self.outgoing.remove(&ctx) else {
-                        return;
-                    };
-                    self.stats.aborted += 1;
-                    self.stats.rejected_by_reason[match reason {
-                        RejectReason::Capacity => 0,
-                        RejectReason::Policy => 1,
-                        RejectReason::DuplicatePid => 2,
-                        RejectReason::Protocol => 3,
-                    }] += 1;
-                    let retried = self.schedule_retry(now, mig.pid, mig.dest, mig.reply);
-                    kernel.unfreeze(mig.pid, out);
-                    out.trace.push(TraceEvent::Migration {
-                        pid: mig.pid,
-                        phase: MigrationPhase::Rejected,
-                        bytes: 0,
-                    });
-                    if let Some(r) = mig.reply.filter(|_| !retried) {
-                        let done = MigrateMsg::Done {
-                            pid: mig.pid,
-                            dest: mig.dest,
-                            status: 1 + reason as u8,
-                        };
-                        kernel.send_kernel_to(
-                            now,
-                            r,
-                            demos_types::tags::MIGRATE,
-                            done.to_bytes(),
-                            phys,
-                            out,
-                        );
-                    }
+                if self.names_outgoing(ctx, from, Some(pid)) {
+                    self.fail_outgoing(cx, ctx, SourceFail::Rejected(reason));
                 }
             }
             MigrateMsg::TransferComplete { ctx, .. } => {
-                // Steps 6–7 at the source. Guarded on the sender so a
-                // context number reused by another machine cannot complete
-                // an unrelated migration.
-                if self.outgoing.get(&ctx).is_some_and(|m| m.dest == from) {
-                    let Some(mig) = self.outgoing.remove(&ctx) else {
-                        return;
-                    };
-                    match kernel.finish_source_side(now, mig.pid, mig.dest, phys, out) {
-                        Ok(forwarded) => {
-                            self.stats.pending_forwarded += forwarded as u64;
-                            self.stats.completed_out += 1;
-                            self.retries.remove(&mig.pid);
-                            let cleanup = MigrateMsg::CleanupDone { ctx, forwarded };
-                            kernel.send_migrate_msg(
-                                now,
-                                mig.dest,
-                                cleanup.to_bytes(),
-                                vec![],
-                                phys,
-                                out,
-                            );
-                        }
-                        Err(_) => {
-                            // Process vanished mid-migration (killed):
-                            // tell the destination to drop its copy.
-                            let abort = MigrateMsg::Abort { ctx, pid: mig.pid };
-                            kernel.send_migrate_msg(
-                                now,
-                                mig.dest,
-                                abort.to_bytes(),
-                                vec![],
-                                phys,
-                                out,
-                            );
-                            self.stats.aborted += 1;
-                            self.retries.remove(&mig.pid);
-                        }
-                    }
+                if self.names_outgoing(ctx, from, None) {
+                    self.finish_outgoing(cx, ctx);
                 }
             }
             MigrateMsg::CleanupDone { ctx, .. } => {
-                // Step 8 at the destination.
-                if let Some(mig) = self.incoming.remove(&(from, ctx)) {
-                    if kernel.restart_migrated(mig.pid, out).is_ok() {
-                        self.stats.completed_in += 1;
-                        self.stats.total_in_duration += now.since(mig.started);
-                        if let Some(r) = mig.reply {
-                            let done = MigrateMsg::Done {
-                                pid: mig.pid,
-                                dest: self.machine,
-                                status: 0,
-                            };
-                            kernel.send_kernel_to(
-                                now,
-                                r,
-                                demos_types::tags::MIGRATE,
-                                done.to_bytes(),
-                                phys,
-                                out,
-                            );
-                        }
-                    }
+                let key = (from, ctx);
+                match self.incoming_phase(key, None) {
+                    // Step 8 at the destination.
+                    Some(DestPhase::Installed) => self.restart(cx, key, false),
+                    // Nothing is installed, so the source cannot have
+                    // cleaned anything up: a protocol violation. Dropping
+                    // the record alone would strand its reservation.
+                    Some(DestPhase::Pulling(_)) => self.fail_incoming(cx, key, true),
+                    None => {}
                 }
             }
+            // Either side abandoning. The incoming record is tried first;
+            // with crossing migrations both may carry the same number, and
+            // `pid` (with the sender) tells them apart.
             MigrateMsg::Abort { ctx, pid } => {
-                // Source told us (destination) to abandon; or destination
-                // told us (source) it failed mid-transfer. Each abort must
-                // hit exactly the migration it names: contexts are per-
-                // source counters, so both branches also match on pid (and
-                // the outgoing branch on the sending machine) — otherwise a
-                // crossing Abort whose own record already timed out locally
-                // would remove an unrelated migration that reused the
-                // context number, double-counting `aborted`.
-                let incoming_match = self
-                    .incoming
-                    .get(&(from, ctx))
-                    .is_some_and(|m| m.pid == pid);
-                let outgoing_match = self
-                    .outgoing
-                    .get(&ctx)
-                    .is_some_and(|m| m.dest == from && m.pid == pid);
-                if incoming_match {
-                    let Some(mig) = self.incoming.remove(&(from, ctx)) else {
-                        return;
-                    };
-                    kernel.release_reservation(mig.slot);
-                    if mig.installed {
-                        kernel.kill(now, mig.pid, phys, out);
-                    }
-                    self.stats.aborted += 1;
-                    out.trace.push(TraceEvent::Migration {
-                        pid,
-                        phase: MigrationPhase::Aborted,
-                        bytes: 0,
-                    });
-                } else if outgoing_match {
-                    let Some(mig) = self.outgoing.remove(&ctx) else {
-                        return;
-                    };
-                    kernel.unfreeze(mig.pid, out);
-                    self.stats.aborted += 1;
-                    let retried = self.schedule_retry(now, mig.pid, mig.dest, mig.reply);
-                    if let Some(r) = mig.reply.filter(|_| !retried) {
-                        let done = MigrateMsg::Done {
-                            pid: mig.pid,
-                            dest: mig.dest,
-                            status: 200,
-                        };
-                        kernel.send_kernel_to(
-                            now,
-                            r,
-                            demos_types::tags::MIGRATE,
-                            done.to_bytes(),
-                            phys,
-                            out,
-                        );
-                    }
+                if self.incoming_phase((from, ctx), Some(pid)).is_some() {
+                    self.fail_incoming(cx, (from, ctx), false);
+                } else if self.names_outgoing(ctx, from, Some(pid)) {
+                    self.fail_outgoing(cx, ctx, SourceFail::PeerAborted);
                 }
             }
-            MigrateMsg::Done { .. } => {
-                // Addressed to the requesting process, not the engine.
+            // Addressed to the requesting process, not the engine.
+            MigrateMsg::Done { .. } => {}
+        }
+    }
+
+    /// The one way an outgoing migration fails: thaw the process, book a
+    /// retry or tell the requester. The order — count, thaw (which traces
+    /// `Aborted`), the cause's own trace, its `Abort`, then `Done` — is
+    /// part of every fingerprint: each send also traces a `Submitted`.
+    fn fail_outgoing(&mut self, cx: &mut Cx<'_>, ctx: u16, why: SourceFail) {
+        let Some(mig) = self.outgoing.remove(&ctx) else {
+            return;
+        };
+        self.stats.aborted += 1;
+        if let SourceFail::Rejected(reason) = why {
+            self.stats.rejected_by_reason[match reason {
+                RejectReason::Capacity => 0,
+                RejectReason::Policy => 1,
+                RejectReason::DuplicatePid => 2,
+                RejectReason::Protocol => 3,
+            }] += 1;
+        }
+        let retried = self.schedule_retry(cx.now, mig.pid, mig.dest, mig.reply);
+        cx.kernel.unfreeze(mig.pid, cx.out);
+        if let Some(phase) = why.extra_trace() {
+            cx.trace(mig.pid, phase, 0);
+        }
+        if why.tells_dest() {
+            cx.send(mig.dest, MigrateMsg::Abort { ctx, pid: mig.pid }, None);
+        }
+        if !retried {
+            cx.notify(mig.reply, mig.pid, mig.dest, why.status());
+        }
+    }
+
+    /// Steps 6–7 at the source, on `TransferComplete`: forward the pending
+    /// messages, leave the forwarding address, confirm.
+    fn finish_outgoing(&mut self, cx: &mut Cx<'_>, ctx: u16) {
+        let Some(mig) = self.outgoing.remove(&ctx) else {
+            return;
+        };
+        self.retries.remove(&mig.pid);
+        match cx
+            .kernel
+            .finish_source_side(cx.now, mig.pid, mig.dest, cx.phys, cx.out)
+        {
+            Ok(forwarded) => {
+                self.stats.pending_forwarded += forwarded as u64;
+                self.stats.completed_out += 1;
+                cx.send(mig.dest, MigrateMsg::CleanupDone { ctx, forwarded }, None);
+            }
+            // Process vanished mid-migration (killed): tell the
+            // destination to drop its copy.
+            Err(_) => {
+                cx.send(mig.dest, MigrateMsg::Abort { ctx, pid: mig.pid }, None);
+                self.stats.aborted += 1;
             }
         }
     }
 
+    /// The one way an incoming migration fails, whatever its phase: free
+    /// the reservation (a no-op once the install consumed it), destroy an
+    /// installed copy, tell the source unless it told us or is dead. The
+    /// order — release, kill, count, `Abort`, trace — is pinned likewise.
+    fn fail_incoming(&mut self, cx: &mut Cx<'_>, key: DestKey, tell_source: bool) {
+        let Some(mig) = self.incoming.remove(&key) else {
+            return;
+        };
+        let (src, ctx) = key;
+        cx.kernel.release_reservation(mig.slot);
+        if mig.phase == DestPhase::Installed {
+            cx.kernel.kill(cx.now, mig.pid, cx.phys, cx.out);
+        }
+        self.stats.aborted += 1;
+        if tell_source {
+            cx.send(src, MigrateMsg::Abort { ctx, pid: mig.pid }, None);
+        }
+        cx.trace(mig.pid, MigrationPhase::Aborted, 0);
+    }
+
+    /// The one commit (step 8): restart the installed copy and tell the
+    /// requester. `echo` repeats the kernel's `Restarted` record, as the
+    /// peer-death commit always has (`sim::span`'s "duplicate restart
+    /// marker"; pinned like the rows of [`SourceFail::extra_trace`]).
+    fn restart(&mut self, cx: &mut Cx<'_>, key: DestKey, echo: bool) {
+        let Some(mig) = self.incoming.get(&key) else {
+            return;
+        };
+        if cx.kernel.restart_migrated(mig.pid, cx.out).is_err() {
+            // The held copy is gone: there is nothing left to commit.
+            return self.fail_incoming(cx, key, false);
+        }
+        self.stats.completed_in += 1;
+        self.stats.total_in_duration += cx.now.since(mig.started);
+        if echo {
+            cx.trace(mig.pid, MigrationPhase::Restarted, 0);
+        }
+        cx.notify(mig.reply, mig.pid, self.machine, 0);
+        self.incoming.remove(&key);
+    }
+
     /// Destination side of the offer (steps 3–5 start here).
-    #[allow(clippy::too_many_arguments)]
-    fn on_offer(
-        &mut self,
-        now: Time,
-        kernel: &mut Kernel,
-        from: MachineId,
-        src_ctx: u16,
-        info: OfferInfo,
-        reply: Option<Link>,
-        phys: &mut dyn Phys,
-        out: &mut Outbox,
-    ) {
+    fn on_offer(&mut self, cx: &mut Cx<'_>, ctx: u16, info: OfferInfo, reply: Option<Link>) {
+        let key = (info.src, ctx);
         let policy_ok = match self.cfg.accept {
             AcceptPolicy::Always => true,
             AcceptPolicy::Never => false,
             AcceptPolicy::Custom(f) => f(&info),
         };
-        if !policy_ok {
-            self.reject_offer(
-                now,
-                kernel,
-                from,
-                src_ctx,
-                info.pid,
-                RejectReason::Policy,
-                phys,
-                out,
-            );
-            return;
-        }
-        // A re-used (source, context) pair while that context's migration
-        // is still in flight is a protocol violation: accepting it would
-        // overwrite the in-progress entry and leak its reservation.
-        if self.incoming.contains_key(&(from, src_ctx)) {
-            self.reject_offer(
-                now,
-                kernel,
-                from,
-                src_ctx,
-                info.pid,
-                RejectReason::Protocol,
-                phys,
-                out,
-            );
-            return;
-        }
-        // Step 3: allocate an (empty) process state — here, a capacity
-        // reservation under the same process identifier.
-        let slot = match kernel.reserve_incoming(info.pid, info.image_len as u64) {
-            Ok(slot) => slot,
-            Err(e) => {
+        let admitted = if !policy_ok {
+            Err(RejectReason::Policy)
+        } else if self.incoming.contains_key(&key) {
+            // A re-used (source, context) pair while that context's
+            // migration is still in flight is a protocol violation:
+            // accepting it would overwrite the in-progress entry and leak
+            // its reservation.
+            Err(RejectReason::Protocol)
+        } else {
+            // Step 3: allocate an (empty) process state — here, a capacity
+            // reservation under the same process identifier.
+            cx.kernel
+                .reserve_incoming(info.pid, info.image_len as u64)
                 // Exhaustive: a new error variant must consciously pick
                 // its reject reason (Capacity is the §5 step-3 bucket —
                 // "allocate process state" failed — not a default).
-                let reason = match e {
+                .map_err(|e| match e {
                     DemosError::AlreadyMigrating(_) => RejectReason::DuplicatePid,
                     DemosError::NoSuchMachine(_)
                     | DemosError::NoSuchProcess(_)
@@ -653,78 +734,37 @@ impl MigrationEngine {
                     | DemosError::Wire(_)
                     | DemosError::UnknownProgram(_)
                     | DemosError::Internal(_) => RejectReason::Capacity,
-                };
-                self.reject_offer(now, kernel, from, src_ctx, info.pid, reason, phys, out);
-                return;
+                })
+        };
+        let pid = info.pid;
+        let slot = match admitted {
+            Ok(slot) => slot,
+            Err(reason) => {
+                self.stats.rejected += 1;
+                cx.send(info.src, MigrateMsg::Reject { ctx, pid, reason }, None);
+                return cx.trace(pid, MigrationPhase::Rejected, 0);
             }
         };
-        out.trace.push(TraceEvent::Migration {
-            pid: info.pid,
-            phase: MigrationPhase::Allocated,
-            bytes: 0,
-        });
-        let accept = MigrateMsg::Accept {
-            ctx: src_ctx,
-            slot,
-            window: 1024,
-        };
-        kernel.send_migrate_msg(now, from, accept.to_bytes(), vec![], phys, out);
+        cx.trace(pid, MigrationPhase::Allocated, 0);
+        let window = 1024;
+        cx.send(info.src, MigrateMsg::Accept { ctx, slot, window }, None);
         self.incoming.insert(
-            (from, src_ctx),
+            key,
             DestMig {
-                pid: info.pid,
-                src: from,
-                src_ctx,
+                pid,
                 slot,
-                started: now,
+                started: cx.now,
                 reply,
-                stage: Stage::Resident,
+                phase: DestPhase::Pulling(Stage::Resident),
                 resident: Vec::new(),
                 swappable: Vec::new(),
                 swappable_len: info.swappable_len,
                 image_len: info.image_len,
                 received: 0,
-                installed: false,
             },
         );
         // Step 4 begins: pull the resident state.
-        kernel.start_kernel_pull(
-            now,
-            cookie(from, src_ctx, Stage::Resident),
-            info.pid,
-            from,
-            AreaSel::Resident,
-            u32::from(info.resident_len),
-            phys,
-            out,
-        );
-    }
-
-    /// Refuse an offer: count it, notify the source, trace the rejection.
-    #[allow(clippy::too_many_arguments)]
-    fn reject_offer(
-        &mut self,
-        now: Time,
-        kernel: &mut Kernel,
-        from: MachineId,
-        src_ctx: u16,
-        pid: ProcessId,
-        reason: RejectReason,
-        phys: &mut dyn Phys,
-        out: &mut Outbox,
-    ) {
-        self.stats.rejected += 1;
-        let reject = MigrateMsg::Reject {
-            ctx: src_ctx,
-            pid,
-            reason,
-        };
-        kernel.send_migrate_msg(now, from, reject.to_bytes(), vec![], phys, out);
-        out.trace.push(TraceEvent::Migration {
-            pid,
-            phase: MigrationPhase::Rejected,
-            bytes: 0,
-        });
+        cx.pull(key, pid, Stage::Resident, u32::from(info.resident_len));
     }
 
     /// Feed a completed kernel pull (from [`Outbox::pull_done`]).
@@ -736,97 +776,55 @@ impl MigrationEngine {
         phys: &mut dyn Phys,
         out: &mut Outbox,
     ) {
-        let (src, ctx, stage) = uncookie(done.cookie);
-        let Some(mig) = self.incoming.get_mut(&(src, ctx)) else {
+        let cx = &mut Cx::new(now, kernel, phys, out);
+        let (key, stage) = uncookie(done.cookie);
+        let (src, ctx) = key;
+        let Some(mig) = self
+            .incoming
+            .get_mut(&key)
+            .filter(|m| m.phase == DestPhase::Pulling(stage))
+        else {
+            // Names no live record, or not the pull its record is waiting
+            // for (a duplicate, or a completion after the install): there
+            // is nothing it could advance.
             return;
         };
         if done.status != 0 {
-            let Some(mig) = self.incoming.remove(&(src, ctx)) else {
-                return;
-            };
-            kernel.release_reservation(mig.slot);
-            self.stats.aborted += 1;
-            let abort = MigrateMsg::Abort { ctx, pid: mig.pid };
-            kernel.send_migrate_msg(now, src, abort.to_bytes(), vec![], phys, out);
-            out.trace.push(TraceEvent::Migration {
-                pid: mig.pid,
-                phase: MigrationPhase::Aborted,
-                bytes: 0,
-            });
-            return;
+            return self.fail_incoming(cx, key, true);
         }
-        debug_assert_eq!(mig.stage, stage, "pull completions arrive in order");
         mig.received += done.data.len() as u64;
         self.stats.bytes_received += done.data.len() as u64;
         match stage {
             Stage::Resident => {
                 mig.resident = done.data;
-                mig.stage = Stage::Swappable;
-                kernel.start_kernel_pull(
-                    now,
-                    cookie(src, ctx, Stage::Swappable),
-                    mig.pid,
-                    src,
-                    AreaSel::Swappable,
-                    u32::from(mig.swappable_len),
-                    phys,
-                    out,
-                );
+                mig.phase = DestPhase::Pulling(Stage::Swappable);
+                let len = u32::from(mig.swappable_len);
+                cx.pull(key, mig.pid, Stage::Swappable, len);
             }
             Stage::Swappable => {
                 mig.swappable = done.data;
-                mig.stage = Stage::Image;
-                out.trace.push(TraceEvent::Migration {
-                    pid: mig.pid,
-                    phase: MigrationPhase::StateTransferred,
-                    bytes: mig.received,
-                });
-                kernel.start_kernel_pull(
-                    now,
-                    cookie(src, ctx, Stage::Image),
-                    mig.pid,
-                    src,
-                    AreaSel::Image,
-                    mig.image_len,
-                    phys,
-                    out,
-                );
+                mig.phase = DestPhase::Pulling(Stage::Image);
+                cx.trace(mig.pid, MigrationPhase::StateTransferred, mig.received);
+                cx.pull(key, mig.pid, Stage::Image, mig.image_len);
             }
             Stage::Image => {
                 // Step 5 complete: install.
-                let (pid, slot, resident, swappable) = (
-                    mig.pid,
-                    mig.slot,
+                let (resident, swappable) = (
                     std::mem::take(&mut mig.resident),
                     std::mem::take(&mut mig.swappable),
                 );
-                let received = mig.received;
-                match kernel.install_migrated(now, slot, src, &resident, &swappable, done.data, out)
+                let (slot, image) = (mig.slot, done.data);
+                match cx
+                    .kernel
+                    .install_migrated(cx.now, slot, src, &resident, &swappable, image, cx.out)
                 {
                     Ok(installed_pid) => {
-                        debug_assert_eq!(installed_pid, pid);
-                        if let Some(mig) = self.incoming.get_mut(&(src, ctx)) {
-                            mig.installed = true;
-                        }
-                        let complete = MigrateMsg::TransferComplete {
-                            ctx,
-                            received: received as u32,
-                        };
-                        kernel.send_migrate_msg(now, src, complete.to_bytes(), vec![], phys, out);
+                        debug_assert_eq!(installed_pid, mig.pid);
+                        mig.phase = DestPhase::Installed;
+                        let received = mig.received as u32;
+                        cx.send(src, MigrateMsg::TransferComplete { ctx, received }, None);
                     }
-                    Err(_) => {
-                        if let Some(mig) = self.incoming.remove(&(src, ctx)) {
-                            kernel.release_reservation(mig.slot);
-                        }
-                        self.stats.aborted += 1;
-                        let abort = MigrateMsg::Abort { ctx, pid };
-                        kernel.send_migrate_msg(now, src, abort.to_bytes(), vec![], phys, out);
-                        out.trace.push(TraceEvent::Migration {
-                            pid,
-                            phase: MigrationPhase::Aborted,
-                            bytes: 0,
-                        });
-                    }
+                    Err(_) => self.fail_incoming(cx, key, true),
                 }
             }
         }
@@ -846,6 +844,10 @@ impl MigrationEngine {
     /// machine is aborted, the frozen source copy thawed, and the process
     /// re-offered to an alternate destination when the retry budget
     /// allows.
+    ///
+    /// "Its own copy is gone" assumes the verdict is true. A live source
+    /// that is merely unreachable times out and thaws its copy as well:
+    /// the open split-brain finding of DESIGN.md §7.
     pub fn on_peer_dead(
         &mut self,
         now: Time,
@@ -854,47 +856,17 @@ impl MigrationEngine {
         phys: &mut dyn Phys,
         out: &mut Outbox,
     ) {
-        let incoming: Vec<(MachineId, u16)> = self
+        let cx = &mut Cx::new(now, kernel, phys, out);
+        let incoming: Vec<(DestKey, DestPhase)> = self
             .incoming
-            .keys()
-            .filter(|&&(src, _)| src == peer)
-            .copied()
+            .iter()
+            .filter(|(&(src, _), _)| src == peer)
+            .map(|(&key, m)| (key, m.phase))
             .collect();
-        for key in incoming {
-            let Some(mig) = self.incoming.remove(&key) else {
-                continue;
-            };
-            if mig.installed && kernel.restart_migrated(mig.pid, out).is_ok() {
-                self.stats.completed_in += 1;
-                self.stats.total_in_duration += now.since(mig.started);
-                out.trace.push(TraceEvent::Migration {
-                    pid: mig.pid,
-                    phase: MigrationPhase::Restarted,
-                    bytes: 0,
-                });
-                if let Some(r) = mig.reply {
-                    let done = MigrateMsg::Done {
-                        pid: mig.pid,
-                        dest: self.machine,
-                        status: 0,
-                    };
-                    kernel.send_kernel_to(
-                        now,
-                        r,
-                        demos_types::tags::MIGRATE,
-                        done.to_bytes(),
-                        phys,
-                        out,
-                    );
-                }
-            } else {
-                kernel.release_reservation(mig.slot);
-                self.stats.aborted += 1;
-                out.trace.push(TraceEvent::Migration {
-                    pid: mig.pid,
-                    phase: MigrationPhase::Aborted,
-                    bytes: 0,
-                });
+        for (key, phase) in incoming {
+            match phase {
+                DestPhase::Installed => self.restart(cx, key, true),
+                DestPhase::Pulling(_) => self.fail_incoming(cx, key, false),
             }
         }
         let outgoing: Vec<u16> = self
@@ -904,32 +876,7 @@ impl MigrationEngine {
             .map(|(&c, _)| c)
             .collect();
         for ctx in outgoing {
-            let Some(mig) = self.outgoing.remove(&ctx) else {
-                continue;
-            };
-            self.stats.aborted += 1;
-            kernel.unfreeze(mig.pid, out);
-            let retried = self.schedule_retry(now, mig.pid, mig.dest, mig.reply);
-            out.trace.push(TraceEvent::Migration {
-                pid: mig.pid,
-                phase: MigrationPhase::Aborted,
-                bytes: 0,
-            });
-            if let Some(r) = mig.reply.filter(|_| !retried) {
-                let done = MigrateMsg::Done {
-                    pid: mig.pid,
-                    dest: mig.dest,
-                    status: 203,
-                };
-                kernel.send_kernel_to(
-                    now,
-                    r,
-                    demos_types::tags::MIGRATE,
-                    done.to_bytes(),
-                    phys,
-                    out,
-                );
-            }
+            self.fail_outgoing(cx, ctx, SourceFail::PeerDead);
         }
     }
 
@@ -954,7 +901,8 @@ impl MigrationEngine {
         [o, i, r].into_iter().flatten().min()
     }
 
-    /// Abort migrations that exceeded the timeout (crashed peers).
+    /// Abort migrations that exceeded the timeout (crashed peers), then
+    /// fire the retries that are due.
     pub fn on_time(
         &mut self,
         now: Time,
@@ -962,62 +910,25 @@ impl MigrationEngine {
         phys: &mut dyn Phys,
         out: &mut Outbox,
     ) {
+        let cx = &mut Cx::new(now, kernel, phys, out);
+        let timeout = self.cfg.timeout;
         let stale_out: Vec<u16> = self
             .outgoing
             .iter()
-            .filter(|(_, m)| now.since(m.started) >= self.cfg.timeout)
+            .filter(|(_, m)| now.since(m.started) >= timeout)
             .map(|(&c, _)| c)
             .collect();
         for ctx in stale_out {
-            let Some(mig) = self.outgoing.remove(&ctx) else {
-                continue;
-            };
-            self.stats.aborted += 1;
-            kernel.unfreeze(mig.pid, out);
-            let retried = self.schedule_retry(now, mig.pid, mig.dest, mig.reply);
-            let abort = MigrateMsg::Abort { ctx, pid: mig.pid };
-            kernel.send_migrate_msg(now, mig.dest, abort.to_bytes(), vec![], phys, out);
-            if let Some(r) = mig.reply.filter(|_| !retried) {
-                let done = MigrateMsg::Done {
-                    pid: mig.pid,
-                    dest: mig.dest,
-                    status: 201,
-                };
-                kernel.send_kernel_to(
-                    now,
-                    r,
-                    demos_types::tags::MIGRATE,
-                    done.to_bytes(),
-                    phys,
-                    out,
-                );
-            }
+            self.fail_outgoing(cx, ctx, SourceFail::TimedOut);
         }
-        let stale_in: Vec<(MachineId, u16)> = self
+        let stale_in: Vec<DestKey> = self
             .incoming
             .iter()
-            .filter(|(_, m)| now.since(m.started) >= self.cfg.timeout)
+            .filter(|(_, m)| now.since(m.started) >= timeout)
             .map(|(&k, _)| k)
             .collect();
         for key in stale_in {
-            let Some(mig) = self.incoming.remove(&key) else {
-                continue;
-            };
-            kernel.release_reservation(mig.slot);
-            if mig.installed {
-                kernel.kill(now, mig.pid, phys, out);
-            }
-            self.stats.aborted += 1;
-            let abort = MigrateMsg::Abort {
-                ctx: mig.src_ctx,
-                pid: mig.pid,
-            };
-            kernel.send_migrate_msg(now, mig.src, abort.to_bytes(), vec![], phys, out);
-            out.trace.push(TraceEvent::Migration {
-                pid: mig.pid,
-                phase: MigrationPhase::Aborted,
-                bytes: 0,
-            });
+            self.fail_incoming(cx, key, true);
         }
         // Fire scheduled retries: re-offer each aborted process to its
         // alternate destination (bounded by `cfg.retries`).
@@ -1037,28 +948,11 @@ impl MigrationEngine {
             entry.pending = None;
             entry.attempts += 1;
             self.stats.retried += 1;
-            if self
-                .start_migration(now, kernel, pid, dest, reply, phys, out)
-                .is_err()
-            {
+            if self.start(cx, pid, dest, reply).is_err() {
                 // The process is gone (killed) or already moving again:
                 // give up on this retry chain.
                 self.retries.remove(&pid);
-                if let Some(r) = reply {
-                    let done = MigrateMsg::Done {
-                        pid,
-                        dest,
-                        status: 202,
-                    };
-                    kernel.send_kernel_to(
-                        now,
-                        r,
-                        demos_types::tags::MIGRATE,
-                        done.to_bytes(),
-                        phys,
-                        out,
-                    );
-                }
+                cx.notify(reply, pid, dest, 202);
             }
         }
     }
@@ -1099,8 +993,70 @@ mod tests {
             (MachineId(7), 0xffff, Stage::Swappable),
             (MachineId(u16::MAX), 42, Stage::Image),
         ] {
-            let (m2, c2, s2) = uncookie(cookie(m, c, s));
-            assert_eq!((m, c, s), (m2, c2, s2));
+            assert_eq!(uncookie(cookie((m, c), s)), ((m, c), s));
+        }
+    }
+
+    struct Sink;
+    impl Phys for Sink {
+        fn transmit(&mut self, _: Time, _: MachineId, _: MachineId, _: demos_net::Frame) {}
+    }
+
+    struct Inert;
+    impl demos_kernel::Program for Inert {
+        fn on_message(&mut self, _: &mut demos_kernel::Ctx<'_>, _: demos_kernel::Delivered) {}
+        fn save(&self) -> Vec<u8> {
+            Vec::new()
+        }
+    }
+
+    /// The context counter wraps after 65 535 offers; a record still live
+    /// from the previous lap must keep its context. Overwriting it left
+    /// its process frozen forever, with no record for the timeout to find.
+    #[test]
+    fn a_wrapped_context_counter_skips_a_live_record() {
+        let mut registry = demos_kernel::Registry::new();
+        registry.register("inert", |_| Box::new(Inert));
+        let here = MachineId(0);
+        let mut kernel = Kernel::new(here, Default::default(), registry.into_shared());
+        let cfg = MigrationConfig::default();
+        let mut engine = MigrationEngine::new(here, cfg);
+        let (mut phys, mut out) = (Sink, Outbox::default());
+        let mut spawn = |kernel: &mut Kernel| {
+            kernel
+                .spawn(
+                    Time::ZERO,
+                    "inert",
+                    &[],
+                    Default::default(),
+                    false,
+                    &mut out,
+                )
+                .unwrap()
+        };
+        let (a, b) = (spawn(&mut kernel), spawn(&mut kernel));
+        let mut out = Outbox::default();
+        for pid in [a, b] {
+            // One lap later the counter stands where `a` took its context.
+            engine.next_ctx = u16::MAX;
+            engine
+                .start_migration(
+                    Time::ZERO,
+                    &mut kernel,
+                    pid,
+                    MachineId(1),
+                    None,
+                    &mut phys,
+                    &mut out,
+                )
+                .unwrap();
+        }
+        assert_eq!(engine.in_flight(), 2, "both records are live");
+        engine.on_time(Time::ZERO + cfg.timeout, &mut kernel, &mut phys, &mut out);
+        assert_eq!(engine.in_flight(), 0);
+        for pid in [a, b] {
+            let thawed = kernel.process(pid).is_some_and(|p| !p.in_migration);
+            assert!(thawed, "{pid:?} thaws when its migration times out");
         }
     }
 

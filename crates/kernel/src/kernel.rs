@@ -2105,8 +2105,14 @@ impl Kernel {
         if self.mem_used + image_len > self.cfg.mem_capacity {
             return Err(DemosError::Capacity(self.machine));
         }
+        // The counter wraps: skip slots still reserved, or the older
+        // reservation's bytes are orphaned in `mem_used`. `reserved` holds
+        // fewer than `max_processes` entries, so the scan is short.
+        while self.reserved.contains_key(&self.next_slot) {
+            self.next_slot = self.next_slot.wrapping_add(1).max(1);
+        }
         let slot = self.next_slot;
-        self.next_slot = self.next_slot.wrapping_add(1).max(1);
+        self.next_slot = slot.wrapping_add(1).max(1);
         self.mem_used += image_len;
         self.reserved.insert(slot, image_len);
         Ok(slot)

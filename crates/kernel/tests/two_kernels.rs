@@ -452,3 +452,27 @@ fn remote_create_process_via_mgmt() {
         .iter()
         .any(|(_, l)| l.addr.last_known_machine == m(1)));
 }
+
+/// Reservation slots are a wrapping 16-bit counter. A reservation still
+/// live from the previous lap must keep its slot: handing the slot out
+/// again overwrote the entry and orphaned its bytes in `mem_used`.
+#[test]
+fn a_wrapped_slot_counter_skips_a_live_reservation() {
+    let mut k = Kernel::new(m(0), KernelConfig::default(), registry());
+    let pid = |local_uid| ProcessId {
+        creating_machine: m(1),
+        local_uid,
+    };
+    let idle = k.mem_used();
+    let held = k.reserve_incoming(pid(1), 4096).unwrap();
+    // One full lap of short-lived reservations brings the counter back.
+    for _ in 1..u16::MAX {
+        let slot = k.reserve_incoming(pid(2), 512).unwrap();
+        k.release_reservation(slot);
+    }
+    let second = k.reserve_incoming(pid(3), 512).unwrap();
+    assert_ne!(second, held, "a live slot is not handed out twice");
+    k.release_reservation(second);
+    k.release_reservation(held);
+    assert_eq!(k.mem_used(), idle, "both reservations release their bytes");
+}
