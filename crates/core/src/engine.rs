@@ -816,7 +816,7 @@ impl MigrationEngine {
                 let (slot, image) = (mig.slot, done.data);
                 match cx
                     .kernel
-                    .install_migrated(cx.now, slot, src, &resident, &swappable, image, cx.out)
+                    .install_migrated(cx.now, slot, src, resident, swappable, image, cx.out)
                 {
                     Ok(installed_pid) => {
                         debug_assert_eq!(installed_pid, mig.pid);

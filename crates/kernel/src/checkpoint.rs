@@ -19,7 +19,7 @@
 //! the semantics of a real crash; the reliable channel's retransmissions
 //! cover only transport-level loss, not application state.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use demos_types::wire::{self, Wire, WireError};
 use demos_types::{DemosError, MachineId, ProcessId, Result, Time};
 
@@ -59,7 +59,7 @@ impl Checkpoint {
 }
 
 impl Wire for Checkpoint {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         self.pid.encode(buf);
         self.taken_on.encode(buf);
         self.taken_at.encode(buf);
@@ -132,14 +132,17 @@ impl Kernel {
         let _ = now;
         let image = ProcessImage::from_flat(&ck.image).map_err(DemosError::Wire)?;
         let slot = self.reserve_incoming(ck.pid, image.total_len() as u64)?;
-        let pid =
-            match self.install_image(slot, ck.taken_on, &ck.resident, &ck.swappable, image, out) {
-                Ok(pid) => pid,
-                Err(e) => {
-                    self.release_reservation(slot);
-                    return Err(e);
-                }
-            };
+        let (resident, swappable) = (
+            Bytes::copy_from_slice(&ck.resident),
+            Bytes::copy_from_slice(&ck.swappable),
+        );
+        let pid = match self.install_image(slot, ck.taken_on, resident, swappable, image, out) {
+            Ok(pid) => pid,
+            Err(e) => {
+                self.release_reservation(slot);
+                return Err(e);
+            }
+        };
         self.restart_migrated(pid, out)?;
         out.trace.push(TraceEvent::Migration {
             pid,

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_types::wire::{self, Wire, WireError};
 
 /// Maximum accepted program-name length in a code segment.
@@ -273,7 +273,7 @@ fn write_state(segment: &mut [u8], state: &[u8]) {
 /// Convenience: encode an image layout for the memory tables of the
 /// resident state.
 impl Wire for ImageLayout {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u32(self.code);
         buf.put_u32(self.data);
         buf.put_u32(self.stack);
@@ -297,10 +297,11 @@ impl Wire for ImageLayout {
 
 /// Encode a name + state pair as used by spawn requests.
 pub fn encode_spawn_blob(name: &str, state: &[u8]) -> Bytes {
-    let mut buf = BytesMut::new();
-    wire::put_string(&mut buf, name);
-    wire::put_bytes(&mut buf, state);
-    buf.freeze()
+    let len = wire::bytes_len(name.len()) + wire::bytes_len(state.len());
+    Bytes::filled(len, |out| {
+        wire::put_string(out, name);
+        wire::put_bytes(out, state);
+    })
 }
 
 /// Decode a spawn blob.

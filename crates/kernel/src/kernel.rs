@@ -27,7 +27,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_net::{ChannelConfig, Endpoint, Frame, Phys};
 use demos_types::proto::{AreaSel, KernelOp, LinkMaintMsg, MoveDataMsg};
 use demos_types::wire::Wire;
@@ -38,7 +38,7 @@ use demos_types::{
 
 use crate::image::{ImageLayout, ProcessImage};
 use crate::movedata::{MdAction, MoveData, MoveDataConfig, PullPurpose};
-use crate::process::{ExecStatus, Process, TimerEntry};
+use crate::process::{ExecStatus, Process, Queued, TimerEntry};
 use crate::program::{local_tags, Ctx, Delivered, Effects, MoveDataReq, Registry};
 use crate::trace::{MigrationPhase, TraceEvent};
 
@@ -605,26 +605,25 @@ impl Kernel {
         let seq = self.hb_seq;
         let suspect_at = every.saturating_mul(self.cfg.suspect_after as u64);
         let dead_at = every.saturating_mul(self.cfg.dead_after as u64);
-        let peers: Vec<MachineId> = self.hb_peers.keys().copied().collect();
-        for peer in peers {
+        let beat = LinkMaintMsg::Heartbeat {
+            from: self.machine,
+            seq,
+        };
+        // Sending and `confirm_dead` need `&mut self`, so the peer table
+        // is out of `self` while it is walked (neither reads it) — no
+        // per-tick copy of its keys.
+        let mut peers = std::mem::take(&mut self.hb_peers);
+        for (&peer, ph) in peers.iter_mut() {
             if self.dead.contains(&peer) {
                 continue;
             }
-            let beat = self.kernel_msg(
-                ProcessAddress::kernel_of(peer),
-                tags::LINK_MAINT,
-                LinkMaintMsg::Heartbeat {
-                    from: self.machine,
-                    seq,
-                }
-                .to_bytes(),
-                vec![],
-            );
-            self.transmit(now, peer, &beat, phys);
+            // What `transmit` does with the message around `beat`, with
+            // header and body written once into the buffer that travels.
+            let header = self.kernel_header(ProcessAddress::kernel_of(peer), tags::LINK_MAINT);
+            let bytes = Message::encode_with_body(&header, &[], &beat);
+            self.account_transmit(peer, &header, bytes.len(), None);
+            self.send_encoded(now, peer, bytes, CorrId::NONE, phys);
             self.det_stats.beats_sent += 1;
-            let Some(ph) = self.hb_peers.get_mut(&peer) else {
-                continue;
-            };
             let silent = now.since(ph.last_heard);
             if silent >= dead_at {
                 self.confirm_dead(now, peer);
@@ -633,6 +632,7 @@ impl Kernel {
                 self.det_stats.suspicions += 1;
             }
         }
+        self.hb_peers = peers;
         let mut next = due + every;
         while next <= now {
             next += every;
@@ -761,12 +761,10 @@ impl Kernel {
             // "normal message receiving can continue" (§2.2) — it never
             // reaches the program.
             if proc.started
-                && proc
-                    .queue
-                    .front()
-                    .is_some_and(|m| m.header.flags.contains(MsgFlags::DELIVER_TO_KERNEL))
+                && matches!(proc.queue.front(), Some(Queued::Message(m))
+                    if m.header.flags.contains(MsgFlags::DELIVER_TO_KERNEL))
             {
-                let Some(msg) = proc.queue.pop_front() else {
+                let Some(Queued::Message(msg)) = proc.queue.pop_front() else {
                     continue;
                 };
                 let cost = self.cfg.base_msg_cpu.max(Duration::from_micros(1));
@@ -799,29 +797,40 @@ impl Kernel {
                 let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
                 program.on_start(&mut ctx);
             } else {
-                let Some(msg) = proc.queue.pop_front() else {
+                let Some(entry) = proc.queue.pop_front() else {
                     // Defensive: restore the invariant instead of panicking.
                     proc.program = Some(program);
                     proc.status = ExecStatus::Waiting;
                     continue;
                 };
                 proc.msgs_handled += 1;
-                if msg.header.msg_type == local_tags::TIMER {
-                    let token = decode_timer_token(&msg.payload);
-                    let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
-                    program.on_timer(&mut ctx, token);
-                } else {
-                    let links: Vec<LinkIdx> =
-                        msg.links.iter().map(|l| proc.links.insert(*l)).collect();
-                    let delivered = Delivered {
-                        from: msg.header.src,
-                        msg_type: msg.header.msg_type,
-                        payload: msg.payload,
-                        links,
-                        forwarded: msg.header.flags.contains(MsgFlags::FORWARDED),
-                    };
-                    let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
-                    program.on_message(&mut ctx, delivered);
+                match entry {
+                    Queued::Message(msg) if msg.header.msg_type != local_tags::TIMER => {
+                        let links: Vec<LinkIdx> =
+                            msg.links.iter().map(|l| proc.links.insert(*l)).collect();
+                        let delivered = Delivered {
+                            from: msg.header.src,
+                            msg_type: msg.header.msg_type,
+                            payload: msg.payload,
+                            links,
+                            forwarded: msg.header.flags.contains(MsgFlags::FORWARDED),
+                        };
+                        let mut ctx =
+                            Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
+                        program.on_message(&mut ctx, delivered);
+                    }
+                    // A timer: queued here as its token, or fired where the
+                    // process used to live and forwarded after it as a
+                    // `TIMER` message (step 6).
+                    timer => {
+                        let token = match timer {
+                            Queued::Timer(token) => token,
+                            Queued::Message(msg) => decode_timer_token(&msg.payload),
+                        };
+                        let mut ctx =
+                            Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
+                        program.on_timer(&mut ctx, token);
+                    }
                 }
             }
             // The handler filled the outbox's scratch lists; take them out
@@ -938,7 +947,7 @@ impl Kernel {
         self.heartbeat_tick(now, phys);
         // Pop due, still-live entries instead of scanning every process.
         // Sorting restores the pre-index order (ascending pid), keeping
-        // synthetic TIMER message creation — and thus the trace — byte
+        // the order timers are queued in — and thus the trace — byte
         // identical to the scan-everything loop.
         let mut due_pids = std::mem::take(&mut self.due_pids);
         let mut due = std::mem::take(&mut out.due_timers);
@@ -964,11 +973,12 @@ impl Kernel {
             if let Some(t) = proc.next_timer() {
                 self.timer_heap.push(Reverse((t, pid)));
             }
+            // A fired timer queues as its token: nothing is allocated
+            // until (and unless) it has to follow a migrating process.
             for t in due.drain(..) {
-                let msg = self.synthetic_msg(pid, local_tags::TIMER, encode_timer_token(t.token));
-                self.enqueue_local_quiet(pid, msg);
-                self.wake(pid);
+                proc.queue.push_back(Queued::Timer(t.token));
             }
+            self.wake(pid);
         }
         self.due_pids = due_pids;
         out.due_timers = due;
@@ -992,7 +1002,7 @@ impl Kernel {
 
     fn enqueue_local_quiet(&mut self, pid: ProcessId, msg: Message) {
         if let Some(proc) = self.procs.get_mut(&pid) {
-            proc.queue.push_back(msg);
+            proc.queue.push_back(Queued::Message(msg));
         }
     }
 
@@ -1126,7 +1136,7 @@ impl Kernel {
                     hops: msg.header.hops,
                 });
                 if let Some(proc) = self.procs.get_mut(&dest.pid) {
-                    proc.queue.push_back(msg);
+                    proc.queue.push_back(Queued::Message(msg));
                     self.wake(dest.pid);
                 }
             }
@@ -1415,12 +1425,12 @@ impl Kernel {
                     if let Some(proc) = self.procs.get_mut(&pid) {
                         proc.links.mark_dead(dest);
                     }
-                    let mut payload = BytesMut::new();
-                    dest.encode(&mut payload);
-                    payload.put_u16(msg_type);
-                    payload.put_u8(reason);
-                    let notice =
-                        self.synthetic_msg(pid, local_tags::NON_DELIVERABLE, payload.freeze());
+                    let payload = Bytes::filled(dest.wire_len() + 3, |out| {
+                        dest.encode(out);
+                        out.put_u16(msg_type);
+                        out.put_u8(reason);
+                    });
+                    let notice = self.synthetic_msg(pid, local_tags::NON_DELIVERABLE, payload);
                     self.enqueue_local_quiet(pid, notice);
                     self.wake(pid);
                 }
@@ -1433,9 +1443,8 @@ impl Kernel {
     }
 
     fn encode_status(&self, pid: ProcessId) -> Bytes {
-        let mut buf = BytesMut::new();
         match self.procs.get(&pid) {
-            Some(p) => {
+            Some(p) => Bytes::filled(5 + MachineId::WIRE_LEN, |buf| {
                 buf.put_u8(1);
                 buf.put_u8(match p.status {
                     ExecStatus::Ready => 0,
@@ -1444,11 +1453,10 @@ impl Kernel {
                 });
                 buf.put_u8(p.in_migration as u8);
                 buf.put_u16(p.queue.len() as u16);
-                self.machine.encode(&mut buf);
-            }
-            None => buf.put_u8(0),
+                self.machine.encode(buf);
+            }),
+            None => Bytes::from_static(&[0]),
         }
-        buf.freeze()
     }
 
     /// Suspend a process (take it off the run queue; messages accumulate).
@@ -1728,7 +1736,9 @@ impl Kernel {
                         "resident read requires migration authority",
                     ));
                 }
-                Ok(Bytes::from(proc.serialize_resident()))
+                Ok(Bytes::filled(proc.resident_len(), |out| {
+                    proc.encode_resident(out)
+                }))
             }
             AreaSel::Swappable => {
                 if !from_kernel || !proc.in_migration {
@@ -1736,7 +1746,9 @@ impl Kernel {
                         "swappable read requires migration authority",
                     ));
                 }
-                Ok(Bytes::from(proc.serialize_swappable()))
+                Ok(Bytes::filled(proc.swappable_len(), |out| {
+                    proc.encode_swappable(out)
+                }))
             }
             AreaSel::Image => {
                 if !from_kernel || !proc.in_migration {
@@ -2072,8 +2084,8 @@ impl Kernel {
             bytes: 0,
         });
         Ok(MigrationSizes {
-            resident: proc.serialize_resident().len() as u32,
-            swappable: proc.serialize_swappable().len() as u32,
+            resident: proc.resident_len() as u32,
+            swappable: proc.swappable_len() as u32,
             image: proc.image.flat_len() as u32,
             queued: proc.queue.len() as u16,
         })
@@ -2126,9 +2138,10 @@ impl Kernel {
     }
 
     /// Steps 4–5 complete (destination): construct the process from the
-    /// three transferred blobs against reservation `slot`. The reassembled
-    /// image is taken by value: the buffer the packets were written into
-    /// is the one the process runs on. The process is *not* yet scheduled;
+    /// three transferred blobs against reservation `slot`. All three are
+    /// taken by value, in the buffers the packets were written into: the
+    /// records are decoded from theirs, and the image's is the one the
+    /// process runs on. The process is *not* yet scheduled;
     /// call [`Kernel::restart_migrated`] (step 8) once the source has
     /// confirmed cleanup.
     #[allow(clippy::too_many_arguments)]
@@ -2137,14 +2150,14 @@ impl Kernel {
         now: Time,
         slot: u16,
         from: MachineId,
-        resident: &[u8],
-        swappable: &[u8],
+        resident: Vec<u8>,
+        swappable: Vec<u8>,
         image_flat: Vec<u8>,
         out: &mut Outbox,
     ) -> Result<ProcessId> {
         let _ = now;
         let image = ProcessImage::from_flat_vec(image_flat).map_err(DemosError::Wire)?;
-        self.install_image(slot, from, resident, swappable, image, out)
+        self.install_image(slot, from, resident.into(), swappable.into(), image, out)
     }
 
     /// The install core shared by migration and checkpoint restore: the
@@ -2153,8 +2166,8 @@ impl Kernel {
         &mut self,
         slot: u16,
         from: MachineId,
-        resident: &[u8],
-        swappable: &[u8],
+        resident: Bytes,
+        swappable: Bytes,
         image: ProcessImage,
         out: &mut Outbox,
     ) -> Result<ProcessId> {
@@ -2221,11 +2234,18 @@ impl Kernel {
             .remove(&pid)
             .ok_or(DemosError::NoSuchProcess(pid))?;
         debug_assert!(proc.in_migration, "finish_source_side on unfrozen process");
-        let pending: Vec<Message> = proc.queue.drain(..).collect();
-        let forwarded = pending.len() as u16;
+        let forwarded = proc.queue.len() as u16;
         // Step 6: "the source kernel changes the location part of the
-        // process address to reflect the new location" and resends.
-        for mut m in pending {
+        // process address to reflect the new location" and resends. A
+        // timer that fired here but was not yet handled follows as the
+        // `TIMER` message this kernel sends itself.
+        for entry in proc.queue.drain(..) {
+            let mut m = match entry {
+                Queued::Message(m) => m,
+                Queued::Timer(token) => {
+                    self.synthetic_msg(pid, local_tags::TIMER, encode_timer_token(token))
+                }
+            };
             m.header.dest = m.header.dest.rehomed(dest);
             m.header.hops = m.header.hops.saturating_add(1);
             self.submit(now, m, phys, out);
@@ -2281,11 +2301,11 @@ fn decode_timer_token(payload: &Bytes) -> u64 {
 
 /// Encode a `MOVE_DATA_DONE` payload: token, status, length.
 pub fn encode_md_done(token: u16, status: u8, len: u32) -> Bytes {
-    let mut buf = BytesMut::with_capacity(7);
-    buf.put_u16(token);
-    buf.put_u8(status);
-    buf.put_u32(len);
-    buf.freeze()
+    Bytes::filled(7, |buf| {
+        buf.put_u16(token);
+        buf.put_u8(status);
+        buf.put_u32(len);
+    })
 }
 
 /// Decode a `MOVE_DATA_DONE` payload.

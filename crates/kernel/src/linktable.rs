@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_types::wire::{Wire, WireError};
 use demos_types::{DemosError, Link, LinkAttrs, LinkIdx, MachineId, ProcessId, Result};
 
@@ -140,7 +140,7 @@ impl LinkAttrsExt for LinkAttrs {
 }
 
 impl Wire for LinkTable {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u32(self.next);
         buf.put_u16(self.slots.len() as u16);
         for (&idx, link) in &self.slots {

@@ -7,7 +7,7 @@
 //! `CreateProcess` to a machine's kernel, which spawns the process and
 //! replies over the carried reply link with a fresh link to it.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_types::wire::{self, Wire, WireError};
 use demos_types::ProcessId;
 
@@ -49,7 +49,7 @@ pub enum KernelMgmt {
 }
 
 impl Wire for KernelMgmt {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         match self {
             KernelMgmt::CreateProcess {
                 token,

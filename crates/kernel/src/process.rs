@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_types::wire::{Wire, WireError};
 use demos_types::{Duration, MachineId, Message, ProcessId, Time};
 
@@ -75,6 +75,20 @@ pub struct TimerEntry {
     pub token: u64,
 }
 
+/// One entry of a process's queue. A fired timer waits its turn among the
+/// messages — same queue, same order, same count — but as the token
+/// alone: it never leaves this kernel unless the process migrates with it
+/// still queued, and only then is the `TIMER` message built that carries
+/// it across (step 6).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Queued {
+    /// A message awaiting the program (or, `DELIVERTOKERNEL` and held
+    /// during a migration, the kernel).
+    Message(Message),
+    /// A fired timer's token, awaiting [`Program::on_timer`].
+    Timer(u64),
+}
+
 /// Size of the simulated dispatch save area (register file, PSW, kernel
 /// context) included in the resident state. The Z8000 context of the
 /// original plus kernel bookkeeping; chosen so the resident state lands
@@ -109,8 +123,8 @@ pub struct Process {
     pub image: ProcessImage,
     /// Link table (swappable state).
     pub links: LinkTable,
-    /// Incoming message queue.
-    pub queue: VecDeque<Message>,
+    /// Incoming queue: messages and fired timers, in arrival order.
+    pub queue: VecDeque<Queued>,
     /// Pending timers, unordered (the kernel scans for due entries).
     pub timers: Vec<TimerEntry>,
     /// The running program. `None` transiently while a handler executes,
@@ -199,15 +213,30 @@ impl Process {
         }
     }
 
-    /// Serialize the non-swappable (resident) state (§6: ~250 bytes).
-    pub fn serialize_resident(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        self.pid.encode(&mut buf);
+    /// Exact length of the resident record, computed arithmetically.
+    pub fn resident_len(&self) -> usize {
+        // In record order, grouped as `from_migrated` checks them: pid;
+        // status, started, priority, privileged; layout; cpu, messages,
+        // creation time (8 each) and migrations (4); the `migrated_from`
+        // flag and machine; the timer count and `(at, token)` pairs; the
+        // fixed save areas.
+        ProcessId::WIRE_LEN
+            + 4
+            + self.layout.wire_len()
+            + 28
+            + (1 + MachineId::WIRE_LEN)
+            + (2 + self.timers.len() * 16)
+            + (DISPATCH_SAVE_BYTES + MEMORY_TABLE_BYTES + KERNEL_CONTEXT_BYTES)
+    }
+
+    /// Write the resident record: [`Process::resident_len`] bytes.
+    pub(crate) fn encode_resident(&self, buf: &mut impl BufMut) {
+        self.pid.encode(buf);
         buf.put_u8(self.status.to_u8());
         buf.put_u8(self.started as u8);
         buf.put_u8(self.priority);
         buf.put_u8(self.privileged as u8);
-        self.layout.encode(&mut buf);
+        self.layout.encode(buf);
         buf.put_u64(self.cpu_used.as_micros());
         buf.put_u64(self.msgs_handled);
         buf.put_u64(self.created_at.as_micros());
@@ -215,7 +244,7 @@ impl Process {
         match self.migrated_from {
             Some(m) => {
                 buf.put_u8(1);
-                m.encode(&mut buf);
+                m.encode(buf);
             }
             None => {
                 buf.put_u8(0);
@@ -232,33 +261,51 @@ impl Process {
         buf.put_slice(&[0u8; DISPATCH_SAVE_BYTES]);
         buf.put_slice(&[0u8; MEMORY_TABLE_BYTES]);
         buf.put_slice(&[0u8; KERNEL_CONTEXT_BYTES]);
-        buf.to_vec()
+    }
+
+    /// Serialize the non-swappable (resident) state (§6: ~250 bytes),
+    /// once, into a buffer of exactly its size.
+    pub fn serialize_resident(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.resident_len());
+        self.encode_resident(&mut buf);
+        buf
+    }
+
+    /// Exact length of the swappable record, computed arithmetically.
+    pub fn swappable_len(&self) -> usize {
+        self.links.wire_len() + 2 + self.bytes_sent_to.len() * (MachineId::WIRE_LEN + 8) + 2
+    }
+
+    /// Write the swappable record: [`Process::swappable_len`] bytes.
+    pub(crate) fn encode_swappable(&self, buf: &mut impl BufMut) {
+        self.links.encode(buf);
+        buf.put_u16(self.bytes_sent_to.len() as u16);
+        for (&m, &bytes) in &self.bytes_sent_to {
+            m.encode(buf);
+            buf.put_u64(bytes);
+        }
+        buf.put_u16(self.queue.len() as u16);
     }
 
     /// Serialize the swappable state: link table, communication
     /// accounting, message-queue header (§6: ~600 bytes, "depending on the
-    /// size of the link table").
+    /// size of the link table"), once, into a buffer of exactly its size.
     pub fn serialize_swappable(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        self.links.encode(&mut buf);
-        buf.put_u16(self.bytes_sent_to.len() as u16);
-        for (&m, &bytes) in &self.bytes_sent_to {
-            m.encode(&mut buf);
-            buf.put_u64(bytes);
-        }
-        buf.put_u16(self.queue.len() as u16);
-        buf.to_vec()
+        let mut buf = Vec::with_capacity(self.swappable_len());
+        self.encode_swappable(&mut buf);
+        buf
     }
 
     /// Rebuild a process from the three migration blobs. The program is
     /// *not* instantiated here (see [`Process::instantiate`]); the caller
-    /// supplies the image exactly as transferred.
+    /// supplies the image exactly as transferred, and the two records in
+    /// the buffers they arrived in (they are read, not kept).
     pub fn from_migrated(
-        resident: &[u8],
-        swappable: &[u8],
+        resident: Bytes,
+        swappable: Bytes,
         image: ProcessImage,
     ) -> Result<Process, WireError> {
-        let mut buf = Bytes::copy_from_slice(resident);
+        let mut buf = resident;
         let pid = ProcessId::decode(&mut buf)?;
         if buf.remaining() < 4 {
             return Err(WireError::Truncated("resident flags"));
@@ -297,7 +344,7 @@ impl Process {
             return Err(WireError::Truncated("dispatch save area"));
         }
 
-        let mut sbuf = Bytes::copy_from_slice(swappable);
+        let mut sbuf = swappable;
         let links = LinkTable::decode(&mut sbuf)?;
         if sbuf.remaining() < 2 {
             return Err(WireError::Truncated("swappable comm table"));
@@ -455,6 +502,37 @@ mod tests {
     }
 
     #[test]
+    fn record_lengths_are_arithmetic_and_exact() {
+        // What `freeze_for_migration` announces in the offer without
+        // serialising anything, and what sizes each record's one buffer.
+        for links in [0, 25, 40] {
+            for timers in [0u64, 3] {
+                for migrated_from in [None, Some(MachineId(2))] {
+                    let mut p = proc_with_links(links);
+                    p.migrated_from = migrated_from;
+                    p.timers = (0..timers)
+                        .map(|token| TimerEntry {
+                            at: Time(100 + token),
+                            token,
+                        })
+                        .collect();
+                    p.bytes_sent_to.insert(MachineId(1), 1234);
+                    p.queue.push_back(Queued::Timer(7));
+                    let (resident, swappable) = (p.serialize_resident(), p.serialize_swappable());
+                    assert_eq!(p.resident_len(), resident.len());
+                    assert_eq!(p.swappable_len(), swappable.len());
+                    assert_eq!(
+                        resident.capacity(),
+                        resident.len(),
+                        "sized once, never grown"
+                    );
+                    assert_eq!(swappable.capacity(), swappable.len());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn migration_blob_roundtrip_preserves_state() {
         let mut p = proc_with_links(3);
         p.status = ExecStatus::Waiting;
@@ -473,7 +551,7 @@ mod tests {
         let resident = p.serialize_resident();
         let swappable = p.serialize_swappable();
         let image = p.image.clone();
-        let mut q = Process::from_migrated(&resident, &swappable, image).unwrap();
+        let mut q = Process::from_migrated(resident.into(), swappable.into(), image).unwrap();
 
         assert_eq!(q.pid, p.pid);
         assert_eq!(
@@ -495,10 +573,11 @@ mod tests {
     #[test]
     fn truncated_blobs_rejected() {
         let p = proc_with_links(2);
-        let resident = p.serialize_resident();
-        let swappable = p.serialize_swappable();
-        assert!(Process::from_migrated(&resident[..20], &swappable, p.image.clone()).is_err());
-        assert!(Process::from_migrated(&resident, &swappable[..3], p.image.clone()).is_err());
+        let resident = Bytes::from(p.serialize_resident());
+        let swappable = Bytes::from(p.serialize_swappable());
+        let (short_r, short_s) = (resident.slice(..20), swappable.slice(..3));
+        assert!(Process::from_migrated(short_r, swappable, p.image.clone()).is_err());
+        assert!(Process::from_migrated(resident, short_s, p.image.clone()).is_err());
     }
 
     #[test]
@@ -507,7 +586,7 @@ mod tests {
         assert!(p.runnable(), "fresh process runs on_start");
         p.started = true;
         assert!(!p.runnable(), "no messages, nothing to do");
-        p.queue.push_back(dummy_msg());
+        p.queue.push_back(Queued::Message(dummy_msg()));
         assert!(p.runnable());
         p.in_migration = true;
         assert!(!p.runnable(), "frozen during migration");

@@ -10,7 +10,7 @@
 //! image: the metadata is never encoded, never counted in [`Frame::wire_size`],
 //! and never compared, so tracing cannot change any measured byte count.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_types::wire::{self, Wire, WireError};
 use demos_types::CorrId;
 
@@ -136,7 +136,7 @@ impl Frame {
 }
 
 impl Wire for Frame {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         match self {
             Frame::Data {
                 epoch,

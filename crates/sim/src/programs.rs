@@ -359,16 +359,13 @@ impl Program for Client {
             return;
         };
         if self.limit == 0 || self.sent < self.limit {
-            let mut payload = BytesMut::with_capacity(8 + self.payload as usize);
-            payload.put_u64(ctx.now().as_micros());
-            payload.extend_from_slice(&vec![0u8; self.payload as usize]);
+            let (sent_at, padding) = (ctx.now().as_micros(), self.payload as usize);
+            let payload = Bytes::filled(8 + padding, |out| {
+                out.put_u64(sent_at);
+                out.put_bytes(0, padding);
+            });
             if ctx
-                .send(
-                    server,
-                    wl::REQ,
-                    payload.freeze(),
-                    &[Carry::New(LinkAttrs::REPLY)],
-                )
+                .send(server, wl::REQ, payload, &[Carry::New(LinkAttrs::REPLY)])
                 .is_ok()
             {
                 self.sent += 1;
@@ -629,13 +626,14 @@ impl Program for Nomad {
         let dest = demos_types::MachineId((ctx.machine().0 + 1) % self.machines);
         // PmMsg::Migrate { dest } with [reply, self-link] — built by hand
         // to avoid a dependency cycle with demos-sysproc (tag 4 = Migrate).
-        let mut payload = bytes::BytesMut::with_capacity(3);
-        bytes::BufMut::put_u8(&mut payload, 4);
-        bytes::BufMut::put_u16(&mut payload, dest.0);
+        let payload = Bytes::filled(3, |out| {
+            out.put_u8(4);
+            out.put_u16(dest.0);
+        });
         let _ = ctx.send(
             pm,
             tags::SYS_BASE + 1, // sys::PROCMGR
-            payload.freeze(),
+            payload,
             &[Carry::New(LinkAttrs::NONE), Carry::New(LinkAttrs::NONE)],
         );
     }

@@ -4,7 +4,7 @@
 //! a reply link as their first carried link (the DEMOS request/reply
 //! convention, §2.4). Payloads are byte-exact like everything else.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_kernel::ImageLayout;
 use demos_types::wire::{self, Wire, WireError};
 use demos_types::MachineId;
@@ -58,7 +58,7 @@ pub enum SbMsg {
 }
 
 impl Wire for SbMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         match self {
             SbMsg::Register { name } => {
                 buf.put_u8(1);
@@ -165,7 +165,7 @@ pub enum PmMsg {
 }
 
 impl Wire for PmMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         match self {
             PmMsg::Spawn {
                 machine,
@@ -305,7 +305,7 @@ pub enum MemMsg {
 }
 
 impl Wire for MemMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         match self {
             MemMsg::Reserve { machine, bytes } => {
                 buf.put_u8(1);
@@ -496,7 +496,7 @@ pub enum FsMsg {
 }
 
 impl Wire for FsMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         match self {
             FsMsg::DirCreate { tok, name } => {
                 buf.put_u8(1);

@@ -20,8 +20,9 @@
 //!   messages and frames, never inside the wire encoding.
 //! * [`error`] — error types shared across the workspace.
 //!
-//! Nothing in this crate allocates per-message beyond the payload buffer
-//! itself; headers encode into caller-provided [`bytes::BytesMut`].
+//! Nothing in this crate allocates per-message beyond the one buffer that
+//! holds the wire image: every `encode` writes into a caller-provided
+//! [`bytes::BufMut`], and [`Wire::to_bytes`] hands it one sized exactly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

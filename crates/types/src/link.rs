@@ -220,7 +220,7 @@ impl Link {
 }
 
 impl Wire for Link {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         self.addr.encode(buf);
         let mut attrs = self.attrs;
         if self.area.is_some() {

@@ -13,12 +13,12 @@
 
 use core::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::corr::CorrId;
 use crate::ids::{MachineId, ProcessAddress, ProcessId};
 use crate::link::Link;
-use crate::wire::{Wire, WireError};
+use crate::wire::{encode_exact, Wire, WireError};
 
 /// Well-known message type tags.
 ///
@@ -127,32 +127,43 @@ impl MsgHeader {
 }
 
 impl Wire for MsgHeader {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.dest.encode(buf);
-        self.src.encode(buf);
-        self.src_machine.encode(buf);
-        buf.put_u16(self.msg_type);
-        buf.put_u16(self.flags.0);
-        buf.put_u8(self.hops);
+    /// The header is 21 fixed bytes, so it is written as one array and
+    /// one `put_slice` (and read as one chunk) instead of nine fields,
+    /// each behind its own length check:
+    /// `dest.last_known_machine`(2) `dest.pid`(2 + 4) `src`(2 + 4)
+    /// `src_machine`(2) `msg_type`(2) `flags`(2) `hops`(1), the same bytes
+    /// the fields' own codecs produce.
+    fn encode(&self, buf: &mut impl BufMut) {
+        let mut raw = [0u8; Self::WIRE_LEN];
+        raw[0..2].copy_from_slice(&self.dest.last_known_machine.0.to_be_bytes());
+        raw[2..4].copy_from_slice(&self.dest.pid.creating_machine.0.to_be_bytes());
+        raw[4..8].copy_from_slice(&self.dest.pid.local_uid.to_be_bytes());
+        raw[8..10].copy_from_slice(&self.src.creating_machine.0.to_be_bytes());
+        raw[10..14].copy_from_slice(&self.src.local_uid.to_be_bytes());
+        raw[14..16].copy_from_slice(&self.src_machine.0.to_be_bytes());
+        raw[16..18].copy_from_slice(&self.msg_type.to_be_bytes());
+        raw[18..20].copy_from_slice(&self.flags.0.to_be_bytes());
+        raw[20] = self.hops;
+        buf.put_slice(&raw);
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let dest = ProcessAddress::decode(buf)?;
-        let src = ProcessId::decode(buf)?;
-        let src_machine = MachineId::decode(buf)?;
-        if buf.remaining() < 5 {
+        let Some(&r) = buf.chunk().first_chunk::<{ Self::WIRE_LEN }>() else {
             return Err(WireError::Truncated("MsgHeader"));
-        }
-        let msg_type = buf.get_u16();
-        let flags = MsgFlags(buf.get_u16());
-        let hops = buf.get_u8();
+        };
+        buf.advance(Self::WIRE_LEN);
+        let machine = |at: usize| MachineId(u16::from_be_bytes([r[at], r[at + 1]]));
+        let pid = |at: usize| ProcessId {
+            creating_machine: machine(at),
+            local_uid: u32::from_be_bytes([r[at + 2], r[at + 3], r[at + 4], r[at + 5]]),
+        };
         Ok(MsgHeader {
-            dest,
-            src,
-            src_machine,
-            msg_type,
-            flags,
-            hops,
+            dest: pid(2).at(machine(0)),
+            src: pid(8),
+            src_machine: machine(14),
+            msg_type: u16::from_be_bytes([r[16], r[17]]),
+            flags: MsgFlags(u16::from_be_bytes([r[18], r[19]])),
+            hops: r[20],
         })
     }
 
@@ -219,17 +230,16 @@ impl Message {
     /// body being serialised into a payload buffer and copied from there.
     pub fn encode_with_body<B: Wire>(header: &MsgHeader, links: &[Link], body: &B) -> Bytes {
         let body_len = body.wire_len();
-        let mut buf = BytesMut::with_capacity(framed_len(links.len(), body_len));
-        let take = put_framing(&mut buf, header, links, body_len);
-        if take == body_len {
-            body.encode(&mut buf);
-        } else {
-            // A body the four-byte length cannot express is cut exactly
-            // as an oversized payload would be.
-            buf.put_slice(&body.to_bytes()[..take]);
-        }
-        debug_assert_eq!(buf.len(), framed_len(links.len(), body_len));
-        buf.freeze()
+        encode_exact(framed_len(links.len(), body_len), |out| {
+            let take = put_framing(out, header, links, body_len);
+            if take == body_len {
+                body.encode(out);
+            } else {
+                // A body the four-byte length cannot express is cut exactly
+                // as an oversized payload would be.
+                out.put_slice(&body.to_bytes()[..take]);
+            }
+        })
     }
 }
 
@@ -256,7 +266,7 @@ fn framed_len(n_links: usize, payload_len: usize) -> usize {
 /// Returns how many payload bytes the caller must now append (the length
 /// just written); every clamp is counted, once.
 fn put_framing(
-    buf: &mut BytesMut,
+    buf: &mut impl BufMut,
     header: &MsgHeader,
     links: &[Link],
     payload_len: usize,
@@ -278,7 +288,7 @@ fn put_framing(
 }
 
 impl Wire for Message {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         let take = put_framing(buf, &self.header, &self.links, self.payload.len());
         buf.put_slice(&self.payload[..take]);
     }
@@ -329,8 +339,8 @@ impl Wire for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ProcessId;
     use crate::wire::roundtrip;
+    use bytes::BytesMut;
 
     fn header() -> MsgHeader {
         MsgHeader {

@@ -20,7 +20,7 @@
 //! Every payload has a deterministic encoding; unit tests pin the payload
 //! sizes that experiment E2 (administrative cost) reports.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::ids::{MachineId, ProcessId};
 use crate::wire::{self, Wire, WireError};
@@ -91,7 +91,7 @@ pub enum KernelOp {
 }
 
 impl Wire for KernelOp {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         match self {
             KernelOp::Suspend => buf.put_u16(1),
             KernelOp::Resume => buf.put_u16(2),
@@ -217,7 +217,7 @@ pub enum MigrateMsg {
 }
 
 impl Wire for MigrateMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         match self {
             MigrateMsg::Offer {
                 ctx,
@@ -486,7 +486,7 @@ pub enum MoveDataMsg {
 }
 
 impl Wire for MoveDataMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         match self {
             MoveDataMsg::ReadReq {
                 op,
@@ -679,7 +679,7 @@ pub enum LinkMaintMsg {
 }
 
 impl Wire for LinkMaintMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         match self {
             LinkMaintMsg::LinkUpdate {
                 sender,

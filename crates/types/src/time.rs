@@ -150,7 +150,7 @@ impl fmt::Display for Duration {
 }
 
 impl Wire for Time {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u64(self.0);
     }
     fn decode(buf: &mut bytes::Bytes) -> Result<Self, WireError> {

@@ -12,7 +12,7 @@
 //! length prefixes. Decoding never panics: malformed input yields
 //! [`WireError`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, SlabCursor};
 use core::fmt;
 
 /// Errors produced while decoding wire data.
@@ -53,7 +53,7 @@ impl std::error::Error for WireError {}
 /// Types with a deterministic binary encoding.
 pub trait Wire: Sized {
     /// Append the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    fn encode(&self, buf: &mut impl BufMut);
 
     /// Decode a value from the front of `buf`, consuming exactly the bytes
     /// of one encoded value.
@@ -64,13 +64,11 @@ pub trait Wire: Sized {
     /// buffer from it, so a value is serialised exactly once.
     fn wire_len(&self) -> usize;
 
-    /// Encode into a fresh, frozen buffer of exactly [`Wire::wire_len`]
-    /// bytes.
+    /// Encode into a fresh buffer of exactly [`Wire::wire_len`] bytes,
+    /// in place: one allocation holds the bytes and their reference
+    /// counts, and `encode` fills it.
     fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        self.encode(&mut buf);
-        debug_assert_eq!(buf.len(), self.wire_len(), "wire_len disagrees with encode");
-        buf.freeze()
+        encode_exact(self.wire_len(), |out| self.encode(out))
     }
 
     /// Decode a value that must occupy the *entire* buffer.
@@ -85,6 +83,27 @@ pub trait Wire: Sized {
         }
         Ok(v)
     }
+}
+
+/// The sink behind [`Wire::to_bytes`] and
+/// [`Message::encode_with_body`](crate::Message::encode_with_body): `len`
+/// bytes allocated once, filled once. A `len` that disagrees with what
+/// `fill` writes is a bug in some `wire_len` — a debug build stops on it;
+/// a release build keeps what was written, cut at `len`, and counts it in
+/// [`codec_stats`] (encode sits on every kernel handler path: a handler
+/// must degrade, not die).
+pub(crate) fn encode_exact(len: usize, fill: impl FnOnce(&mut SlabCursor<'_>)) -> Bytes {
+    let mut overflow = 0;
+    let bytes = Bytes::filled(len, |out| {
+        fill(out);
+        overflow = out.overflow();
+    });
+    let exact = overflow == 0 && bytes.len() == len;
+    debug_assert!(exact, "wire_len disagrees with encode");
+    if !exact {
+        codec_stats::note_clamp();
+    }
+    bytes
 }
 
 /// Encode then decode a value — test helper used across the workspace.
@@ -124,7 +143,7 @@ pub fn bytes_len(n: usize) -> usize {
 /// rather than aborting: encode sits on every kernel handler path, and a
 /// handler must degrade, not die. Honest senders never hit the clamp —
 /// every protocol payload is bounded far below 4 GiB.
-pub fn put_bytes(buf: &mut BytesMut, bytes: &[u8]) {
+pub fn put_bytes(buf: &mut impl BufMut, bytes: &[u8]) {
     let max = max_prefixed_len();
     let bytes = if bytes.len() > max {
         codec_stats::note_clamp();
@@ -167,12 +186,12 @@ pub fn get_string(buf: &mut Bytes, what: &'static str, max: usize) -> Result<Str
 }
 
 /// Write a length-prefixed UTF-8 string.
-pub fn put_string(buf: &mut BytesMut, s: &str) {
+pub fn put_string(buf: &mut impl BufMut, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
 impl Wire for u8 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u8(*self);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
@@ -187,7 +206,7 @@ impl Wire for u8 {
 }
 
 impl Wire for u16 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u16(*self);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
@@ -202,7 +221,7 @@ impl Wire for u16 {
 }
 
 impl Wire for u32 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u32(*self);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
@@ -217,7 +236,7 @@ impl Wire for u32 {
 }
 
 impl Wire for u64 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u64(*self);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
@@ -234,6 +253,7 @@ impl Wire for u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     #[test]
     fn primitive_roundtrips() {

@@ -7,19 +7,35 @@
 //! The build environment has no network access, so external crates are
 //! replaced by shims that keep the public surface source-compatible.
 //!
-//! Buffer ownership: a [`BytesMut`] is a plain `Vec<u8>`; [`BytesMut::freeze`]
-//! and `Bytes::from(Vec<u8>)` move that `Vec` behind an `Arc` — no second
-//! buffer, no memcpy — and every clone, [`Bytes::slice`] and
-//! [`Bytes::split_to`] shares it. `Bytes::from(Arc<Vec<u8>>)` adopts a
-//! buffer its owner keeps a handle to (a process image being served to
-//! a migration): that `Arc` is the storage itself, so nothing is
-//! allocated, and the owner's later writes go through `Arc::make_mut`,
-//! which copies for as long as a view is alive (the real crate has no
-//! such `From` impl; `Bytes::from_owner` is its nearest equivalent).
-//! Static and empty views borrow `&'static [u8]` and never allocate.
+//! Buffer ownership: a [`Bytes`] is a `u32` range over one of three
+//! storages, and every clone, [`Bytes::slice`] and [`Bytes::split_to`]
+//! shares the storage it was cut from.
+//!
+//! * **Static** — `&'static [u8]` ([`Bytes::new`], [`Bytes::from_static`]):
+//!   nothing is allocated or counted.
+//! * **Slab** — `Arc<[u8]>`: the reference counts and the bytes live in
+//!   *one* allocation. [`Bytes::filled`] allocates it zeroed at its final
+//!   size, takes the `&mut [u8]` once (the only uniqueness check) and lets
+//!   the caller write through a [`SlabCursor`]; [`Bytes::copy_from_slice`]
+//!   is the same allocation filled by one `memcpy`. This is what an encoded
+//!   message is.
+//! * **Adopted** — `Arc<Vec<u8>>`: a growable buffer someone already
+//!   built, taken whole. [`BytesMut::freeze`] and `Bytes::from(Vec<u8>)`
+//!   move the `Vec` behind a new `Arc` (no second buffer, no memcpy, one
+//!   small header allocation); `Bytes::from(Arc<Vec<u8>>)` adopts a buffer
+//!   its owner keeps a handle to (a process image being served to a
+//!   migration): that `Arc` is the storage itself, so nothing is
+//!   allocated, and the owner's later writes go through `Arc::make_mut`,
+//!   which copies for as long as a view is alive (the real crate has no
+//!   such `From` impl; `Bytes::from_owner` is its nearest equivalent).
+//!
+//! A view's range is two `u32`s, which keeps the handle at 32 bytes with
+//! three storages (every queued message and in-flight frame carries one).
+//! Every length in this workspace is `u32`-bounded already; a buffer
+//! longer than `u32::MAX` bytes is refused with a panic, never wrapped.
 //! (The real crate reaches the same ownership rules through a vtable and
-//! raw pointers; this shim stays inside safe Rust and pays one small
-//! `Arc` header allocation per frozen buffer instead.)
+//! raw pointers and has no in-place constructor; this shim stays inside
+//! safe Rust.)
 //!
 //! [`bytes`]: https://docs.rs/bytes
 
@@ -38,8 +54,10 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct Bytes {
     data: Storage,
-    start: usize,
-    end: usize,
+    // `start <= end <= storage length`. Two `u32`s, not two `usize`s:
+    // with them the handle stays 32 bytes beside a three-way `Storage`.
+    start: u32,
+    end: u32,
 }
 
 /// Where a view's bytes live.
@@ -47,8 +65,23 @@ pub struct Bytes {
 enum Storage {
     /// Borrowed for the life of the program: nothing to allocate or count.
     Static(&'static [u8]),
-    /// The `Vec` a builder filled, handed over whole behind the `Arc`.
-    Shared(Arc<Vec<u8>>),
+    /// Reference counts and bytes in one allocation, built at its final
+    /// size by [`Bytes::filled`] or [`Bytes::copy_from_slice`].
+    Slab(Arc<[u8]>),
+    /// A growable buffer built elsewhere (a builder's `Vec`, a process
+    /// image), handed over whole behind the `Arc`.
+    Adopted(Arc<Vec<u8>>),
+}
+
+/// The end of a view over a whole `len`-byte storage. Refuses a buffer a
+/// `u32` range cannot describe; nothing in this workspace builds one.
+#[inline]
+const fn whole(len: usize) -> u32 {
+    assert!(
+        len <= u32::MAX as usize,
+        "Bytes ranges are u32: a buffer over 4 GiB is refused, not wrapped"
+    );
+    len as u32
 }
 
 impl Bytes {
@@ -64,19 +97,58 @@ impl Bytes {
         Bytes {
             data: Storage::Static(bytes),
             start: 0,
-            end: bytes.len(),
+            end: whole(bytes.len()),
         }
     }
 
-    /// Copy `data` into a fresh `Bytes`.
+    /// Copy `data` into a fresh `Bytes`: one allocation, one `memcpy`.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        if data.is_empty() {
+            return Bytes::new();
+        }
+        Bytes {
+            end: whole(data.len()),
+            data: Storage::Slab(Arc::from(data)),
+            start: 0,
+        }
+    }
+
+    /// Build a `Bytes` in place: allocate `len` zeroed bytes together with
+    /// their reference counts — one allocation — and let `fill` write them
+    /// through a [`SlabCursor`], front to back. The view is what `fill`
+    /// wrote: exactly `len` bytes when the announced length was right, the
+    /// written prefix when it wrote fewer, the first `len` when it tried
+    /// to write more (the surplus is dropped and counted in
+    /// [`SlabCursor::overflow`], never written and never a panic).
+    ///
+    /// The buffer's uniqueness is checked once, here, not per `put_*`:
+    /// that is why `fill` gets a borrowed cursor rather than a builder.
+    pub fn filled(len: usize, fill: impl FnOnce(&mut SlabCursor<'_>)) -> Self {
+        // Refused before it is allocated.
+        whole(len);
+        let mut slab: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        // Nobody else can hold the handle yet, so `get_mut` succeeds.
+        let out = Arc::get_mut(&mut slab).unwrap_or_default();
+        debug_assert_eq!(out.len(), len);
+        let mut cursor = SlabCursor {
+            out,
+            at: 0,
+            lost: 0,
+        };
+        fill(&mut cursor);
+        // `at <= len`, which `whole` admitted above.
+        let end = cursor.at as u32;
+        Bytes {
+            data: Storage::Slab(slab),
+            start: 0,
+            end,
+        }
     }
 
     /// Number of bytes in the view.
     #[inline]
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// Whether the view is empty.
@@ -102,10 +174,11 @@ impl Bytes {
             "slice out of bounds: {lo}..{hi} of {}",
             self.len()
         );
+        // Both are at most `len()`, which is a difference of two `u32`s.
         Bytes {
             data: self.data.clone(),
-            start: self.start + lo,
-            end: self.start + hi,
+            start: self.start + lo as u32,
+            end: self.start + hi as u32,
         }
     }
 
@@ -120,9 +193,9 @@ impl Bytes {
         let head = Bytes {
             data: self.data.clone(),
             start: self.start,
-            end: self.start + at,
+            end: self.start + at as u32,
         };
-        self.start += at;
+        self.start += at as u32;
         head
     }
 
@@ -135,9 +208,56 @@ impl Bytes {
     fn as_slice(&self) -> &[u8] {
         let all: &[u8] = match &self.data {
             Storage::Static(s) => s,
-            Storage::Shared(v) => v,
+            Storage::Slab(s) => s,
+            Storage::Adopted(v) => v,
         };
-        &all[self.start..self.end]
+        &all[self.start as usize..self.end as usize]
+    }
+}
+
+/// The write side of [`Bytes::filled`]: a cursor over the slab's zeroed
+/// bytes. It is a [`BufMut`] of fixed size — a write that does not fit is
+/// cut at the end of the slab and the rest counted, not appended.
+pub struct SlabCursor<'a> {
+    out: &'a mut [u8],
+    at: usize,
+    lost: usize,
+}
+
+impl SlabCursor<'_> {
+    /// Bytes offered beyond the announced length, and dropped. Non-zero
+    /// means whoever sized the slab (a `wire_len`) disagrees with whoever
+    /// filled it (an `encode`).
+    #[inline]
+    pub fn overflow(&self) -> usize {
+        self.lost
+    }
+
+    /// The write that does not fit: keep what does, count what does not.
+    #[cold]
+    #[inline(never)]
+    fn put_clamped(&mut self, src: &[u8]) {
+        let room = self.out.len() - self.at;
+        self.out[self.at..].copy_from_slice(&src[..room]);
+        self.at = self.out.len();
+        self.lost = self.lost.saturating_add(src.len() - room);
+    }
+}
+
+impl BufMut for SlabCursor<'_> {
+    #[inline]
+    fn put_slice(&mut self, src: &[u8]) {
+        // `get_mut` on the exact range keeps a fixed-width put a
+        // fixed-width copy; clamping with `min` here would turn every
+        // `put_u16` into a variable-length `memcpy`. (Neither operand can
+        // exceed `isize::MAX`, so the sum cannot wrap.)
+        match self.out.get_mut(self.at..self.at + src.len()) {
+            Some(dst) => {
+                dst.copy_from_slice(src);
+                self.at += src.len();
+            }
+            None => self.put_clamped(src),
+        }
     }
 }
 
@@ -242,11 +362,10 @@ impl From<Arc<Vec<u8>>> for Bytes {
     /// valid whatever the other holders do, because they can only write
     /// through [`Arc::make_mut`], which copies while this view exists.
     fn from(v: Arc<Vec<u8>>) -> Self {
-        let len = v.len();
         Bytes {
-            data: Storage::Shared(v),
+            end: whole(v.len()),
+            data: Storage::Adopted(v),
             start: 0,
-            end: len,
         }
     }
 }
@@ -459,7 +578,7 @@ impl Buf for Bytes {
             "advance out of bounds: {cnt} of {}",
             self.len()
         );
-        self.start += cnt;
+        self.start += cnt as u32;
     }
 }
 
@@ -506,6 +625,17 @@ pub trait BufMut {
     #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
+    }
+
+    /// Append `cnt` copies of `val`.
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        let run = [val; 64];
+        let mut left = cnt;
+        while left > 0 {
+            let n = left.min(run.len());
+            self.put_slice(&run[..n]);
+            left -= n;
+        }
     }
 }
 
@@ -636,6 +766,109 @@ mod tests {
         );
         assert!(Bytes::from(Vec::new()).is_empty());
         assert!(BytesMut::new().freeze().is_empty());
+    }
+
+    #[test]
+    fn filled_writes_in_place_into_one_slab() {
+        let b = Bytes::filled(15, |out| {
+            out.put_u8(0xab);
+            out.put_u16(0x1234);
+            out.put_u32(0xdead_beef);
+            out.put_u64(0x0102_0304_0506_0708);
+            assert_eq!(out.overflow(), 0);
+        });
+        assert!(matches!(b.data, Storage::Slab(_)));
+        let mut r = b.clone();
+        assert_eq!(r.get_u8(), 0xab);
+        assert_eq!(r.get_u16(), 0x1234);
+        assert_eq!(r.get_u32(), 0xdead_beef);
+        assert_eq!(r.get_u64(), 0x0102_0304_0506_0708);
+        assert!(!r.has_remaining());
+        // Views of a slab share it like views of any other storage.
+        let base = b.as_ptr();
+        assert_eq!(b.clone().as_ptr(), base);
+        assert_eq!(b.slice(3..).as_ptr(), base.wrapping_add(3));
+        let mut rest = b.clone();
+        assert_eq!(rest.split_to(7).as_ptr(), base);
+        assert_eq!(rest.as_ptr(), base.wrapping_add(7));
+        drop(b);
+        assert_eq!(rest.len(), 8, "a view keeps the slab alive");
+        // Padding comes out of the same cursor, in runs longer than one
+        // `put_slice`.
+        let padded = Bytes::filled(8 + 200, |out| {
+            out.put_u64(7);
+            out.put_bytes(0x5a, 200);
+        });
+        assert_eq!(padded.len(), 208);
+        assert!(padded[8..].iter().all(|&b| b == 0x5a));
+        // Nothing to hold: `fill` still runs, and everything overflows.
+        let empty = Bytes::filled(0, |out| {
+            out.put_u8(1);
+            assert_eq!(out.overflow(), 1);
+        });
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn a_fill_that_disagrees_with_its_length_is_clamped_not_fatal() {
+        // One byte short: the view is the written prefix.
+        let short = Bytes::filled(8, |out| {
+            out.put_u32(0x0102_0304);
+            out.put_slice(&[5, 6, 7]);
+            assert_eq!(out.overflow(), 0);
+        });
+        assert_eq!(&short[..], &[1, 2, 3, 4, 5, 6, 7]);
+        // One byte long: cut at the announced length, the surplus counted,
+        // and later writes all dropped.
+        let mut lost = 0;
+        let long = Bytes::filled(8, |out| {
+            out.put_u32(0x0102_0304);
+            out.put_u32(0x0506_0708);
+            out.put_u8(9);
+            assert_eq!(out.overflow(), 1);
+            out.put_u16(0x0a0b);
+            lost = out.overflow();
+        });
+        assert_eq!(&long[..], &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(lost, 3);
+        // A write straddling the end keeps the part that fits.
+        let straddle = Bytes::filled(3, |out| {
+            out.put_u16(0x0102);
+            out.put_u32(0x0304_0506);
+            assert_eq!(out.overflow(), 3);
+        });
+        assert_eq!(&straddle[..], &[1, 2, 3]);
+    }
+
+    #[test]
+    fn copy_from_slice_is_one_slab() {
+        assert!(matches!(
+            Bytes::copy_from_slice(&[]).data,
+            Storage::Static(_)
+        ));
+        for len in [1usize, 17] {
+            let src: Vec<u8> = (0..len as u8).collect();
+            let b = Bytes::copy_from_slice(&src);
+            assert!(matches!(b.data, Storage::Slab(_)));
+            assert_eq!(b, src);
+            assert_ne!(b.as_ptr(), src.as_ptr(), "a copy, not a view");
+        }
+    }
+
+    #[test]
+    fn the_handle_stays_32_bytes_and_its_range_is_checked() {
+        // Every queued message, unacked entry and in-flight frame holds one.
+        assert!(std::mem::size_of::<Bytes>() <= 32);
+        assert_eq!(whole(0), 0);
+        assert_eq!(whole(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "over 4 GiB")]
+    fn a_buffer_a_u32_range_cannot_describe_is_refused() {
+        // Refused before anything is allocated, so this is cheap to ask.
+        let _ = Bytes::filled(u32::MAX as usize + 1, |_| {});
     }
 
     #[test]

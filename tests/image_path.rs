@@ -9,8 +9,6 @@
 //! mid-transfer leaves a source that runs on and migrates again with
 //! its newest state.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -22,59 +20,8 @@ use demos_mp::types::proto::{AreaSel, MoveDataMsg};
 use demos_mp::types::wire::{Wire, WireError};
 use proptest::prelude::*;
 
-// ----------------------------------------------------------------------
-// A per-thread allocation counter: "does not copy" and "allocates once"
-// are claims about the allocator, so ask the allocator.
-// ----------------------------------------------------------------------
-
-struct Counting;
-
-thread_local! {
-    /// `(allocations, allocations of at least BIG bytes)` on this thread.
-    static ALLOCS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
-
-/// Anything this large is an image-sized buffer, not bookkeeping.
-const BIG: usize = 32 * 1024;
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = ALLOCS.try_with(|c| {
-        let (all, big) = c.get();
-        c.set((all + 1, big + usize::from(size >= BIG)));
-    });
-}
-
-// SAFETY: every call is passed straight to `System`; the counter is a
-// plain thread-local `Cell` that never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// `(allocations, big allocations)` made by `f` on this thread.
-fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let (all0, big0) = ALLOCS.with(Cell::get);
-    let r = f();
-    let (all1, big1) = ALLOCS.with(Cell::get);
-    (r, all1 - all0, big1 - big0)
-}
+mod common;
+use common::allocs_in;
 
 fn m(i: u16) -> MachineId {
     MachineId(i)

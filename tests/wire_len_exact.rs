@@ -2,11 +2,14 @@
 //! one buffer from it. This file pins, for generated values of **every**
 //! `Wire` type in the workspace, that the arithmetic agrees with what
 //! `encode` writes and that the value comes back — and that an encode
-//! which has to clamp is counted once, not once per pass.
+//! which has to clamp is counted once, not once per pass. `encode` writes
+//! through any `BufMut`, so the same values also pin that the in-place
+//! slab `to_bytes` fills, a `Vec<u8>` and a `BytesMut` receive the same
+//! bytes.
 
 use std::fmt::Debug;
 
-use bytes::Bytes;
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use demos_mp::kernel::mgmt::KernelMgmt;
 use demos_mp::kernel::{Checkpoint, ImageLayout, LinkTable};
 use demos_mp::net::Frame;
@@ -14,18 +17,48 @@ use demos_mp::sysproc::{FsMsg, MemMsg, PmMsg, SbMsg};
 use demos_mp::types::proto::{
     AreaSel, KernelOp, LinkMaintMsg, MigrateMsg, MoveDataMsg, RejectReason,
 };
-use demos_mp::types::wire::codec_stats;
+use demos_mp::types::wire::{codec_stats, WireError};
 use demos_mp::types::{
     CorrId, DataArea, Link, LinkAttrs, MachineId, Message, MsgFlags, MsgHeader, ProcessAddress,
     ProcessId, Time, Wire,
 };
 use proptest::prelude::*;
 
-/// The two properties, for one value.
+/// The properties, for one value: the length is exact, the value comes
+/// back, and every sink receives the same encoding.
 fn exact<T: Wire + PartialEq + Debug>(v: &T) {
     let bytes = v.to_bytes();
     assert_eq!(v.wire_len(), bytes.len(), "wire_len of {v:?}");
     assert_eq!(&T::from_bytes(&bytes).expect("decodes"), v);
+    let (mut vec, mut builder) = (Vec::new(), BytesMut::new());
+    v.encode(&mut vec);
+    v.encode(&mut builder);
+    assert_eq!(bytes, vec, "Vec sink of {v:?}");
+    assert_eq!(bytes, builder.freeze(), "BytesMut sink of {v:?}");
+}
+
+/// `MsgHeader` is written as one 21-byte array and read as one chunk;
+/// this is the field-by-field codec it replaced, kept as the reference.
+fn header_by_fields(h: &MsgHeader) -> Vec<u8> {
+    let mut buf = Vec::new();
+    h.dest.encode(&mut buf);
+    h.src.encode(&mut buf);
+    h.src_machine.encode(&mut buf);
+    buf.put_u16(h.msg_type);
+    buf.put_u16(h.flags.0);
+    buf.put_u8(h.hops);
+    buf
+}
+
+fn header_from_fields(buf: &mut Bytes) -> MsgHeader {
+    MsgHeader {
+        dest: ProcessAddress::decode(buf).expect("dest"),
+        src: ProcessId::decode(buf).expect("src"),
+        src_machine: MachineId::decode(buf).expect("src_machine"),
+        msg_type: buf.get_u16(),
+        flags: MsgFlags(buf.get_u16()),
+        hops: buf.get_u8(),
+    }
 }
 
 fn arb_pid() -> impl Strategy<Value = ProcessId> {
@@ -129,6 +162,15 @@ proptest! {
         exact(&Time(d));
         exact(&link);
         exact(&header);
+        // The array codec against the reference, both directions, and a
+        // header cut anywhere is an error, never a panic.
+        let image = header.to_bytes();
+        prop_assert_eq!(&image, &header_by_fields(&header));
+        prop_assert_eq!(header_from_fields(&mut image.clone()), header);
+        for cut in 0..MsgHeader::WIRE_LEN {
+            let cut_short = MsgHeader::decode(&mut image.slice(..cut));
+            prop_assert!(matches!(cut_short, Err(WireError::Truncated(_))), "{cut}: {cut_short:?}");
+        }
     }
 
     #[test]
