@@ -108,6 +108,7 @@ impl Kernel {
         let proc = self
             .process_mut(pid)
             .ok_or(DemosError::NoSuchProcess(pid))?;
+        proc.check_record_counts()?;
         proc.refresh_image();
         Ok(Checkpoint {
             pid,

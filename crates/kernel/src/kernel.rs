@@ -2070,6 +2070,7 @@ impl Kernel {
             if proc.in_migration {
                 return Err(DemosError::AlreadyMigrating(pid));
             }
+            proc.check_record_counts()?;
             proc.in_migration = true;
             proc.refresh_image();
         }

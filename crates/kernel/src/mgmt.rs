@@ -7,9 +7,8 @@
 //! `CreateProcess` to a machine's kernel, which spawns the process and
 //! replies over the carried reply link with a fresh link to it.
 
-use bytes::{Buf, BufMut, Bytes};
-use demos_types::wire::{self, Wire, WireError};
-use demos_types::ProcessId;
+use bytes::Bytes;
+use demos_types::{wire_enum, ProcessId};
 
 use crate::image::ImageLayout;
 
@@ -48,105 +47,17 @@ pub enum KernelMgmt {
     },
 }
 
-impl Wire for KernelMgmt {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            KernelMgmt::CreateProcess {
-                token,
-                name,
-                state,
-                layout,
-                privileged,
-            } => {
-                buf.put_u8(1);
-                buf.put_u32(*token);
-                wire::put_string(buf, name);
-                wire::put_bytes(buf, state);
-                layout.encode(buf);
-                buf.put_u8(*privileged as u8);
-            }
-            KernelMgmt::Created { token, pid } => {
-                buf.put_u8(2);
-                buf.put_u32(*token);
-                pid.encode(buf);
-            }
-            KernelMgmt::CreateFailed { token, reason } => {
-                buf.put_u8(3);
-                buf.put_u32(*token);
-                buf.put_u8(*reason);
-            }
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            KernelMgmt::CreateProcess {
-                name,
-                state,
-                layout,
-                ..
-            } => {
-                1 + 4
-                    + wire::bytes_len(name.len())
-                    + wire::bytes_len(state.len())
-                    + layout.wire_len()
-                    + 1
-            }
-            KernelMgmt::Created { .. } => 1 + 4 + ProcessId::WIRE_LEN,
-            KernelMgmt::CreateFailed { .. } => 1 + 4 + 1,
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated("KernelMgmt"));
-        }
-        match buf.get_u8() {
-            1 => {
-                if buf.remaining() < 4 {
-                    return Err(WireError::Truncated("CreateProcess.token"));
-                }
-                let token = buf.get_u32();
-                let name = wire::get_string(buf, "CreateProcess.name", 256)?;
-                let state = wire::get_bytes(buf, "CreateProcess.state", 1 << 20)?;
-                let layout = ImageLayout::decode(buf)?;
-                if buf.remaining() < 1 {
-                    return Err(WireError::Truncated("CreateProcess.privileged"));
-                }
-                Ok(KernelMgmt::CreateProcess {
-                    token,
-                    name,
-                    state,
-                    layout,
-                    privileged: buf.get_u8() != 0,
-                })
-            }
-            2 => {
-                if buf.remaining() < 4 {
-                    return Err(WireError::Truncated("Created.token"));
-                }
-                let token = buf.get_u32();
-                Ok(KernelMgmt::Created {
-                    token,
-                    pid: ProcessId::decode(buf)?,
-                })
-            }
-            3 => {
-                if buf.remaining() < 5 {
-                    return Err(WireError::Truncated("CreateFailed"));
-                }
-                Ok(KernelMgmt::CreateFailed {
-                    token: buf.get_u32(),
-                    reason: buf.get_u8(),
-                })
-            }
-            t => Err(WireError::BadTag {
-                what: "KernelMgmt",
-                tag: t as u16,
-            }),
-        }
-    }
-}
+wire_enum! { KernelMgmt: u8 {
+    1 => CreateProcess {
+        token: u32,
+        name: String[256],
+        state: Bytes[1 << 20],
+        layout: ImageLayout,
+        privileged: bool,
+    },
+    2 => Created { token: u32, pid: ProcessId },
+    3 => CreateFailed { token: u32, reason: u8 },
+} }
 
 #[cfg(test)]
 mod tests {

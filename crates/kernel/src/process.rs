@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::{Buf, BufMut, Bytes};
 use demos_types::wire::{Wire, WireError};
-use demos_types::{Duration, MachineId, Message, ProcessId, Time};
+use demos_types::{wire_enum, DemosError, Duration, MachineId, Message, ProcessId, Time};
 
 use crate::image::{ImageLayout, ProcessImage};
 use crate::linktable::LinkTable;
@@ -42,29 +42,11 @@ pub enum ExecStatus {
     Suspended,
 }
 
-impl ExecStatus {
-    fn to_u8(self) -> u8 {
-        match self {
-            ExecStatus::Ready => 0,
-            ExecStatus::Waiting => 1,
-            ExecStatus::Suspended => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, WireError> {
-        Ok(match v {
-            0 => ExecStatus::Ready,
-            1 => ExecStatus::Waiting,
-            2 => ExecStatus::Suspended,
-            _ => {
-                return Err(WireError::BadTag {
-                    what: "ExecStatus",
-                    tag: v as u16,
-                })
-            }
-        })
-    }
-}
+wire_enum! { ExecStatus: u8 {
+    0 => Ready {},
+    1 => Waiting {},
+    2 => Suspended {},
+} }
 
 /// A pending timer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -213,6 +195,24 @@ impl Process {
         }
     }
 
+    /// The state records count links, timers and accounting entries in
+    /// 16 bits each. A process with more of any cannot be described by
+    /// one, so it is not frozen or checkpointed: it stays where it is,
+    /// whole, rather than arriving with `count mod 65 536` of them.
+    pub(crate) fn check_record_counts(&self) -> demos_types::Result<()> {
+        let max = usize::from(u16::MAX);
+        for (what, len) in [
+            ("link table", self.links.len()),
+            ("timer list", self.timers.len()),
+            ("communication accounting", self.bytes_sent_to.len()),
+        ] {
+            if len > max {
+                return Err(DemosError::TooLarge { what, len, max });
+            }
+        }
+        Ok(())
+    }
+
     /// Exact length of the resident record, computed arithmetically.
     pub fn resident_len(&self) -> usize {
         // In record order, grouped as `from_migrated` checks them: pid;
@@ -232,7 +232,7 @@ impl Process {
     /// Write the resident record: [`Process::resident_len`] bytes.
     pub(crate) fn encode_resident(&self, buf: &mut impl BufMut) {
         self.pid.encode(buf);
-        buf.put_u8(self.status.to_u8());
+        self.status.encode(buf);
         buf.put_u8(self.started as u8);
         buf.put_u8(self.priority);
         buf.put_u8(self.privileged as u8);
@@ -284,7 +284,8 @@ impl Process {
             m.encode(buf);
             buf.put_u64(bytes);
         }
-        buf.put_u16(self.queue.len() as u16);
+        // A header only — the queue itself is forwarded, not recorded.
+        buf.put_u16(u16::try_from(self.queue.len()).unwrap_or(u16::MAX));
     }
 
     /// Serialize the swappable state: link table, communication
@@ -310,7 +311,7 @@ impl Process {
         if buf.remaining() < 4 {
             return Err(WireError::Truncated("resident flags"));
         }
-        let status = ExecStatus::from_u8(buf.get_u8())?;
+        let status = ExecStatus::decode(&mut buf)?;
         let started = buf.get_u8() != 0;
         let priority = buf.get_u8();
         let privileged = buf.get_u8() != 0;
@@ -343,6 +344,8 @@ impl Process {
         if buf.remaining() < fixed {
             return Err(WireError::Truncated("dispatch save area"));
         }
+        buf.advance(fixed);
+        whole_record("resident record", &buf)?;
 
         let mut sbuf = swappable;
         let links = LinkTable::decode(&mut sbuf)?;
@@ -358,6 +361,11 @@ impl Process {
             }
             bytes_sent_to.insert(m, sbuf.get_u64());
         }
+        if sbuf.remaining() < 2 {
+            return Err(WireError::Truncated("swappable queue header"));
+        }
+        sbuf.advance(2);
+        whole_record("swappable record", &sbuf)?;
 
         Ok(Process {
             pid,
@@ -415,6 +423,16 @@ impl Process {
             }
         });
         due.sort_by_key(|t| (t.at, t.token));
+    }
+}
+
+/// A record read to its end must have ended: bytes left over mean its
+/// writer and this reader disagree about it (a count that wrapped, say),
+/// and installing what was understood would install part of a process.
+fn whole_record(what: &'static str, rest: &Bytes) -> Result<(), WireError> {
+    match rest.remaining() {
+        0 => Ok(()),
+        len => Err(WireError::BadLength { what, len }),
     }
 }
 

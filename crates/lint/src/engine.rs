@@ -453,12 +453,12 @@ fn apply_fixes(path: &Path, edits: &[FixEdit]) -> std::io::Result<usize> {
 }
 
 /// Crate dependency closure: crate dir → everything it may call into.
-type DepClosure = BTreeMap<String, std::collections::BTreeSet<String>>;
+pub type DepClosure = BTreeMap<String, std::collections::BTreeSet<String>>;
 
 /// Phase 1 over the whole tree, plus the dependency closure the call
 /// graph needs. An empty closure (no manifests under root, e.g. a
 /// fixture tree) makes the resolver permissive.
-fn load_units(root: &Path) -> std::io::Result<(Vec<Unit>, DepClosure)> {
+pub fn load_units(root: &Path) -> std::io::Result<(Vec<Unit>, DepClosure)> {
     let mut paths = Vec::new();
     collect_rs(root, &mut paths)?;
     let mut units = Vec::new();

@@ -49,7 +49,7 @@ const SIM_VISIBLE: [&str; 8] = [
 
 /// The wire-protocol enums defined in `crates/types` whose variants must
 /// be fully wired (D007).
-const WIRE_ENUMS: [&str; 6] = [
+pub const WIRE_ENUMS: [&str; 6] = [
     "KernelOp",
     "MigrateMsg",
     "MoveDataMsg",

@@ -5,6 +5,9 @@
 
 use std::path::{Path, PathBuf};
 
+use demos_lint::engine::load_units;
+use demos_lint::rules_sem::WIRE_ENUMS;
+use demos_lint::symbols::Symbols;
 use demos_lint::{analyze_source, check_workspace, fix_workspace, scope_for, Code, Diagnostic};
 
 fn fixtures_root() -> PathBuf {
@@ -153,6 +156,29 @@ fn workspace_is_clean() {
         report.render()
     );
     assert!(report.checked_files > 50, "walk found the workspace");
+}
+
+/// D007 looks each watched enum up in the parsed workspace and skips a
+/// name it cannot find, so a definition the parser cannot see (one moved
+/// inside a macro invocation, say) would pass the check above unjudged.
+/// Every watched name must resolve to its definition in `crates/types`.
+#[test]
+fn every_enum_d007_watches_resolves_to_its_definition() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (units, deps) = load_units(&root).expect("workspace is readable");
+    let asts: Vec<_> = units.into_iter().map(|u| u.ast).collect();
+    let sym = Symbols::build(&asts, deps);
+    for name in WIRE_ENUMS {
+        let &(fi, ei) = sym
+            .enums
+            .get(name)
+            .unwrap_or_else(|| panic!("D007 is blind to `{name}`: no definition parsed"));
+        assert_eq!(asts[fi].krate, "crates/types", "`{name}` is defined there");
+        assert!(
+            !asts[fi].enums[ei].variants.is_empty(),
+            "`{name}` parsed without variants"
+        );
+    }
 }
 
 /// Driving the binary over the fixture tree: nonzero exit, and every

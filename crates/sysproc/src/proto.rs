@@ -2,12 +2,12 @@
 //!
 //! Every server is an ordinary process reached over links; requests carry
 //! a reply link as their first carried link (the DEMOS request/reply
-//! convention, §2.4). Payloads are byte-exact like everything else.
+//! convention, §2.4). Payloads are byte-exact like everything else: each
+//! enum's layout is the `wire_enum!` table that follows its definition.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::Bytes;
 use demos_kernel::ImageLayout;
-use demos_types::wire::{self, Wire, WireError};
-use demos_types::MachineId;
+use demos_types::{wire_enum, MachineId};
 
 /// Message-type tags of the system services.
 pub mod sys {
@@ -57,74 +57,13 @@ pub enum SbMsg {
     },
 }
 
-impl Wire for SbMsg {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            SbMsg::Register { name } => {
-                buf.put_u8(1);
-                wire::put_string(buf, name);
-            }
-            SbMsg::Lookup { name } => {
-                buf.put_u8(2);
-                wire::put_string(buf, name);
-            }
-            SbMsg::Registered { ok } => {
-                buf.put_u8(3);
-                buf.put_u8(*ok as u8);
-            }
-            SbMsg::Found { name } => {
-                buf.put_u8(4);
-                wire::put_string(buf, name);
-            }
-            SbMsg::NotFound { name } => {
-                buf.put_u8(5);
-                wire::put_string(buf, name);
-            }
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            SbMsg::Register { name }
-            | SbMsg::Lookup { name }
-            | SbMsg::Found { name }
-            | SbMsg::NotFound { name } => 1 + wire::bytes_len(name.len()),
-            SbMsg::Registered { .. } => 1 + 1,
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated("SbMsg"));
-        }
-        match buf.get_u8() {
-            1 => Ok(SbMsg::Register {
-                name: wire::get_string(buf, "Register.name", MAX_NAME)?,
-            }),
-            2 => Ok(SbMsg::Lookup {
-                name: wire::get_string(buf, "Lookup.name", MAX_NAME)?,
-            }),
-            3 => {
-                if buf.remaining() < 1 {
-                    return Err(WireError::Truncated("Registered"));
-                }
-                Ok(SbMsg::Registered {
-                    ok: buf.get_u8() != 0,
-                })
-            }
-            4 => Ok(SbMsg::Found {
-                name: wire::get_string(buf, "Found.name", MAX_NAME)?,
-            }),
-            5 => Ok(SbMsg::NotFound {
-                name: wire::get_string(buf, "NotFound.name", MAX_NAME)?,
-            }),
-            t => Err(WireError::BadTag {
-                what: "SbMsg",
-                tag: t as u16,
-            }),
-        }
-    }
-}
+wire_enum! { SbMsg: u8 {
+    1 => Register { name: String[MAX_NAME] },
+    2 => Lookup { name: String[MAX_NAME] },
+    3 => Registered { ok: bool },
+    4 => Found { name: String[MAX_NAME] },
+    5 => NotFound { name: String[MAX_NAME] },
+} }
 
 /// Process-manager protocol (§2.3): creation, migration, destruction.
 #[derive(Clone, Debug, PartialEq)]
@@ -164,114 +103,19 @@ pub enum PmMsg {
     Kill,
 }
 
-impl Wire for PmMsg {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            PmMsg::Spawn {
-                machine,
-                program,
-                state,
-                layout,
-                privileged,
-            } => {
-                buf.put_u8(1);
-                machine.encode(buf);
-                wire::put_string(buf, program);
-                wire::put_bytes(buf, state);
-                layout.encode(buf);
-                buf.put_u8(*privileged as u8);
-            }
-            PmMsg::Spawned {
-                creating_machine,
-                local_uid,
-            } => {
-                buf.put_u8(2);
-                creating_machine.encode(buf);
-                buf.put_u32(*local_uid);
-            }
-            PmMsg::SpawnFailed { reason } => {
-                buf.put_u8(3);
-                buf.put_u8(*reason);
-            }
-            PmMsg::Migrate { dest } => {
-                buf.put_u8(4);
-                dest.encode(buf);
-            }
-            PmMsg::Kill => buf.put_u8(5),
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            PmMsg::Spawn {
-                program,
-                state,
-                layout,
-                ..
-            } => {
-                1 + MachineId::WIRE_LEN
-                    + wire::bytes_len(program.len())
-                    + wire::bytes_len(state.len())
-                    + layout.wire_len()
-                    + 1
-            }
-            PmMsg::Spawned { .. } => 1 + MachineId::WIRE_LEN + 4,
-            PmMsg::SpawnFailed { .. } => 1 + 1,
-            PmMsg::Migrate { .. } => 1 + MachineId::WIRE_LEN,
-            PmMsg::Kill => 1,
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated("PmMsg"));
-        }
-        match buf.get_u8() {
-            1 => {
-                let machine = MachineId::decode(buf)?;
-                let program = wire::get_string(buf, "Spawn.program", MAX_NAME)?;
-                let state = wire::get_bytes(buf, "Spawn.state", 1 << 20)?;
-                let layout = ImageLayout::decode(buf)?;
-                if buf.remaining() < 1 {
-                    return Err(WireError::Truncated("Spawn.privileged"));
-                }
-                Ok(PmMsg::Spawn {
-                    machine,
-                    program,
-                    state,
-                    layout,
-                    privileged: buf.get_u8() != 0,
-                })
-            }
-            2 => {
-                let creating_machine = MachineId::decode(buf)?;
-                if buf.remaining() < 4 {
-                    return Err(WireError::Truncated("Spawned"));
-                }
-                Ok(PmMsg::Spawned {
-                    creating_machine,
-                    local_uid: buf.get_u32(),
-                })
-            }
-            3 => {
-                if buf.remaining() < 1 {
-                    return Err(WireError::Truncated("SpawnFailed"));
-                }
-                Ok(PmMsg::SpawnFailed {
-                    reason: buf.get_u8(),
-                })
-            }
-            4 => Ok(PmMsg::Migrate {
-                dest: MachineId::decode(buf)?,
-            }),
-            5 => Ok(PmMsg::Kill),
-            t => Err(WireError::BadTag {
-                what: "PmMsg",
-                tag: t as u16,
-            }),
-        }
-    }
-}
+wire_enum! { PmMsg: u8 {
+    1 => Spawn {
+        machine: MachineId,
+        program: String[MAX_NAME],
+        state: Bytes[1 << 20],
+        layout: ImageLayout,
+        privileged: bool,
+    },
+    2 => Spawned { creating_machine: MachineId, local_uid: u32 },
+    3 => SpawnFailed { reason: u8 },
+    4 => Migrate { dest: MachineId },
+    5 => Kill {},
+} }
 
 /// Memory-scheduler protocol (§2.3): coarse per-machine memory grants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -304,83 +148,12 @@ pub enum MemMsg {
     },
 }
 
-impl Wire for MemMsg {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            MemMsg::Reserve { machine, bytes } => {
-                buf.put_u8(1);
-                machine.encode(buf);
-                buf.put_u64(*bytes);
-            }
-            MemMsg::Release { machine, bytes } => {
-                buf.put_u8(2);
-                machine.encode(buf);
-                buf.put_u64(*bytes);
-            }
-            MemMsg::Query { machine } => {
-                buf.put_u8(3);
-                machine.encode(buf);
-            }
-            MemMsg::Granted { ok, free } => {
-                buf.put_u8(4);
-                buf.put_u8(*ok as u8);
-                buf.put_u64(*free);
-            }
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            MemMsg::Reserve { .. } | MemMsg::Release { .. } => 1 + MachineId::WIRE_LEN + 8,
-            MemMsg::Query { .. } => 1 + MachineId::WIRE_LEN,
-            MemMsg::Granted { .. } => 1 + 1 + 8,
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated("MemMsg"));
-        }
-        match buf.get_u8() {
-            1 => {
-                let machine = MachineId::decode(buf)?;
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated("Reserve"));
-                }
-                Ok(MemMsg::Reserve {
-                    machine,
-                    bytes: buf.get_u64(),
-                })
-            }
-            2 => {
-                let machine = MachineId::decode(buf)?;
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated("Release"));
-                }
-                Ok(MemMsg::Release {
-                    machine,
-                    bytes: buf.get_u64(),
-                })
-            }
-            3 => Ok(MemMsg::Query {
-                machine: MachineId::decode(buf)?,
-            }),
-            4 => {
-                if buf.remaining() < 9 {
-                    return Err(WireError::Truncated("Granted"));
-                }
-                Ok(MemMsg::Granted {
-                    ok: buf.get_u8() != 0,
-                    free: buf.get_u64(),
-                })
-            }
-            t => Err(WireError::BadTag {
-                what: "MemMsg",
-                tag: t as u16,
-            }),
-        }
-    }
-}
+wire_enum! { MemMsg: u8 {
+    1 => Reserve { machine: MachineId, bytes: u64 },
+    2 => Release { machine: MachineId, bytes: u64 },
+    3 => Query { machine: MachineId },
+    4 => Granted { ok: bool, free: u64 },
+} }
 
 /// File-system protocol, spanning the four fs processes (§2.3: directory,
 /// file, buffer-cache and disk servers; same structure as the DEMOS file
@@ -495,232 +268,28 @@ pub enum FsMsg {
     },
 }
 
-impl Wire for FsMsg {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            FsMsg::DirCreate { tok, name } => {
-                buf.put_u8(1);
-                buf.put_u32(*tok);
-                wire::put_string(buf, name);
-            }
-            FsMsg::DirLookup { tok, name } => {
-                buf.put_u8(2);
-                buf.put_u32(*tok);
-                wire::put_string(buf, name);
-            }
-            FsMsg::DirDone { tok, fid } => {
-                buf.put_u8(3);
-                buf.put_u32(*tok);
-                buf.put_u32(*fid);
-            }
-            FsMsg::Create { name } => {
-                buf.put_u8(4);
-                wire::put_string(buf, name);
-            }
-            FsMsg::Open { name } => {
-                buf.put_u8(5);
-                wire::put_string(buf, name);
-            }
-            FsMsg::Read { fid, off, len } => {
-                buf.put_u8(6);
-                buf.put_u32(*fid);
-                buf.put_u32(*off);
-                buf.put_u32(*len);
-            }
-            FsMsg::Write { fid, off, bytes } => {
-                buf.put_u8(7);
-                buf.put_u32(*fid);
-                buf.put_u32(*off);
-                wire::put_bytes(buf, bytes);
-            }
-            FsMsg::Data { bytes } => {
-                buf.put_u8(8);
-                wire::put_bytes(buf, bytes);
-            }
-            FsMsg::Done { fid, len } => {
-                buf.put_u8(9);
-                buf.put_u32(*fid);
-                buf.put_u32(*len);
-            }
-            FsMsg::Err { code } => {
-                buf.put_u8(10);
-                buf.put_u8(*code);
-            }
-            FsMsg::BRead { tok, blk } => {
-                buf.put_u8(11);
-                buf.put_u32(*tok);
-                buf.put_u32(*blk);
-            }
-            FsMsg::BWrite { tok, blk, bytes } => {
-                buf.put_u8(12);
-                buf.put_u32(*tok);
-                buf.put_u32(*blk);
-                wire::put_bytes(buf, bytes);
-            }
-            FsMsg::BAlloc { tok } => {
-                buf.put_u8(13);
-                buf.put_u32(*tok);
-            }
-            FsMsg::BData { tok, blk, bytes } => {
-                buf.put_u8(14);
-                buf.put_u32(*tok);
-                buf.put_u32(*blk);
-                wire::put_bytes(buf, bytes);
-            }
-            FsMsg::BOk { tok, blk } => {
-                buf.put_u8(15);
-                buf.put_u32(*tok);
-                buf.put_u32(*blk);
-            }
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            FsMsg::DirCreate { name, .. } | FsMsg::DirLookup { name, .. } => {
-                1 + 4 + wire::bytes_len(name.len())
-            }
-            FsMsg::Create { name } | FsMsg::Open { name } => 1 + wire::bytes_len(name.len()),
-            FsMsg::Read { .. } => 1 + 4 + 4 + 4,
-            FsMsg::Write { bytes, .. }
-            | FsMsg::BWrite { bytes, .. }
-            | FsMsg::BData { bytes, .. } => 1 + 4 + 4 + wire::bytes_len(bytes.len()),
-            FsMsg::Data { bytes } => 1 + wire::bytes_len(bytes.len()),
-            FsMsg::DirDone { .. }
-            | FsMsg::Done { .. }
-            | FsMsg::BRead { .. }
-            | FsMsg::BOk { .. } => 1 + 4 + 4,
-            FsMsg::Err { .. } => 1 + 1,
-            FsMsg::BAlloc { .. } => 1 + 4,
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated("FsMsg"));
-        }
-        let tag = buf.get_u8();
-        let need = |buf: &Bytes, n: usize| {
-            if buf.remaining() < n {
-                Err(WireError::Truncated("FsMsg"))
-            } else {
-                Ok(())
-            }
-        };
-        Ok(match tag {
-            1 => {
-                need(buf, 4)?;
-                let tok = buf.get_u32();
-                FsMsg::DirCreate {
-                    tok,
-                    name: wire::get_string(buf, "DirCreate", MAX_NAME)?,
-                }
-            }
-            2 => {
-                need(buf, 4)?;
-                let tok = buf.get_u32();
-                FsMsg::DirLookup {
-                    tok,
-                    name: wire::get_string(buf, "DirLookup", MAX_NAME)?,
-                }
-            }
-            3 => {
-                need(buf, 8)?;
-                FsMsg::DirDone {
-                    tok: buf.get_u32(),
-                    fid: buf.get_u32(),
-                }
-            }
-            4 => FsMsg::Create {
-                name: wire::get_string(buf, "Create", MAX_NAME)?,
-            },
-            5 => FsMsg::Open {
-                name: wire::get_string(buf, "Open", MAX_NAME)?,
-            },
-            6 => {
-                need(buf, 12)?;
-                FsMsg::Read {
-                    fid: buf.get_u32(),
-                    off: buf.get_u32(),
-                    len: buf.get_u32(),
-                }
-            }
-            7 => {
-                need(buf, 8)?;
-                let fid = buf.get_u32();
-                let off = buf.get_u32();
-                FsMsg::Write {
-                    fid,
-                    off,
-                    bytes: wire::get_bytes(buf, "Write.bytes", MAX_DATA)?,
-                }
-            }
-            8 => FsMsg::Data {
-                bytes: wire::get_bytes(buf, "Data.bytes", MAX_DATA)?,
-            },
-            9 => {
-                need(buf, 8)?;
-                FsMsg::Done {
-                    fid: buf.get_u32(),
-                    len: buf.get_u32(),
-                }
-            }
-            10 => {
-                need(buf, 1)?;
-                FsMsg::Err { code: buf.get_u8() }
-            }
-            11 => {
-                need(buf, 8)?;
-                FsMsg::BRead {
-                    tok: buf.get_u32(),
-                    blk: buf.get_u32(),
-                }
-            }
-            12 => {
-                need(buf, 8)?;
-                let tok = buf.get_u32();
-                let blk = buf.get_u32();
-                FsMsg::BWrite {
-                    tok,
-                    blk,
-                    bytes: wire::get_bytes(buf, "BWrite.bytes", MAX_DATA)?,
-                }
-            }
-            13 => {
-                need(buf, 4)?;
-                FsMsg::BAlloc { tok: buf.get_u32() }
-            }
-            14 => {
-                need(buf, 8)?;
-                let tok = buf.get_u32();
-                let blk = buf.get_u32();
-                FsMsg::BData {
-                    tok,
-                    blk,
-                    bytes: wire::get_bytes(buf, "BData.bytes", MAX_DATA)?,
-                }
-            }
-            15 => {
-                need(buf, 8)?;
-                FsMsg::BOk {
-                    tok: buf.get_u32(),
-                    blk: buf.get_u32(),
-                }
-            }
-            t => {
-                return Err(WireError::BadTag {
-                    what: "FsMsg",
-                    tag: t as u16,
-                })
-            }
-        })
-    }
-}
+wire_enum! { FsMsg: u8 {
+    1 => DirCreate { tok: u32, name: String[MAX_NAME] },
+    2 => DirLookup { tok: u32, name: String[MAX_NAME] },
+    3 => DirDone { tok: u32, fid: u32 },
+    4 => Create { name: String[MAX_NAME] },
+    5 => Open { name: String[MAX_NAME] },
+    6 => Read { fid: u32, off: u32, len: u32 },
+    7 => Write { fid: u32, off: u32, bytes: Bytes[MAX_DATA] },
+    8 => Data { bytes: Bytes[MAX_DATA] },
+    9 => Done { fid: u32, len: u32 },
+    10 => Err { code: u8 },
+    11 => BRead { tok: u32, blk: u32 },
+    12 => BWrite { tok: u32, blk: u32, bytes: Bytes[MAX_DATA] },
+    13 => BAlloc { tok: u32 },
+    14 => BData { tok: u32, blk: u32, bytes: Bytes[MAX_DATA] },
+    15 => BOk { tok: u32, blk: u32 },
+} }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use demos_types::wire::roundtrip;
+    use demos_types::wire::{roundtrip, Wire};
 
     #[test]
     fn sb_roundtrips() {

@@ -7,10 +7,12 @@
 //!   and the two-part *process address* of Figure 2-1 of the paper
 //!   (`last known machine` + `unique process id`).
 //! * [`time`] — virtual time used by the discrete-event substrate.
-//! * [`wire`] — a small, byte-exact, hand-rolled codec. DEMOS/MP's
-//!   evaluation counts message *bytes*, so every type that crosses the
-//!   simulated network has a deterministic encoding whose length we can
-//!   report honestly (e.g. a forwarding address is exactly 8 bytes, §4).
+//! * [`wire`] — a small, byte-exact codec: hand-rolled primitives and
+//!   one table macro ([`wire_enum!`]) that generates a tagged enum's
+//!   codec from its layout. DEMOS/MP's evaluation counts message *bytes*,
+//!   so every type that crosses the simulated network has a deterministic
+//!   encoding whose length we can report honestly (e.g. a forwarding
+//!   address is exactly 8 bytes, §4).
 //! * [`link`] — links: protected global process addresses with the
 //!   `DELIVERTOKERNEL` attribute and optional data-area windows (§2.1–2.2).
 //! * [`message`] — message headers and messages, including carried links.

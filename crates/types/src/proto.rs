@@ -17,13 +17,16 @@
 //!   (§5), non-deliverable notices (§4's alternative scheme / ablation) and
 //!   death notices for forwarding-address garbage collection (§4).
 //!
-//! Every payload has a deterministic encoding; unit tests pin the payload
-//! sizes that experiment E2 (administrative cost) reports.
+//! Each enum's layout is the [`wire_enum!`](crate::wire_enum) table that
+//! follows its definition — tag and fields in wire order, the one place
+//! the layout is written. Unit tests pin the payload sizes that experiment
+//! E2 (administrative cost) reports; `tests/wire/GOLDEN.txt` pins the bytes.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::Bytes;
 
 use crate::ids::{MachineId, ProcessId};
-use crate::wire::{self, Wire, WireError};
+use crate::message::MAX_PAYLOAD;
+use crate::wire_enum;
 
 /// Why a destination kernel refused a migration offer (§3.2 — autonomy and
 /// inter-domain migration: "the destination machine may simply refuse to
@@ -40,31 +43,12 @@ pub enum RejectReason {
     Protocol,
 }
 
-impl RejectReason {
-    fn to_u8(self) -> u8 {
-        match self {
-            RejectReason::Capacity => 0,
-            RejectReason::Policy => 1,
-            RejectReason::DuplicatePid => 2,
-            RejectReason::Protocol => 3,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, WireError> {
-        Ok(match v {
-            0 => RejectReason::Capacity,
-            1 => RejectReason::Policy,
-            2 => RejectReason::DuplicatePid,
-            3 => RejectReason::Protocol,
-            _ => {
-                return Err(WireError::BadTag {
-                    what: "RejectReason",
-                    tag: u16::from(v),
-                })
-            }
-        })
-    }
-}
+wire_enum! { RejectReason: u8 {
+    0 => Capacity {},
+    1 => Policy {},
+    2 => DuplicatePid {},
+    3 => Protocol {},
+} }
 
 /// Control operations delivered to a process's kernel (`DELIVERTOKERNEL`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -90,57 +74,13 @@ pub enum KernelOp {
     QueryStatus,
 }
 
-impl Wire for KernelOp {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            KernelOp::Suspend => buf.put_u16(1),
-            KernelOp::Resume => buf.put_u16(2),
-            KernelOp::Kill => buf.put_u16(3),
-            KernelOp::MigrateRequest { dest, flags } => {
-                buf.put_u16(4);
-                dest.encode(buf);
-                buf.put_u16(*flags);
-            }
-            KernelOp::QueryStatus => buf.put_u16(5),
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            KernelOp::Suspend | KernelOp::Resume | KernelOp::Kill | KernelOp::QueryStatus => 2,
-            KernelOp::MigrateRequest { .. } => 2 + MachineId::WIRE_LEN + 2,
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 2 {
-            return Err(WireError::Truncated("KernelOp"));
-        }
-        let tag = buf.get_u16();
-        Ok(match tag {
-            1 => KernelOp::Suspend,
-            2 => KernelOp::Resume,
-            3 => KernelOp::Kill,
-            4 => {
-                let dest = MachineId::decode(buf)?;
-                if buf.remaining() < 2 {
-                    return Err(WireError::Truncated("MigrateRequest.flags"));
-                }
-                KernelOp::MigrateRequest {
-                    dest,
-                    flags: buf.get_u16(),
-                }
-            }
-            5 => KernelOp::QueryStatus,
-            _ => {
-                return Err(WireError::BadTag {
-                    what: "KernelOp",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum! { KernelOp: u16 {
+    1 => Suspend {},
+    2 => Resume {},
+    3 => Kill {},
+    4 => MigrateRequest { dest: MachineId, flags: u16 },
+    5 => QueryStatus {},
+} }
 
 /// A migration context id, allocated by the source kernel for one migration
 /// and echoed in the subsequent protocol messages, keeping them compact.
@@ -216,164 +156,17 @@ pub enum MigrateMsg {
     },
 }
 
-impl Wire for MigrateMsg {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            MigrateMsg::Offer {
-                ctx,
-                pid,
-                resident_len,
-                swappable_len,
-                image_len,
-            } => {
-                buf.put_u8(1);
-                buf.put_u16(*ctx);
-                pid.encode(buf);
-                buf.put_u16(*resident_len);
-                buf.put_u16(*swappable_len);
-                buf.put_u32(*image_len);
-            }
-            MigrateMsg::Accept { ctx, slot, window } => {
-                buf.put_u8(2);
-                buf.put_u16(*ctx);
-                buf.put_u16(*slot);
-                buf.put_u16(*window);
-            }
-            MigrateMsg::Reject { ctx, pid, reason } => {
-                buf.put_u8(3);
-                buf.put_u16(*ctx);
-                pid.encode(buf);
-                buf.put_u8(reason.to_u8());
-            }
-            MigrateMsg::TransferComplete { ctx, received } => {
-                buf.put_u8(4);
-                buf.put_u16(*ctx);
-                buf.put_u32(*received);
-            }
-            MigrateMsg::CleanupDone { ctx, forwarded } => {
-                buf.put_u8(5);
-                buf.put_u16(*ctx);
-                buf.put_u16(*forwarded);
-            }
-            MigrateMsg::Done { pid, dest, status } => {
-                buf.put_u8(6);
-                pid.encode(buf);
-                dest.encode(buf);
-                buf.put_u8(*status);
-            }
-            MigrateMsg::Abort { ctx, pid } => {
-                buf.put_u8(7);
-                buf.put_u16(*ctx);
-                pid.encode(buf);
-            }
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            MigrateMsg::Offer { .. } => 1 + 2 + ProcessId::WIRE_LEN + 2 + 2 + 4,
-            MigrateMsg::Accept { .. } => 1 + 2 + 2 + 2,
-            MigrateMsg::Reject { .. } => 1 + 2 + ProcessId::WIRE_LEN + 1,
-            MigrateMsg::TransferComplete { .. } => 1 + 2 + 4,
-            MigrateMsg::CleanupDone { .. } => 1 + 2 + 2,
-            MigrateMsg::Done { .. } => 1 + ProcessId::WIRE_LEN + MachineId::WIRE_LEN + 1,
-            MigrateMsg::Abort { .. } => 1 + 2 + ProcessId::WIRE_LEN,
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated("MigrateMsg"));
-        }
-        let tag = buf.get_u8();
-        match tag {
-            1 => {
-                if buf.remaining() < 2 {
-                    return Err(WireError::Truncated("Offer.ctx"));
-                }
-                let ctx = buf.get_u16();
-                let pid = ProcessId::decode(buf)?;
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated("Offer.sizes"));
-                }
-                Ok(MigrateMsg::Offer {
-                    ctx,
-                    pid,
-                    resident_len: buf.get_u16(),
-                    swappable_len: buf.get_u16(),
-                    image_len: buf.get_u32(),
-                })
-            }
-            2 => {
-                if buf.remaining() < 6 {
-                    return Err(WireError::Truncated("Accept"));
-                }
-                Ok(MigrateMsg::Accept {
-                    ctx: buf.get_u16(),
-                    slot: buf.get_u16(),
-                    window: buf.get_u16(),
-                })
-            }
-            3 => {
-                if buf.remaining() < 2 {
-                    return Err(WireError::Truncated("Reject.ctx"));
-                }
-                let ctx = buf.get_u16();
-                let pid = ProcessId::decode(buf)?;
-                if buf.remaining() < 1 {
-                    return Err(WireError::Truncated("Reject.reason"));
-                }
-                Ok(MigrateMsg::Reject {
-                    ctx,
-                    pid,
-                    reason: RejectReason::from_u8(buf.get_u8())?,
-                })
-            }
-            4 => {
-                if buf.remaining() < 6 {
-                    return Err(WireError::Truncated("TransferComplete"));
-                }
-                Ok(MigrateMsg::TransferComplete {
-                    ctx: buf.get_u16(),
-                    received: buf.get_u32(),
-                })
-            }
-            5 => {
-                if buf.remaining() < 4 {
-                    return Err(WireError::Truncated("CleanupDone"));
-                }
-                Ok(MigrateMsg::CleanupDone {
-                    ctx: buf.get_u16(),
-                    forwarded: buf.get_u16(),
-                })
-            }
-            6 => {
-                let pid = ProcessId::decode(buf)?;
-                let dest = MachineId::decode(buf)?;
-                if buf.remaining() < 1 {
-                    return Err(WireError::Truncated("Done.status"));
-                }
-                Ok(MigrateMsg::Done {
-                    pid,
-                    dest,
-                    status: buf.get_u8(),
-                })
-            }
-            7 => {
-                if buf.remaining() < 2 {
-                    return Err(WireError::Truncated("Abort.ctx"));
-                }
-                let ctx = buf.get_u16();
-                let pid = ProcessId::decode(buf)?;
-                Ok(MigrateMsg::Abort { ctx, pid })
-            }
-            _ => Err(WireError::BadTag {
-                what: "MigrateMsg",
-                tag: u16::from(tag),
-            }),
-        }
-    }
-}
+wire_enum! { MigrateMsg: u8 {
+    1 => Offer {
+        ctx: MigrationCtx, pid: ProcessId, resident_len: u16, swappable_len: u16, image_len: u32,
+    },
+    2 => Accept { ctx: MigrationCtx, slot: u16, window: u16 },
+    3 => Reject { ctx: MigrationCtx, pid: ProcessId, reason: RejectReason },
+    4 => TransferComplete { ctx: MigrationCtx, received: u32 },
+    5 => CleanupDone { ctx: MigrationCtx, forwarded: u16 },
+    6 => Done { pid: ProcessId, dest: MachineId, status: u8 },
+    7 => Abort { ctx: MigrationCtx, pid: ProcessId },
+} }
 
 /// Which region of a process a move-data operation addresses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -389,31 +182,12 @@ pub enum AreaSel {
     Image,
 }
 
-impl AreaSel {
-    fn to_u8(self) -> u8 {
-        match self {
-            AreaSel::LinkArea => 0,
-            AreaSel::Resident => 1,
-            AreaSel::Swappable => 2,
-            AreaSel::Image => 3,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, WireError> {
-        Ok(match v {
-            0 => AreaSel::LinkArea,
-            1 => AreaSel::Resident,
-            2 => AreaSel::Swappable,
-            3 => AreaSel::Image,
-            _ => {
-                return Err(WireError::BadTag {
-                    what: "AreaSel",
-                    tag: u16::from(v),
-                })
-            }
-        })
-    }
-}
+wire_enum! { AreaSel: u8 {
+    0 => LinkArea {},
+    1 => Resident {},
+    2 => Swappable {},
+    3 => Image {},
+} }
 
 /// Move-data facility messages (§2.2, §6).
 ///
@@ -485,154 +259,14 @@ pub enum MoveDataMsg {
     },
 }
 
-impl Wire for MoveDataMsg {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            MoveDataMsg::ReadReq {
-                op,
-                target,
-                sel,
-                offset,
-                len,
-            } => {
-                buf.put_u8(1);
-                buf.put_u16(*op);
-                target.encode(buf);
-                buf.put_u8(sel.to_u8());
-                buf.put_u32(*offset);
-                buf.put_u32(*len);
-            }
-            MoveDataMsg::WriteReq {
-                op,
-                target,
-                sel,
-                offset,
-                len,
-            } => {
-                buf.put_u8(2);
-                buf.put_u16(*op);
-                target.encode(buf);
-                buf.put_u8(sel.to_u8());
-                buf.put_u32(*offset);
-                buf.put_u32(*len);
-            }
-            MoveDataMsg::Data { op, seq, bytes } => {
-                buf.put_u8(3);
-                buf.put_u16(*op);
-                buf.put_u32(*seq);
-                wire::put_bytes(buf, bytes);
-            }
-            MoveDataMsg::Ack { op, seq } => {
-                buf.put_u8(4);
-                buf.put_u16(*op);
-                buf.put_u32(*seq);
-            }
-            MoveDataMsg::Done { op, status, total } => {
-                buf.put_u8(5);
-                buf.put_u16(*op);
-                buf.put_u8(*status);
-                buf.put_u32(*total);
-            }
-            MoveDataMsg::Abort { op, reason } => {
-                buf.put_u8(6);
-                buf.put_u16(*op);
-                buf.put_u8(*reason);
-            }
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            MoveDataMsg::ReadReq { .. } | MoveDataMsg::WriteReq { .. } => {
-                1 + 2 + ProcessId::WIRE_LEN + 1 + 4 + 4
-            }
-            MoveDataMsg::Data { bytes, .. } => 1 + 2 + 4 + wire::bytes_len(bytes.len()),
-            MoveDataMsg::Ack { .. } => 1 + 2 + 4,
-            MoveDataMsg::Done { .. } => 1 + 2 + 1 + 4,
-            MoveDataMsg::Abort { .. } => 1 + 2 + 1,
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated("MoveDataMsg"));
-        }
-        let tag = buf.get_u8();
-        match tag {
-            1 | 2 => {
-                if buf.remaining() < 2 {
-                    return Err(WireError::Truncated("MoveDataMsg.op"));
-                }
-                let op = buf.get_u16();
-                let target = ProcessId::decode(buf)?;
-                if buf.remaining() < 9 {
-                    return Err(WireError::Truncated("MoveDataMsg.req"));
-                }
-                let sel = AreaSel::from_u8(buf.get_u8())?;
-                let offset = buf.get_u32();
-                let len = buf.get_u32();
-                Ok(if tag == 1 {
-                    MoveDataMsg::ReadReq {
-                        op,
-                        target,
-                        sel,
-                        offset,
-                        len,
-                    }
-                } else {
-                    MoveDataMsg::WriteReq {
-                        op,
-                        target,
-                        sel,
-                        offset,
-                        len,
-                    }
-                })
-            }
-            3 => {
-                if buf.remaining() < 6 {
-                    return Err(WireError::Truncated("Data"));
-                }
-                let op = buf.get_u16();
-                let seq = buf.get_u32();
-                let bytes = wire::get_bytes(buf, "Data.bytes", crate::message::MAX_PAYLOAD)?;
-                Ok(MoveDataMsg::Data { op, seq, bytes })
-            }
-            4 => {
-                if buf.remaining() < 6 {
-                    return Err(WireError::Truncated("Ack"));
-                }
-                Ok(MoveDataMsg::Ack {
-                    op: buf.get_u16(),
-                    seq: buf.get_u32(),
-                })
-            }
-            5 => {
-                if buf.remaining() < 7 {
-                    return Err(WireError::Truncated("Done"));
-                }
-                Ok(MoveDataMsg::Done {
-                    op: buf.get_u16(),
-                    status: buf.get_u8(),
-                    total: buf.get_u32(),
-                })
-            }
-            6 => {
-                if buf.remaining() < 3 {
-                    return Err(WireError::Truncated("Abort"));
-                }
-                Ok(MoveDataMsg::Abort {
-                    op: buf.get_u16(),
-                    reason: buf.get_u8(),
-                })
-            }
-            _ => Err(WireError::BadTag {
-                what: "MoveDataMsg",
-                tag: u16::from(tag),
-            }),
-        }
-    }
-}
+wire_enum! { MoveDataMsg: u8 {
+    1 => ReadReq { op: u16, target: ProcessId, sel: AreaSel, offset: u32, len: u32 },
+    2 => WriteReq { op: u16, target: ProcessId, sel: AreaSel, offset: u32, len: u32 },
+    3 => Data { op: u16, seq: u32, bytes: Bytes[MAX_PAYLOAD] },
+    4 => Ack { op: u16, seq: u32 },
+    5 => Done { op: u16, status: u8, total: u32 },
+    6 => Abort { op: u16, reason: u8 },
+} }
 
 /// Link maintenance: forwarding by-products (§4–5).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -678,102 +312,17 @@ pub enum LinkMaintMsg {
     },
 }
 
-impl Wire for LinkMaintMsg {
-    fn encode(&self, buf: &mut impl BufMut) {
-        match self {
-            LinkMaintMsg::LinkUpdate {
-                sender,
-                migrated,
-                new_machine,
-            } => {
-                buf.put_u8(1);
-                sender.encode(buf);
-                migrated.encode(buf);
-                new_machine.encode(buf);
-            }
-            LinkMaintMsg::NonDeliverable {
-                dest,
-                msg_type,
-                reason,
-            } => {
-                buf.put_u8(2);
-                dest.encode(buf);
-                buf.put_u16(*msg_type);
-                buf.put_u8(*reason);
-            }
-            LinkMaintMsg::DeathNotice { pid } => {
-                buf.put_u8(3);
-                pid.encode(buf);
-            }
-            LinkMaintMsg::Heartbeat { from, seq } => {
-                buf.put_u8(4);
-                from.encode(buf);
-                buf.put_u64(*seq);
-            }
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            LinkMaintMsg::LinkUpdate { .. } => 1 + 2 * ProcessId::WIRE_LEN + MachineId::WIRE_LEN,
-            LinkMaintMsg::NonDeliverable { .. } => 1 + ProcessId::WIRE_LEN + 2 + 1,
-            LinkMaintMsg::DeathNotice { .. } => 1 + ProcessId::WIRE_LEN,
-            LinkMaintMsg::Heartbeat { .. } => 1 + MachineId::WIRE_LEN + 8,
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated("LinkMaintMsg"));
-        }
-        let tag = buf.get_u8();
-        match tag {
-            1 => {
-                let sender = ProcessId::decode(buf)?;
-                let migrated = ProcessId::decode(buf)?;
-                let new_machine = MachineId::decode(buf)?;
-                Ok(LinkMaintMsg::LinkUpdate {
-                    sender,
-                    migrated,
-                    new_machine,
-                })
-            }
-            2 => {
-                let dest = ProcessId::decode(buf)?;
-                if buf.remaining() < 3 {
-                    return Err(WireError::Truncated("NonDeliverable"));
-                }
-                Ok(LinkMaintMsg::NonDeliverable {
-                    dest,
-                    msg_type: buf.get_u16(),
-                    reason: buf.get_u8(),
-                })
-            }
-            3 => Ok(LinkMaintMsg::DeathNotice {
-                pid: ProcessId::decode(buf)?,
-            }),
-            4 => {
-                let from = MachineId::decode(buf)?;
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated("Heartbeat"));
-                }
-                Ok(LinkMaintMsg::Heartbeat {
-                    from,
-                    seq: buf.get_u64(),
-                })
-            }
-            _ => Err(WireError::BadTag {
-                what: "LinkMaintMsg",
-                tag: u16::from(tag),
-            }),
-        }
-    }
-}
+wire_enum! { LinkMaintMsg: u8 {
+    1 => LinkUpdate { sender: ProcessId, migrated: ProcessId, new_machine: MachineId },
+    2 => NonDeliverable { dest: ProcessId, msg_type: u16, reason: u8 },
+    3 => DeathNotice { pid: ProcessId },
+    4 => Heartbeat { from: MachineId, seq: u64 },
+} }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::roundtrip;
+    use crate::wire::{roundtrip, Wire};
 
     fn pid(u: u32) -> ProcessId {
         ProcessId {
@@ -993,8 +542,8 @@ mod tests {
             RejectReason::DuplicatePid,
             RejectReason::Protocol,
         ] {
-            assert_eq!(RejectReason::from_u8(r.to_u8()).unwrap(), r);
+            assert_eq!(roundtrip(&r).unwrap(), r);
         }
-        assert!(RejectReason::from_u8(99).is_err());
+        assert!(RejectReason::from_bytes(&Bytes::from_static(&[99])).is_err());
     }
 }

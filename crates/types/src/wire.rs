@@ -11,6 +11,21 @@
 //! All integers are big-endian. Variable-length fields carry explicit
 //! length prefixes. Decoding never panics: malformed input yields
 //! [`WireError`].
+//!
+//! What is hand-written is the primitive layer: the integers and `bool`
+//! below, the ids, and the length-prefixed byte string ([`Prefixed`]). A
+//! protocol message is a declaration over them — a tagged enum is defined
+//! as a plain `pub enum` and given its layout as one
+//! [`wire_enum!`](crate::wire_enum) table, a row per variant, from which
+//! `encode`, `decode` and `wire_len` are all generated, so the three cannot
+//! disagree. A new message is one variant plus one row in the table.
+//!
+//! The types whose layout is not a tagged row keep a hand-written
+//! `impl Wire`: `MsgHeader` (one 21-byte array), `Link` (its area rides
+//! only when `HAS_AREA` is set), `Message`, the ids, and outside this
+//! crate `LinkTable`, `Checkpoint`, `ImageLayout` and `net::Frame` (a
+//! field that never crosses the wire, and a length check ahead of its
+//! tag).
 
 use bytes::{Buf, BufMut, Bytes, SlabCursor};
 use core::fmt;
@@ -190,6 +205,124 @@ pub fn put_string(buf: &mut impl BufMut, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
+/// A field that travels behind a `u32` length prefix: what a
+/// [`wire_enum!`](crate::wire_enum) row marks `field: Type[max]`.
+pub trait Prefixed: Sized {
+    /// Write the prefix and the contents.
+    fn put(&self, buf: &mut impl BufMut);
+
+    /// Length of the contents alone; [`bytes_len`] of it is what
+    /// [`Prefixed::put`] appends.
+    fn content_len(&self) -> usize;
+
+    /// Read the prefix and at most `max` bytes of contents.
+    fn get(buf: &mut Bytes, what: &'static str, max: usize) -> Result<Self, WireError>;
+}
+
+impl Prefixed for Bytes {
+    fn put(&self, buf: &mut impl BufMut) {
+        put_bytes(buf, self);
+    }
+    fn content_len(&self) -> usize {
+        self.len()
+    }
+    fn get(buf: &mut Bytes, what: &'static str, max: usize) -> Result<Self, WireError> {
+        get_bytes(buf, what, max)
+    }
+}
+
+impl Prefixed for String {
+    fn put(&self, buf: &mut impl BufMut) {
+        put_string(buf, self);
+    }
+    fn content_len(&self) -> usize {
+        self.len()
+    }
+    fn get(buf: &mut Bytes, what: &'static str, max: usize) -> Result<Self, WireError> {
+        get_string(buf, what, max)
+    }
+}
+
+/// The layout of a tagged enum, written once: generates its whole
+/// `impl Wire` from one row per variant.
+///
+/// ```text
+/// wire_enum! { MoveDataMsg: u8 {
+///     3 => Data { op: u16, seq: u32, bytes: Bytes[MAX_PAYLOAD] },
+///     4 => Ack { op: u16, seq: u32 },
+/// } }
+/// ```
+///
+/// The head names the enum and the integer type of its tag. A row is
+/// `tag => Variant { field: Type, … }`: the tag value, then the variant's
+/// fields in wire order, each of a type that is itself [`Wire`]. A field
+/// written `field: Type[max]` is length-prefixed ([`Prefixed`]: `Bytes`
+/// or `String`), and `max` is the longest contents its decoder accepts.
+/// A variant without fields is `tag => Variant {}`.
+///
+/// The enum itself stays a plain item next to the table, so rustdoc, the
+/// field docs and `demos-lint` (D007 parses the definitions) see it; the
+/// field list is therefore written twice, and rustc holds the two
+/// together — the generated patterns name every field and the generated
+/// `match` has no wildcard arm, so a table that misses a field or a
+/// variant does not compile.
+#[macro_export]
+macro_rules! wire_enum {
+    ($name:ident: $tag:ty { $(
+        $t:literal => $variant:ident { $($field:ident: $fty:ty $([$max:expr])?),* $(,)? }
+    ),* $(,)? }) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, buf: &mut impl ::bytes::BufMut) {
+                match self { $(
+                    $name::$variant { $($field),* } => {
+                        <$tag as $crate::wire::Wire>::encode(&$t, buf);
+                        $($crate::wire_enum!(@put buf, $field $(, $max)?);)*
+                    }
+                )* }
+            }
+
+            fn wire_len(&self) -> usize {
+                match self { $(
+                    $name::$variant { $($field),* } => {
+                        <$tag as $crate::wire::Wire>::wire_len(&$t)
+                            $(+ $crate::wire_enum!(@len $field $(, $max)?))*
+                    }
+                )* }
+            }
+
+            fn decode(buf: &mut ::bytes::Bytes) -> Result<Self, $crate::wire::WireError> {
+                let tag = <$tag as $crate::wire::Wire>::decode(buf)
+                    .map_err(|_| $crate::wire::WireError::Truncated(stringify!($name)))?;
+                match tag {
+                    $($t => Ok($name::$variant {
+                        $($field: $crate::wire_enum!(@get buf, $variant.$field: $fty $(, $max)?)),*
+                    }),)*
+                    _ => Err($crate::wire::WireError::BadTag {
+                        what: stringify!($name),
+                        tag: u16::from(tag),
+                    }),
+                }
+            }
+        }
+    };
+    (@put $buf:ident, $field:ident) => { $crate::wire::Wire::encode($field, $buf) };
+    (@put $buf:ident, $field:ident, $max:expr) => { $crate::wire::Prefixed::put($field, $buf) };
+    (@len $field:ident) => { $crate::wire::Wire::wire_len($field) };
+    (@len $field:ident, $max:expr) => {
+        $crate::wire::bytes_len($crate::wire::Prefixed::content_len($field))
+    };
+    (@get $buf:ident, $variant:ident.$field:ident: $fty:ty) => {
+        <$fty as $crate::wire::Wire>::decode($buf)?
+    };
+    (@get $buf:ident, $variant:ident.$field:ident: $fty:ty, $max:expr) => {
+        <$fty as $crate::wire::Prefixed>::get(
+            $buf,
+            concat!(stringify!($variant), ".", stringify!($field)),
+            $max,
+        )?
+    };
+}
+
 impl Wire for u8 {
     fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u8(*self);
@@ -199,6 +332,22 @@ impl Wire for u8 {
             return Err(WireError::Truncated("u8"));
         }
         Ok(buf.get_u8())
+    }
+    fn wire_len(&self) -> usize {
+        1
+    }
+}
+
+/// One byte: written 0 or 1, read as "any non-zero byte is true".
+impl Wire for bool {
+    fn encode(&self, buf: &mut impl BufMut) {
+        buf.put_u8(u8::from(*self));
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        if buf.remaining() < 1 {
+            return Err(WireError::Truncated("bool"));
+        }
+        Ok(buf.get_u8() != 0)
     }
     fn wire_len(&self) -> usize {
         1
@@ -258,6 +407,8 @@ mod tests {
     #[test]
     fn primitive_roundtrips() {
         assert_eq!(roundtrip(&0xabu8).unwrap(), 0xab);
+        assert_eq!(roundtrip(&true), Ok(true));
+        assert_eq!(bool::from_bytes(&Bytes::from_static(&[2])), Ok(true));
         assert_eq!(roundtrip(&0xabcdu16).unwrap(), 0xabcd);
         assert_eq!(roundtrip(&0xdead_beefu32).unwrap(), 0xdead_beef);
         assert_eq!(

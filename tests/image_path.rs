@@ -13,11 +13,12 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use demos_mp::kernel::movedata::{MdAction, MoveData, MoveDataConfig, PullPurpose};
-use demos_mp::kernel::{Checkpoint, ProcessImage};
+use demos_mp::kernel::{Checkpoint, Process, ProcessImage, TimerEntry};
 use demos_mp::sim::prelude::*;
 use demos_mp::sim::programs::{cargo_received, Cargo};
 use demos_mp::types::proto::{AreaSel, MoveDataMsg};
 use demos_mp::types::wire::{Wire, WireError};
+use demos_mp::types::DemosError;
 use proptest::prelude::*;
 
 mod common;
@@ -477,4 +478,95 @@ fn an_aborted_transfer_leaves_a_source_that_runs_on_and_migrates_again() {
     assert_eq!((mem(&cluster, 0), mem(&cluster, 1)), (start0, start1));
     assert_eq!(cluster.node(m(0)).engine.in_flight(), 0);
     assert_eq!(cluster.node(m(1)).engine.in_flight(), 0);
+}
+
+// ----------------------------------------------------------------------
+// (f) a state record counts in 16 bits: a process moves whole or not at all
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_process_arrives_with_every_link_or_stays_where_it_is() {
+    let run = |links: usize| {
+        let mut cluster = ClusterBuilder::new(2).build();
+        let pid = cluster
+            .spawn(m(0), "cargo", &Cargo::state(64), ImageLayout::default())
+            .unwrap();
+        cluster.run_for(Duration::from_millis(10));
+        let table = &mut cluster
+            .node_mut(m(0))
+            .kernel
+            .process_mut(pid)
+            .unwrap()
+            .links;
+        for _ in 0..links {
+            table.insert(Link::to(pid.at(m(0))));
+        }
+        let refused = cluster.migrate(pid, m(1));
+        cluster.run_for(Duration::from_secs(60));
+        let home = cluster.where_is(pid).expect("the process is somewhere");
+        let proc = cluster.node(home).kernel.process(pid).unwrap();
+        assert_eq!(proc.links.len(), links, "never fewer than it had");
+        assert!(!proc.in_migration, "and it is running");
+        (home, refused)
+    };
+
+    // The most a record can count migrates intact.
+    assert_eq!(run(65_535), (m(1), Ok(())));
+    // One more used to be announced as 0 links (and 70 000 as 4 464): the
+    // migration "completed" and the process arrived with that many.
+    let (home, refused) = run(65_536);
+    assert_eq!(home, m(0), "refused before anything was frozen");
+    assert!(matches!(
+        refused,
+        Err(DemosError::TooLarge {
+            what: "link table",
+            len: 65_536,
+            ..
+        })
+    ));
+    // A checkpoint is the same three records.
+    let mut cluster = ClusterBuilder::new(1).build();
+    let pid = cluster
+        .spawn(m(0), "cargo", &Cargo::state(64), ImageLayout::default())
+        .unwrap();
+    let kernel = &mut cluster.node_mut(m(0)).kernel;
+    for token in 0..=u64::from(u16::MAX) {
+        let timers = &mut kernel.process_mut(pid).unwrap().timers;
+        timers.push(TimerEntry { at: Time(1), token });
+    }
+    assert!(matches!(
+        kernel.checkpoint(Time(0), pid),
+        Err(DemosError::TooLarge { .. })
+    ));
+}
+
+#[test]
+fn a_state_record_with_bytes_left_over_is_not_installed() {
+    // Whatever mis-sizes a record — the wrapped count above was one way —
+    // the install fails (the source thaws) rather than build a process
+    // from the part of the record that was understood.
+    let mut cluster = ClusterBuilder::new(1).build();
+    let pid = cluster
+        .spawn(m(0), "cargo", &Cargo::state(64), ImageLayout::default())
+        .unwrap();
+    let proc = cluster.node(m(0)).kernel.process(pid).unwrap();
+    let (resident, swappable) = (proc.serialize_resident(), proc.serialize_swappable());
+    let install = |resident: &[u8], swappable: &[u8]| {
+        let (r, s) = (
+            Bytes::copy_from_slice(resident),
+            Bytes::copy_from_slice(swappable),
+        );
+        Process::from_migrated(r, s, proc.image.clone()).map(|p| p.pid)
+    };
+    assert_eq!(install(&resident, &swappable), Ok(pid));
+    let longer = |record: &[u8]| [record, &[0]].concat();
+    assert_eq!(
+        install(&resident, &longer(&swappable)),
+        Err(WireError::BadLength {
+            what: "swappable record",
+            len: 1
+        })
+    );
+    assert!(install(&longer(&resident), &swappable).is_err());
+    assert!(install(&resident, &swappable[..swappable.len() - 1]).is_err());
 }

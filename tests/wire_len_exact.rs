@@ -11,7 +11,7 @@ use std::fmt::Debug;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use demos_mp::kernel::mgmt::KernelMgmt;
-use demos_mp::kernel::{Checkpoint, ImageLayout, LinkTable};
+use demos_mp::kernel::{Checkpoint, ExecStatus, ImageLayout, LinkTable};
 use demos_mp::net::Frame;
 use demos_mp::sysproc::{FsMsg, MemMsg, PmMsg, SbMsg};
 use demos_mp::types::proto::{
@@ -156,6 +156,7 @@ proptest! {
         exact(&b);
         exact(&c);
         exact(&d);
+        exact(&(a & 1 == 0));
         exact(&MachineId(b));
         exact(&addr.pid);
         exact(&addr);
@@ -202,6 +203,9 @@ proptest! {
         e in any::<u64>(), bytes in arb_bytes(2048),
     ) {
         let machine = MachineId(m);
+        exact(&reject_reason(sel));
+        exact(&area_sel(sel));
+        exact(&[ExecStatus::Ready, ExecStatus::Waiting, ExecStatus::Suspended][usize::from(sel % 3)]);
         for op in [
             KernelOp::Suspend,
             KernelOp::Resume,
