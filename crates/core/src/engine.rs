@@ -45,6 +45,7 @@
 //! cause traces, whom it tells and the `Done.status` it reports.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use demos_kernel::{Kernel, MigrationPhase, Outbox, TraceEvent};
 use demos_net::Phys;
@@ -252,8 +253,9 @@ pub struct MigrationEngine {
     next_ctx: u16,
     outgoing: BTreeMap<u16, SourceMig>,
     incoming: BTreeMap<DestKey, DestMig>,
-    /// Alternate-destination candidates for retries (set by the harness).
-    peers: Vec<MachineId>,
+    /// Alternate-destination candidates for retries (set by the harness;
+    /// one list shared by every engine of a cluster).
+    peers: Option<Arc<[MachineId]>>,
     /// Aborted outgoing migrations awaiting (or between) re-offers.
     retries: BTreeMap<ProcessId, Retry>,
     stats: MigrationStats,
@@ -346,7 +348,7 @@ impl MigrationEngine {
             next_ctx: 1,
             outgoing: BTreeMap::new(),
             incoming: BTreeMap::new(),
-            peers: Vec::new(),
+            peers: None,
             retries: BTreeMap::new(),
             stats: MigrationStats::default(),
         }
@@ -354,9 +356,11 @@ impl MigrationEngine {
 
     /// Provide the set of machines usable as alternate destinations when
     /// an aborted migration is retried (self and the failed destination
-    /// are skipped automatically).
-    pub fn set_peers(&mut self, peers: Vec<MachineId>) {
-        self.peers = peers;
+    /// are skipped automatically). The list is shared, not copied: a
+    /// cluster hands every engine a clone of one `Arc`, so an engine's
+    /// size does not grow with the number of machines.
+    pub fn set_peers(&mut self, peers: Arc<[MachineId]>) {
+        self.peers = Some(peers);
     }
 
     /// Counters.
@@ -370,6 +374,8 @@ impl MigrationEngine {
     fn alternate_dest(&self, failed: MachineId) -> MachineId {
         let cands: Vec<MachineId> = self
             .peers
+            .as_deref()
+            .unwrap_or_default()
             .iter()
             .copied()
             .filter(|&p| p != self.machine)

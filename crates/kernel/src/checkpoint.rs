@@ -96,19 +96,29 @@ impl Wire for Checkpoint {
 }
 
 impl Kernel {
+    /// Every refusal of [`Kernel::checkpoint`], without its effects: `Ok`
+    /// means a checkpoint of `pid` taken now succeeds. Stable storage
+    /// asks first, so that it only lets go of the previous checkpoint
+    /// when there will be a new one.
+    pub fn checkpointable(&self, pid: ProcessId) -> Result<()> {
+        if pid.is_kernel() {
+            return Err(DemosError::KernelImmovable(self.machine()));
+        }
+        self.process(pid)
+            .ok_or(DemosError::NoSuchProcess(pid))?
+            .check_record_counts()
+    }
+
     /// Take a checkpoint of a local process: refresh its image from the
     /// live program and serialize the three migration blobs. The process
     /// keeps running: the image is shared, not copied, and the process's
     /// next write to it copies on write.
     pub fn checkpoint(&mut self, now: Time, pid: ProcessId) -> Result<Checkpoint> {
-        if pid.is_kernel() {
-            return Err(DemosError::KernelImmovable(self.machine()));
-        }
+        self.checkpointable(pid)?;
         let machine = self.machine();
         let proc = self
             .process_mut(pid)
             .ok_or(DemosError::NoSuchProcess(pid))?;
-        proc.check_record_counts()?;
         proc.refresh_image();
         Ok(Checkpoint {
             pid,

@@ -16,7 +16,8 @@ use crate::cluster::Cluster;
 /// utilization; pass an empty slice to report zero utilization.
 pub fn snapshot(cluster: &Cluster, prev_busy: &[Duration], window: Duration) -> ClusterView {
     let mut machines = Vec::with_capacity(cluster.len());
-    let mut processes = Vec::new();
+    let nprocs = cluster.nodes.iter().map(|n| n.kernel.nprocs()).sum();
+    let mut processes = Vec::with_capacity(nprocs);
     for i in 0..cluster.len() {
         let m = MachineId(i as u16);
         let node = cluster.node(m);

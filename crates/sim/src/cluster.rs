@@ -37,6 +37,9 @@ use crate::recovery::{RecoveryConfig, RecoveryEpisode, RecoveryManager};
 use crate::shard::ShardStats;
 use crate::trace::Trace;
 
+/// How many machines a cluster can hold: a [`MachineId`] is 16 bits.
+const MAX_MACHINES: usize = 1 << 16;
+
 /// Cluster construction.
 pub struct ClusterBuilder {
     topology: Topology,
@@ -147,28 +150,29 @@ impl ClusterBuilder {
     /// Build the cluster.
     pub fn build(self) -> Cluster {
         let n = self.topology.len();
+        assert!(
+            n <= MAX_MACHINES,
+            "a cluster of {n} machines does not fit the 16-bit machine space \
+             (at most {MAX_MACHINES}): machine ids would alias"
+        );
         let registry = self.registry.into_shared();
-        let machines: Vec<MachineId> = (0..n).map(|i| MachineId(i as u16)).collect();
-        let mut nodes: Vec<Node> = (0..n)
-            .map(|i| {
-                Node::new(
-                    MachineId(i as u16),
-                    self.kernel,
-                    self.migration,
-                    Arc::clone(&registry),
-                )
+        let machines: Arc<[MachineId]> = (0..n).map(|i| MachineId(i as u16)).collect();
+        let nodes: Vec<Node> = machines
+            .iter()
+            .map(|&m| {
+                let mut node = Node::new(m, self.kernel, self.migration, Arc::clone(&registry));
+                node.engine.set_peers(Arc::clone(&machines));
+                if self.kernel.heartbeat_every > Duration::ZERO {
+                    node.kernel
+                        .watch_peers(Time::ZERO, machines.iter().copied());
+                }
+                node
             })
             .collect();
-        for node in &mut nodes {
-            node.engine.set_peers(machines.clone());
-            if self.kernel.heartbeat_every > Duration::ZERO {
-                node.kernel
-                    .watch_peers(Time::ZERO, machines.iter().copied());
-            }
-        }
         let mut c = Cluster {
             now: Time::ZERO,
             nodes,
+            machines,
             net: SimNetwork::new(self.topology, self.seed),
             cpu_busy_until: vec![Time::ZERO; n],
             cpu_factor_ppm: vec![1_000_000; n],
@@ -239,6 +243,9 @@ impl StepStats {
 pub struct Cluster {
     pub(crate) now: Time,
     pub(crate) nodes: Vec<Node>,
+    /// Every machine id, ascending: the one peer list all the engines
+    /// share, so a machine's host state does not grow with the cluster.
+    machines: Arc<[MachineId]>,
     pub(crate) net: SimNetwork,
     pub(crate) cpu_busy_until: Vec<Time>,
     /// Per-machine CPU degradation factor in parts-per-million
@@ -658,10 +665,11 @@ impl Cluster {
         // Build a brand-new node with the same identity and configuration.
         let mut fresh = Node::new(m, kcfg, self.migration, Arc::clone(&self.registry));
         fresh.kernel.resume_id_watermarks(uid_wm, corr_wm);
-        let machines: Vec<MachineId> = (0..self.nodes.len()).map(|j| MachineId(j as u16)).collect();
-        fresh.engine.set_peers(machines.clone());
+        fresh.engine.set_peers(Arc::clone(&self.machines));
         if kcfg.heartbeat_every > Duration::ZERO {
-            fresh.kernel.watch_peers(self.now, machines);
+            fresh
+                .kernel
+                .watch_peers(self.now, self.machines.iter().copied());
         }
         for &(peer, epoch) in &epochs {
             fresh.kernel.reset_channel(peer, epoch);
@@ -789,7 +797,7 @@ impl Cluster {
         self.flush_dirty();
         let mut candidates = std::mem::take(&mut self.cpu_scratch);
         candidates.clear();
-        candidates.extend(self.idx.runnable().iter().copied());
+        candidates.extend(self.idx.runnable());
         for &i in &candidates {
             if self.crashed[i] || self.cpu_busy_until[i] > self.now {
                 continue;
@@ -930,8 +938,18 @@ impl Cluster {
                 {
                     continue;
                 }
+                // A process that cannot be checkpointed now keeps its
+                // older checkpoint.
+                if self.nodes[i].kernel.checkpointable(pid).is_err() {
+                    continue;
+                }
+                // The previous checkpoint shares the image buffer this one
+                // is about to refresh, and a shared buffer is copied
+                // before it is written: let go of it first, so the write
+                // is in place.
+                let mgr = self.recovery.as_mut().expect("checked");
+                mgr.store.remove(&pid);
                 if let Ok(ck) = self.nodes[i].kernel.checkpoint(now, pid) {
-                    let mgr = self.recovery.as_mut().expect("checked");
                     mgr.store.insert(pid, ck);
                     mgr.stats.checkpoints += 1;
                 }

@@ -8,8 +8,11 @@
 //! slot. Re-arming a deadline moves its key in place, so the heap never
 //! holds more than the live sources (an RTO deadline that a send arms
 //! and an ack cancels is one sift, not a push and a stale pop later).
-
-use std::collections::BTreeSet;
+//!
+//! The runnable set is a [`RunSet`]: one bit per machine under one
+//! summary bit per 64 machines, sized once. Membership changes on
+//! nearly every event, so it must not allocate; the ascending walk
+//! `run_cpus` takes over it decides same-instant CPU ties.
 
 use demos_core::Node;
 use demos_types::Time;
@@ -101,6 +104,82 @@ impl SlotHeap {
     }
 }
 
+/// The set bits of `word`, ascending.
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// A set of machine indices in `base .. base + n` as a two-level bitset
+/// that never allocates after construction. Indices in the interface
+/// are global, like [`EventIndex`]'s.
+#[derive(Debug)]
+pub(crate) struct RunSet {
+    base: usize,
+    /// The `leaves` membership words — bit `l % 64` of word `l / 64` is
+    /// local machine `l` — followed by the summary words: bit `w % 64`
+    /// of summary word `w / 64` is set exactly when membership word `w`
+    /// is non-zero. One buffer, so a set is one allocation.
+    words: Vec<u64>,
+    leaves: usize,
+}
+
+impl RunSet {
+    pub(crate) fn new(base: usize, n: usize) -> Self {
+        let leaves = n.div_ceil(64);
+        RunSet {
+            base,
+            words: vec![0; leaves + leaves.div_ceil(64)],
+            leaves,
+        }
+    }
+
+    /// `(membership word, bit)` of machine `i`.
+    fn locate(&self, i: usize) -> (usize, u64) {
+        let l = i - self.base;
+        (l / 64, 1 << (l % 64))
+    }
+
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        let (w, bit) = self.locate(i);
+        self.words[w] & bit != 0
+    }
+
+    pub(crate) fn insert(&mut self, i: usize) {
+        let (w, bit) = self.locate(i);
+        self.words[w] |= bit;
+        self.words[self.leaves + w / 64] |= 1 << (w % 64);
+    }
+
+    /// Remove `i`; whether it was a member.
+    pub(crate) fn remove(&mut self, i: usize) -> bool {
+        let (w, bit) = self.locate(i);
+        let was = self.words[w] & bit != 0;
+        self.words[w] &= !bit;
+        if self.words[w] == 0 {
+            self.words[self.leaves + w / 64] &= !(1 << (w % 64));
+        }
+        was
+    }
+
+    /// The members, ascending. Empty membership words are skipped
+    /// through the summary.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (members, summary) = self.words.split_at(self.leaves);
+        summary.iter().enumerate().flat_map(move |(s, &sum)| {
+            ones(sum).flat_map(move |b| {
+                let w = 64 * s + b;
+                ones(members[w]).map(move |bit| self.base + 64 * w + bit)
+            })
+        })
+    }
+}
+
 /// Deadlines, CPU wake-ups and the runnable set of the machines
 /// `base .. base + n`. Machine indices in the interface are global.
 #[derive(Debug)]
@@ -113,7 +192,7 @@ pub(crate) struct EventIndex {
     node_deadline: Vec<Option<Time>>,
     /// Nodes whose run queue may hold work; `run_cpus` walks this set
     /// instead of every machine.
-    runnable: BTreeSet<usize>,
+    runnable: RunSet,
 }
 
 impl EventIndex {
@@ -122,13 +201,13 @@ impl EventIndex {
             base,
             heap: SlotHeap::new(2 * n),
             node_deadline: vec![None; n],
-            runnable: BTreeSet::new(),
+            runnable: RunSet::new(base, n),
         }
     }
 
-    /// The runnable set, ascending.
-    pub(crate) fn runnable(&self) -> &BTreeSet<usize> {
-        &self.runnable
+    /// The runnable machines, ascending.
+    pub(crate) fn runnable(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runnable.iter()
     }
 
     /// Re-derive machine `i`'s deadline, runnable membership and CPU
@@ -138,7 +217,7 @@ impl EventIndex {
         let l = i - self.base;
         if down {
             self.node_deadline[l] = None;
-            self.runnable.remove(&i);
+            self.runnable.remove(i);
             self.heap.set(2 * l, None);
             self.heap.set(2 * l + 1, None);
             return;
@@ -155,7 +234,7 @@ impl EventIndex {
                 // the completion instant to run it.
                 self.heap.set(2 * l + 1, Some(busy));
             }
-        } else if self.runnable.remove(&i) {
+        } else if self.runnable.remove(i) {
             self.heap.set(2 * l + 1, None);
         }
     }
@@ -184,7 +263,7 @@ impl EventIndex {
             let timer = self.heap.get(2 * l);
             // A deadline leaves the heap only by firing (`pop_due`).
             assert!(timer == d || (timer.is_none() && d.is_some_and(|t| t <= now)));
-            let cpu = (self.runnable.contains(&(self.base + l)) && busy[l] > now).then(|| busy[l]);
+            let cpu = (self.runnable.contains(self.base + l) && busy[l] > now).then(|| busy[l]);
             // A wake-up that `now` has reached may still await its drop.
             let slot = self.heap.get(2 * l + 1).filter(|&t| t > now);
             assert_eq!(slot, cpu, "cpu slot of local node {l}");
@@ -214,7 +293,68 @@ impl EventIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Random `insert` / `remove` / `contains` / walk sequences against a
+    /// `BTreeSet`, for ranges that start off zero and end off a word
+    /// boundary: same answers, same ascending walk, and a summary bit is
+    /// clear exactly when its 64 members are.
+    #[test]
+    fn run_set_matches_btreeset_model() {
+        let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move |bound: usize| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) as usize % bound
+        };
+        for base in [0, 4_096] {
+            for n in [1, 63, 64, 65, 4_096, 4_097, 65_536] {
+                let mut set = RunSet::new(base, n);
+                let mut model: BTreeSet<usize> = BTreeSet::new();
+                let mut ops = 0;
+                while ops < 200_000 {
+                    let i = base + next(n);
+                    match next(1024) {
+                        // The whole walk, and every summary bit.
+                        0 => {
+                            assert!(set.iter().eq(model.iter().copied()), "{base}+{n}");
+                            let (members, summary) = set.words.split_at(set.leaves);
+                            for (w, &word) in members.iter().enumerate() {
+                                let bit = summary[w / 64] >> (w % 64) & 1;
+                                assert_eq!(bit == 1, word != 0, "{base}+{n} word {w}");
+                            }
+                            ops += 1;
+                        }
+                        // Drain a run of neighbours, so that a dense set
+                        // still empties whole words.
+                        1..=8 => {
+                            let end = (i + next(200)).min(base + n);
+                            for j in i..end {
+                                assert_eq!(set.remove(j), model.remove(&j), "{base}+{n} at {j}");
+                            }
+                            ops += end - i;
+                        }
+                        op => {
+                            match op % 3 {
+                                0 => {
+                                    set.insert(i);
+                                    model.insert(i);
+                                }
+                                1 => {
+                                    assert_eq!(set.remove(i), model.remove(&i), "{base}+{n} at {i}")
+                                }
+                                _ => {}
+                            }
+                            assert_eq!(set.contains(i), model.contains(&i), "{base}+{n} at {i}");
+                            ops += 1;
+                        }
+                    }
+                }
+                assert!(set.iter().eq(model.iter().copied()), "{base}+{n}");
+            }
+        }
+    }
 
     /// Random `set` / `peek` / pop-due sequences against a `BTreeMap`
     /// scan: the heap must always agree on the minimum, on every slot's

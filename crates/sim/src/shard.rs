@@ -352,7 +352,7 @@ impl<'a> Worker<'a> {
     fn run_cpus(&mut self) {
         let mut candidates = std::mem::take(&mut self.cpu_scratch);
         candidates.clear();
-        candidates.extend(self.idx.runnable().iter().copied());
+        candidates.extend(self.idx.runnable());
         for &i in &candidates {
             let l = i - self.base;
             if self.net.down[i] || self.cpu_busy_until[l] > self.now {

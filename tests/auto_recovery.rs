@@ -174,3 +174,64 @@ fn no_fault_run_has_zero_false_positives() {
         assert_eq!(det.false_positives, 0);
     }
 }
+
+/// A checkpoint that cannot be replaced is kept: a protected process
+/// that outgrows the state record (here its communication accounting,
+/// past 65 535 entries) is refused by every later checkpoint pass, and
+/// when its machine dies it is re-homed from the last good one.
+#[test]
+fn a_process_that_can_no_longer_be_checkpointed_is_rehomed_from_its_last_good_one() {
+    let mut cluster = recovery_cluster(3);
+    let server = cluster
+        .spawn(
+            m(1),
+            "echo_server",
+            &EchoServer::state(20),
+            ImageLayout::default(),
+        )
+        .unwrap();
+    cluster.protect(server);
+    cluster.run_for(Duration::from_millis(12));
+    let taken_at = |c: &Cluster| {
+        let r = c.recovery().expect("recovery manager attached");
+        r.checkpoint_of(server).map(|ck| ck.taken_at)
+    };
+    let last_good = taken_at(&cluster).expect("checkpointed while it still could be");
+
+    let accounting = &mut cluster
+        .node_mut(m(1))
+        .kernel
+        .process_mut(server)
+        .unwrap()
+        .bytes_sent_to;
+    accounting.extend((0..=u16::MAX).map(|i| (m(i), 1)));
+    let now = cluster.now();
+    assert!(matches!(
+        cluster.node_mut(m(1)).kernel.checkpoint(now, server),
+        Err(demos_mp::types::DemosError::TooLarge { .. })
+    ));
+    let taken = cluster.recovery().unwrap().stats().checkpoints;
+    cluster.run_for(Duration::from_millis(30));
+    assert_eq!(
+        cluster.recovery().unwrap().stats().checkpoints,
+        taken,
+        "every later pass refused it"
+    );
+    assert_eq!(
+        taken_at(&cluster),
+        Some(last_good),
+        "and kept the older one"
+    );
+
+    cluster.crash(m(1));
+    cluster.run_for(Duration::from_millis(200));
+    let r = cluster.recovery().unwrap();
+    let ep = r
+        .episodes()
+        .iter()
+        .find(|e| e.machine == m(1))
+        .expect("death detected and recovery episode recorded");
+    assert_eq!(ep.rehomed, 1, "re-homed from the last good checkpoint");
+    let home = cluster.where_is(server).expect("server is back");
+    assert_ne!(home, m(1), "on a survivor");
+}

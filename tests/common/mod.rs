@@ -12,6 +12,8 @@ struct Counting;
 thread_local! {
     /// `(allocations, allocations of at least BIG bytes)` on this thread.
     static ALLOCS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Anything this large is an image-sized buffer, not bookkeeping.
@@ -23,10 +25,15 @@ fn note(size: usize) {
         let (all, big) = c.get();
         c.set((all + 1, big + usize::from(size >= BIG)));
     });
+    note_live(size as isize);
 }
 
-// SAFETY: every call is passed straight to `System`; the counter is a
-// plain thread-local `Cell` that never allocates.
+fn note_live(delta: isize) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+}
+
+// SAFETY: every call is passed straight to `System`; the counters are
+// plain thread-local `Cell`s that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -37,10 +44,12 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        note_live(-(layout.size() as isize));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -54,4 +63,14 @@ pub fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let r = f();
     let (all1, big1) = ALLOCS.with(Cell::get);
     (r, all1 - all0, big1 - big0)
+}
+
+/// `(allocations, bytes still allocated)` that `f` leaves behind on this
+/// thread: what it allocated and did not free, net of what it freed
+/// that was allocated before.
+#[allow(dead_code)] // each test binary uses its own subset of this module
+pub fn live_bytes_in<T>(f: impl FnOnce() -> T) -> (T, usize, isize) {
+    let live0 = LIVE.with(Cell::get);
+    let (r, all, _) = allocs_in(f);
+    (r, all, LIVE.with(Cell::get) - live0)
 }
