@@ -79,6 +79,40 @@ fn same_seed_is_byte_identical() {
     }
 }
 
+/// A seed *is* a scenario: every sweep, the guided campaign's digest and
+/// the benchmark's `fault_sweep` row are reproducible only while each
+/// generator makes the same draws in the same order. FNV-1a over the text
+/// form of seeds 0..256 of each of the four; a generator edit that moves
+/// one draw moves a hash.
+#[test]
+fn generated_scenarios_are_pinned() {
+    let generators: [fn(u64) -> Scenario; 4] = [
+        Scenario::generate,
+        Scenario::generate_recovery,
+        Scenario::generate_rare,
+        Scenario::generate_rare_recovery,
+    ];
+    let hashes = generators.map(|generate| {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for seed in 0..256 {
+            for b in generate(seed).to_text().bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        format!("{h:016x}")
+    });
+    assert_eq!(
+        hashes,
+        [
+            "21c134fa84a0ac0c",
+            "37caa1b17eb46ab6",
+            "feead227c99029ca",
+            "ad24b30f6f0b159d"
+        ],
+        "generate, generate_recovery, generate_rare, generate_rare_recovery"
+    );
+}
+
 /// With forwarding disabled the kernel is the paper's rejected design:
 /// messages chasing a migrated process bounce. The sweep must catch it
 /// within 200 seeds and the shrinker must cut the schedule to at most 10
