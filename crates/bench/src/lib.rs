@@ -1,8 +1,9 @@
 //! Experiment harness for the DEMOS/MP reproduction.
 //!
-//! Each binary under `src/bin/` regenerates one experiment from
-//! DESIGN.md's index (E1–E13), printing paper-style tables; `run_all`
-//! executes the whole suite. Criterion benchmarks live under `benches/`.
+//! The `exp` binary regenerates the experiments of DESIGN.md's index
+//! (E1–E17), printing paper-style tables: `exp <name>` for one, `exp all`
+//! for the whole suite. Host-time measurement is not here: that is
+//! `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,6 +25,7 @@ use demos_types::{DemosError, MachineId, ProcessId, Result, Time};
 
 use crate::image::ProcessImage;
 use crate::kernel::{Kernel, Outbox};
+use crate::process::Process;
 use crate::trace::{MigrationPhase, TraceEvent};
 
 /// A stable-storage image of one process: the three migration blobs.
@@ -81,8 +82,12 @@ impl Wire for Checkpoint {
         let pid = ProcessId::decode(buf)?;
         let taken_on = MachineId::decode(buf)?;
         let taken_at = Time::decode(buf)?;
-        let resident = wire::get_bytes(buf, "Checkpoint.resident", 1 << 16)?.to_vec();
-        let swappable = wire::get_bytes(buf, "Checkpoint.swappable", 1 << 20)?.to_vec();
+        // Whatever `Kernel::checkpoint` admits reads back: the bounds are
+        // the records' own arithmetic at the 16-bit count limit.
+        let resident =
+            wire::get_bytes(buf, "Checkpoint.resident", Process::MAX_RESIDENT_LEN)?.to_vec();
+        let swappable =
+            wire::get_bytes(buf, "Checkpoint.swappable", Process::MAX_SWAPPABLE_LEN)?.to_vec();
         let image = wire::get_bytes(buf, "Checkpoint.image", 64 << 20)?;
         Ok(Checkpoint {
             pid,

@@ -44,6 +44,9 @@ impl Default for ImageLayout {
 }
 
 impl ImageLayout {
+    /// Encoded size: three `u32` segment lengths.
+    pub const WIRE_LEN: usize = 12;
+
     /// Total image bytes.
     pub fn total(&self) -> u32 {
         self.code + self.data + self.stack
@@ -280,7 +283,7 @@ impl Wire for ImageLayout {
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 12 {
+        if buf.remaining() < Self::WIRE_LEN {
             return Err(WireError::Truncated("ImageLayout"));
         }
         Ok(ImageLayout {
@@ -291,7 +294,7 @@ impl Wire for ImageLayout {
     }
 
     fn wire_len(&self) -> usize {
-        12
+        Self::WIRE_LEN
     }
 }
 

@@ -39,6 +39,12 @@ impl LinkTable {
         self.slots.len()
     }
 
+    /// Encoded size of a table of `links` links: next index, count, then
+    /// an index and a link each.
+    pub const fn wire_len_of(links: usize) -> usize {
+        4 + 2 + links * (4 + Link::WIRE_LEN)
+    }
+
     /// Whether the table holds no links.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
@@ -150,7 +156,7 @@ impl Wire for LinkTable {
     }
 
     fn wire_len(&self) -> usize {
-        4 + 2 + self.slots.len() * (4 + Link::WIRE_LEN)
+        Self::wire_len_of(self.slots.len())
     }
 
     fn decode(buf: &mut Bytes) -> Result2<Self> {

@@ -195,12 +195,23 @@ impl Process {
         }
     }
 
+    /// The most links, timers or accounting entries a state record counts.
+    const MAX_RECORD_COUNT: usize = u16::MAX as usize;
+
+    /// The longest resident record a freeze or `Kernel::checkpoint`
+    /// writes: what a reader of stored records has to accept.
+    pub const MAX_RESIDENT_LEN: usize = Self::resident_len_of(Self::MAX_RECORD_COUNT);
+
+    /// The longest swappable record either writes.
+    pub const MAX_SWAPPABLE_LEN: usize =
+        Self::swappable_len_of(Self::MAX_RECORD_COUNT, Self::MAX_RECORD_COUNT);
+
     /// The state records count links, timers and accounting entries in
     /// 16 bits each. A process with more of any cannot be described by
     /// one, so it is not frozen or checkpointed: it stays where it is,
     /// whole, rather than arriving with `count mod 65 536` of them.
     pub(crate) fn check_record_counts(&self) -> demos_types::Result<()> {
-        let max = usize::from(u16::MAX);
+        let max = Self::MAX_RECORD_COUNT;
         for (what, len) in [
             ("link table", self.links.len()),
             ("timer list", self.timers.len()),
@@ -213,8 +224,7 @@ impl Process {
         Ok(())
     }
 
-    /// Exact length of the resident record, computed arithmetically.
-    pub fn resident_len(&self) -> usize {
+    const fn resident_len_of(timers: usize) -> usize {
         // In record order, grouped as `from_migrated` checks them: pid;
         // status, started, priority, privileged; layout; cpu, messages,
         // creation time (8 each) and migrations (4); the `migrated_from`
@@ -222,11 +232,16 @@ impl Process {
         // fixed save areas.
         ProcessId::WIRE_LEN
             + 4
-            + self.layout.wire_len()
+            + ImageLayout::WIRE_LEN
             + 28
             + (1 + MachineId::WIRE_LEN)
-            + (2 + self.timers.len() * 16)
+            + (2 + timers * 16)
             + (DISPATCH_SAVE_BYTES + MEMORY_TABLE_BYTES + KERNEL_CONTEXT_BYTES)
+    }
+
+    /// Exact length of the resident record, computed arithmetically.
+    pub fn resident_len(&self) -> usize {
+        Self::resident_len_of(self.timers.len())
     }
 
     /// Write the resident record: [`Process::resident_len`] bytes.
@@ -271,9 +286,13 @@ impl Process {
         buf
     }
 
+    const fn swappable_len_of(links: usize, accounted: usize) -> usize {
+        LinkTable::wire_len_of(links) + 2 + accounted * (MachineId::WIRE_LEN + 8) + 2
+    }
+
     /// Exact length of the swappable record, computed arithmetically.
     pub fn swappable_len(&self) -> usize {
-        self.links.wire_len() + 2 + self.bytes_sent_to.len() * (MachineId::WIRE_LEN + 8) + 2
+        Self::swappable_len_of(self.links.len(), self.bytes_sent_to.len())
     }
 
     /// Write the swappable record: [`Process::swappable_len`] bytes.

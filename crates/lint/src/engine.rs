@@ -23,9 +23,9 @@ use crate::rules_sem::{self, SemCtx};
 use crate::symbols::{self, Symbols};
 
 /// Directory names never descended into. `shims/` holds stand-ins for
-/// external crates (criterion's timer is *supposed* to read the wall
-/// clock); `fixtures/` holds this linter's own deliberately-violating
-/// test inputs.
+/// external crates, which keep those crates' APIs rather than this
+/// workspace's rules; `fixtures/` holds this linter's own
+/// deliberately-violating test inputs.
 const SKIP_DIRS: [&str; 7] = [
     "target",
     ".git",
@@ -38,7 +38,7 @@ const SKIP_DIRS: [&str; 7] = [
 
 /// Path prefixes (workspace-relative, `/`-separated) that are test or
 /// example code: no rules apply there.
-const TEST_TREES: [&str; 3] = ["tests/", "examples/", "benches/"];
+const TEST_TREES: [&str; 2] = ["tests/", "examples/"];
 
 /// Crates whose state is visible to the simulation — D001's scope.
 const SIM_VISIBLE: [&str; 8] = [
@@ -57,21 +57,22 @@ const NO_PANIC: [&str; 3] = ["crates/kernel/", "crates/net/", "crates/core/"];
 
 /// Decide the lexical rule scope for one workspace-relative path.
 pub fn scope_for(rel: &str) -> Scope {
-    // Integration tests, examples and benches: out of scope entirely.
+    // Integration tests and examples: out of scope entirely.
     if TEST_TREES.iter().any(|t| rel.starts_with(t))
         || rel.contains("/tests/")
         || rel.contains("/examples/")
-        || rel.contains("/benches/")
     {
         return Scope::none();
     }
     let mut s = Scope {
         d001: SIM_VISIBLE.iter().any(|c| rel.starts_with(c)),
-        // The wall clock is the *measurand* in bench; everywhere else it
-        // is nondeterminism. Bench is also exempt from D003: it *queries*
-        // traces (filter-for-one-event matches), it does not handle
-        // protocol, so catch-alls there are idiomatic.
-        d002: !rel.starts_with("crates/bench/"),
+        // No crate is exempt: the wall-clock reads that remain (`rt`'s
+        // epoch, the chaos CLI's execs/s, `benchmark/`'s clock) each
+        // carry a `lint:allow`.
+        d002: true,
+        // Bench is exempt from D003: it *queries* traces
+        // (filter-for-one-event matches), it does not handle protocol, so
+        // catch-alls there are idiomatic.
         d003: !rel.starts_with("crates/bench/"),
         d004: NO_PANIC.iter().any(|c| rel.starts_with(c)),
         d005: rel.starts_with("crates/types/"),

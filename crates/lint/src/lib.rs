@@ -18,7 +18,7 @@
 //! | code | phase | rule |
 //! |------|-------|------|
 //! | D001 | lexical  | no `HashMap`/`HashSet` (hasher-ordered iteration) in sim-visible crates |
-//! | D002 | lexical  | no `SystemTime`/`Instant::now`/`thread_rng` outside `crates/bench` |
+//! | D002 | lexical  | no `SystemTime`/`Instant::now`/`thread_rng` |
 //! | D003 | lexical  | no catch-all `_ =>` in matches over protocol/engine enums |
 //! | D004 | lexical  | no `unwrap`/`expect`/`panic!` in kernel/net/core handler paths |
 //! | D005 | lexical  | no `as` integer casts in the `types` codecs (checked conversions only) |

@@ -162,8 +162,7 @@ fn d002(toks: &[Tok], mask: &[bool], file: &str, diags: &mut Vec<Diagnostic>) {
                 t,
                 format!(
                     "`{name}` injects ambient time/entropy; route time through the sim clock \
-                     and randomness through the seeded RNG (only `crates/bench` may touch \
-                     the wall clock)"
+                     and randomness through the seeded RNG"
                 ),
             );
             continue;

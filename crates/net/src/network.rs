@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use demos_types::{MachineId, Time};
+use demos_types::{Duration, MachineId, Time};
 
 use crate::frame::Frame;
 use crate::topology::Topology;
@@ -98,6 +98,70 @@ impl NetStats {
         self.bytes_sent += o.bytes_sent;
         self.byte_hops += o.byte_hops;
     }
+
+    /// Count one receiver-side transport event.
+    pub fn note(&mut self, ev: NetEvent) {
+        match ev {
+            NetEvent::DupAck => self.dup_acks += 1,
+            NetEvent::DedupDrop => self.dedup_drops += 1,
+            NetEvent::StaleEpochDrop => self.stale_epoch_drops += 1,
+        }
+    }
+
+    /// The step every physical layer's [`Phys::transmit`] opens with:
+    /// count the frame, drop it if an endpoint is marked in `down` or the
+    /// topology has no route, otherwise charge its byte·hops. Returns the
+    /// route's transit time and loss probability, or `None` for a frame
+    /// that was dropped (and counted so). The loss draw and the arrival
+    /// key are the caller's.
+    pub fn transmit(
+        &mut self,
+        topo: &Topology,
+        down: &[bool],
+        src: MachineId,
+        dst: MachineId,
+        frame: &Frame,
+    ) -> Option<(Duration, f64)> {
+        let size = frame.wire_size();
+        self.frames_sent += 1;
+        self.bytes_sent += size as u64;
+        if frame.is_ack() {
+            self.ack_frames += 1;
+        } else {
+            self.data_frames += 1;
+            if frame.meta().is_some_and(|m| m.retx) {
+                self.retransmit_frames += 1;
+            }
+        }
+        let route = if is_down(down, src) || is_down(down, dst) {
+            None
+        } else {
+            topo.transit(src, dst, size)
+        };
+        match route {
+            Some(_) => self.byte_hops += (size * topo.hops(src, dst)) as u64,
+            None => self.frames_dropped += 1,
+        }
+        route
+    }
+
+    /// Whether a frame popped from an arrival heap is delivered, counted
+    /// either way: a machine that crashed after the frame departed still
+    /// loses it.
+    pub fn arrives(&mut self, down: &[bool], a: &InFlight) -> bool {
+        let lost = is_down(down, a.dst) || is_down(down, a.src);
+        if lost {
+            self.frames_dropped += 1;
+        } else {
+            self.frames_delivered += 1;
+        }
+        !lost
+    }
+}
+
+/// A machine the flags do not cover counts as crashed.
+fn is_down(down: &[bool], m: MachineId) -> bool {
+    down.get(m.0 as usize).copied().unwrap_or(true)
 }
 
 /// Total-order tie-break key for frames arriving at the same instant.
@@ -228,7 +292,7 @@ impl SimNetwork {
 
     /// Whether a machine is marked crashed.
     pub fn is_down(&self, m: MachineId) -> bool {
-        self.down.get(m.0 as usize).copied().unwrap_or(true)
+        is_down(&self.down, m)
     }
 
     /// Cumulative statistics.
@@ -245,13 +309,9 @@ impl SimNetwork {
     pub fn pop_due(&mut self, now: Time) -> Option<(Time, MachineId, MachineId, Frame)> {
         while self.heap.peek().is_some_and(|Reverse(a)| a.at <= now) {
             let Reverse(a) = self.heap.pop()?;
-            // A machine that crashed after the frame departed still loses it.
-            if self.is_down(a.dst) || self.is_down(a.src) {
-                self.stats.frames_dropped += 1;
-                continue;
+            if self.stats.arrives(&self.down, &a) {
+                return Some((a.at, a.src, a.dst, a.frame));
             }
-            self.stats.frames_delivered += 1;
-            return Some((a.at, a.src, a.dst, a.frame));
         }
         None
     }
@@ -370,26 +430,12 @@ impl SimNetwork {
 
 impl Phys for SimNetwork {
     fn transmit(&mut self, now: Time, src: MachineId, dst: MachineId, frame: Frame) {
-        let size = frame.wire_size();
-        self.stats.frames_sent += 1;
-        self.stats.bytes_sent += size as u64;
-        if frame.is_ack() {
-            self.stats.ack_frames += 1;
-        } else {
-            self.stats.data_frames += 1;
-            if frame.meta().is_some_and(|m| m.retx) {
-                self.stats.retransmit_frames += 1;
-            }
-        }
-        if self.is_down(src) || self.is_down(dst) {
-            self.stats.frames_dropped += 1;
-            return;
-        }
-        let Some((transit, loss)) = self.topo.transit(src, dst, size) else {
-            self.stats.frames_dropped += 1;
+        let Some((transit, loss)) = self
+            .stats
+            .transmit(&self.topo, &self.down, src, dst, &frame)
+        else {
             return;
         };
-        self.stats.byte_hops += (size * self.topo.hops(src, dst)) as u64;
         if loss > 0.0 && self.rng.gen_bool(loss.min(1.0)) {
             self.stats.frames_dropped += 1;
             return;
@@ -405,11 +451,7 @@ impl Phys for SimNetwork {
     }
 
     fn note(&mut self, ev: NetEvent) {
-        match ev {
-            NetEvent::DupAck => self.stats.dup_acks += 1,
-            NetEvent::DedupDrop => self.stats.dedup_drops += 1,
-            NetEvent::StaleEpochDrop => self.stats.stale_epoch_drops += 1,
-        }
+        self.stats.note(ev);
     }
 }
 

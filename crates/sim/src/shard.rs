@@ -203,9 +203,9 @@ struct WorkerResult {
 
 /// The physical layer a shard's nodes transmit into: local-destination
 /// frames go straight onto the shard's arrival heap, cross-shard frames
-/// into per-destination outgoing mail. A faithful port of
-/// `SimNetwork::transmit` minus the loss draw (lossy topologies never
-/// reach the parallel path).
+/// into per-destination outgoing mail. Counting and routing are
+/// `NetStats::transmit`, as in `SimNetwork`; there is no loss draw (lossy
+/// topologies never reach the parallel path) and the key is canonical.
 struct ShardNet<'a> {
     topo: &'a Topology,
     shard_of: &'a [u16],
@@ -230,26 +230,10 @@ struct ShardNet<'a> {
 
 impl Phys for ShardNet<'_> {
     fn transmit(&mut self, now: Time, src: MachineId, dst: MachineId, frame: demos_net::Frame) {
-        let size = frame.wire_size();
-        self.stats.frames_sent += 1;
-        self.stats.bytes_sent += size as u64;
-        if frame.is_ack() {
-            self.stats.ack_frames += 1;
-        } else {
-            self.stats.data_frames += 1;
-            if frame.meta().is_some_and(|m| m.retx) {
-                self.stats.retransmit_frames += 1;
-            }
-        }
-        if self.down[src.0 as usize] || self.down[dst.0 as usize] {
-            self.stats.frames_dropped += 1;
-            return;
-        }
-        let Some((transit, loss)) = self.topo.transit(src, dst, size) else {
-            self.stats.frames_dropped += 1;
+        let Some((transit, loss)) = self.stats.transmit(self.topo, self.down, src, dst, &frame)
+        else {
             return;
         };
-        self.stats.byte_hops += (size * self.topo.hops(src, dst)) as u64;
         debug_assert!(loss == 0.0, "lossy topologies take the sequential path");
         let slot = &mut self.send_idx[src.0 as usize - self.base];
         *slot += 1;
@@ -270,11 +254,7 @@ impl Phys for ShardNet<'_> {
     }
 
     fn note(&mut self, ev: NetEvent) {
-        match ev {
-            NetEvent::DupAck => self.stats.dup_acks += 1,
-            NetEvent::DedupDrop => self.stats.dedup_drops += 1,
-            NetEvent::StaleEpochDrop => self.stats.stale_epoch_drops += 1,
-        }
+        self.stats.note(ev);
     }
 }
 
@@ -390,11 +370,9 @@ impl<'a> Worker<'a> {
             let Some(Reverse(a)) = self.net.arrivals.pop() else {
                 break;
             };
-            if self.net.down[a.dst.0 as usize] || self.net.down[a.src.0 as usize] {
-                self.net.stats.frames_dropped += 1;
+            if !self.net.stats.arrives(self.net.down, &a) {
                 continue;
             }
-            self.net.stats.frames_delivered += 1;
             self.stats.frame_visits += 1;
             let l = (a.dst.0 as usize) - self.base;
             let now = self.now;

@@ -186,7 +186,7 @@ fn handwritten_corpus_seeds_hit_their_target_coverage() {
     );
 }
 
-/// The acceptance criterion for the parallel fuzzer: the same campaign
+/// The acceptance test for the parallel fuzzer: the same campaign
 /// seed produces a byte-identical outcome — report fingerprint AND the
 /// repro artifacts written for the bugs it finds — whether it runs on
 /// one worker or four. Workers only execute; candidate derivation and

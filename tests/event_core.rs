@@ -2,8 +2,8 @@
 //! only nodes with actual work, not scan the whole cluster. These pin
 //! the per-step visit budget so a reintroduced O(n) scan fails loudly.
 
-use demos_sim::prelude::*;
-use demos_sim::programs::PingPong;
+use demos_mp::sim::prelude::*;
+use demos_mp::sim::programs::PingPong;
 
 fn m(i: u16) -> MachineId {
     MachineId(i)

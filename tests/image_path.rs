@@ -541,6 +541,44 @@ fn a_process_arrives_with_every_link_or_stays_where_it_is() {
 }
 
 #[test]
+fn a_checkpoint_at_the_record_limit_reads_back() {
+    // The most of everything a state record can count: what
+    // `Kernel::checkpoint` still admits, its wire form has to give back.
+    let mut cluster = ClusterBuilder::new(1).build();
+    let pid = cluster
+        .spawn(m(0), "cargo", &Cargo::state(64), ImageLayout::default())
+        .unwrap();
+    let kernel = &mut cluster.node_mut(m(0)).kernel;
+    let proc = kernel.process_mut(pid).unwrap();
+    for i in 0..u16::MAX {
+        proc.links.insert(Link::to(pid.at(m(0))));
+        let token = u64::from(i);
+        proc.timers.push(TimerEntry { at: Time(1), token });
+        proc.bytes_sent_to.insert(m(i), 1);
+    }
+    let ck = kernel.checkpoint(Time(0), pid).unwrap();
+    assert_eq!(ck.resident.len(), Process::MAX_RESIDENT_LEN);
+    assert_eq!(ck.swappable.len(), Process::MAX_SWAPPABLE_LEN);
+    // (`assert!`, not `assert_eq!`: a failure should not print 3 MB.)
+    match Checkpoint::from_bytes(&ck.to_bytes()) {
+        Ok(back) => assert!(back == ck, "the checkpoint read back differs"),
+        Err(e) => panic!("a checkpoint that was taken cannot be read: {e:?}"),
+    }
+
+    // One byte past either bound is not a record any process wrote.
+    let refused = |ck: &Checkpoint| match Checkpoint::from_bytes(&ck.to_bytes()) {
+        Err(WireError::BadLength { what, .. }) => what,
+        other => panic!("read back: {:?}", other.map(|c| c.len())),
+    };
+    let mut over = ck.clone();
+    over.resident.push(0);
+    assert_eq!(refused(&over), "Checkpoint.resident");
+    let mut over = ck;
+    over.swappable.push(0);
+    assert_eq!(refused(&over), "Checkpoint.swappable");
+}
+
+#[test]
 fn a_state_record_with_bytes_left_over_is_not_installed() {
     // Whatever mis-sizes a record — the wrapped count above was one way —
     // the install fails (the source thaws) rather than build a process
