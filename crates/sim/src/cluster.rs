@@ -34,6 +34,7 @@ use crate::evindex::EventIndex;
 use crate::flight::{self, DEFAULT_RECORDER_CAPACITY};
 use crate::partition::ShardPlan;
 use crate::recovery::{RecoveryConfig, RecoveryEpisode, RecoveryManager};
+use crate::residency::{self, Residency};
 use crate::shard::ShardStats;
 use crate::trace::Trace;
 
@@ -193,6 +194,7 @@ impl ClusterBuilder {
             recovery: self.recovery.map(RecoveryManager::new),
             crash_log: BTreeMap::new(),
             idx: EventIndex::new(0, n),
+            residency: Residency::default(),
             dirty: Vec::new(),
             cpu_scratch: Vec::new(),
             fired_scratch: Vec::new(),
@@ -266,8 +268,12 @@ pub struct Cluster {
     /// Node deadlines, CPU completions and the runnable set: finding the
     /// next event is an O(1) peek instead of a scan over every machine.
     pub(crate) idx: EventIndex,
+    /// Which machines hold which processes: finding a process is a range
+    /// walk over its pairs instead of a visit to every kernel.
+    pub(crate) residency: Residency,
     /// Nodes handed out via [`Cluster::node_mut`] since the last event-loop
-    /// entry; their cached state is recomputed before it is trusted.
+    /// entry, each once; their cached state and their process tables are
+    /// re-read before they are trusted.
     dirty: Vec<usize>,
     /// Reused buffers for the per-step candidate and fired-node lists,
     /// so the hot loop allocates nothing.
@@ -321,11 +327,15 @@ impl Cluster {
 
     /// Mutable node access (tests and bootstrap).
     pub fn node_mut(&mut self, m: MachineId) -> &mut Node {
-        // The caller may arm timers or enqueue work behind the event
-        // index's back; re-derive this node's cached state before the
-        // next event-loop pass trusts it.
-        self.dirty.push(m.0 as usize);
-        &mut self.nodes[m.0 as usize]
+        // The caller may arm timers, enqueue work or change the process
+        // table behind the indexes' backs: the machine leaves the
+        // residency index, and both re-read it at the next flush.
+        let i = m.0 as usize;
+        if !self.dirty.contains(&i) {
+            self.residency.set_table(&self.nodes[i].kernel, false);
+            self.dirty.push(i);
+        }
+        &mut self.nodes[i]
     }
 
     /// The network (statistics, topology).
@@ -434,13 +444,40 @@ impl Cluster {
     }
 
     /// Which machine currently hosts `pid`, if any. Processes on crashed
-    /// machines are gone (their state died with the processor).
+    /// machines are gone (their state died with the processor). Between
+    /// steps 5 and 7 of a migration, source and destination both hold
+    /// the process; the answer is then the lower-numbered of the two.
     pub fn where_is(&self, pid: ProcessId) -> Option<MachineId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .find(|(i, n)| !self.crashed[*i] && n.kernel.process(pid).is_some())
-            .map(|(_, n)| n.machine())
+        let holds = |m: &MachineId| self.holds(*m, pid);
+        let indexed = self.residency.hosts(pid).find(holds);
+        // Machines `node_mut` handed out are out of the index until the
+        // next flush: ask them directly.
+        let handed_out = self.dirty.iter().map(|&i| MachineId(i as u16));
+        let found = indexed.into_iter().chain(handed_out.filter(holds)).min();
+        debug_assert_eq!(found, self.scan(pid), "residency index diverged from scan");
+        found
+    }
+
+    /// Whether live machine `m`'s process table holds `pid`.
+    fn holds(&self, m: MachineId, pid: ProcessId) -> bool {
+        let i = m.0 as usize;
+        !self.crashed[i] && self.nodes[i].kernel.process(pid).is_some()
+    }
+
+    /// What `where_is` must return, by asking every kernel. Checks the
+    /// index on the way: a pair naming a live machine that `node_mut` has
+    /// not handed out must be backed by that machine's process table.
+    fn scan(&self, pid: ProcessId) -> Option<MachineId> {
+        for m in self.residency.hosts(pid) {
+            let i = m.0 as usize;
+            assert!(
+                self.crashed[i] || self.dirty.contains(&i) || self.holds(m, pid),
+                "residency index holds a stale pair ({pid}, {m})"
+            );
+        }
+        (0..self.nodes.len())
+            .map(|i| MachineId(i as u16))
+            .find(|&m| self.holds(m, pid))
     }
 
     fn drain_outbox(&mut self, machine: MachineId) {
@@ -448,6 +485,11 @@ impl Cluster {
         if rec.capacity() > 0 {
             for ev in &self.outbox.trace {
                 rec.record(flight::encode(self.now, machine, ev));
+            }
+        }
+        for ev in &self.outbox.trace {
+            if let Some(change) = residency::change(machine, ev) {
+                self.residency.apply(change);
             }
         }
         // Drained in place: the outbox keeps its buffer for the next event.
@@ -674,6 +716,7 @@ impl Cluster {
         for &(peer, epoch) in &epochs {
             fresh.kernel.reset_channel(peer, epoch);
         }
+        self.residency.set_table(&self.nodes[i].kernel, false);
         self.nodes[i] = fresh;
         self.crashed[i] = false;
         self.cpu_busy_until[i] = self.now;
@@ -780,9 +823,10 @@ impl Cluster {
     }
 
     /// Re-index every node mutated through [`Cluster::node_mut`] since the
-    /// last event-loop pass.
+    /// last event-loop pass, its process table included.
     pub(crate) fn flush_dirty(&mut self) {
         while let Some(i) = self.dirty.pop() {
+            self.residency.set_table(&self.nodes[i].kernel, true);
             self.touch_node(i);
         }
     }
@@ -1011,7 +1055,7 @@ impl Cluster {
             .filter(|&(j, _)| !self.crashed[j])
             .flat_map(|(_, n)| {
                 let host = n.machine();
-                n.kernel.pids().map(move |p| (p, host)).collect::<Vec<_>>()
+                n.kernel.pids().map(move |p| (p, host))
             })
             .collect();
         for j in 0..self.nodes.len() {

@@ -38,6 +38,7 @@ pub mod partition;
 pub mod programs;
 pub mod recovery;
 pub mod report;
+mod residency;
 pub mod shard;
 pub mod span;
 pub mod trace;

@@ -62,6 +62,7 @@ use crate::cluster::{Cluster, StepStats};
 use crate::evindex::EventIndex;
 use crate::flight;
 use crate::partition::ShardPlan;
+use crate::residency::{self, Change};
 
 /// Same-instant phase ranks, matching the sequential interleave.
 const PHASE_FRAME: u8 = 1;
@@ -194,6 +195,8 @@ struct WorkerResult {
     fin: Option<u64>,
     leftovers: Vec<InFlight>,
     segments: Vec<Segment>,
+    /// Residency changes of the shard's machines, in execution order.
+    moves: Vec<Change>,
     net_stats: NetStats,
     step_stats: StepStats,
     windows: u64,
@@ -274,6 +277,7 @@ struct Worker<'a> {
     outbox: Outbox,
     idx: EventIndex,
     segments: Vec<Segment>,
+    moves: Vec<Change>,
     stats: StepStats,
     windows: u64,
     critical_visits: u64,
@@ -300,8 +304,9 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Drain the outbox after one handler call into the recorder ring and
-    /// a tagged trace segment.
+    /// Drain the outbox after one handler call into the recorder ring, the
+    /// residency changes handed back at segment end, and a tagged trace
+    /// segment.
     fn drain(&mut self, machine: MachineId, phase: u8, key: SendKey) {
         let l = (machine.0 as usize) - self.base;
         let rec = &mut self.recorders[l];
@@ -309,6 +314,9 @@ impl<'a> Worker<'a> {
             for ev in &self.outbox.trace {
                 rec.record(flight::encode(self.now, machine, ev));
             }
+        }
+        for ev in &self.outbox.trace {
+            self.moves.extend(residency::change(machine, ev));
         }
         if self.trace_on && !self.outbox.trace.is_empty() {
             self.segments.push(Segment {
@@ -516,6 +524,7 @@ impl<'a> Worker<'a> {
             fin,
             leftovers: self.net.arrivals.drain().map(|Reverse(a)| a).collect(),
             segments: self.segments,
+            moves: self.moves,
             net_stats: self.net.stats,
             step_stats: self.stats,
             windows: self.windows,
@@ -629,6 +638,7 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
             outbox: Outbox::default(),
             idx: EventIndex::new(base, end - base),
             segments: Vec::new(),
+            moves: Vec::new(),
             stats: StepStats::default(),
             windows: 0,
             critical_visits: 0,
@@ -681,6 +691,10 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
         stats.visits[sid] += r.step_stats.node_visits();
         stats.mailbox_high_water[sid] = stats.mailbox_high_water[sid].max(r.mailbox_high_water);
         segments.extend(r.segments);
+        // Each machine belongs to one shard, so shards' changes commute.
+        for change in r.moves {
+            c.residency.apply(change);
+        }
     }
     // Mail posted by the final batch was never taken by a worker.
     for row in &shared.mail {
