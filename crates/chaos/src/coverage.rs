@@ -69,7 +69,13 @@ pub fn fault_phase_features(
                     | MigrationPhase::Rejected => {
                         open.remove(&pid);
                     }
-                    p => {
+                    p @ (MigrationPhase::Frozen
+                    | MigrationPhase::Offered
+                    | MigrationPhase::Allocated
+                    | MigrationPhase::StateTransferred
+                    | MigrationPhase::ImageTransferred
+                    | MigrationPhase::PendingForwarded
+                    | MigrationPhase::CleanedUp) => {
                         open.insert(pid, p);
                     }
                 }

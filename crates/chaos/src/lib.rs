@@ -35,6 +35,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A match over an enum names its variants, so a new variant is a compile
+// error at every handler instead of a silent fall-through (D003).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod campaign;
 pub mod coverage;

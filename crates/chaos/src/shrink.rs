@@ -59,7 +59,12 @@ fn drop_workload(sc: &Scenario, wi: usize) -> Option<Scenario> {
                 true
             }
         }
-        _ => true,
+        EventKind::Partition { .. }
+        | EventKind::HealEdge { .. }
+        | EventKind::Crash { .. }
+        | EventKind::Revive { .. }
+        | EventKind::Degrade { .. }
+        | EventKind::Restore { .. } => true,
     });
     Some(out)
 }

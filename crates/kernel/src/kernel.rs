@@ -822,7 +822,7 @@ impl Kernel {
                     // A timer: queued here as its token, or fired where the
                     // process used to live and forwarded after it as a
                     // `TIMER` message (step 6).
-                    timer => {
+                    timer @ (Queued::Timer(_) | Queued::Message(_)) => {
                         let token = match timer {
                             Queued::Timer(token) => token,
                             Queued::Message(msg) => decode_timer_token(&msg.payload),
@@ -1541,7 +1541,10 @@ impl Kernel {
                         let a = self.md.abort_reply(op, msg.header.src_machine, 2);
                         self.apply_md_actions(now, &mut vec![a], phys, out);
                     }
-                    other => {
+                    other @ (MoveDataMsg::Data { .. }
+                    | MoveDataMsg::Ack { .. }
+                    | MoveDataMsg::Done { .. }
+                    | MoveDataMsg::Abort { .. }) => {
                         // A nested packet (a local peer) finds the list
                         // taken and starts a fresh one; only capacity is
                         // at stake.
@@ -1826,14 +1829,17 @@ impl Kernel {
                 };
                 self.apply_md_actions(now, &mut vec![action], phys, out);
             }
-            other => {
-                // Data/Ack/Done never travel DTK; a request with a
-                // migration selector over a user link is refused.
-                if let MoveDataMsg::ReadReq { op, .. } | MoveDataMsg::WriteReq { op, .. } = other {
-                    let a = self.md.abort_reply(op, requester, 2);
-                    self.apply_md_actions(now, &mut vec![a], phys, out);
-                }
+            // A request with a migration selector over a user link is
+            // refused.
+            MoveDataMsg::ReadReq { op, .. } | MoveDataMsg::WriteReq { op, .. } => {
+                let a = self.md.abort_reply(op, requester, 2);
+                self.apply_md_actions(now, &mut vec![a], phys, out);
             }
+            // Data/Ack/Done/Abort never travel DTK.
+            MoveDataMsg::Data { .. }
+            | MoveDataMsg::Ack { .. }
+            | MoveDataMsg::Done { .. }
+            | MoveDataMsg::Abort { .. } => {}
         }
     }
 

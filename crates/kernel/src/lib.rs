@@ -20,6 +20,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Code a protocol handler can reach degrades instead of aborting the kernel
+// (DESIGN.md §8, D004/D006); tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// A match over an enum names its variants, so a new variant is a compile
+// error at every handler instead of a silent fall-through (D003).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod checkpoint;
 pub mod image;

@@ -1,32 +1,14 @@
-//! A non-sim-visible crate: D001/D002 do not apply here lexically, so
-//! these functions are invisible to the per-file rules — D008 must track
-//! the taint through the call graph instead.
+//! A crate that is not sim-visible: a wall-clock read here is a D002
+//! finding at its own site, and D008 must track the taint it spreads
+//! through the call graph into sim-visible callers.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
-
-/// D008 positive taint source: hasher-ordered iteration.
-pub fn order_sensitive_sum(keys: &[u32]) -> u32 {
-    let mut m = HashMap::new();
-    for (i, k) in keys.iter().enumerate() {
-        m.insert(*k, i);
-    }
-    let mut total = 0u32;
-    for v in m.values() {
-        total = total.wrapping_add(*v as u32);
-    }
-    total
+/// D008 positive taint source: the sum depends on the host clock.
+pub fn clocked_sum(keys: &[u32]) -> u32 {
+    let salt = std::time::Instant::now().elapsed().subsec_nanos();
+    keys.iter().fold(salt, |a, k| a.wrapping_add(*k))
 }
 
-/// D008 negative: ordered iteration, no taint.
+/// D008 negative: a pure function of its input, no taint.
 pub fn ordered_sum(keys: &[u32]) -> u32 {
-    let mut m = BTreeMap::new();
-    for (i, k) in keys.iter().enumerate() {
-        m.insert(*k, i);
-    }
-    let mut total = 0u32;
-    for v in m.values() {
-        total = total.wrapping_add(*v as u32);
-    }
-    total
+    keys.iter().fold(0, |a, k| a.wrapping_add(*k))
 }

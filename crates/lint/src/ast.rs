@@ -4,10 +4,9 @@
 //! [`crate::parser`] recovers exactly the structure the semantic rules
 //! need — the item tree (functions, impl blocks, enums, modules), and
 //! inside every function body a flattened stream of *events* (calls,
-//! method calls, macro invocations, path references with
-//! pattern/expression position, field accesses, lock acquisitions,
-//! channel sends) annotated with enough block structure to reason about
-//! guard lifetimes. Everything else (types, generics, expressions that
+//! method calls, path references with pattern/expression position, field
+//! accesses, lock acquisitions, channel sends) annotated with enough
+//! block structure to reason about guard lifetimes. Everything else (types, generics, expressions that
 //! none of the rules inspect) is deliberately skipped over.
 
 /// A source position (1-based line and column).
@@ -41,8 +40,6 @@ pub struct EnumDef {
     pub name: String,
     /// Variant names with their definition sites.
     pub variants: Vec<(String, Span)>,
-    /// Definition site of the enum itself.
-    pub span: Span,
 }
 
 /// A `fn` item (free function or method).
@@ -54,15 +51,8 @@ pub struct FnDef {
     /// trait-impl target (`Frame` for `impl Wire for Frame`). Empty for
     /// free functions.
     pub self_ty: String,
-    /// Trait being implemented, if the enclosing impl is a trait impl
-    /// (`Wire` for `impl Wire for Frame`).
-    pub trait_name: String,
     /// Whether the first parameter is a form of `self`.
     pub is_method: bool,
-    /// Definition site (the `fn` keyword).
-    pub span: Span,
-    /// Last line of the body (for block-range queries).
-    pub end_line: u32,
     /// True when the function sits inside a `#[cfg(test)]` module or is
     /// itself `#[test]`-annotated: excluded from every semantic rule.
     pub is_test: bool,
@@ -95,8 +85,6 @@ pub enum Event {
         recv: String,
         span: Span,
     },
-    /// A macro invocation `name!(…)`.
-    Macro { name: String, span: Span },
     /// A `Path::Segment` reference that is *not* a call (no trailing
     /// parens at the path head): enum-variant constructions
     /// (struct-literal or unit form) and pattern references.
@@ -109,8 +97,8 @@ pub enum Event {
     },
     /// A field access `.name` (no call parens).
     Field { name: String, span: Span },
-    /// A bare identifier mention (used by taint/epoch rules to see
-    /// locals like `epoch` and type names like `HashMap` in bodies).
+    /// A bare identifier mention (used by the determinism and epoch rules
+    /// to see locals like `epoch` and names like `SystemTime` in bodies).
     Ident { name: String, span: Span },
     /// `recv.lock()` — a mutex acquisition. `held_for_block` is true when
     /// the guard is bound by a surrounding `let`/`if let` (held to the end
@@ -123,33 +111,9 @@ pub enum Event {
         span: Span,
     },
     /// `recv.send(…)` / `recv.recv()` — a channel endpoint operation.
-    ChannelOp {
-        name: String,
-        recv: String,
-        depth: u32,
-        span: Span,
-    },
-    /// A block opened (brace depth after opening).
-    BlockOpen { depth: u32 },
+    ChannelOp { name: String, span: Span },
     /// A block closed (brace depth after closing).
     BlockClose { depth: u32 },
     /// End of a statement (`;` at statement level).
     StmtEnd { depth: u32 },
-}
-
-impl Event {
-    /// The span of the event, when it has one.
-    pub fn span(&self) -> Option<Span> {
-        match self {
-            Event::Call { span, .. }
-            | Event::Method { span, .. }
-            | Event::Macro { span, .. }
-            | Event::PathRef { span, .. }
-            | Event::Field { span, .. }
-            | Event::Ident { span, .. }
-            | Event::Lock { span, .. }
-            | Event::ChannelOp { span, .. } => Some(*span),
-            Event::BlockOpen { .. } | Event::BlockClose { .. } | Event::StmtEnd { .. } => None,
-        }
-    }
 }

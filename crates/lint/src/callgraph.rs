@@ -14,7 +14,7 @@
 //! Every candidate edge is then filtered by the crate dependency closure:
 //! code in `crates/types` cannot call into `crates/kernel`, whatever the
 //! names say. The result over-approximates real calls slightly (which is
-//! what a reachability rule wants) without drowning in false edges.
+//! what a taint rule wants) without drowning in false edges.
 
 use std::collections::BTreeMap;
 
@@ -137,51 +137,6 @@ impl CallGraph {
             edges[id] = out;
         }
         CallGraph { edges }
-    }
-
-    /// Forward BFS from `roots`; returns for each reachable fn the id of
-    /// its BFS parent (roots map to themselves).
-    pub fn reach_from(&self, roots: &[FnId]) -> BTreeMap<FnId, FnId> {
-        let mut parent: BTreeMap<FnId, FnId> = BTreeMap::new();
-        let mut queue: std::collections::VecDeque<FnId> = std::collections::VecDeque::new();
-        for &r in roots {
-            if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(r) {
-                e.insert(r);
-                queue.push_back(r);
-            }
-        }
-        while let Some(f) = queue.pop_front() {
-            for &(c, _) in &self.edges[f] {
-                if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(c) {
-                    e.insert(f);
-                    queue.push_back(c);
-                }
-            }
-        }
-        parent
-    }
-
-    /// The call path root → … → `target` implied by a `reach_from`
-    /// parent map, rendered as qualified names.
-    pub fn path_to(
-        &self,
-        parent: &BTreeMap<FnId, FnId>,
-        target: FnId,
-        files: &[FileAst],
-        sym: &Symbols,
-    ) -> Vec<String> {
-        let mut path = Vec::new();
-        let mut cur = target;
-        loop {
-            let (fi, gi) = sym.fns[cur];
-            path.push(files[fi].fns[gi].qual());
-            match parent.get(&cur) {
-                Some(&p) if p != cur => cur = p,
-                _ => break,
-            }
-        }
-        path.reverse();
-        path
     }
 }
 
@@ -350,11 +305,7 @@ mod tests {
     fn build(srcs: &[(&str, &str)]) -> (Vec<FileAst>, Symbols, CallGraph) {
         let files: Vec<FileAst> = srcs
             .iter()
-            .map(|(rel, src)| {
-                let lexed = lexer::lex(src);
-                let mask = vec![false; lexed.toks.len()];
-                parser::parse(rel, &lexed.toks, &mask)
-            })
+            .map(|(rel, src)| parser::parse(rel, &lexer::lex(src).toks))
             .collect();
         let sym = Symbols::build(&files, BTreeMap::new());
         let graph = CallGraph::build(&files, &sym);
@@ -381,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_file_method_and_reachability() {
+    fn cross_file_method_calls_resolve() {
         let (files, sym, g) = build(&[
             (
                 "crates/kernel/src/a.rs",
@@ -392,12 +343,14 @@ mod tests {
                 "impl M { fn encode_wire(&self) { self.deep(); } fn deep(&self) {} }",
             ),
         ]);
-        let roots = vec![0usize];
-        let reach = g.reach_from(&roots);
-        assert_eq!(reach.len(), 3, "on_frame → encode_wire → deep");
-        let deep_id = sym.by_name["deep"][0];
-        let path = g.path_to(&reach, deep_id, &files, &sym);
-        assert_eq!(path, ["K::on_frame", "M::encode_wire", "M::deep"]);
+        let callees = |id: FnId| -> Vec<String> {
+            g.edges[id]
+                .iter()
+                .map(|&(c, _)| qual_of(&files, &sym, c))
+                .collect()
+        };
+        assert_eq!(callees(0), ["M::encode_wire"]);
+        assert_eq!(callees(sym.by_name["encode_wire"][0]), ["M::deep"]);
     }
 
     #[test]

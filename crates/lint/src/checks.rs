@@ -1,41 +1,23 @@
-//! The semantic D-rules (D006–D010), run over the whole workspace after
-//! every file is parsed and the call graph is resolved.
+//! The checks (D002, D007–D010), run over the whole workspace once every
+//! file is parsed and the call graph is resolved.
 //!
-//! Where the lexical rules (D001–D005) see one token stream at a time,
-//! these see *flows*: panic reachability across crates (D006), protocol
-//! variants wired end to end (D007), nondeterminism taint propagating
-//! through calls (D008), frame handling that bypasses the connection
-//! epoch (D009), and lock ordering in the multithreaded campaign driver
-//! (D010). The seven recovery-path bugs PR 7's fuzzer found one
-//! interleaving at a time are exactly this class — a static pass catches
-//! them before a single execution.
+//! Each sees what no per-file lint can: wall-clock and entropy reads, and
+//! the taint they spread through calls into sim-visible code (D002,
+//! D008); protocol variants wired end to end (D007); frame handling that
+//! bypasses the connection epoch (D009); and lock ordering in the
+//! multithreaded campaign driver (D010). The seven recovery-path bugs the
+//! fuzzer once found one interleaving at a time are exactly this class —
+//! a static pass catches them before a single execution. The rules a
+//! lint level expresses (D001, D003–D006) are clippy's (DESIGN.md §8).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{Event, FileAst};
+use crate::ast::{Event, FileAst, Span};
 use crate::callgraph::CallGraph;
 use crate::diag::{Code, Diagnostic};
 use crate::symbols::Symbols;
 
-/// Crates whose handler entry points root the D006 reachability scan.
-const HANDLER_CRATES: [&str; 4] = [
-    "crates/kernel",
-    "crates/net",
-    "crates/core",
-    "crates/sysproc",
-];
-
-/// Crates D004 already covers lexically: panic *sites* there are not
-/// re-reported by D006 (the reachability rule adds the cross-crate view,
-/// not a duplicate of the lexical one).
-const D004_CRATES: [&str; 3] = ["crates/kernel", "crates/net", "crates/core"];
-
-/// Handler-shaped function names: message/timer/fault entry points.
-const ROOT_PREFIXES: [&str; 2] = ["on_", "handle"];
-const ROOT_EXACT: [&str; 6] = ["submit", "run_next", "drain", "kill", "deliver", "poll"];
-
-/// Sim-visible crates (D008's protected scope — mirrors the engine's
-/// D001 scope).
+/// Sim-visible crates: D008 protects them from taint.
 const SIM_VISIBLE: [&str; 8] = [
     "crates/types",
     "crates/net",
@@ -58,14 +40,13 @@ pub const WIRE_ENUMS: [&str; 6] = [
     "AreaSel",
 ];
 
-/// Panic-inducing macros (shared with the lexical D004).
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-/// Ambient-entropy identifiers (shared with the lexical D002).
+/// Ambient-entropy names (D002): a mention anywhere in a function body is
+/// a read. `Instant` is only a source as `Instant::now`, so type
+/// positions (the native runtime's struct fields) may still name it.
 const ENTROPY_IDENTS: [&str; 4] = ["SystemTime", "thread_rng", "OsRng", "from_entropy"];
 
-/// Context handed to the semantic pass by the engine.
-pub struct SemCtx<'a> {
+/// Context handed to the checks by the engine.
+pub(crate) struct Ctx<'a> {
     /// Every parsed file, index-aligned with the symbol table.
     pub files: &'a [FileAst],
     /// Symbols over `files`.
@@ -78,25 +59,18 @@ pub struct SemCtx<'a> {
     pub is_allowed: &'a dyn Fn(usize, Code, u32) -> bool,
 }
 
-/// Run all five semantic rules; diagnostics come back unsorted (the
-/// engine merges and orders them per file).
-pub fn run(ctx: &SemCtx) -> Vec<Diagnostic> {
+/// Run every check; diagnostics come back unsorted (the engine merges
+/// and orders them per file).
+pub(crate) fn run(ctx: &Ctx) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    d006_panic_reachability(ctx, &mut diags);
+    determinism(ctx, &mut diags);
     d007_protocol_flow(ctx, &mut diags);
-    d008_determinism_taint(ctx, &mut diags);
     d009_epoch_discipline(ctx, &mut diags);
     d010_lock_discipline(ctx, &mut diags);
     diags
 }
 
-fn push(
-    diags: &mut Vec<Diagnostic>,
-    code: Code,
-    file: &str,
-    span: crate::ast::Span,
-    message: String,
-) {
+fn push(diags: &mut Vec<Diagnostic>, code: Code, file: &str, span: Span, message: String) {
     diags.push(Diagnostic {
         code,
         file: file.to_string(),
@@ -106,72 +80,11 @@ fn push(
     });
 }
 
-/// Is this function a handler root for D006?
-fn is_root(f: &crate::ast::FnDef, krate: &str) -> bool {
-    if f.is_test || !HANDLER_CRATES.contains(&krate) {
-        return false;
-    }
-    ROOT_PREFIXES.iter().any(|p| f.name.starts_with(p)) || ROOT_EXACT.contains(&f.name.as_str())
-}
-
-/// D006 — panic reachability: no path from a handler entry point may
-/// reach `unwrap`/`expect`/`panic!` — transitively, across crates, not
-/// just lexically (which is all D004 can see).
-fn d006_panic_reachability(ctx: &SemCtx, diags: &mut Vec<Diagnostic>) {
-    let mut roots: Vec<usize> = Vec::new();
-    for (id, &(fi, gi)) in ctx.sym.fns.iter().enumerate() {
-        let file = &ctx.files[fi];
-        if is_root(&file.fns[gi], &file.krate) {
-            roots.push(id);
-        }
-    }
-    if roots.is_empty() {
-        return;
-    }
-    let reach = ctx.graph.reach_from(&roots);
-    for &id in reach.keys() {
-        let (fi, gi) = ctx.sym.fns[id];
-        let file = &ctx.files[fi];
-        let f = &file.fns[gi];
-        if f.is_test || D004_CRATES.contains(&file.krate.as_str()) {
-            // Lexical D004 owns panic sites inside the handler crates
-            // themselves; D006 adds the cross-crate view.
-            continue;
-        }
-        for ev in &f.body {
-            let (what, span) = match ev {
-                Event::Method { name, span, .. } if name == "unwrap" || name == "expect" => {
-                    (format!(".{name}()"), *span)
-                }
-                Event::Macro { name, span } if PANIC_MACROS.contains(&name.as_str()) => {
-                    (format!("{name}!"), *span)
-                }
-                _ => continue,
-            };
-            let path = ctx.graph.path_to(&reach, id, ctx.files, ctx.sym);
-            push(
-                diags,
-                Code::D006,
-                &file.rel,
-                span,
-                format!(
-                    "`{what}` in `{}` can abort a kernel mid-protocol: it is reachable from \
-                     handler `{}` (call path {}); degrade gracefully (drop/trace/count) or \
-                     propagate a `DemosError` instead",
-                    f.qual(),
-                    path.first().cloned().unwrap_or_default(),
-                    path.join(" -> ")
-                ),
-            );
-        }
-    }
-}
-
 /// D007 — protocol-flow completeness: every variant of the wire enums in
 /// `crates/types` must be constructed somewhere AND matched by some
 /// consumer *outside* the defining codec crate. A variant only its own
 /// encode/decode tables know about is dead protocol surface.
-fn d007_protocol_flow(ctx: &SemCtx, diags: &mut Vec<Diagnostic>) {
+fn d007_protocol_flow(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
     // Usage census outside crates/types, non-test fns only.
     let mut constructed: BTreeSet<(String, String)> = BTreeSet::new();
     let mut matched: BTreeSet<(String, String)> = BTreeSet::new();
@@ -248,106 +161,78 @@ fn d007_protocol_flow(ctx: &SemCtx, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// D008 — determinism taint: a sim-visible function calling (directly)
-/// into a non-sim-visible function that transitively reads the wall
-/// clock, ambient entropy, or iterates a hash collection. Direct reads
-/// inside sim-visible crates are D001/D002's job; this rule closes the
-/// call-graph hole.
-fn d008_determinism_taint(ctx: &SemCtx, diags: &mut Vec<Diagnostic>) {
-    // 1. Directly-tainted functions (allow-suppressed sites are
-    //    sanctioned and do not seed taint).
+/// The wall-clock or entropy read an event makes, if any: an
+/// [`ENTROPY_IDENTS`] name in any position, or `Instant::now`.
+fn entropy_read(ev: &Event) -> Option<(String, Span)> {
+    let named = |s: &String| ENTROPY_IDENTS.contains(&s.as_str());
+    match ev {
+        Event::Ident { name, span }
+        | Event::Field { name, span }
+        | Event::Method { name, span, .. }
+            if named(name) =>
+        {
+            Some((format!("`{name}`"), *span))
+        }
+        Event::Call { path, span } | Event::PathRef { path, span, .. } => {
+            let now = path.windows(2).any(|w| w[0] == "Instant" && w[1] == "now");
+            (now || path.iter().any(named)).then(|| (format!("`{}`", path.join("::")), *span))
+        }
+        _ => None,
+    }
+}
+
+/// D002 and D008 — determinism. Every wall-clock or entropy read in a
+/// non-test function is a D002 finding at its site. A read no `lint:allow`
+/// sanctions also taints its function; taint closes backwards over the
+/// call graph, and D008 fires at the frontier: a sim-visible function
+/// calling a tainted function in a crate that is not sim-visible.
+fn determinism(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
+    // 1. Report every read; the unsanctioned ones seed the taint.
     let n = ctx.sym.fns.len();
-    let mut tainted = vec![false; n];
-    let mut taint_why: Vec<String> = vec![String::new(); n];
+    let mut taint_why: Vec<Option<String>> = vec![None; n];
     for (id, &(fi, gi)) in ctx.sym.fns.iter().enumerate() {
         let file = &ctx.files[fi];
         let f = &file.fns[gi];
         if f.is_test {
             continue;
         }
-        for ev in &f.body {
-            let (why, code, line) = match ev {
-                Event::Ident { name, span } | Event::Field { name, span }
-                    if ENTROPY_IDENTS.contains(&name.as_str()) =>
-                {
-                    (format!("reads `{name}`"), Code::D002, span.line)
-                }
-                Event::Call { path, span }
-                    if path.iter().any(|s| ENTROPY_IDENTS.contains(&s.as_str())) =>
-                {
-                    (
-                        format!("calls `{}`", path.join("::")),
-                        Code::D002,
-                        span.line,
-                    )
-                }
-                Event::Method { name, span, .. } if name == "from_entropy" => {
-                    ("seeds from entropy".to_string(), Code::D002, span.line)
-                }
-                Event::Call { path, span }
-                    if path.len() >= 2
-                        && path[path.len() - 2] == "Instant"
-                        && path[path.len() - 1] == "now" =>
-                {
-                    ("reads `Instant::now()`".to_string(), Code::D002, span.line)
-                }
-                Event::PathRef { path, span, .. }
-                    if path.first().is_some_and(|s| s == "Instant")
-                        && path.last().is_some_and(|s| s == "now") =>
-                {
-                    ("reads `Instant::now`".to_string(), Code::D002, span.line)
-                }
-                Event::Ident { name, span }
-                    if (name == "HashMap" || name == "HashSet")
-                        && !SIM_VISIBLE.contains(&file.krate.as_str()) =>
-                {
-                    // Inside sim-visible crates D001 flags the use itself.
-                    (
-                        format!("iterates a `{name}` (hasher-dependent order)"),
-                        Code::D001,
-                        span.line,
-                    )
-                }
-                Event::Call { path, span }
-                    if path.iter().any(|s| s == "HashMap" || s == "HashSet")
-                        && !SIM_VISIBLE.contains(&file.krate.as_str()) =>
-                {
-                    (
-                        "builds a hash collection (hasher-dependent order)".to_string(),
-                        Code::D001,
-                        span.line,
-                    )
-                }
-                _ => continue,
-            };
-            if (ctx.is_allowed)(fi, code, line) {
-                continue;
+        for (what, span) in f.body.iter().filter_map(entropy_read) {
+            if taint_why[id].is_none() && !(ctx.is_allowed)(fi, Code::D002, span.line) {
+                taint_why[id] = Some(format!("reads {what}"));
             }
-            tainted[id] = true;
-            taint_why[id] = why;
-            break;
+            push(
+                diags,
+                Code::D002,
+                &file.rel,
+                span,
+                format!(
+                    "{what} reads the wall clock or ambient entropy, which breaks seeded \
+                     replay: take time from the simulation clock and randomness from the \
+                     seeded RNG"
+                ),
+            );
         }
     }
     // 2. Propagate backwards: caller of a tainted fn is tainted.
     loop {
         let mut changed = false;
         for id in 0..n {
-            if tainted[id] {
+            if taint_why[id].is_some() {
                 continue;
             }
-            for &(callee, _) in &ctx.graph.edges[id] {
-                if tainted[callee] {
-                    tainted[id] = true;
-                    let (cfi, cgi) = ctx.sym.fns[callee];
-                    taint_why[id] = format!(
-                        "calls `{}` which {}",
-                        ctx.files[cfi].fns[cgi].qual(),
-                        short_why(&taint_why[callee])
-                    );
-                    changed = true;
-                    break;
-                }
-            }
+            let Some(&(callee, _)) = ctx.graph.edges[id]
+                .iter()
+                .find(|&&(c, _)| taint_why[c].is_some())
+            else {
+                continue;
+            };
+            let (cfi, cgi) = ctx.sym.fns[callee];
+            taint_why[id] = Some(format!(
+                "calls `{}` which {}",
+                ctx.files[cfi].fns[cgi].qual(),
+                short_why(taint_why[callee].as_deref().unwrap_or_default())
+            ));
+            changed = true;
         }
         if !changed {
             break;
@@ -364,7 +249,10 @@ fn d008_determinism_taint(ctx: &SemCtx, diags: &mut Vec<Diagnostic>) {
         for &(callee, span) in &ctx.graph.edges[id] {
             let (cfi, cgi) = ctx.sym.fns[callee];
             let callee_file = &ctx.files[cfi];
-            if !tainted[callee] || SIM_VISIBLE.contains(&callee_file.krate.as_str()) {
+            let Some(why) = &taint_why[callee] else {
+                continue;
+            };
+            if SIM_VISIBLE.contains(&callee_file.krate.as_str()) {
                 continue;
             }
             let cq = callee_file.fns[cgi].qual();
@@ -375,10 +263,9 @@ fn d008_determinism_taint(ctx: &SemCtx, diags: &mut Vec<Diagnostic>) {
                 span,
                 format!(
                     "determinism taint: `{}` calls `{cq}`, which {} — sim-visible code must \
-                     take time from the simulation clock, randomness from the seeded RNG and \
-                     iteration order from ordered collections",
+                     take time from the simulation clock and randomness from the seeded RNG",
                     f.qual(),
-                    short_why(&taint_why[callee])
+                    short_why(why)
                 ),
             );
         }
@@ -398,7 +285,7 @@ fn short_why(why: &str) -> &str {
 /// epoch, so stale-incarnation frames can never enter the sequence
 /// space. The defining codec (`crates/net/src/frame.rs`) is exempt: its
 /// accessors *are* the abstraction.
-fn d009_epoch_discipline(ctx: &SemCtx, diags: &mut Vec<Diagnostic>) {
+fn d009_epoch_discipline(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
     for file in ctx.files {
         if file.rel == "crates/net/src/frame.rs" {
             continue;
@@ -407,7 +294,7 @@ fn d009_epoch_discipline(ctx: &SemCtx, diags: &mut Vec<Diagnostic>) {
             if f.is_test {
                 continue;
             }
-            let mut frame_pat: Option<crate::ast::Span> = None;
+            let mut frame_pat: Option<Span> = None;
             let mut mentions_epoch = false;
             for ev in &f.body {
                 match ev {
@@ -456,10 +343,9 @@ fn d009_epoch_discipline(ctx: &SemCtx, diags: &mut Vec<Diagnostic>) {
 /// order on mutex acquisition (per crate, keyed by receiver name), no
 /// nested acquisition of the same receiver, and no blocking channel op
 /// while any guard is held.
-fn d010_lock_discipline(ctx: &SemCtx, diags: &mut Vec<Diagnostic>) {
+fn d010_lock_discipline(ctx: &Ctx, diags: &mut Vec<Diagnostic>) {
     // (crate, first, second) → earliest occurrence site.
-    let mut pairs: BTreeMap<(String, String, String), (String, crate::ast::Span, String)> =
-        BTreeMap::new();
+    let mut pairs: BTreeMap<(String, String, String), (String, Span, String)> = BTreeMap::new();
     for file in ctx.files {
         for f in &file.fns {
             if f.is_test {

@@ -1,33 +1,24 @@
-//! Diagnostics: stable codes, spans, human, JSON and SARIF renderings,
-//! and stale-`lint:allow` warnings.
+//! Diagnostics: stable codes, spans, human and SARIF renderings, and
+//! stale-`lint:allow` warnings.
 
 use std::fmt;
 
 /// The stable rule codes. The numeric part never changes meaning; retired
-/// rules leave holes rather than being reused. D001–D005 are lexical
-/// (token-stream, per-file); D006–D010 are semantic (AST + workspace
-/// call graph).
+/// rules leave holes rather than being reused. D001 and D003–D006 are
+/// clippy lint levels now (DESIGN.md §8), so they do not parse: a
+/// `lint:allow` naming one is a malformed directive (D000).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Code {
-    /// Malformed `lint:allow` directive (missing code or reason).
+    /// Malformed `lint:allow` directive (missing reason, unknown or
+    /// retired code).
     D000,
-    /// Unordered hash collections in sim-visible crates.
-    D001,
-    /// Wall-clock time / ambient randomness outside `bench`.
+    /// Wall-clock time / ambient randomness.
     D002,
-    /// Catch-all `_ =>` arm in a match over a protocol/engine enum.
-    D003,
-    /// `unwrap`/`expect`/`panic!` in kernel/net/core handler paths.
-    D004,
-    /// Unchecked `as` integer cast inside the `types` codecs.
-    D005,
-    /// Panic reachable *transitively* from a kernel/net/engine handler.
-    D006,
     /// Wire-enum variant never constructed or never matched by a
     /// consumer outside its codec (dead / half-wired protocol surface).
     D007,
     /// Determinism taint: sim-visible code calls a function that
-    /// (transitively) reads wall-clock/entropy or iterates a hash map.
+    /// (transitively) reads wall-clock time or entropy.
     D008,
     /// `Frame::Data`/`Frame::Ack` payloads touched without flowing
     /// through the connection-epoch check.
@@ -39,33 +30,13 @@ pub enum Code {
 
 impl Code {
     /// All enforceable rule codes (excludes the directive-error D000).
-    pub const RULES: [Code; 10] = [
-        Code::D001,
-        Code::D002,
-        Code::D003,
-        Code::D004,
-        Code::D005,
-        Code::D006,
-        Code::D007,
-        Code::D008,
-        Code::D009,
-        Code::D010,
-    ];
+    pub const RULES: [Code; 5] = [Code::D002, Code::D007, Code::D008, Code::D009, Code::D010];
 
-    /// The semantic (workspace-pass) codes: a `lint:allow` for these
-    /// always requires a justification string.
-    pub const SEMANTIC: [Code; 5] = [Code::D006, Code::D007, Code::D008, Code::D009, Code::D010];
-
-    /// Parse `"D001"` → `Code::D001`.
+    /// Parse `"D002"` → `Code::D002`.
     pub fn parse(s: &str) -> Option<Code> {
         match s {
             "D000" => Some(Code::D000),
-            "D001" => Some(Code::D001),
             "D002" => Some(Code::D002),
-            "D003" => Some(Code::D003),
-            "D004" => Some(Code::D004),
-            "D005" => Some(Code::D005),
-            "D006" => Some(Code::D006),
             "D007" => Some(Code::D007),
             "D008" => Some(Code::D008),
             "D009" => Some(Code::D009),
@@ -74,19 +45,11 @@ impl Code {
         }
     }
 
-    /// Short rule synopsis, shown in `--explain`-style listings and as
-    /// the SARIF rule description.
+    /// Short rule synopsis: the SARIF rule description.
     pub fn synopsis(self) -> &'static str {
         match self {
             Code::D000 => "malformed lint:allow directive",
-            Code::D001 => {
-                "hash collections are iteration-order nondeterministic in sim-visible crates"
-            }
             Code::D002 => "wall-clock time or ambient randomness breaks seeded replay",
-            Code::D003 => "catch-all `_ =>` hides new protocol/engine enum variants from handlers",
-            Code::D004 => "kernel/net/core handlers must degrade, not die",
-            Code::D005 => "byte-exact codecs must use checked integer conversions, not `as`",
-            Code::D006 => "no panic may be reachable (transitively) from a protocol handler",
             Code::D007 => "every wire-enum variant must be constructed and consumed somewhere",
             Code::D008 => "determinism taint must not flow into sim-visible code through calls",
             Code::D009 => "frame payload handling must flow through the connection-epoch check",
@@ -119,23 +82,11 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Human one-line rendering: `error[D001]: ... --> file:line:col`.
+    /// Human one-line rendering: `error[D002]: ... --> file:line:col`.
     pub fn render(&self) -> String {
         format!(
             "error[{}]: {}\n  --> {}:{}:{}",
             self.code, self.message, self.file, self.line, self.col
-        )
-    }
-
-    /// JSON object rendering (no external deps; keys are fixed).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"code\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
-            self.code,
-            json_escape(&self.file),
-            self.line,
-            self.col,
-            json_escape(&self.message)
         )
     }
 }
@@ -156,7 +107,7 @@ impl StaleAllow {
     /// Human rendering.
     pub fn render(&self) -> String {
         format!(
-            "warning[stale-allow]: lint:allow({}) suppresses nothing — remove it (or run --fix)\n  --> {}:{}",
+            "warning[stale-allow]: lint:allow({}) suppresses nothing — remove it\n  --> {}:{}",
             self.code, self.file, self.line
         )
     }
@@ -179,30 +130,6 @@ impl Report {
     /// True when the tree is clean: no findings *and* no stale allows.
     pub fn clean(&self) -> bool {
         self.diagnostics.is_empty() && self.stale_allows.is_empty()
-    }
-
-    /// Machine-readable rendering of the whole report.
-    pub fn to_json(&self) -> String {
-        let items: Vec<String> = self.diagnostics.iter().map(Diagnostic::to_json).collect();
-        let stale: Vec<String> = self
-            .stale_allows
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"code\":\"{}\",\"file\":\"{}\",\"line\":{}}}",
-                    s.code,
-                    json_escape(&s.file),
-                    s.line
-                )
-            })
-            .collect();
-        format!(
-            "{{\"checked_files\":{},\"suppressed\":{},\"diagnostics\":[{}],\"stale_allows\":[{}]}}",
-            self.checked_files,
-            self.suppressed,
-            items.join(","),
-            stale.join(",")
-        )
     }
 
     /// SARIF 2.1.0 rendering for GitHub code scanning. Stale allows are
@@ -288,7 +215,7 @@ impl Report {
 }
 
 /// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -1,25 +1,17 @@
-//! The analysis driver. Two phases:
-//!
-//! 1. **per-file** — lex, mask test regions, parse `lint:allow`
-//!    directives, run the lexical rules (D001–D005) and build the file's
-//!    AST;
-//! 2. **workspace** — resolve symbols + call graph across every file and
-//!    run the semantic rules (D006–D010).
-//!
-//! Suppression happens once, at the end, over the merged finding set, so
-//! one `lint:allow` grammar covers both phases — and any directive that
-//! suppressed nothing is itself reported as a stale-allow warning.
+//! The analysis driver, one pass: lex and parse every file, resolve the
+//! workspace call graph, run the checks (D002, D007–D010), then apply
+//! the `lint:allow` directives once over the merged findings. A directive
+//! that suppressed nothing is itself reported as a stale-allow warning.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::ast::FileAst;
 use crate::callgraph::CallGraph;
+use crate::checks::{self, Ctx};
 use crate::diag::{Code, Diagnostic, Report, StaleAllow};
-use crate::lexer::{self, Comment, Tok, TokKind};
+use crate::lexer::{self, Comment, Tok};
 use crate::parser;
-use crate::rules::{self, Scope};
-use crate::rules_sem::{self, SemCtx};
 use crate::symbols::{self, Symbols};
 
 /// Directory names never descended into. `shims/` holds stand-ins for
@@ -36,60 +28,11 @@ const SKIP_DIRS: [&str; 7] = [
     ".claude",
 ];
 
-/// Path prefixes (workspace-relative, `/`-separated) that are test or
-/// example code: no rules apply there.
-const TEST_TREES: [&str; 2] = ["tests/", "examples/"];
-
-/// Crates whose state is visible to the simulation — D001's scope.
-const SIM_VISIBLE: [&str; 8] = [
-    "crates/types/",
-    "crates/net/",
-    "crates/kernel/",
-    "crates/core/",
-    "crates/sim/",
-    "crates/chaos/",
-    "crates/rt/",
-    "crates/policy/",
-];
-
-/// Crates whose message-handling paths must not abort — D004's scope.
-const NO_PANIC: [&str; 3] = ["crates/kernel/", "crates/net/", "crates/core/"];
-
-/// Decide the lexical rule scope for one workspace-relative path.
-pub fn scope_for(rel: &str) -> Scope {
-    // Integration tests and examples: out of scope entirely.
-    if TEST_TREES.iter().any(|t| rel.starts_with(t))
-        || rel.contains("/tests/")
-        || rel.contains("/examples/")
-    {
-        return Scope::none();
-    }
-    let mut s = Scope {
-        d001: SIM_VISIBLE.iter().any(|c| rel.starts_with(c)),
-        // No crate is exempt: the wall-clock reads that remain (`rt`'s
-        // epoch, the chaos CLI's execs/s, `benchmark/`'s clock) each
-        // carry a `lint:allow`.
-        d002: true,
-        // Bench is exempt from D003: it *queries* traces
-        // (filter-for-one-event matches), it does not handle protocol, so
-        // catch-alls there are idiomatic.
-        d003: !rel.starts_with("crates/bench/"),
-        d004: NO_PANIC.iter().any(|c| rel.starts_with(c)),
-        d005: rel.starts_with("crates/types/"),
-    };
-    // The linter does not lint itself for D003 (its rule tables quote the
-    // watched enum names as plain identifiers in const arrays, and its own
-    // match statements are over lexer tokens, not protocol state).
-    if rel.starts_with("crates/lint/") {
-        s = Scope {
-            d001: false,
-            d003: false,
-            d004: false,
-            d005: false,
-            ..s
-        };
-    }
-    s
+/// Integration tests and examples (any `tests/` or `examples/` tree)
+/// carry no obligations: nothing is checked there.
+fn is_test_tree(rel: &str) -> bool {
+    let rel = format!("/{rel}");
+    rel.contains("/tests/") || rel.contains("/examples/")
 }
 
 /// A parsed `lint:allow(Dxxx reason…)` directive with its coverage
@@ -112,31 +55,27 @@ impl Allow {
     }
 }
 
-/// Everything phase 1 learns about one file.
+/// One parsed file.
 pub struct Unit {
     /// Workspace-relative path.
     pub rel: String,
-    /// Lexical findings (D000–D005), pre-suppression.
+    /// Malformed-directive findings (D000).
     pub diags: Vec<Diagnostic>,
     /// Parsed allow directives with usage counts.
     pub allows: Vec<Allow>,
-    /// The file's AST (empty fns/enums for out-of-scope trees).
+    /// The file's AST (empty fns/enums for test trees).
     pub ast: FileAst,
     /// Whether this file participates in stale-allow reporting (test
     /// trees do not: nothing can fire there, so every allow is vacuous).
     pub track_stale: bool,
 }
 
-/// Phase 1 for one file.
-pub fn analyze_file(rel: &str, src: &str, scope: Scope) -> Unit {
+fn analyze_file(rel: &str, src: &str) -> Unit {
     let lexed = lexer::lex(src);
-    let mask = test_mask(&lexed.toks);
-    let (allows, mut diags) = parse_allows(rel, &lexed.comments, &lexed.toks);
-    diags.extend(rules::run(&lexed.toks, &mask, scope, rel));
-    let mut ast = parser::parse(rel, &lexed.toks, &mask);
-    let out_of_scope = scope == Scope::none();
-    if out_of_scope {
-        // Test/example trees carry no semantic obligations either.
+    let (allows, diags) = parse_allows(rel, &lexed.comments, &lexed.toks);
+    let mut ast = parser::parse(rel, &lexed.toks);
+    let test_tree = is_test_tree(rel);
+    if test_tree {
         ast.fns.clear();
         ast.enums.clear();
     }
@@ -145,26 +84,8 @@ pub fn analyze_file(rel: &str, src: &str, scope: Scope) -> Unit {
         diags,
         allows,
         ast,
-        track_stale: !out_of_scope,
+        track_stale: !test_tree,
     }
-}
-
-/// Analyze one file's source text under `scope`, reporting as `rel`:
-/// lexical rules only, suppressions applied. This is the unit the
-/// fixture tests drive directly.
-pub fn analyze_source(rel: &str, src: &str, scope: Scope) -> (Vec<Diagnostic>, usize) {
-    let mut unit = analyze_file(rel, src, scope);
-    let mut diags = Vec::new();
-    let mut suppressed = 0usize;
-    for d in std::mem::take(&mut unit.diags) {
-        if suppress(&mut unit.allows, &d) {
-            suppressed += 1;
-        } else {
-            diags.push(d);
-        }
-    }
-    diags.sort_by_key(|d| (d.line, d.col, d.code));
-    (diags, suppressed)
 }
 
 /// Try to suppress `d` against `allows`; returns true (and bumps the
@@ -216,7 +137,7 @@ fn parse_allows(rel: &str, comments: &[Comment], toks: &[Tok]) -> (Vec<Allow>, V
             Some(Code::D000) | None => diags.push(malformed(
                 rel,
                 c.line,
-                "unknown rule code (expected D001-D010)",
+                "unknown or retired rule code (expected D002 or D007-D010)",
             )),
             Some(code) if !reason.is_empty() => allows.push(Allow {
                 code,
@@ -269,75 +190,6 @@ fn malformed(rel: &str, line: u32, why: &str) -> Diagnostic {
     }
 }
 
-/// Mark tokens inside `#[cfg(test)]`-gated items and `#[test]` functions.
-///
-/// Heuristic but robust for this codebase's idioms: after an attribute
-/// whose bracket group mentions `test`, the next brace-balanced block
-/// (with no intervening `;`, which would indicate a braceless item) is
-/// masked.
-pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].text == "#" && toks.get(i + 1).is_some_and(|t| t.text == "[") {
-            // Scan the attribute group for the ident `test`.
-            let mut j = i + 2;
-            let mut depth = 1i32;
-            let mut has_test = false;
-            while j < toks.len() && depth > 0 {
-                match toks[j].text.as_str() {
-                    "[" => depth += 1,
-                    "]" => depth -= 1,
-                    "test" if toks[j].kind == TokKind::Ident => has_test = true,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if has_test {
-                // Find the opening `{` of the annotated item, giving up at
-                // a `;` (attribute on a braceless item like `use`).
-                let mut k = j;
-                let mut pdepth = 0i32;
-                while k < toks.len() {
-                    match toks[k].text.as_str() {
-                        "(" | "[" => pdepth += 1,
-                        ")" | "]" => pdepth -= 1,
-                        ";" if pdepth == 0 => break,
-                        "{" if pdepth == 0 => {
-                            // Mask from the attribute through the matched
-                            // closing brace.
-                            let mut depth = 0i32;
-                            let mut m = k;
-                            while m < toks.len() {
-                                match toks[m].text.as_str() {
-                                    "{" => depth += 1,
-                                    "}" => {
-                                        depth -= 1;
-                                        if depth == 0 {
-                                            break;
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                                m += 1;
-                            }
-                            for slot in mask.iter_mut().take(m.min(toks.len() - 1) + 1).skip(i) {
-                                *slot = true;
-                            }
-                            i = m;
-                            break;
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-            }
-        }
-        i += 1;
-    }
-    mask
-}
-
 /// Recursively collect `.rs` files under `dir`, skipping [`SKIP_DIRS`].
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?
@@ -364,100 +216,17 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Check the whole tree rooted at `root` (the workspace directory):
-/// both phases, suppression, stale-allow detection.
+/// every check, suppression, stale-allow detection.
 pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
     let (mut units, deps) = load_units(root)?;
     Ok(finish(&mut units, deps))
 }
 
-/// `check` with `--fix`: apply the mechanical fixes (remove stale
-/// `lint:allow` directives; swap flagged `HashMap`/`HashSet` idents for
-/// their ordered B-tree counterparts), then re-analyze. Returns the
-/// post-fix report and the number of edits applied.
-pub fn fix_workspace(root: &Path) -> std::io::Result<(Report, usize)> {
-    let (mut units, deps) = load_units(root)?;
-    let report = finish(&mut units, deps);
-    let mut edits: BTreeMap<String, Vec<FixEdit>> = BTreeMap::new();
-    for s in &report.stale_allows {
-        edits
-            .entry(s.file.clone())
-            .or_default()
-            .push(FixEdit::RemoveAllow { line: s.line });
-    }
-    for d in &report.diagnostics {
-        if d.code == Code::D001 {
-            edits
-                .entry(d.file.clone())
-                .or_default()
-                .push(FixEdit::HashToBTree { line: d.line });
-        }
-    }
-    let mut applied = 0usize;
-    for (rel, file_edits) in &edits {
-        applied += apply_fixes(&root.join(rel), file_edits)?;
-    }
-    let (mut units, deps) = load_units(root)?;
-    Ok((finish(&mut units, deps), applied))
-}
-
-enum FixEdit {
-    /// Strip a stale `lint:allow` comment from this line (drop the whole
-    /// line if nothing but the comment is on it).
-    RemoveAllow { line: u32 },
-    /// Replace `HashMap`/`HashSet` with `BTreeMap`/`BTreeSet` on this
-    /// line (the D001 mechanical fix — same std module, ordered).
-    HashToBTree { line: u32 },
-}
-
-fn apply_fixes(path: &Path, edits: &[FixEdit]) -> std::io::Result<usize> {
-    let src = std::fs::read_to_string(path)?;
-    let mut lines: Vec<Option<String>> = src.lines().map(|l| Some(l.to_string())).collect();
-    let mut applied = 0usize;
-    for e in edits {
-        match *e {
-            FixEdit::RemoveAllow { line } => {
-                let Some(slot) = lines.get_mut(line as usize - 1) else {
-                    continue;
-                };
-                let Some(text) = slot.as_ref() else { continue };
-                if let Some(i) = text.find("// lint:allow") {
-                    let kept = text[..i].trim_end();
-                    *slot = if kept.is_empty() {
-                        None
-                    } else {
-                        Some(kept.to_string())
-                    };
-                    applied += 1;
-                }
-            }
-            FixEdit::HashToBTree { line } => {
-                let Some(slot) = lines.get_mut(line as usize - 1) else {
-                    continue;
-                };
-                let Some(text) = slot.as_ref() else { continue };
-                let fixed = text
-                    .replace("HashMap", "BTreeMap")
-                    .replace("HashSet", "BTreeSet");
-                if fixed != *text {
-                    *slot = Some(fixed);
-                    applied += 1;
-                }
-            }
-        }
-    }
-    let mut out: String = lines.into_iter().flatten().collect::<Vec<_>>().join("\n");
-    if src.ends_with('\n') {
-        out.push('\n');
-    }
-    std::fs::write(path, out)?;
-    Ok(applied)
-}
-
 /// Crate dependency closure: crate dir → everything it may call into.
 pub type DepClosure = BTreeMap<String, std::collections::BTreeSet<String>>;
 
-/// Phase 1 over the whole tree, plus the dependency closure the call
-/// graph needs. An empty closure (no manifests under root, e.g. a
+/// Parse the whole tree, and load the dependency closure the call graph
+/// needs. An empty closure (no manifests under root, e.g. a
 /// fixture tree) makes the resolver permissive.
 pub fn load_units(root: &Path) -> std::io::Result<(Vec<Unit>, DepClosure)> {
     let mut paths = Vec::new();
@@ -469,28 +238,24 @@ pub fn load_units(root: &Path) -> std::io::Result<(Vec<Unit>, DepClosure)> {
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        let scope = scope_for(&rel);
         let src = std::fs::read_to_string(path)?;
-        units.push(analyze_file(&rel, &src, scope));
+        units.push(analyze_file(&rel, &src));
     }
     Ok((units, symbols::load_dep_closure(root)))
 }
 
-/// Phase 2 + suppression + stale detection over phase-1 units.
+/// The checks, suppression and stale detection over parsed units.
 fn finish(units: &mut [Unit], deps: DepClosure) -> Report {
     let asts: Vec<FileAst> = units.iter().map(|u| u.ast.clone()).collect();
     let sym = Symbols::build(&asts, deps);
     let graph = CallGraph::build(&asts, &sym);
-    let allows_ro: Vec<Vec<(Code, u32, u32)>> = units
-        .iter()
-        .map(|u| u.allows.iter().map(|a| (a.code, a.line, a.end)).collect())
-        .collect();
     let is_allowed = |fi: usize, code: Code, line: u32| -> bool {
-        allows_ro[fi]
+        units[fi]
+            .allows
             .iter()
-            .any(|&(c, start, end)| c == code && line >= start && line <= end)
+            .any(|a| a.code == code && a.covers(line))
     };
-    let sem = rules_sem::run(&SemCtx {
+    let found = checks::run(&Ctx {
         files: &asts,
         sym: &sym,
         graph: &graph,
@@ -506,8 +271,8 @@ fn finish(units: &mut [Unit], deps: DepClosure) -> Report {
         .enumerate()
         .map(|(i, u)| (u.rel.clone(), i))
         .collect();
-    // Merge: per-file lexical diags plus this file's slice of the
-    // semantic findings, suppressed against the file's allows.
+    // Merge: per-file directive errors plus this file's slice of the
+    // findings, suppressed against the file's allows.
     let mut by_file: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
     let mut all: Vec<(usize, Diagnostic)> = Vec::new();
     for (i, u) in units.iter_mut().enumerate() {
@@ -515,7 +280,7 @@ fn finish(units: &mut [Unit], deps: DepClosure) -> Report {
             all.push((i, d));
         }
     }
-    for d in sem {
+    for d in found {
         if let Some(&i) = idx.get(d.file.as_str()) {
             all.push((i, d));
         }

@@ -1,9 +1,9 @@
-//! A minimal Rust tokenizer — just enough structure for the D-rules.
+//! A minimal Rust tokenizer — just enough structure for the parser.
 //!
-//! The build environment is offline, so `syn` is unavailable; the rules in
-//! [`crate::rules`] only need identifiers, punctuation, literal boundaries
-//! and comment text with accurate line/column spans, all of which a
-//! hand-rolled scanner provides. String/char/raw-string literals and
+//! The build environment is offline, so `syn` is unavailable; the parser
+//! and the `lint:allow` reader only need identifiers, punctuation, literal
+//! boundaries and comment text with accurate line/column spans, all of
+//! which a hand-rolled scanner provides. String/char/raw-string literals and
 //! (nested) comments are consumed as single units so their *contents* can
 //! never produce false positives (`"HashMap"` in a doc string is not a
 //! `HashMap` use).

@@ -1,27 +1,22 @@
-//! CLI: `demos-lint check [--format human|json|sarif] [--output PATH]
-//! [--fix] [--root PATH]`.
+//! CLI: `demos-lint check [--format human|sarif] [--output PATH]
+//! [--root PATH]`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use demos_lint::{check_workspace, fix_workspace, Code, Report};
+use demos_lint::{check_workspace, Report};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: demos-lint check [--format F] [--output PATH] [--fix] [--root PATH]\n\
+        "usage: demos-lint check [--format F] [--output PATH] [--root PATH]\n\
          \n\
-         Statically enforces the determinism & protocol rules: lexical\n\
-         (D001-D005, per token stream) and semantic (D006-D010, over the\n\
-         workspace call graph). See DESIGN.md §8 and §12.\n\
+         Checks the determinism and protocol rules no clippy lint level\n\
+         expresses (D002, D007-D010) over every .rs file under the\n\
+         workspace root and its call graph. See DESIGN.md §8 and §12.\n\
          \n\
-         subcommands:\n\
-         \x20 check        analyze every .rs file under the workspace root\n\
-         \x20 rules        print the rule table\n\
          options:\n\
-         \x20 --format F   human (default), json, or sarif (for code scanning)\n\
+         \x20 --format F   human (default) or sarif (for code scanning)\n\
          \x20 --output P   write the report to P instead of stdout\n\
-         \x20 --json       shorthand for --format json\n\
-         \x20 --fix        apply mechanical fixes (stale allows, D001 renames)\n\
          \x20 --root P     workspace root (default: inferred from the manifest)\n\
          \n\
          exit codes: 0 clean (no findings, no stale allows), 1 findings,\n\
@@ -43,11 +38,11 @@ fn default_root() -> PathBuf {
     PathBuf::from(".")
 }
 
-fn emit(report: &Report, format: &str, output: Option<&PathBuf>) -> std::io::Result<()> {
-    let text = match format {
-        "json" => format!("{}\n", report.to_json()),
-        "sarif" => format!("{}\n", report.to_sarif()),
-        _ => report.render(),
+fn emit(report: &Report, sarif: bool, output: Option<&PathBuf>) -> std::io::Result<()> {
+    let text = if sarif {
+        format!("{}\n", report.to_sarif())
+    } else {
+        report.render()
     };
     match output {
         Some(path) => std::fs::write(path, text),
@@ -60,19 +55,17 @@ fn emit(report: &Report, format: &str, output: Option<&PathBuf>) -> std::io::Res
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cmd = None;
-    let mut format = "human".to_string();
+    let mut check = false;
+    let mut sarif = false;
     let mut output: Option<PathBuf> = None;
-    let mut fix = false;
     let mut root = default_root();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "check" | "rules" if cmd.is_none() => cmd = Some(a.clone()),
-            "--json" => format = "json".to_string(),
-            "--fix" => fix = true,
+            "check" if !check => check = true,
             "--format" => match it.next().map(String::as_str) {
-                Some(f @ ("human" | "json" | "sarif")) => format = f.to_string(),
+                Some("human") => sarif = false,
+                Some("sarif") => sarif = true,
                 _ => return usage(),
             },
             "--output" => match it.next() {
@@ -86,42 +79,24 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-    match cmd.as_deref() {
-        Some("rules") => {
-            for c in Code::RULES {
-                println!("{c}  {}", c.synopsis());
+    if !check {
+        return usage();
+    }
+    match check_workspace(&root) {
+        Ok(report) => {
+            if let Err(e) = emit(&report, sarif, output.as_ref()) {
+                eprintln!("demos-lint: cannot write report: {e}");
+                return ExitCode::from(2);
             }
-            ExitCode::SUCCESS
-        }
-        Some("check") => {
-            let result = if fix {
-                fix_workspace(&root).map(|(report, applied)| {
-                    if applied > 0 {
-                        eprintln!("demos-lint: applied {applied} mechanical fix(es)");
-                    }
-                    report
-                })
+            if report.clean() {
+                ExitCode::SUCCESS
             } else {
-                check_workspace(&root)
-            };
-            match result {
-                Ok(report) => {
-                    if let Err(e) = emit(&report, &format, output.as_ref()) {
-                        eprintln!("demos-lint: cannot write report: {e}");
-                        return ExitCode::from(2);
-                    }
-                    if report.clean() {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("demos-lint: io error under {}: {e}", root.display());
-                    ExitCode::from(2)
-                }
+                ExitCode::FAILURE
             }
         }
-        _ => usage(),
+        Err(e) => {
+            eprintln!("demos-lint: io error under {}: {e}", root.display());
+            ExitCode::from(2)
+        }
     }
 }

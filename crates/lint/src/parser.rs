@@ -24,13 +24,11 @@ const LOCK_METHODS: [&str; 1] = ["lock"];
 /// capacity-bounded: the D010 "no lock held across a send" rule).
 const CHANNEL_METHODS: [&str; 4] = ["send", "recv", "recv_timeout", "try_send"];
 
-/// Parse one file. `rel` is the workspace-relative path; `test_mask`
-/// marks tokens inside `#[cfg(test)]` regions (computed by the engine).
-pub fn parse(rel: &str, toks: &[Tok], test_mask: &[bool]) -> FileAst {
+/// Parse one file. `rel` is the workspace-relative path.
+pub fn parse(rel: &str, toks: &[Tok]) -> FileAst {
     let krate = crate_of(rel);
     let mut p = Parser {
         toks,
-        test_mask,
         out: FileAst {
             rel: rel.to_string(),
             krate,
@@ -59,15 +57,12 @@ pub fn crate_of(rel: &str) -> String {
 struct Ctx {
     /// Enclosing impl type (`Kernel`), if any.
     self_ty: String,
-    /// Enclosing trait for trait impls (`Wire` in `impl Wire for Frame`).
-    trait_name: String,
     /// Inside a `#[cfg(test)]` module.
     in_test: bool,
 }
 
 struct Parser<'a> {
     toks: &'a [Tok],
-    test_mask: &'a [bool],
     out: FileAst,
 }
 
@@ -151,17 +146,21 @@ impl<'a> Parser<'a> {
             let text = self.toks[i].text.clone();
             match text.as_str() {
                 "#" => {
-                    // Attribute: `#[..]` or `#![..]`; scan for the ident
-                    // `test` inside the bracket group.
+                    // Attribute: `#[..]` or `#![..]`; scan an outer one for
+                    // the ident `test` inside the bracket group. An inner
+                    // one (`#![cfg_attr(not(test), …)]`) describes the
+                    // enclosing module, not the next item.
                     let mut j = i + 1;
-                    if self.is(j, "!") {
+                    let inner = self.is(j, "!");
+                    if inner {
                         j += 1;
                     }
                     if self.is(j, "[") {
                         let past = self.skip_group(j, end);
-                        if self.toks[j..past]
-                            .iter()
-                            .any(|t| t.kind == TokKind::Ident && t.text == "test")
+                        if !inner
+                            && self.toks[j..past]
+                                .iter()
+                                .any(|t| t.kind == TokKind::Ident && t.text == "test")
                         {
                             pending_test = true;
                         }
@@ -216,7 +215,6 @@ impl<'a> Parser<'a> {
                         let past = self.skip_group(j, end);
                         let sub = Ctx {
                             self_ty: name,
-                            trait_name: String::new(),
                             in_test: ctx.in_test || pending_test,
                         };
                         self.items(j + 1, past.saturating_sub(1), &sub);
@@ -320,14 +318,11 @@ impl<'a> Parser<'a> {
         if self.is(j, "<") {
             j = self.skip_angles(j, end);
         }
-        // Collect the first type path (trait or self type), then check
-        // for `for`.
-        let first = self.type_head(&mut j, end);
-        let mut trait_name = String::new();
-        let mut self_ty = first;
+        // Collect the first type path (trait or self type); after `for`
+        // comes the self type of a trait impl.
+        let mut self_ty = self.type_head(&mut j, end);
         if self.is(j, "for") {
             j += 1;
-            trait_name = self_ty;
             self_ty = self.type_head(&mut j, end);
         }
         // Skip where-clauses etc. to the body.
@@ -342,11 +337,7 @@ impl<'a> Parser<'a> {
             return j + 1;
         }
         let past = self.skip_group(j, end);
-        let ctx = Ctx {
-            self_ty,
-            trait_name,
-            in_test,
-        };
+        let ctx = Ctx { self_ty, in_test };
         self.items(j + 1, past.saturating_sub(1), &ctx);
         past
     }
@@ -392,7 +383,6 @@ impl<'a> Parser<'a> {
             return i + 1;
         }
         let name = name_tok.text.clone();
-        let span = self.span(i);
         let mut j = i + 2;
         if self.is(j, "<") {
             j = self.skip_angles(j, end);
@@ -424,19 +414,12 @@ impl<'a> Parser<'a> {
             return j + 1; // bodyless signature
         }
         let past = self.skip_group(j, end);
-        let body_end = past.saturating_sub(1);
-        let is_test =
-            ctx.in_test || is_test_attr || self.test_mask.get(i).copied().unwrap_or(false);
-        let body = self.body(j + 1, body_end);
-        let end_line = self.t(body_end).map(|t| t.line).unwrap_or(span.line);
+        let body = self.body(j + 1, past.saturating_sub(1));
         self.out.fns.push(FnDef {
             name,
             self_ty: ctx.self_ty.clone(),
-            trait_name: ctx.trait_name.clone(),
             is_method,
-            span,
-            end_line,
-            is_test,
+            is_test: ctx.in_test || is_test_attr,
             body,
         });
         past
@@ -448,7 +431,6 @@ impl<'a> Parser<'a> {
             return i + 1;
         };
         let name = name_tok.text.clone();
-        let span = self.span(i);
         let mut j = i + 2;
         while j < end && !self.is(j, "{") && !self.is(j, ";") {
             if self.is(j, "<") {
@@ -499,11 +481,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        self.out.enums.push(EnumDef {
-            name,
-            variants,
-            span,
-        });
+        self.out.enums.push(EnumDef { name, variants });
         past
     }
 
@@ -535,7 +513,6 @@ impl<'a> Parser<'a> {
                 "{" | "(" | "[" => {
                     depth += 1;
                     if t.text == "{" {
-                        ev.push(Event::BlockOpen { depth });
                         if let Some(m) = matches.last_mut() {
                             if !m.3 && depth == m.0 {
                                 m.3 = true;
@@ -680,8 +657,6 @@ impl<'a> Parser<'a> {
                     if CHANNEL_METHODS.contains(&name.as_str()) {
                         ev.push(Event::ChannelOp {
                             name: name.clone(),
-                            recv: recv.clone(),
-                            depth,
                             span,
                         });
                     }
@@ -693,12 +668,9 @@ impl<'a> Parser<'a> {
                 continue;
             }
 
-            // Macro invocation.
+            // Macro invocation: no rule reads the name; its arguments are
+            // scanned like any other tokens.
             if self.is(i + 1, "!") && !self.is(i + 2, "=") {
-                ev.push(Event::Macro {
-                    name: t.text.clone(),
-                    span: self.span(i),
-                });
                 i += 2;
                 continue;
             }
@@ -783,9 +755,7 @@ mod tests {
     use crate::lexer;
 
     fn parse_src(src: &str) -> FileAst {
-        let lexed = lexer::lex(src);
-        let mask = vec![false; lexed.toks.len()];
-        parse("crates/kernel/src/x.rs", &lexed.toks, &mask)
+        parse("crates/kernel/src/x.rs", &lexer::lex(src).toks)
     }
 
     #[test]
@@ -811,10 +781,9 @@ mod tests {
     }
 
     #[test]
-    fn trait_impls_record_both_names() {
+    fn trait_impls_record_the_self_type() {
         let ast = parse_src("impl Wire for Frame { fn encode(&self) {} }");
         assert_eq!(ast.fns[0].self_ty, "Frame");
-        assert_eq!(ast.fns[0].trait_name, "Wire");
     }
 
     #[test]
@@ -897,10 +866,9 @@ mod tests {
             e,
             Event::Lock { recv, held_for_block: true, .. } if recv == "slots"
         )));
-        assert!(body.iter().any(|e| matches!(
-            e,
-            Event::ChannelOp { name, recv, .. } if name == "send" && recv == "tx"
-        )));
+        assert!(body
+            .iter()
+            .any(|e| matches!(e, Event::ChannelOp { name, .. } if name == "send")));
     }
 
     #[test]
@@ -914,10 +882,11 @@ mod tests {
 
     #[test]
     fn test_fns_are_marked() {
-        let src = "#[cfg(test)] mod tests { fn helper() {} }\n#[test]\nfn t() {}\nfn real() {}";
-        let lexed = lexer::lex(src);
-        let mask = vec![false; lexed.toks.len()];
-        let ast = parse("crates/kernel/src/x.rs", &lexed.toks, &mask);
+        let ast = parse_src(
+            "#![cfg_attr(not(test), deny(clippy::panic))]\n\
+             fn real() {}\n\
+             #[cfg(test)] mod tests { fn helper() {} }\n#[test]\nfn t() {}",
+        );
         let by_name: std::collections::BTreeMap<&str, bool> = ast
             .fns
             .iter()

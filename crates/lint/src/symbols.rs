@@ -143,8 +143,7 @@ mod tests {
     #[test]
     fn indexes_fns_and_enums() {
         let lexed = lexer::lex("enum E { A } impl K { fn f(&self) {} } fn f() {}");
-        let mask = vec![false; lexed.toks.len()];
-        let ast = parser::parse("crates/kernel/src/a.rs", &lexed.toks, &mask);
+        let ast = parser::parse("crates/kernel/src/a.rs", &lexed.toks);
         let sym = Symbols::build(std::slice::from_ref(&ast), BTreeMap::new());
         assert_eq!(sym.by_name["f"].len(), 2);
         assert!(sym.enums.contains_key("E"));

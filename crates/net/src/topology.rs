@@ -205,7 +205,7 @@ impl Topology {
     pub fn uniform(&self) -> Option<EdgeParams> {
         match &self.repr {
             Repr::Uniform { params } if self.n >= 2 => Some(*params),
-            _ => None,
+            Repr::Uniform { .. } | Repr::Dense { .. } => None,
         }
     }
 
@@ -249,8 +249,12 @@ impl Topology {
     fn set_edge_raw(&mut self, a: MachineId, b: MachineId, params: EdgeParams) {
         assert!((a.0 as usize) < self.n && (b.0 as usize) < self.n && a != b);
         let (i, j) = (self.idx(a, b), self.idx(b, a));
-        let Repr::Dense { edges, .. } = &mut self.repr else {
-            // lint:allow(D004 host-side construction invariant, not a kernel handler: every caller materializes the dense repr first)
+        #[expect(
+            clippy::unreachable,
+            reason = "host-side construction invariant, not a kernel handler: every caller materializes the dense repr first"
+        )]
+        let Repr::Dense { edges, .. } = &mut self.repr
+        else {
             unreachable!("set_edge_raw on uniform repr");
         };
         edges[i] = Some(params);
@@ -261,8 +265,12 @@ impl Topology {
     pub fn clear_edge(&mut self, a: MachineId, b: MachineId) {
         self.materialize();
         let (i, j) = (self.idx(a, b), self.idx(b, a));
-        let Repr::Dense { edges, .. } = &mut self.repr else {
-            // lint:allow(D004 host-side construction invariant, not a kernel handler: materialize() above just installed the dense repr)
+        #[expect(
+            clippy::unreachable,
+            reason = "host-side construction invariant, not a kernel handler: materialize() above just installed the dense repr"
+        )]
+        let Repr::Dense { edges, .. } = &mut self.repr
+        else {
             unreachable!("materialize left uniform repr");
         };
         edges[i] = None;

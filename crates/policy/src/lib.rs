@@ -18,6 +18,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Code a protocol handler can reach degrades instead of aborting the kernel
+// (DESIGN.md §8, D004/D006); tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// A match over an enum names its variants, so a new variant is a compile
+// error at every handler instead of a silent fall-through (D003).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 use std::collections::BTreeMap;
 
@@ -193,14 +209,18 @@ impl Policy for LoadBalance {
         if healthy.len() < 2 {
             return orders;
         }
-        let hottest = healthy
+        let Some(hottest) = healthy
             .iter()
             .max_by_key(|m| (Self::load_of(m), m.machine.0))
-            .expect("nonempty");
-        let coolest = healthy
+        else {
+            return orders;
+        };
+        let Some(coolest) = healthy
             .iter()
             .min_by_key(|m| (Self::load_of(m), m.machine.0))
-            .expect("nonempty");
+        else {
+            return orders;
+        };
         if hottest.machine == coolest.machine || hottest.runq < coolest.runq + self.imbalance {
             return orders;
         }

@@ -10,6 +10,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Code a protocol handler can reach degrades instead of aborting the kernel
+// (DESIGN.md §8, D004/D006); tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod fs;
 pub mod fsclient;

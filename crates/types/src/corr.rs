@@ -42,7 +42,6 @@ impl CorrId {
 
     /// Machine that assigned the id.
     pub fn machine(self) -> crate::MachineId {
-        // lint:allow(D005 the 48-bit shift leaves exactly 16 bits, so this cast cannot truncate)
         crate::MachineId((self.0 >> 48) as u16)
     }
 

@@ -1,8 +1,8 @@
 //! Context reuse across a source reboot, end to end.
 //!
-//! Companion to `crates/core/tests/duplicate_offer.rs` (the engine-level
-//! pin of the duplicate-offer reservation leak found by `demos-lint`
-//! D007). Context numbers are per-source in-memory counters, so a source
+//! Companion to `tests/engine_total.rs`'s duplicate-offer row (the
+//! engine-level pin of the reservation leak found by `demos-lint` D007).
+//! Context numbers are per-source in-memory counters, so a source
 //! that reboots mid-migration restarts numbering from 1 — the exact
 //! collision the engine's `RejectReason::Protocol` guard defends against.
 //! End to end, the collision must not even form: the destination's

@@ -2,9 +2,8 @@
 //! from anyone, maps to a defined transition — never a panic, never a
 //! leak.
 //!
-//! Driven like `crates/core/tests/duplicate_offer.rs` (whose case is one
-//! row here, so tier-1 fails when that crate-level gate would): a real
-//! `Kernel` and `MigrationEngine`, a physical layer that swallows frames.
+//! Driven with a real `Kernel` and `MigrationEngine` and a physical layer
+//! that swallows frames.
 //! The machine under test has an incoming record in each destination
 //! phase (or none) and an outgoing record (or none). The two share their
 //! context number and their peer, the worst case for telling them apart.
@@ -346,9 +345,12 @@ fn every_message_in_every_state_settles_clean() {
     assert!(runs >= 1000, "the whole matrix ran ({runs} runs)");
 }
 
-/// The duplicate-offer row (`crates/core/tests/duplicate_offer.rs`): an
-/// offer reusing a live `(source, context)` pair is refused, whatever the
-/// phase of the record it would have overwritten, and reserves nothing.
+/// The duplicate-offer row: an offer reusing a live `(source, context)`
+/// pair is refused, whatever the phase of the record it would have
+/// overwritten, and reserves nothing; a fresh context from the same
+/// source is then normal traffic. Found by `demos-lint` D007: wiring the
+/// never-constructed `RejectReason::Protocol` exposed that the engine
+/// overwrote the live record and stranded its reservation.
 #[test]
 fn an_offer_reusing_a_live_context_is_rejected_and_reserves_nothing() {
     let blobs = blobs();
@@ -359,7 +361,11 @@ fn an_offer_reusing_a_live_context_is_rejected_and_reserves_nothing() {
         assert_eq!(rig.engine.stats().rejected, 1, "{}", rig.what);
         assert_eq!(rig.engine.in_flight(), 1, "{}", rig.what);
         assert_eq!(rig.kernel.mem_used(), before, "{}", rig.what);
-        rig.settle("a duplicate offer");
+        rig.migrate(PEER, offer(CTX + 1, other_pid()));
+        assert_eq!(rig.engine.stats().rejected, 1, "{}", rig.what);
+        assert_eq!(rig.engine.in_flight(), 2, "{}", rig.what);
+        assert_eq!(rig.kernel.mem_used(), before + 4096, "{}", rig.what);
+        rig.settle("a duplicate offer, then a fresh context");
     }
 }
 
