@@ -17,9 +17,9 @@
 //! |------|------|-------------|
 //! | D001 | no hash collections (hasher-ordered iteration) | `clippy::disallowed_types` |
 //! | D002 | no `SystemTime`/`Instant::now`/`thread_rng` | demos-lint |
-//! | D003 | no catch-all arm over an enum | `clippy::wildcard_enum_match_arm` |
+//! | D003 | no catch-all arm over an enum (not through a tuple or `Option`) | `clippy::wildcard_enum_match_arm` |
 //! | D004 | no `unwrap`/`expect`/`panic!` in handler crates | `clippy::unwrap_used` & co. |
-//! | D005 | no `as` integer casts in the `types` codecs | `clippy::cast_*` |
+//! | D005 | no `as` conversions in the `types` codecs | `clippy::as_conversions` |
 //! | D006 | no panic reachable from a handler | D004's levels on the handlers' dependency closure |
 //! | D007 | every wire-enum variant constructed and consumed outside its codec | demos-lint |
 //! | D008 | no determinism taint flowing into sim-visible code through calls | demos-lint |

@@ -117,7 +117,20 @@ impl Program for DirServer {
                 }
                 None => reply_err(ctx, reply, 1),
             },
-            _ => {}
+            // Meant for the file, cache and disk servers.
+            FsMsg::DirDone { .. }
+            | FsMsg::Create { .. }
+            | FsMsg::Open { .. }
+            | FsMsg::Read { .. }
+            | FsMsg::Write { .. }
+            | FsMsg::Data { .. }
+            | FsMsg::Done { .. }
+            | FsMsg::Err { .. }
+            | FsMsg::BRead { .. }
+            | FsMsg::BWrite { .. }
+            | FsMsg::BAlloc { .. }
+            | FsMsg::BData { .. }
+            | FsMsg::BOk { .. } => {}
         }
     }
 
@@ -232,7 +245,19 @@ impl Program for DiskServer {
                     let _ = ctx.send(*r, sys::FS, FsMsg::BOk { tok, blk }.to_bytes(), &[]);
                 }
             }
-            _ => {}
+            // The disk answers only the block requests.
+            FsMsg::DirCreate { .. }
+            | FsMsg::DirLookup { .. }
+            | FsMsg::DirDone { .. }
+            | FsMsg::Create { .. }
+            | FsMsg::Open { .. }
+            | FsMsg::Read { .. }
+            | FsMsg::Write { .. }
+            | FsMsg::Data { .. }
+            | FsMsg::Done { .. }
+            | FsMsg::Err { .. }
+            | FsMsg::BData { .. }
+            | FsMsg::BOk { .. } => {}
         }
     }
 
@@ -465,7 +490,17 @@ impl Program for BufferCache {
                     }
                 }
             }
-            _ => {}
+            // The cache sits on the block layer only.
+            FsMsg::DirCreate { .. }
+            | FsMsg::DirLookup { .. }
+            | FsMsg::DirDone { .. }
+            | FsMsg::Create { .. }
+            | FsMsg::Open { .. }
+            | FsMsg::Read { .. }
+            | FsMsg::Write { .. }
+            | FsMsg::Data { .. }
+            | FsMsg::Done { .. }
+            | FsMsg::Err { .. } => {}
         }
     }
 
@@ -825,7 +860,10 @@ impl Program for FileServer {
                         let len = self.files.entry(fid).or_default().len;
                         self.finish(ctx, reply, FsMsg::Done { fid, len });
                     }
-                    other => {
+                    other @ (Pending::ReadWait { .. }
+                    | Pending::WriteAlloc { .. }
+                    | Pending::WriteRmw { .. }
+                    | Pending::WriteFlush { .. }) => {
                         self.pending.insert(tok, other);
                     }
                 }
@@ -914,7 +952,15 @@ impl Program for FileServer {
                     self.finish(ctx, reply, FsMsg::Err { code: 1 });
                 }
             }
-            _ => {}
+            // Requests to the directory and the block layer, and the replies
+            // a file server sends.
+            FsMsg::DirCreate { .. }
+            | FsMsg::DirLookup { .. }
+            | FsMsg::Data { .. }
+            | FsMsg::Done { .. }
+            | FsMsg::BRead { .. }
+            | FsMsg::BWrite { .. }
+            | FsMsg::BAlloc { .. } => {}
         }
     }
 

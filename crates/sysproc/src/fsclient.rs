@@ -170,7 +170,19 @@ impl Program for FsClient {
                     self.tick(ctx);
                 }
             }
-            _ => {}
+            // Server-to-server traffic; a client sees only the replies above.
+            FsMsg::DirCreate { .. }
+            | FsMsg::DirLookup { .. }
+            | FsMsg::DirDone { .. }
+            | FsMsg::Create { .. }
+            | FsMsg::Open { .. }
+            | FsMsg::Read { .. }
+            | FsMsg::Write { .. }
+            | FsMsg::BRead { .. }
+            | FsMsg::BWrite { .. }
+            | FsMsg::BAlloc { .. }
+            | FsMsg::BData { .. }
+            | FsMsg::BOk { .. } => {}
         }
     }
 

@@ -23,6 +23,9 @@
         clippy::unimplemented
     )
 )]
+// A match over an enum names its variants, so a new variant is a compile
+// error at every handler instead of a silent fall-through (D003).
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod fs;
 pub mod fsclient;

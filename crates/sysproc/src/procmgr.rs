@@ -162,7 +162,8 @@ impl Program for ProcMgr {
                             let _ = ctx.destroy_link(proc_link);
                         }
                     }
-                    _ => {}
+                    // Replies the manager sends, never receives.
+                    PmMsg::Spawned { .. } | PmMsg::SpawnFailed { .. } => {}
                 }
             }
             local_tags::KERNEL_MGMT => {

@@ -236,7 +236,8 @@ impl Program for Shell {
                         }
                     }
                     PmMsg::SpawnFailed { .. } => self.spawn_failed += 1,
-                    _ => {}
+                    // Requests to the process manager.
+                    PmMsg::Spawn { .. } | PmMsg::Migrate { .. } | PmMsg::Kill => {}
                 }
             }
             tags::MIGRATE => {

@@ -111,7 +111,8 @@ impl Program for Switchboard {
                     }
                 }
             }
-            _ => {}
+            // Replies the switchboard sends, never receives.
+            SbMsg::Registered { .. } | SbMsg::Found { .. } | SbMsg::NotFound { .. } => {}
         }
     }
 

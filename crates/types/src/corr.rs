@@ -42,7 +42,8 @@ impl CorrId {
 
     /// Machine that assigned the id.
     pub fn machine(self) -> crate::MachineId {
-        crate::MachineId((self.0 >> 48) as u16)
+        let [hi, lo, ..] = self.0.to_be_bytes();
+        crate::MachineId(u16::from_be_bytes([hi, lo]))
     }
 
     /// Per-kernel sequence component.

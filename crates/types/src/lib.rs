@@ -45,16 +45,8 @@
 // error at every handler instead of a silent fall-through (D003).
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 // The byte-exact codecs convert integers only through `From` / `try_from`,
-// never a lossy `as` (D005).
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::cast_lossless,
-        clippy::cast_possible_truncation,
-        clippy::cast_possible_wrap,
-        clippy::cast_sign_loss
-    )
-)]
+// never an `as` (D005).
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod corr;
 pub mod error;

@@ -71,13 +71,22 @@ impl Duration {
 
     /// Span as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e6
+        micros_f64(self.0) / 1e6
     }
 
     /// Multiply by an integer factor (saturating).
     pub fn saturating_mul(self, k: u64) -> Duration {
         Duration(self.0.saturating_mul(k))
     }
+}
+
+/// Microseconds as an `f64`, for display and reports only.
+#[expect(
+    clippy::as_conversions,
+    reason = "no `From<u64>` for `f64`; rounding starts at 2^53 us (285 years)"
+)]
+fn micros_f64(us: u64) -> f64 {
+    us as f64
 }
 
 impl Add<Duration> for Time {
@@ -122,9 +131,9 @@ impl fmt::Debug for Time {
 impl fmt::Display for Time {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 1_000_000 {
-            write!(f, "{:.3}s", self.0 as f64 / 1e6)
+            write!(f, "{:.3}s", micros_f64(self.0) / 1e6)
         } else if self.0 >= 1_000 {
-            write!(f, "{:.1}ms", self.0 as f64 / 1e3)
+            write!(f, "{:.1}ms", micros_f64(self.0) / 1e3)
         } else {
             write!(f, "{}us", self.0)
         }
@@ -140,9 +149,9 @@ impl fmt::Debug for Duration {
 impl fmt::Display for Duration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 1_000_000 {
-            write!(f, "{:.3}s", self.0 as f64 / 1e6)
+            write!(f, "{:.3}s", micros_f64(self.0) / 1e6)
         } else if self.0 >= 1_000 {
-            write!(f, "{:.1}ms", self.0 as f64 / 1e3)
+            write!(f, "{:.1}ms", micros_f64(self.0) / 1e3)
         } else {
             write!(f, "{}us", self.0)
         }

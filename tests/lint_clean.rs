@@ -10,15 +10,17 @@
 //!
 //! The fixture tree under `crates/lint/fixtures` holds one positive and
 //! one negative input per demos-lint rule, plus the `lint:allow` grammar
-//! cases; its report is pinned here finding by finding.
+//! cases; its report is pinned here finding by finding. The binary around
+//! it (exit codes, the human report, SARIF to a file) is tested in
+//! `crates/lint/tests/cli.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use demos_lint::check_workspace;
 use demos_lint::checks::WIRE_ENUMS;
 use demos_lint::engine::load_units;
 use demos_lint::symbols::Symbols;
-use demos_lint::{check_workspace, Code};
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -101,26 +103,6 @@ fn fixture_tree_golden_findings() {
         .map(|s| (s.file.as_str(), s.line))
         .collect();
     assert_eq!(stale, [("crates/kernel/src/allow_stale.rs", 5)]);
-}
-
-/// SARIF, which CI uploads for code scanning: a 2.1.0 log with rule
-/// metadata and one result per finding, carrying its file.
-#[test]
-fn sarif_report_has_rules_and_results() {
-    let report = check_workspace(&fixtures_root()).expect("fixture tree is readable");
-    let text = report.to_sarif();
-    assert!(text.contains("\"version\":\"2.1.0\""), "{text}");
-    assert!(text.contains("\"name\":\"demos-lint\""), "{text}");
-    for code in Code::RULES {
-        assert!(
-            text.contains(&format!("\"ruleId\":\"{code}\"")),
-            "missing {code} result in SARIF:\n{text}"
-        );
-    }
-    assert!(
-        text.contains("\"uri\":\"crates/net/src/d009_pos.rs\""),
-        "SARIF result must carry the file URI:\n{text}"
-    );
 }
 
 /// D007 looks each watched enum up in the parsed workspace and skips a
