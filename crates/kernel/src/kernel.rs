@@ -39,7 +39,7 @@ use demos_types::{
 use crate::image::{ImageLayout, ProcessImage};
 use crate::movedata::{MdAction, MoveData, MoveDataConfig, PullPurpose};
 use crate::process::{ExecStatus, Process, Queued, TimerEntry};
-use crate::program::{local_tags, Ctx, Delivered, Effects, MoveDataReq, Registry};
+use crate::program::{local_tags, Ctx, Delivered, Effects, LinkLists, MoveDataReq, Registry};
 use crate::trace::{MigrationPhase, TraceEvent};
 
 /// Kernel tuning knobs.
@@ -267,6 +267,8 @@ pub struct Outbox {
     /// between calls for their capacity. Always empty between calls.
     effects: Effects,
     due_timers: Vec<TimerEntry>,
+    /// Kept link lists, apart from `effects`, which `run_next` takes out around `submit`.
+    lists: LinkLists,
 }
 
 /// Sizes reported in a migration offer (message #2).
@@ -792,9 +794,10 @@ impl Kernel {
                 continue;
             };
             let machine = self.machine;
+            let (fx, lists) = (&mut out.effects, &mut out.lists);
             if !proc.started {
                 proc.started = true;
-                let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
+                let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, fx, lists);
                 program.on_start(&mut ctx);
             } else {
                 let Some(entry) = proc.queue.pop_front() else {
@@ -806,17 +809,15 @@ impl Kernel {
                 proc.msgs_handled += 1;
                 match entry {
                     Queued::Message(msg) if msg.header.msg_type != local_tags::TIMER => {
-                        let links: Vec<LinkIdx> =
-                            msg.links.iter().map(|l| proc.links.insert(*l)).collect();
                         let delivered = Delivered {
                             from: msg.header.src,
                             msg_type: msg.header.msg_type,
                             payload: msg.payload,
-                            links,
+                            links: msg.links.iter().map(|l| proc.links.insert(*l)).collect(),
                             forwarded: msg.header.flags.contains(MsgFlags::FORWARDED),
                         };
-                        let mut ctx =
-                            Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
+                        lists.give(msg.links);
+                        let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, fx, lists);
                         program.on_message(&mut ctx, delivered);
                     }
                     // A timer: queued here as its token, or fired where the
@@ -827,8 +828,7 @@ impl Kernel {
                             Queued::Timer(token) => token,
                             Queued::Message(msg) => decode_timer_token(&msg.payload),
                         };
-                        let mut ctx =
-                            Ctx::new(now, pid, machine, &mut proc.links, &mut out.effects);
+                        let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, fx, lists);
                         program.on_timer(&mut ctx, token);
                     }
                 }
@@ -1025,17 +1025,19 @@ impl Kernel {
         let mut delivered = std::mem::take(&mut self.delivered);
         self.endpoint
             .on_frame_into(now, from, frame, phys, &mut delivered);
-        for (corr, bytes) in delivered.drain(..) {
-            match Message::from_bytes(&bytes) {
-                Ok(mut msg) => {
+        for (corr, mut bytes) in delivered.drain(..) {
+            // Only a frame that carries links (the count after the header) takes a kept list.
+            let n = usize::from(bytes.get(MsgHeader::WIRE_LEN).copied().unwrap_or(0));
+            match Message::decode_in(&mut bytes, out.lists.take(n)) {
+                Ok(mut msg) if !bytes.has_remaining() => {
                     // The correlation id travelled alongside the wire bytes
                     // (frame metadata, not part of the encoding); re-attach
                     // it so the journey continues under the same id.
                     msg.corr = corr;
                     self.submit(now, msg, phys, out);
                 }
-                Err(e) => {
-                    debug_assert!(false, "undecodable message on reliable channel: {e}");
+                other => {
+                    debug_assert!(false, "undecodable message on reliable channel: {other:?}");
                 }
             }
         }
@@ -1157,6 +1159,7 @@ impl Kernel {
                 self.handle_kernel_msg(now, msg, phys, out);
             } else if let Some(m) = dest.pid.kernel_machine() {
                 self.transmit(now, m, &msg, phys);
+                out.lists.give(msg.links);
             }
             return;
         }
@@ -1171,6 +1174,7 @@ impl Kernel {
                 && self.forwarding.contains_key(&dest.pid);
             if !reroute {
                 self.transmit(now, dest.last_known_machine, &msg, phys);
+                out.lists.give(msg.links);
                 return;
             }
         }

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use demos_types::message::MAX_PAYLOAD;
+use demos_types::message::{MAX_CARRIED_LINKS, MAX_PAYLOAD};
 use demos_types::{
     DataArea, DemosError, Duration, Link, LinkAttrs, LinkIdx, MachineId, Message, MsgFlags,
     MsgHeader, ProcessId, Result, Time,
@@ -51,7 +51,7 @@ pub struct Delivered {
     pub payload: Bytes,
     /// Indices of links that arrived in the message, in order. By
     /// convention the first is the reply link.
-    pub links: Vec<LinkIdx>,
+    pub links: CarriedLinks,
     /// Whether this message passed through a forwarding address.
     pub forwarded: bool,
 }
@@ -60,6 +60,65 @@ impl Delivered {
     /// The conventional reply link (first carried link), if present.
     pub fn reply(&self) -> Option<LinkIdx> {
         self.links.first().copied()
+    }
+}
+
+/// The link indices a delivered message carried, inline, read as a
+/// `&[LinkIdx]`. Collecting keeps the first [`MAX_CARRIED_LINKS`].
+#[derive(Clone, Copy, Default)]
+pub struct CarriedLinks {
+    len: u8,
+    idx: [LinkIdx; MAX_CARRIED_LINKS],
+}
+
+impl std::ops::Deref for CarriedLinks {
+    type Target = [LinkIdx];
+    fn deref(&self) -> &[LinkIdx] {
+        &self.idx[..usize::from(self.len)]
+    }
+}
+
+impl FromIterator<LinkIdx> for CarriedLinks {
+    fn from_iter<I: IntoIterator<Item = LinkIdx>>(iter: I) -> Self {
+        let mut links = CarriedLinks::default();
+        for (slot, idx) in links.idx.iter_mut().zip(iter) {
+            *slot = idx;
+            links.len += 1;
+        }
+        links
+    }
+}
+
+impl std::fmt::Debug for CarriedLinks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Emptied `Message::links` lists, kept for the next messages that carry
+/// links: one set per [`crate::Outbox`], host-only (DESIGN.md §9).
+#[derive(Debug, Default)]
+pub struct LinkLists {
+    kept: Vec<Vec<Link>>,
+}
+
+impl LinkLists {
+    /// An empty list with room for `n` links: a kept one grown exactly if short, or a new one.
+    pub fn take(&mut self, n: usize) -> Vec<Link> {
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut list = self.kept.pop().unwrap_or_default();
+        list.reserve_exact(n);
+        list
+    }
+
+    /// Keep `list`, emptied, unless [`MAX_CARRIED_LINKS`] lists are kept.
+    pub fn give(&mut self, mut list: Vec<Link>) {
+        if list.capacity() > 0 && self.kept.len() < MAX_CARRIED_LINKS {
+            list.clear();
+            self.kept.push(list);
+        }
     }
 }
 
@@ -125,6 +184,7 @@ pub struct Ctx<'a> {
     pub(crate) machine: MachineId,
     pub(crate) links: &'a mut LinkTable,
     pub(crate) effects: &'a mut Effects,
+    pub(crate) lists: &'a mut LinkLists,
 }
 
 impl<'a> Ctx<'a> {
@@ -135,6 +195,7 @@ impl<'a> Ctx<'a> {
         machine: MachineId,
         links: &'a mut LinkTable,
         effects: &'a mut Effects,
+        lists: &'a mut LinkLists,
     ) -> Self {
         Ctx {
             now,
@@ -142,6 +203,7 @@ impl<'a> Ctx<'a> {
             machine,
             links,
             effects,
+            lists,
         }
     }
 
@@ -236,13 +298,7 @@ impl<'a> Ctx<'a> {
                 max: MAX_PAYLOAD,
             });
         }
-        if carry.len() > demos_types::message::MAX_CARRIED_LINKS {
-            return Err(DemosError::TooLarge {
-                what: "carried links",
-                len: carry.len(),
-                max: demos_types::message::MAX_CARRIED_LINKS,
-            });
-        }
+        demos_types::message::check_carried_links(carry.len())?;
         // Validate carried links before consuming the send link, so a
         // failed send has no side effects.
         for c in carry {
@@ -251,7 +307,7 @@ impl<'a> Ctx<'a> {
             }
         }
         let link = self.links.use_for_send(via)?;
-        let mut links = Vec::with_capacity(carry.len());
+        let mut links = self.lists.take(carry.len());
         for c in carry {
             links.push(match c {
                 Carry::Dup(i) => self.links.get(*i)?,
@@ -439,15 +495,15 @@ mod tests {
         pid(9).at(MachineId(1))
     }
 
-    fn ctx_parts() -> (LinkTable, Effects) {
-        (LinkTable::new(), Effects::default())
+    fn ctx_parts() -> (LinkTable, Effects, LinkLists) {
+        (LinkTable::new(), Effects::default(), LinkLists::default())
     }
 
     #[test]
     fn send_builds_message_with_header() {
-        let (mut lt, mut fx) = ctx_parts();
+        let (mut lt, mut fx, mut kept) = ctx_parts();
         let via = lt.insert(Link::to(remote_addr()));
-        let mut ctx = Ctx::new(Time(5), pid(1), MachineId(0), &mut lt, &mut fx);
+        let mut ctx = Ctx::new(Time(5), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
         ctx.send(
             via,
             0x1001,
@@ -470,9 +526,9 @@ mod tests {
 
     #[test]
     fn send_over_dtk_link_sets_flag() {
-        let (mut lt, mut fx) = ctx_parts();
+        let (mut lt, mut fx, mut kept) = ctx_parts();
         let via = lt.insert(Link::deliver_to_kernel(remote_addr()));
-        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx);
+        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
         ctx.send(via, 1, Bytes::new(), &[]).unwrap();
         assert!(fx.sends[0]
             .header
@@ -482,9 +538,9 @@ mod tests {
 
     #[test]
     fn reply_link_consumed_by_send() {
-        let (mut lt, mut fx) = ctx_parts();
+        let (mut lt, mut fx, mut kept) = ctx_parts();
         let via = lt.insert(Link::to(remote_addr()).reply());
-        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx);
+        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
         ctx.send(via, 1, Bytes::new(), &[]).unwrap();
         assert!(ctx.send(via, 1, Bytes::new(), &[]).is_err());
         assert_eq!(fx.sends.len(), 1);
@@ -492,10 +548,10 @@ mod tests {
 
     #[test]
     fn carry_move_removes_link() {
-        let (mut lt, mut fx) = ctx_parts();
+        let (mut lt, mut fx, mut kept) = ctx_parts();
         let via = lt.insert(Link::to(remote_addr()));
         let carried = lt.insert(Link::to(pid(3).at(MachineId(2))));
-        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx);
+        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
         ctx.send(via, 1, Bytes::new(), &[Carry::Move(carried)])
             .unwrap();
         assert!(lt.get(carried).is_err(), "moved link left the table");
@@ -504,10 +560,10 @@ mod tests {
 
     #[test]
     fn carry_dup_keeps_link() {
-        let (mut lt, mut fx) = ctx_parts();
+        let (mut lt, mut fx, mut kept) = ctx_parts();
         let via = lt.insert(Link::to(remote_addr()));
         let carried = lt.insert(Link::to(pid(3).at(MachineId(2))));
-        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx);
+        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
         ctx.send(via, 1, Bytes::new(), &[Carry::Dup(carried)])
             .unwrap();
         assert!(lt.get(carried).is_ok());
@@ -515,9 +571,9 @@ mod tests {
 
     #[test]
     fn failed_send_has_no_side_effects() {
-        let (mut lt, mut fx) = ctx_parts();
+        let (mut lt, mut fx, mut kept) = ctx_parts();
         let via = lt.insert(Link::to(remote_addr()).reply());
-        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx);
+        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
         // Carrying a nonexistent link fails before the reply link is consumed.
         let err = ctx.send(via, 1, Bytes::new(), &[Carry::Dup(LinkIdx(99))]);
         assert!(err.is_err());
@@ -530,9 +586,9 @@ mod tests {
 
     #[test]
     fn oversized_payload_rejected() {
-        let (mut lt, mut fx) = ctx_parts();
+        let (mut lt, mut fx, mut kept) = ctx_parts();
         let via = lt.insert(Link::to(remote_addr()));
-        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx);
+        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
         let big = vec![0u8; MAX_PAYLOAD + 1];
         assert!(matches!(
             ctx.send(via, 1, Bytes::from(big), &[]),
@@ -542,7 +598,7 @@ mod tests {
 
     #[test]
     fn move_data_requires_rights_and_area() {
-        let (mut lt, mut fx) = ctx_parts();
+        let (mut lt, mut fx, mut kept) = ctx_parts();
         let no_rights = lt.insert(Link::to(remote_addr()));
         let no_area = lt.insert(Link {
             addr: remote_addr(),
@@ -556,7 +612,7 @@ mod tests {
             },
             LinkAttrs::DATA_READ,
         ));
-        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx);
+        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
         let req = |link| MoveDataReq {
             link,
             read: true,
@@ -590,13 +646,81 @@ mod tests {
 
     #[test]
     fn timers_and_exit_buffered() {
-        let (mut lt, mut fx) = ctx_parts();
-        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx);
+        let (mut lt, mut fx, mut kept) = ctx_parts();
+        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
         ctx.set_timer(Duration::from_millis(3), 42);
         ctx.cpu(Duration::from_micros(100));
         ctx.exit();
         assert_eq!(fx.timers, vec![(Duration::from_millis(3), 42)]);
         assert_eq!(fx.cpu, Duration::from_micros(100));
         assert!(fx.exit);
+    }
+
+    #[test]
+    fn carried_links_read_as_the_slice_they_were_collected_from() {
+        for n in [0u32, 1, 2, MAX_CARRIED_LINKS as u32] {
+            let vec: Vec<LinkIdx> = (0..n).map(|i| LinkIdx(i * 7 + 1)).collect();
+            let links: CarriedLinks = vec.iter().copied().collect();
+            assert_eq!(&*links, vec.as_slice());
+            assert_eq!(links.len(), vec.len());
+            assert_eq!(links.first(), vec.first());
+            assert_eq!(format!("{links:?}"), format!("{vec:?}"));
+        }
+        // Past the limit nothing more is pulled from the source.
+        let mut pulled = 0;
+        let links: CarriedLinks = (0..MAX_CARRIED_LINKS as u32 + 4)
+            .map(|i| {
+                pulled += 1;
+                LinkIdx(i)
+            })
+            .collect();
+        assert_eq!(links.len(), MAX_CARRIED_LINKS);
+        assert_eq!(pulled, MAX_CARRIED_LINKS);
+        assert_eq!(links[MAX_CARRIED_LINKS - 1], LinkIdx(15));
+    }
+
+    #[test]
+    fn link_lists_hand_back_what_they_kept_emptied_and_keep_at_most_the_limit() {
+        let mut lists = LinkLists::default();
+        let no_links = lists.take(0);
+        assert_eq!(no_links.capacity(), 0, "no links, no list");
+        let link = Link::to(remote_addr());
+        let mut kept = Vec::new();
+        for _ in 0..=MAX_CARRIED_LINKS {
+            let mut list = lists.take(2);
+            assert_eq!(list.capacity(), 2, "exactly what was asked for");
+            list.extend([link, link]);
+            kept.push(list);
+        }
+        for list in kept {
+            lists.give(list);
+        }
+        // One list too many was dropped.
+        assert_eq!(lists.kept.len(), MAX_CARRIED_LINKS);
+        let again = lists.take(1);
+        assert!(again.is_empty());
+        assert_eq!(again.capacity(), 2, "a kept list, emptied");
+        // A kept list too short for the message grows to exactly its size.
+        assert_eq!(lists.take(3).capacity(), 3);
+        lists.give(Vec::new());
+        assert_eq!(lists.kept.len(), MAX_CARRIED_LINKS - 2, "nothing to keep");
+    }
+
+    #[test]
+    fn a_send_carrying_links_uses_a_kept_list() {
+        let (mut lt, mut fx, mut kept) = ctx_parts();
+        let mut list = Vec::with_capacity(4);
+        list.push(Link::to(remote_addr()));
+        let at = list.as_ptr();
+        kept.give(list);
+        let via = lt.insert(Link::to(remote_addr()));
+        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
+        ctx.send(via, 1, Bytes::new(), &[]).unwrap();
+        ctx.send(via, 1, Bytes::new(), &[Carry::New(LinkAttrs::REPLY)])
+            .unwrap();
+        assert_eq!(fx.sends[0].links.capacity(), 0);
+        assert_eq!(fx.sends[1].links.as_ptr(), at);
+        assert_eq!(fx.sends[1].links.len(), 1);
+        assert!(fx.sends[1].links[0].is_reply());
     }
 }

@@ -542,7 +542,8 @@ impl Cluster {
     }
 
     /// Deliver a message to `pid` from "outside" (modelling operator
-    /// input; sent as the hosting machine's kernel).
+    /// input; sent as the hosting machine's kernel). Like `Ctx::send`, it
+    /// refuses more links than a message may carry.
     pub fn post(
         &mut self,
         pid: ProcessId,
@@ -550,6 +551,7 @@ impl Cluster {
         payload: impl Into<bytes::Bytes>,
         links: Vec<Link>,
     ) -> Result<()> {
+        demos_types::message::check_carried_links(links.len())?;
         let m = self.where_is(pid).ok_or(DemosError::NoSuchProcess(pid))?;
         let now = self.now;
         let msg = Message {

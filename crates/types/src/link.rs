@@ -27,7 +27,7 @@ use crate::wire::{Wire, WireError};
 
 /// Index of a link in a process's link table — the *local name space*
 /// through which a process refers to its links (akin to a file descriptor).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkIdx(pub u32);
 
 impl fmt::Debug for LinkIdx {

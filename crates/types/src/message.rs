@@ -175,6 +175,18 @@ impl Wire for MsgHeader {
 /// Maximum number of links one message may carry.
 pub const MAX_CARRIED_LINKS: usize = 16;
 
+/// Refuse a message of `n` carried links if that is more than it may carry.
+pub fn check_carried_links(n: usize) -> crate::Result<()> {
+    if n > MAX_CARRIED_LINKS {
+        return Err(crate::DemosError::TooLarge {
+            what: "carried links",
+            len: n,
+            max: MAX_CARRIED_LINKS,
+        });
+    }
+    Ok(())
+}
+
 /// Maximum payload of a single message (larger transfers use the move-data
 /// facility, §2.2).
 pub const MAX_PAYLOAD: usize = 8 * 1024;
@@ -228,6 +240,46 @@ impl Message {
     /// First carried link, if any (conventionally the reply link).
     pub fn reply_link(&self) -> Option<Link> {
         self.links.first().copied()
+    }
+
+    /// [`Wire::decode`] into `links`, emptied and grown exactly if short.
+    pub fn decode_in(buf: &mut Bytes, mut links: Vec<Link>) -> Result<Message, WireError> {
+        let header = MsgHeader::decode(buf)?;
+        if buf.remaining() < 5 {
+            return Err(WireError::Truncated("Message counts"));
+        }
+        let n_links = usize::from(buf.get_u8());
+        let payload_len = usize::try_from(buf.get_u32()).map_err(|_| WireError::BadLength {
+            what: "Message.payload",
+            len: usize::MAX,
+        })?;
+        if n_links > MAX_CARRIED_LINKS {
+            return Err(WireError::BadLength {
+                what: "Message.links",
+                len: n_links,
+            });
+        }
+        if payload_len > MAX_PAYLOAD {
+            return Err(WireError::BadLength {
+                what: "Message.payload",
+                len: payload_len,
+            });
+        }
+        links.clear();
+        links.reserve_exact(n_links);
+        for _ in 0..n_links {
+            links.push(Link::decode(buf)?);
+        }
+        if buf.remaining() < payload_len {
+            return Err(WireError::Truncated("Message.payload"));
+        }
+        let payload = buf.split_to(payload_len);
+        Ok(Message {
+            header,
+            links,
+            payload,
+            corr: CorrId::NONE,
+        })
     }
 
     /// The wire image of a message whose payload is `body`'s encoding —
@@ -304,41 +356,7 @@ impl Wire for Message {
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let header = MsgHeader::decode(buf)?;
-        if buf.remaining() < 5 {
-            return Err(WireError::Truncated("Message counts"));
-        }
-        let n_links = usize::from(buf.get_u8());
-        let payload_len = usize::try_from(buf.get_u32()).map_err(|_| WireError::BadLength {
-            what: "Message.payload",
-            len: usize::MAX,
-        })?;
-        if n_links > MAX_CARRIED_LINKS {
-            return Err(WireError::BadLength {
-                what: "Message.links",
-                len: n_links,
-            });
-        }
-        if payload_len > MAX_PAYLOAD {
-            return Err(WireError::BadLength {
-                what: "Message.payload",
-                len: payload_len,
-            });
-        }
-        let mut links = Vec::with_capacity(n_links);
-        for _ in 0..n_links {
-            links.push(Link::decode(buf)?);
-        }
-        if buf.remaining() < payload_len {
-            return Err(WireError::Truncated("Message.payload"));
-        }
-        let payload = buf.split_to(payload_len);
-        Ok(Message {
-            header,
-            links,
-            payload,
-            corr: CorrId::NONE,
-        })
+        Message::decode_in(buf, Vec::new())
     }
 }
 

@@ -8,9 +8,11 @@
 //! the same length when its channel kept one — so once a pull is under
 //! way a move-data packet and its ack cost **none**, a fired timer
 //! reaches its program with **none**, and a request/reply round trip
-//! between two machines stays within four. A slab is never written again
-//! while anything can still read it. It is the gate that fails when an
-//! allocation is re-added, without waiting for the benchmark.
+//! between two machines costs **one**: the client's payload. The link
+//! list a request carries is a kept one at both ends. A slab is never
+//! written again while anything can still read it. It is the gate that
+//! fails when an allocation is re-added, without waiting for the
+//! benchmark.
 
 mod common;
 
@@ -18,12 +20,14 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes};
-use common::allocs_in;
+use common::{allocs_in, live_bytes_in};
 use demos_mp::kernel::process::Queued;
+use demos_mp::kernel::program::LinkLists;
 use demos_mp::kernel::{local_tags, Ctx, Delivered, Kernel, KernelConfig, Outbox, Program};
 use demos_mp::net::{Bounce, ChannelConfig, Endpoint, Frame, Phys};
 use demos_mp::sim::prelude::*;
 use demos_mp::sim::programs::{client_stats, Cargo, Client, EchoServer};
+use demos_mp::types::message::MAX_CARRIED_LINKS;
 use demos_mp::types::proto::{AreaSel, MoveDataMsg};
 use demos_mp::types::wire::Wire;
 use demos_mp::types::{CorrId, Message, MsgFlags, MsgHeader};
@@ -89,6 +93,16 @@ fn an_encoded_message_is_one_allocation_that_every_view_shares() {
                 let at = wire.len() - payload_len;
                 assert_eq!(back.payload.as_ptr(), base.wrapping_add(at));
             }
+
+            // Into a kept list with room for the links, nothing at all;
+            // whatever the list held before is gone.
+            let mut kept = Vec::with_capacity(16);
+            kept.push(Link::to(pid(7, 7).at(m(7))));
+            let mut cursor = wire.clone();
+            let (back, all, _) =
+                allocs_in(|| Message::decode_in(&mut cursor, kept).expect("decodes"));
+            assert_eq!(all, 0);
+            assert_eq!(back, msg);
         }
     }
 }
@@ -504,7 +518,7 @@ fn a_fired_timer_reaches_its_program_without_allocating_also_after_a_migration()
 // ----------------------------------------------------------------------
 
 #[test]
-fn a_round_trip_between_two_machines_costs_at_most_four_allocations() {
+fn a_round_trip_between_two_machines_costs_one_allocation() {
     const PERIOD_US: u32 = 2_500;
     let mut cluster = ClusterBuilder::new(2).no_trace().build();
     let server = cluster
@@ -535,19 +549,45 @@ fn a_round_trip_between_two_machines_costs_at_most_four_allocations() {
     cluster.run_for(period.saturating_mul(16));
     let before = answered(&cluster);
 
-    // Request: the client's payload buffer, the link list `Ctx::send`
-    // builds for the reply link, and at the server the decoded link list
-    // and the link indices handed to the program. The two wire images,
-    // request and reply: nothing, each is written into the slab of an
-    // acknowledged one of the same length. The timer that paces the
-    // client: nothing.
+    // Request: the client's payload buffer, which the program writes
+    // itself. The link list `Ctx::send` fills with the reply link and the
+    // one the server decodes it into: kept lists, handed back once the
+    // request is encoded and once its link is installed. The link indices
+    // handed to the program: inline. The two wire images, request and
+    // reply: nothing, each is written into the slab of an acknowledged
+    // one of the same length. The timer that paces the client: nothing.
     let rounds = 32;
     let (_, all, _) = allocs_in(|| cluster.run_for(period.saturating_mul(rounds)));
     assert_eq!(answered(&cluster) - before, rounds);
-    assert!(
-        all as u64 <= 4 * rounds,
+    assert_eq!(
+        all as u64, rounds,
         "{all} allocations in {rounds} round trips"
     );
+}
+
+#[test]
+fn a_full_set_of_kept_link_lists_drops_what_comes_back() {
+    let mut lists = LinkLists::default();
+    let mut held: Vec<Vec<Link>> = (0..=MAX_CARRIED_LINKS).map(|_| lists.take(1)).collect();
+    let extra = held.pop().expect("one more than the bound");
+    for list in held {
+        lists.give(list);
+    }
+    // At the bound, a list that comes back is freed, and the set of kept
+    // lists does not grow to hold it.
+    let (_, all, live) = live_bytes_in(|| lists.give(extra));
+    assert_eq!(all, 0);
+    assert_eq!(live, -(std::mem::size_of::<Link>() as isize));
+    // All kept lists come back before a new one is made.
+    let (again, all, _) = allocs_in(|| {
+        (0..MAX_CARRIED_LINKS)
+            .map(|_| lists.take(1))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(all, 1, "only the list that holds them");
+    assert!(again.iter().all(|l| l.is_empty() && l.capacity() == 1));
+    let (_, all, _) = allocs_in(|| lists.take(1));
+    assert_eq!(all, 1, "a miss is one allocation");
 }
 
 // ----------------------------------------------------------------------
