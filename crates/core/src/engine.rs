@@ -312,15 +312,18 @@ impl<'a> Cx<'a> {
     /// offer carries the requester's reply link).
     fn send(&mut self, to: MachineId, msg: MigrateMsg, link: Option<Link>) {
         let links = link.into_iter().collect();
+        let payload = self.out.encode_payload(&msg);
         self.kernel
-            .send_migrate_msg(self.now, to, msg.to_bytes(), links, self.phys, self.out);
+            .send_migrate_msg(self.now, to, payload, links, self.phys, self.out);
     }
 
     /// Message #9: tell the requester, if there is one, how the migration
     /// of `pid` to `dest` ended (`status` as mapped in DESIGN.md §2).
     fn notify(&mut self, reply: Option<Link>, pid: ProcessId, dest: MachineId, status: u8) {
         if let Some(r) = reply {
-            let done = MigrateMsg::Done { pid, dest, status }.to_bytes();
+            let done = self
+                .out
+                .encode_payload(&MigrateMsg::Done { pid, dest, status });
             self.kernel
                 .send_kernel_to(self.now, r, tags::MIGRATE, done, self.phys, self.out);
         }

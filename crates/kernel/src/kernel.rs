@@ -39,7 +39,7 @@ use demos_types::{
 use crate::image::{ImageLayout, ProcessImage};
 use crate::movedata::{MdAction, MoveData, MoveDataConfig, PullPurpose};
 use crate::process::{ExecStatus, Process, Queued, TimerEntry};
-use crate::program::{local_tags, Ctx, Delivered, Effects, LinkLists, MoveDataReq, Registry};
+use crate::program::{local_tags, Ctx, Delivered, Effects, Kept, MoveDataReq, Registry};
 use crate::trace::{MigrationPhase, TraceEvent};
 
 /// Kernel tuning knobs.
@@ -267,8 +267,17 @@ pub struct Outbox {
     /// between calls for their capacity. Always empty between calls.
     effects: Effects,
     due_timers: Vec<TimerEntry>,
-    /// Kept link lists, apart from `effects`, which `run_next` takes out around `submit`.
-    lists: LinkLists,
+    /// Kept link lists and payload slabs, apart from `effects`, which
+    /// `run_next` takes out around `submit`.
+    kept: Kept,
+}
+
+impl Outbox {
+    /// `body`'s encoding as a payload ([`Kept::encode`]): the migration
+    /// engine's messages.
+    pub fn encode_payload(&mut self, body: &impl Wire) -> Bytes {
+        self.kept.encode(body)
+    }
 }
 
 /// Sizes reported in a migration offer (message #2).
@@ -794,10 +803,14 @@ impl Kernel {
                 continue;
             };
             let machine = self.machine;
-            let (fx, lists) = (&mut out.effects, &mut out.lists);
+            let (fx, kept) = (&mut out.effects, &mut out.kept);
+            // A handle on the delivered payload, offered to the kept slabs
+            // once the activation's effects are applied: by then a program
+            // that echoed or stored it still shares it, so it is not taken.
+            let mut payload = None;
             if !proc.started {
                 proc.started = true;
-                let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, fx, lists);
+                let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, fx, kept);
                 program.on_start(&mut ctx);
             } else {
                 let Some(entry) = proc.queue.pop_front() else {
@@ -809,6 +822,7 @@ impl Kernel {
                 proc.msgs_handled += 1;
                 match entry {
                     Queued::Message(msg) if msg.header.msg_type != local_tags::TIMER => {
+                        payload = Some(msg.payload.clone());
                         let delivered = Delivered {
                             from: msg.header.src,
                             msg_type: msg.header.msg_type,
@@ -816,8 +830,8 @@ impl Kernel {
                             links: msg.links.iter().map(|l| proc.links.insert(*l)).collect(),
                             forwarded: msg.header.flags.contains(MsgFlags::FORWARDED),
                         };
-                        lists.give(msg.links);
-                        let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, fx, lists);
+                        kept.give_list(msg.links);
+                        let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, fx, kept);
                         program.on_message(&mut ctx, delivered);
                     }
                     // A timer: queued here as its token, or fired where the
@@ -828,7 +842,7 @@ impl Kernel {
                             Queued::Timer(token) => token,
                             Queued::Message(msg) => decode_timer_token(&msg.payload),
                         };
-                        let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, fx, lists);
+                        let mut ctx = Ctx::new(now, pid, machine, &mut proc.links, fx, kept);
                         program.on_timer(&mut ctx, token);
                     }
                 }
@@ -883,6 +897,9 @@ impl Kernel {
             effects.exit = false;
             effects.cpu = Duration::ZERO;
             out.effects = effects;
+            if let Some(payload) = payload {
+                out.kept.offer(payload);
+            }
             return Some((pid, cost));
         }
     }
@@ -1028,7 +1045,7 @@ impl Kernel {
         for (corr, mut bytes) in delivered.drain(..) {
             // Only a frame that carries links (the count after the header) takes a kept list.
             let n = usize::from(bytes.get(MsgHeader::WIRE_LEN).copied().unwrap_or(0));
-            match Message::decode_in(&mut bytes, out.lists.take(n)) {
+            match Message::decode_in(&mut bytes, out.kept.take_list(n)) {
                 Ok(mut msg) if !bytes.has_remaining() => {
                     // The correlation id travelled alongside the wire bytes
                     // (frame metadata, not part of the encoding); re-attach
@@ -1159,7 +1176,8 @@ impl Kernel {
                 self.handle_kernel_msg(now, msg, phys, out);
             } else if let Some(m) = dest.pid.kernel_machine() {
                 self.transmit(now, m, &msg, phys);
-                out.lists.give(msg.links);
+                out.kept.give_list(msg.links);
+                out.kept.offer(msg.payload);
             }
             return;
         }
@@ -1174,7 +1192,8 @@ impl Kernel {
                 && self.forwarding.contains_key(&dest.pid);
             if !reroute {
                 self.transmit(now, dest.last_known_machine, &msg, phys);
-                out.lists.give(msg.links);
+                out.kept.give_list(msg.links);
+                out.kept.offer(msg.payload);
                 return;
             }
         }

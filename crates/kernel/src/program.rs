@@ -14,11 +14,12 @@
 //! send over a link, create a link, set a timer, move data through a
 //! data-area link, exit.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, SlabCursor, Spare};
 use demos_types::message::{MAX_CARRIED_LINKS, MAX_PAYLOAD};
+use demos_types::wire::Wire;
 use demos_types::{
     DataArea, DemosError, Duration, Link, LinkAttrs, LinkIdx, MachineId, Message, MsgFlags,
     MsgHeader, ProcessId, Result, Time,
@@ -95,29 +96,61 @@ impl std::fmt::Debug for CarriedLinks {
     }
 }
 
-/// Emptied `Message::links` lists, kept for the next messages that carry
-/// links: one set per [`crate::Outbox`], host-only (DESIGN.md §9).
+/// Emptied `Message::links` lists and payload slabs nothing reads any
+/// more, kept for the next messages: one set per [`crate::Outbox`],
+/// host-only, at most [`MAX_CARRIED_LINKS`] of each (DESIGN.md §9).
 #[derive(Debug, Default)]
-pub struct LinkLists {
-    kept: Vec<Vec<Link>>,
+pub struct Kept {
+    lists: Vec<Vec<Link>>,
+    /// Oldest first.
+    slabs: VecDeque<Spare>,
 }
 
-impl LinkLists {
+impl Kept {
     /// An empty list with room for `n` links: a kept one grown exactly if short, or a new one.
-    pub fn take(&mut self, n: usize) -> Vec<Link> {
+    pub fn take_list(&mut self, n: usize) -> Vec<Link> {
         if n == 0 {
             return Vec::new();
         }
-        let mut list = self.kept.pop().unwrap_or_default();
+        let mut list = self.lists.pop().unwrap_or_default();
         list.reserve_exact(n);
         list
     }
 
     /// Keep `list`, emptied, unless [`MAX_CARRIED_LINKS`] lists are kept.
-    pub fn give(&mut self, mut list: Vec<Link>) {
-        if list.capacity() > 0 && self.kept.len() < MAX_CARRIED_LINKS {
+    pub fn give_list(&mut self, mut list: Vec<Link>) {
+        if list.capacity() > 0 && self.lists.len() < MAX_CARRIED_LINKS {
             list.clear();
-            self.kept.push(list);
+            self.lists.push(list);
+        }
+    }
+
+    /// The newest kept slab of exactly `len` bytes, to write a payload
+    /// into ([`Bytes::refilled`]).
+    pub fn take(&mut self, len: usize) -> Option<Spare> {
+        let at = self.slabs.iter().rposition(|s| s.len() == len)?;
+        self.slabs.remove(at)
+    }
+
+    /// `body`'s encoding, the bytes of [`Wire::to_bytes`], written into
+    /// the newest kept slab of its length if there is one.
+    pub fn encode(&mut self, body: &impl Wire) -> Bytes {
+        body.to_bytes_in(self.take(body.wire_len()))
+    }
+
+    /// Keep `payload`'s slab if the payload is the whole of it and nothing
+    /// else reads it; a frame slice, a sub-slice, or a static, adopted or
+    /// shared payload is dropped. A full set frees its oldest slab, so
+    /// lengths nobody writes any more do not hold the set forever.
+    pub fn offer(&mut self, payload: Bytes) {
+        let len = payload.len();
+        if let Some(slab) = payload.into_spare() {
+            if slab.len() == len {
+                if self.slabs.len() == MAX_CARRIED_LINKS {
+                    self.slabs.pop_front();
+                }
+                self.slabs.push_back(slab);
+            }
         }
     }
 }
@@ -184,7 +217,7 @@ pub struct Ctx<'a> {
     pub(crate) machine: MachineId,
     pub(crate) links: &'a mut LinkTable,
     pub(crate) effects: &'a mut Effects,
-    pub(crate) lists: &'a mut LinkLists,
+    pub(crate) kept: &'a mut Kept,
 }
 
 impl<'a> Ctx<'a> {
@@ -195,7 +228,7 @@ impl<'a> Ctx<'a> {
         machine: MachineId,
         links: &'a mut LinkTable,
         effects: &'a mut Effects,
-        lists: &'a mut LinkLists,
+        kept: &'a mut Kept,
     ) -> Self {
         Ctx {
             now,
@@ -203,8 +236,19 @@ impl<'a> Ctx<'a> {
             machine,
             links,
             effects,
-            lists,
+            kept,
         }
+    }
+
+    /// A `len`-byte payload written by `fill` ([`Bytes::filled`]'s
+    /// contract), into a kept slab of that length if there is one.
+    pub fn payload(&mut self, len: usize, fill: impl FnOnce(&mut SlabCursor<'_>)) -> Bytes {
+        Bytes::refilled(self.kept.take(len), len, fill)
+    }
+
+    /// `body`'s encoding as a payload ([`Kept::encode`]).
+    pub fn encode(&mut self, body: &impl Wire) -> Bytes {
+        self.kept.encode(body)
     }
 
     /// Current virtual time.
@@ -307,7 +351,7 @@ impl<'a> Ctx<'a> {
             }
         }
         let link = self.links.use_for_send(via)?;
-        let mut links = self.lists.take(carry.len());
+        let mut links = self.kept.take_list(carry.len());
         for c in carry {
             links.push(match c {
                 Carry::Dup(i) => self.links.get(*i)?,
@@ -482,6 +526,7 @@ impl std::fmt::Debug for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
     use demos_types::ProcessAddress;
 
     fn pid(u: u32) -> ProcessId {
@@ -495,8 +540,8 @@ mod tests {
         pid(9).at(MachineId(1))
     }
 
-    fn ctx_parts() -> (LinkTable, Effects, LinkLists) {
-        (LinkTable::new(), Effects::default(), LinkLists::default())
+    fn ctx_parts() -> (LinkTable, Effects, Kept) {
+        (LinkTable::new(), Effects::default(), Kept::default())
     }
 
     #[test]
@@ -681,29 +726,108 @@ mod tests {
 
     #[test]
     fn link_lists_hand_back_what_they_kept_emptied_and_keep_at_most_the_limit() {
-        let mut lists = LinkLists::default();
-        let no_links = lists.take(0);
+        let mut lists = Kept::default();
+        let no_links = lists.take_list(0);
         assert_eq!(no_links.capacity(), 0, "no links, no list");
         let link = Link::to(remote_addr());
         let mut kept = Vec::new();
         for _ in 0..=MAX_CARRIED_LINKS {
-            let mut list = lists.take(2);
+            let mut list = lists.take_list(2);
             assert_eq!(list.capacity(), 2, "exactly what was asked for");
             list.extend([link, link]);
             kept.push(list);
         }
         for list in kept {
-            lists.give(list);
+            lists.give_list(list);
         }
         // One list too many was dropped.
-        assert_eq!(lists.kept.len(), MAX_CARRIED_LINKS);
-        let again = lists.take(1);
+        assert_eq!(lists.lists.len(), MAX_CARRIED_LINKS);
+        let again = lists.take_list(1);
         assert!(again.is_empty());
         assert_eq!(again.capacity(), 2, "a kept list, emptied");
         // A kept list too short for the message grows to exactly its size.
-        assert_eq!(lists.take(3).capacity(), 3);
-        lists.give(Vec::new());
-        assert_eq!(lists.kept.len(), MAX_CARRIED_LINKS - 2, "nothing to keep");
+        assert_eq!(lists.take_list(3).capacity(), 3);
+        lists.give_list(Vec::new());
+        assert_eq!(lists.lists.len(), MAX_CARRIED_LINKS - 2, "nothing to keep");
+    }
+
+    /// A slab of `len` bytes, each `byte`, that nothing else reads.
+    fn slab(len: usize, byte: u8) -> Bytes {
+        Bytes::filled(len, |out| out.put_bytes(byte, len))
+    }
+
+    #[test]
+    fn only_a_whole_slab_that_nothing_else_reads_is_kept() {
+        let mut kept = Kept::default();
+        // A frame's payload: the tail of a longer slab, here its last view.
+        let frame = slab(29, 1);
+        let payload = frame.slice(21..);
+        drop(frame);
+        kept.offer(payload);
+        // A sub-slice of a slab, and the head of one.
+        let mut whole = slab(16, 2);
+        kept.offer(whole.split_to(8));
+        kept.offer(whole);
+        // Static, adopted and empty storage.
+        kept.offer(Bytes::from_static(b"static"));
+        kept.offer(Bytes::from(vec![3u8; 8]));
+        kept.offer(Bytes::new());
+        // A slab someone else still reads.
+        let shared = slab(8, 4);
+        kept.offer(shared.clone());
+        assert!(kept.slabs.is_empty(), "{:?}", kept.slabs);
+        assert_eq!(&shared[..], &[4; 8], "the reader's bytes are untouched");
+
+        // The last view of a whole slab is kept, for exactly its length.
+        let at = shared.as_ptr();
+        kept.offer(shared);
+        assert!(kept.take(7).is_none() && kept.take(9).is_none());
+        let again = Bytes::refilled(kept.take(8), 8, |out| out.put_u64(5));
+        assert_eq!(again.as_ptr(), at, "written into the kept slab");
+        assert_eq!(&again[..], &5u64.to_be_bytes()[..]);
+        assert!(kept.take(8).is_none(), "taken once");
+    }
+
+    #[test]
+    fn the_newest_slab_of_the_length_comes_back_and_at_most_the_limit_are_kept() {
+        let mut kept = Kept::default();
+        let offered: Vec<Bytes> = (0..=MAX_CARRIED_LINKS as u8)
+            .map(|i| slab(8 + usize::from(i % 2), i))
+            .collect();
+        let ptrs: Vec<*const u8> = offered.iter().map(|b| b.as_ptr()).collect();
+        for payload in offered {
+            kept.offer(payload);
+        }
+        // The one past the bound pushed the oldest out.
+        assert_eq!(kept.slabs.len(), MAX_CARRIED_LINKS);
+        assert_eq!(kept.slabs[0].len(), 9, "slab 0 (8 bytes) was freed");
+        let newest = |kept: &mut Kept, len| {
+            Bytes::refilled(kept.take(len), len, |out| out.put_bytes(0, len)).as_ptr()
+        };
+        assert_eq!(newest(&mut kept, 8), ptrs[MAX_CARRIED_LINKS]);
+        assert_eq!(newest(&mut kept, 9), ptrs[MAX_CARRIED_LINKS - 1]);
+        assert_eq!(newest(&mut kept, 8), ptrs[MAX_CARRIED_LINKS - 2]);
+    }
+
+    #[test]
+    fn a_program_writes_its_payload_into_a_kept_slab() {
+        let (mut lt, mut fx, mut kept) = ctx_parts();
+        let body = 0x0102_0304_0506_0708u64;
+        let first = slab(body.wire_len(), 9);
+        let at = first.as_ptr();
+        kept.offer(first);
+        let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
+        // Encoded into the kept slab, the bytes `to_bytes` writes.
+        let encoded = ctx.encode(&body);
+        assert_eq!((encoded.as_ptr(), &encoded), (at, &body.to_bytes()));
+        // Nothing kept of this length: a new slab, written the same way.
+        let written = ctx.payload(3, |out| out.put_slice(b"abc"));
+        assert_eq!(&written[..], b"abc");
+        let at = written.as_ptr();
+        ctx.kept.offer(written);
+        // A short write shows no byte of the slab's last life.
+        let again = ctx.payload(3, |out| out.put_u8(7));
+        assert_eq!((again.as_ptr(), &again[..]), (at, &[7u8][..]));
     }
 
     #[test]
@@ -712,7 +836,7 @@ mod tests {
         let mut list = Vec::with_capacity(4);
         list.push(Link::to(remote_addr()));
         let at = list.as_ptr();
-        kept.give(list);
+        kept.give_list(list);
         let via = lt.insert(Link::to(remote_addr()));
         let mut ctx = Ctx::new(Time(0), pid(1), MachineId(0), &mut lt, &mut fx, &mut kept);
         ctx.send(via, 1, Bytes::new(), &[]).unwrap();

@@ -14,7 +14,7 @@
 //! program state: they remain valid across migration because the link
 //! table is transferred whole, indices included.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_kernel::{local_tags, Carry, Ctx, Delivered, Program, Registry};
 use demos_types::{tags, Duration, LinkAttrs, LinkIdx};
 
@@ -33,7 +33,7 @@ pub mod wl {
     pub const PIPE: u16 = USER_BASE + 4;
 }
 
-fn get_u64(b: &mut Bytes) -> u64 {
+fn get_u64(b: &mut &[u8]) -> u64 {
     if b.remaining() >= 8 {
         b.get_u64()
     } else {
@@ -41,7 +41,7 @@ fn get_u64(b: &mut Bytes) -> u64 {
     }
 }
 
-fn get_u32(b: &mut Bytes) -> u32 {
+fn get_u32(b: &mut &[u8]) -> u32 {
     if b.remaining() >= 4 {
         b.get_u32()
     } else {
@@ -75,16 +75,16 @@ pub struct PingPong {
 impl PingPong {
     /// Initial state: `limit` rallies, `cpu_us` per ball.
     pub fn state(limit: u64, cpu_us: u32) -> Vec<u8> {
-        let mut b = BytesMut::new();
-        b.put_u64(0);
-        b.put_u64(limit);
-        b.put_u32(cpu_us);
-        b.put_u32(0);
-        b.to_vec()
+        PingPong {
+            limit,
+            cpu_us,
+            ..PingPong::default()
+        }
+        .save()
     }
 
     fn restore(state: &[u8]) -> Box<dyn Program> {
-        let mut b = Bytes::copy_from_slice(state);
+        let mut b = state;
         Box::new(PingPong {
             rallies: get_u64(&mut b),
             limit: get_u64(&mut b),
@@ -123,18 +123,18 @@ impl Program for PingPong {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::with_capacity(24);
         b.put_u64(self.rallies);
         b.put_u64(self.limit);
         b.put_u32(self.cpu_us);
         b.put_u32(self.peer);
-        b.to_vec()
+        b
     }
 }
 
 /// Parse a `PingPong` state blob (for harness inspection).
 pub fn pingpong_rallies(state: &[u8]) -> u64 {
-    let mut b = Bytes::copy_from_slice(state);
+    let mut b = state;
     get_u64(&mut b)
 }
 
@@ -160,16 +160,17 @@ pub struct CpuBurner {
 impl CpuBurner {
     /// Initial state.
     pub fn state(limit: u64, work_us: u32, period_us: u32) -> Vec<u8> {
-        let mut b = BytesMut::new();
-        b.put_u64(0);
-        b.put_u64(limit);
-        b.put_u32(work_us);
-        b.put_u32(period_us);
-        b.to_vec()
+        CpuBurner {
+            limit,
+            work_us,
+            period_us,
+            ..CpuBurner::default()
+        }
+        .save()
     }
 
     fn restore(state: &[u8]) -> Box<dyn Program> {
-        let mut b = Bytes::copy_from_slice(state);
+        let mut b = state;
         Box::new(CpuBurner {
             done: get_u64(&mut b),
             limit: get_u64(&mut b),
@@ -203,18 +204,18 @@ impl Program for CpuBurner {
     fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Delivered) {}
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::with_capacity(24);
         b.put_u64(self.done);
         b.put_u64(self.limit);
         b.put_u32(self.work_us);
         b.put_u32(self.period_us);
-        b.to_vec()
+        b
     }
 }
 
 /// Parse a `CpuBurner` state blob: iterations completed.
 pub fn burner_done(state: &[u8]) -> u64 {
-    let mut b = Bytes::copy_from_slice(state);
+    let mut b = state;
     get_u64(&mut b)
 }
 
@@ -235,14 +236,11 @@ pub struct EchoServer {
 impl EchoServer {
     /// Initial state.
     pub fn state(cpu_us: u32) -> Vec<u8> {
-        let mut b = BytesMut::new();
-        b.put_u64(0);
-        b.put_u32(cpu_us);
-        b.to_vec()
+        EchoServer { served: 0, cpu_us }.save()
     }
 
     fn restore(state: &[u8]) -> Box<dyn Program> {
-        let mut b = Bytes::copy_from_slice(state);
+        let mut b = state;
         Box::new(EchoServer {
             served: get_u64(&mut b),
             cpu_us: get_u32(&mut b),
@@ -264,16 +262,16 @@ impl Program for EchoServer {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::with_capacity(12);
         b.put_u64(self.served);
         b.put_u32(self.cpu_us);
-        b.to_vec()
+        b
     }
 }
 
 /// Parse an `EchoServer` state blob: requests served.
 pub fn server_served(state: &[u8]) -> u64 {
-    let mut b = Bytes::copy_from_slice(state);
+    let mut b = state;
     get_u64(&mut b)
 }
 
@@ -317,7 +315,7 @@ impl Client {
     }
 
     fn restore(state: &[u8]) -> Box<dyn Program> {
-        let mut b = Bytes::copy_from_slice(state);
+        let mut b = state;
         Box::new(Client {
             sent: get_u64(&mut b),
             recv: get_u64(&mut b),
@@ -360,7 +358,7 @@ impl Program for Client {
         };
         if self.limit == 0 || self.sent < self.limit {
             let (sent_at, padding) = (ctx.now().as_micros(), self.payload as usize);
-            let payload = Bytes::filled(8 + padding, |out| {
+            let payload = ctx.payload(8 + padding, |out| {
                 out.put_u64(sent_at);
                 out.put_bytes(0, padding);
             });
@@ -377,7 +375,7 @@ impl Program for Client {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::with_capacity(52);
         b.put_u64(self.sent);
         b.put_u64(self.recv);
         b.put_u64(self.rtt_sum);
@@ -386,7 +384,7 @@ impl Program for Client {
         b.put_u32(self.period_us);
         b.put_u32(self.payload);
         b.put_u32(self.server);
-        b.to_vec()
+        b
     }
 }
 
@@ -405,7 +403,7 @@ pub struct ClientStats {
 
 /// Parse a `Client` state blob.
 pub fn client_stats(state: &[u8]) -> ClientStats {
-    let mut b = Bytes::copy_from_slice(state);
+    let mut b = state;
     let sent = get_u64(&mut b);
     let recv = get_u64(&mut b);
     let rtt_sum = get_u64(&mut b);
@@ -436,15 +434,15 @@ pub struct Stage {
 impl Stage {
     /// Initial state.
     pub fn state(work_us: u32) -> Vec<u8> {
-        let mut b = BytesMut::new();
-        b.put_u64(0);
-        b.put_u32(work_us);
-        b.put_u32(0);
-        b.to_vec()
+        Stage {
+            work_us,
+            ..Stage::default()
+        }
+        .save()
     }
 
     fn restore(state: &[u8]) -> Box<dyn Program> {
-        let mut b = Bytes::copy_from_slice(state);
+        let mut b = state;
         Box::new(Stage {
             processed: get_u64(&mut b),
             work_us: get_u32(&mut b),
@@ -475,17 +473,17 @@ impl Program for Stage {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::with_capacity(16);
         b.put_u64(self.processed);
         b.put_u32(self.work_us);
         b.put_u32(self.next);
-        b.to_vec()
+        b
     }
 }
 
 /// Parse a `Stage` state blob: tokens processed.
 pub fn stage_processed(state: &[u8]) -> u64 {
-    let mut b = Bytes::copy_from_slice(state);
+    let mut b = state;
     get_u64(&mut b)
 }
 
@@ -507,14 +505,14 @@ pub struct Cargo {
 impl Cargo {
     /// Initial state with `ballast` bytes of payload.
     pub fn state(ballast: usize) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::with_capacity(8 + ballast);
         b.put_u64(0);
-        b.extend_from_slice(&vec![0xA5u8; ballast]);
-        b.to_vec()
+        b.resize(8 + ballast, 0xA5);
+        b
     }
 
     fn restore(state: &[u8]) -> Box<dyn Program> {
-        let mut b = Bytes::copy_from_slice(state);
+        let mut b = state;
         let received = get_u64(&mut b);
         Box::new(Cargo {
             received,
@@ -533,16 +531,16 @@ impl Program for Cargo {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::with_capacity(8 + self.ballast.len());
         b.put_u64(self.received);
         b.extend_from_slice(&self.ballast);
-        b.to_vec()
+        b
     }
 }
 
 /// Parse a `Cargo` state blob: messages received.
 pub fn cargo_received(state: &[u8]) -> u64 {
-    let mut b = Bytes::copy_from_slice(state);
+    let mut b = state;
     get_u64(&mut b)
 }
 
@@ -582,7 +580,7 @@ impl Nomad {
     }
 
     fn restore(state: &[u8]) -> Box<dyn Program> {
-        let mut b = Bytes::copy_from_slice(state);
+        let mut b = state;
         Box::new(Nomad {
             pm: get_u32(&mut b),
             machines: get_u32(&mut b) as u16,
@@ -626,7 +624,7 @@ impl Program for Nomad {
         let dest = demos_types::MachineId((ctx.machine().0 + 1) % self.machines);
         // PmMsg::Migrate { dest } with [reply, self-link] — built by hand
         // to avoid a dependency cycle with demos-sysproc (tag 4 = Migrate).
-        let payload = Bytes::filled(3, |out| {
+        let payload = ctx.payload(3, |out| {
             out.put_u8(4);
             out.put_u16(dest.0);
         });
@@ -639,20 +637,20 @@ impl Program for Nomad {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::with_capacity(36);
         b.put_u32(self.pm);
         b.put_u32(self.machines as u32);
         b.put_u32(self.period_us);
         b.put_u64(self.hops);
         b.put_u64(self.failed);
         b.put_u64(self.work);
-        b.to_vec()
+        b
     }
 }
 
 /// Parse a `Nomad` state blob: `(hops, failed, work)`.
 pub fn nomad_stats(state: &[u8]) -> (u64, u64, u64) {
-    let mut b = Bytes::copy_from_slice(state);
+    let mut b = state;
     let _pm = get_u32(&mut b);
     let _machines = get_u32(&mut b);
     let _period = get_u32(&mut b);

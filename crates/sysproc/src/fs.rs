@@ -35,7 +35,8 @@ fn opt_link(v: u32) -> Option<LinkIdx> {
 
 fn reply_err(ctx: &mut Ctx<'_>, reply: Option<&LinkIdx>, code: u8) {
     if let Some(r) = reply {
-        let _ = ctx.send(*r, sys::FS, FsMsg::Err { code }.to_bytes(), &[]);
+        let payload = ctx.encode(&FsMsg::Err { code });
+        let _ = ctx.send(*r, sys::FS, payload, &[]);
     }
 }
 
@@ -106,13 +107,15 @@ impl Program for DirServer {
                 self.next_fid += 1;
                 self.names.insert(name, fid);
                 if let Some(r) = reply {
-                    let _ = ctx.send(*r, sys::FS, FsMsg::DirDone { tok, fid }.to_bytes(), &[]);
+                    let payload = ctx.encode(&FsMsg::DirDone { tok, fid });
+                    let _ = ctx.send(*r, sys::FS, payload, &[]);
                 }
             }
             FsMsg::DirLookup { tok, name } => match self.names.get(&name) {
                 Some(&fid) => {
                     if let Some(r) = reply {
-                        let _ = ctx.send(*r, sys::FS, FsMsg::DirDone { tok, fid }.to_bytes(), &[]);
+                        let payload = ctx.encode(&FsMsg::DirDone { tok, fid });
+                        let _ = ctx.send(*r, sys::FS, payload, &[]);
                     }
                 }
                 None => reply_err(ctx, reply, 1),
@@ -219,7 +222,8 @@ impl Program for DiskServer {
                 self.next_blk += 1;
                 self.blocks.insert(blk, vec![0u8; BLOCK as usize]);
                 if let Some(r) = reply {
-                    let _ = ctx.send(*r, sys::FS, FsMsg::BOk { tok, blk }.to_bytes(), &[]);
+                    let payload = ctx.encode(&FsMsg::BOk { tok, blk });
+                    let _ = ctx.send(*r, sys::FS, payload, &[]);
                 }
             }
             FsMsg::BRead { tok, blk } => {
@@ -229,12 +233,8 @@ impl Program for DiskServer {
                     .map(|v| Bytes::copy_from_slice(v))
                     .unwrap_or_else(|| Bytes::from(vec![0u8; BLOCK as usize]));
                 if let Some(r) = reply {
-                    let _ = ctx.send(
-                        *r,
-                        sys::FS,
-                        FsMsg::BData { tok, blk, bytes }.to_bytes(),
-                        &[],
-                    );
+                    let payload = ctx.encode(&FsMsg::BData { tok, blk, bytes });
+                    let _ = ctx.send(*r, sys::FS, payload, &[]);
                 }
             }
             FsMsg::BWrite { tok, blk, bytes } => {
@@ -242,7 +242,8 @@ impl Program for DiskServer {
                 v.resize(BLOCK as usize, 0);
                 self.blocks.insert(blk, v);
                 if let Some(r) = reply {
-                    let _ = ctx.send(*r, sys::FS, FsMsg::BOk { tok, blk }.to_bytes(), &[]);
+                    let payload = ctx.encode(&FsMsg::BOk { tok, blk });
+                    let _ = ctx.send(*r, sys::FS, payload, &[]);
                 }
             }
             // The disk answers only the block requests.
@@ -389,17 +390,12 @@ impl Program for BufferCache {
                 };
                 if let Some(data) = self.get(blk) {
                     self.hits += 1;
-                    let _ = ctx.send(
-                        reply,
-                        sys::FS,
-                        FsMsg::BData {
-                            tok,
-                            blk,
-                            bytes: Bytes::from(data),
-                        }
-                        .to_bytes(),
-                        &[],
-                    );
+                    let payload = ctx.encode(&FsMsg::BData {
+                        tok,
+                        blk,
+                        bytes: Bytes::from(data),
+                    });
+                    let _ = ctx.send(reply, sys::FS, payload, &[]);
                     return;
                 }
                 self.misses += 1;
@@ -410,12 +406,8 @@ impl Program for BufferCache {
                 let my = self.next_tok;
                 self.next_tok = self.next_tok.wrapping_add(1).max(1);
                 self.pending.insert(my, (tok, reply.0));
-                let _ = ctx.send(
-                    disk,
-                    sys::FS,
-                    FsMsg::BRead { tok: my, blk }.to_bytes(),
-                    &[Carry::New(LinkAttrs::REPLY)],
-                );
+                let payload = ctx.encode(&FsMsg::BRead { tok: my, blk });
+                let _ = ctx.send(disk, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)]);
             }
             FsMsg::BWrite { tok, blk, bytes } => {
                 let Some(&reply) = msg.links.first() else {
@@ -434,17 +426,12 @@ impl Program for BufferCache {
                 let my = self.next_tok;
                 self.next_tok = self.next_tok.wrapping_add(1).max(1);
                 self.pending.insert(my, (tok, reply.0));
-                let _ = ctx.send(
-                    disk,
-                    sys::FS,
-                    FsMsg::BWrite {
-                        tok: my,
-                        blk,
-                        bytes,
-                    }
-                    .to_bytes(),
-                    &[Carry::New(LinkAttrs::REPLY)],
-                );
+                let payload = ctx.encode(&FsMsg::BWrite {
+                    tok: my,
+                    blk,
+                    bytes,
+                });
+                let _ = ctx.send(disk, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)]);
             }
             FsMsg::BAlloc { tok } => {
                 let Some(&reply) = msg.links.first() else {
@@ -457,36 +444,28 @@ impl Program for BufferCache {
                 let my = self.next_tok;
                 self.next_tok = self.next_tok.wrapping_add(1).max(1);
                 self.pending.insert(my, (tok, reply.0));
-                let _ = ctx.send(
-                    disk,
-                    sys::FS,
-                    FsMsg::BAlloc { tok: my }.to_bytes(),
-                    &[Carry::New(LinkAttrs::REPLY)],
-                );
+                let payload = ctx.encode(&FsMsg::BAlloc { tok: my });
+                let _ = ctx.send(disk, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)]);
             }
             FsMsg::BData { tok, blk, bytes } => {
                 // Reply from the disk for one of our pass-throughs.
                 if let Some((ctok, reply)) = self.pending.remove(&tok) {
                     self.touch(blk, bytes.to_vec());
                     if let Some(r) = opt_link(reply) {
-                        let _ = ctx.send(
-                            r,
-                            sys::FS,
-                            FsMsg::BData {
-                                tok: ctok,
-                                blk,
-                                bytes,
-                            }
-                            .to_bytes(),
-                            &[],
-                        );
+                        let payload = ctx.encode(&FsMsg::BData {
+                            tok: ctok,
+                            blk,
+                            bytes,
+                        });
+                        let _ = ctx.send(r, sys::FS, payload, &[]);
                     }
                 }
             }
             FsMsg::BOk { tok, blk } => {
                 if let Some((ctok, reply)) = self.pending.remove(&tok) {
                     if let Some(r) = opt_link(reply) {
-                        let _ = ctx.send(r, sys::FS, FsMsg::BOk { tok: ctok, blk }.to_bytes(), &[]);
+                        let payload = ctx.encode(&FsMsg::BOk { tok: ctok, blk });
+                        let _ = ctx.send(r, sys::FS, payload, &[]);
                     }
                 }
             }
@@ -687,14 +666,11 @@ impl FileServer {
     #[allow(clippy::wrong_self_convention)]
     fn to_cache(&mut self, ctx: &mut Ctx<'_>, m: FsMsg) -> bool {
         match opt_link(self.cache) {
-            Some(cache) => ctx
-                .send(
-                    cache,
-                    sys::FS,
-                    m.to_bytes(),
-                    &[Carry::New(LinkAttrs::REPLY)],
-                )
-                .is_ok(),
+            Some(cache) => {
+                let payload = ctx.encode(&m);
+                ctx.send(cache, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)])
+                    .is_ok()
+            }
             None => false,
         }
     }
@@ -702,7 +678,8 @@ impl FileServer {
     fn finish(&mut self, ctx: &mut Ctx<'_>, reply: u32, m: FsMsg) {
         self.ops += 1;
         if let Some(r) = opt_link(reply) {
-            let _ = ctx.send(r, sys::FS, m.to_bytes(), &[]);
+            let payload = ctx.encode(&m);
+            let _ = ctx.send(r, sys::FS, payload, &[]);
         }
     }
 }
@@ -739,12 +716,8 @@ impl Program for FileServer {
                 let tok = self.tok();
                 self.pending
                     .insert(tok, Pending::CreateWait { reply: reply.0 });
-                let _ = ctx.send(
-                    dir,
-                    sys::FS,
-                    FsMsg::DirCreate { tok, name }.to_bytes(),
-                    &[Carry::New(LinkAttrs::REPLY)],
-                );
+                let payload = ctx.encode(&FsMsg::DirCreate { tok, name });
+                let _ = ctx.send(dir, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)]);
             }
             FsMsg::Open { name } => {
                 let Some(&reply) = msg.links.first() else {
@@ -757,12 +730,8 @@ impl Program for FileServer {
                 let tok = self.tok();
                 self.pending
                     .insert(tok, Pending::OpenWait { reply: reply.0 });
-                let _ = ctx.send(
-                    dir,
-                    sys::FS,
-                    FsMsg::DirLookup { tok, name }.to_bytes(),
-                    &[Carry::New(LinkAttrs::REPLY)],
-                );
+                let payload = ctx.encode(&FsMsg::DirLookup { tok, name });
+                let _ = ctx.send(dir, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)]);
             }
             FsMsg::Read { fid, off, len } => {
                 let Some(&reply) = msg.links.first() else {
@@ -1061,7 +1030,8 @@ impl FileServer {
             ) {
                 self.pending.remove(&tok);
                 if let Some(r) = opt_link(reply) {
-                    let _ = ctx.send(r, sys::FS, FsMsg::Err { code: 4 }.to_bytes(), &[]);
+                    let payload = ctx.encode(&FsMsg::Err { code: 4 });
+                    let _ = ctx.send(r, sys::FS, payload, &[]);
                 }
             }
         } else {
@@ -1080,7 +1050,8 @@ impl FileServer {
             if !self.to_cache(ctx, FsMsg::BRead { tok, blk }) {
                 self.pending.remove(&tok);
                 if let Some(r) = opt_link(reply) {
-                    let _ = ctx.send(r, sys::FS, FsMsg::Err { code: 4 }.to_bytes(), &[]);
+                    let payload = ctx.encode(&FsMsg::Err { code: 4 });
+                    let _ = ctx.send(r, sys::FS, payload, &[]);
                 }
             }
         }

@@ -195,12 +195,8 @@ impl Program for FsClient {
             let name = format!("c{}f{}", self.seed, self.created);
             self.created += 1;
             self.sent_at = ctx.now().as_micros();
-            let _ = ctx.send(
-                server,
-                sys::FS,
-                FsMsg::Create { name }.to_bytes(),
-                &[Carry::New(LinkAttrs::REPLY)],
-            );
+            let payload = ctx.encode(&FsMsg::Create { name });
+            let _ = ctx.send(server, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)]);
             return;
         }
         if self.fids.is_empty() || self.done() {
@@ -213,30 +209,20 @@ impl Program for FsClient {
         let off = ((k * 31) % slots as u64) as u32 * self.op_bytes as u32;
         self.sent_at = ctx.now().as_micros();
         if (k % 100) < (self.read_pct as u64) {
-            let _ = ctx.send(
-                server,
-                sys::FS,
-                FsMsg::Read {
-                    fid,
-                    off,
-                    len: self.op_bytes as u32,
-                }
-                .to_bytes(),
-                &[Carry::New(LinkAttrs::REPLY)],
-            );
+            let payload = ctx.encode(&FsMsg::Read {
+                fid,
+                off,
+                len: self.op_bytes as u32,
+            });
+            let _ = ctx.send(server, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)]);
         } else {
             let pattern = vec![(k % 251) as u8; self.op_bytes as usize];
-            let _ = ctx.send(
-                server,
-                sys::FS,
-                FsMsg::Write {
-                    fid,
-                    off,
-                    bytes: Bytes::from(pattern),
-                }
-                .to_bytes(),
-                &[Carry::New(LinkAttrs::REPLY)],
-            );
+            let payload = ctx.encode(&FsMsg::Write {
+                fid,
+                off,
+                bytes: Bytes::from(pattern),
+            });
+            let _ = ctx.send(server, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)]);
         }
     }
 

@@ -83,16 +83,11 @@ impl Program for MemSched {
                     self.granted[i] += bytes;
                 }
                 if let Some(reply) = msg.links.first() {
-                    let _ = ctx.send(
-                        *reply,
-                        sys::MEMSCHED,
-                        MemMsg::Granted {
-                            ok,
-                            free: self.free(machine),
-                        }
-                        .to_bytes(),
-                        &[],
-                    );
+                    let payload = ctx.encode(&MemMsg::Granted {
+                        ok,
+                        free: self.free(machine),
+                    });
+                    let _ = ctx.send(*reply, sys::MEMSCHED, payload, &[]);
                 }
             }
             MemMsg::Release { machine, bytes } => {
@@ -103,16 +98,11 @@ impl Program for MemSched {
             }
             MemMsg::Query { machine } => {
                 if let Some(reply) = msg.links.first() {
-                    let _ = ctx.send(
-                        *reply,
-                        sys::MEMSCHED,
-                        MemMsg::Granted {
-                            ok: true,
-                            free: self.free(machine),
-                        }
-                        .to_bytes(),
-                        &[],
-                    );
+                    let payload = ctx.encode(&MemMsg::Granted {
+                        ok: true,
+                        free: self.free(machine),
+                    });
+                    let _ = ctx.send(*reply, sys::MEMSCHED, payload, &[]);
                 }
             }
             MemMsg::Granted { .. } => {}

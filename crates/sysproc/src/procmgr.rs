@@ -105,12 +105,8 @@ impl Program for ProcMgr {
                             return;
                         };
                         let Some(klink) = self.kernel_link(machine) else {
-                            let _ = ctx.send(
-                                reply,
-                                sys::PROCMGR,
-                                PmMsg::SpawnFailed { reason: 2 }.to_bytes(),
-                                &[],
-                            );
+                            let payload = ctx.encode(&PmMsg::SpawnFailed { reason: 2 });
+                            let _ = ctx.send(reply, sys::PROCMGR, payload, &[]);
                             return;
                         };
                         let token = self.next_token;
@@ -125,10 +121,11 @@ impl Program for ProcMgr {
                         };
                         // Carry a reply link so the kernel's answer comes
                         // back to us.
+                        let payload = ctx.encode(&req);
                         let _ = ctx.send(
                             klink,
                             local_tags::KERNEL_MGMT,
-                            req.to_bytes(),
+                            payload,
                             &[Carry::New(demos_types::LinkAttrs::NONE)],
                         );
                     }
@@ -142,12 +139,8 @@ impl Program for ProcMgr {
                         };
                         if let Ok(dtk) = ctx.dup_as_dtk(proc_link) {
                             let op = KernelOp::MigrateRequest { dest, flags: 0 };
-                            let _ = ctx.send(
-                                dtk,
-                                tags::KERNEL_OP,
-                                op.to_bytes(),
-                                &[Carry::Move(reply)],
-                            );
+                            let payload = ctx.encode(&op);
+                            let _ = ctx.send(dtk, tags::KERNEL_OP, payload, &[Carry::Move(reply)]);
                             let _ = ctx.destroy_link(dtk);
                         }
                         let _ = ctx.destroy_link(proc_link);
@@ -155,8 +148,8 @@ impl Program for ProcMgr {
                     PmMsg::Kill => {
                         if let Some(&proc_link) = msg.links.first() {
                             if let Ok(dtk) = ctx.dup_as_dtk(proc_link) {
-                                let _ =
-                                    ctx.send(dtk, tags::KERNEL_OP, KernelOp::Kill.to_bytes(), &[]);
+                                let payload = ctx.encode(&KernelOp::Kill);
+                                let _ = ctx.send(dtk, tags::KERNEL_OP, payload, &[]);
                                 let _ = ctx.destroy_link(dtk);
                             }
                             let _ = ctx.destroy_link(proc_link);
@@ -178,11 +171,10 @@ impl Program for ProcMgr {
                             // The kernel's reply carried a link to the new
                             // process; pass it through to the requester.
                             let carried = msg.links.first().copied();
-                            let payload = PmMsg::Spawned {
+                            let payload = ctx.encode(&PmMsg::Spawned {
                                 creating_machine: pid.creating_machine,
                                 local_uid: pid.local_uid,
-                            }
-                            .to_bytes();
+                            });
                             match carried {
                                 Some(l) => {
                                     let _ =
@@ -198,12 +190,8 @@ impl Program for ProcMgr {
                     KernelMgmt::CreateFailed { token, reason } => {
                         if let Some(reply_idx) = self.pending.remove(&token) {
                             let reply = LinkIdx(reply_idx);
-                            let _ = ctx.send(
-                                reply,
-                                sys::PROCMGR,
-                                PmMsg::SpawnFailed { reason }.to_bytes(),
-                                &[],
-                            );
+                            let payload = ctx.encode(&PmMsg::SpawnFailed { reason });
+                            let _ = ctx.send(reply, sys::PROCMGR, payload, &[]);
                             let _ = ctx.destroy_link(reply);
                         }
                     }

@@ -274,34 +274,27 @@ impl Program for Shell {
                         layout,
                         privileged: false,
                     };
-                    let _ = ctx.send(
-                        pm,
-                        sys::PROCMGR,
-                        req.to_bytes(),
-                        &[Carry::New(LinkAttrs::NONE)],
-                    );
+                    let payload = ctx.encode(&req);
+                    let _ = ctx.send(pm, sys::PROCMGR, payload, &[Carry::New(LinkAttrs::NONE)]);
                 }
             }
             Cmd::Migrate { nth, dest } => {
                 if let (Some(pm), Some(&proc_idx)) = (pm, self.created.get(nth as usize)) {
                     // Slot 0: our reply link (for Done); slot 1: a copy of
                     // the process link.
+                    let payload = ctx.encode(&PmMsg::Migrate { dest });
                     let _ = ctx.send(
                         pm,
                         sys::PROCMGR,
-                        PmMsg::Migrate { dest }.to_bytes(),
+                        payload,
                         &[Carry::New(LinkAttrs::NONE), Carry::Dup(LinkIdx(proc_idx))],
                     );
                 }
             }
             Cmd::Kill { nth } => {
                 if let (Some(pm), Some(&proc_idx)) = (pm, self.created.get(nth as usize)) {
-                    let _ = ctx.send(
-                        pm,
-                        sys::PROCMGR,
-                        PmMsg::Kill.to_bytes(),
-                        &[Carry::Dup(LinkIdx(proc_idx))],
-                    );
+                    let payload = ctx.encode(&PmMsg::Kill);
+                    let _ = ctx.send(pm, sys::PROCMGR, payload, &[Carry::Dup(LinkIdx(proc_idx))]);
                 }
             }
             Cmd::Log(s) => ctx.log(s),

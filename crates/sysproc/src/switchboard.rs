@@ -79,12 +79,8 @@ impl Program for Switchboard {
                     }
                 }
                 if let Some(reply) = reply_slot {
-                    let _ = ctx.send(
-                        reply,
-                        sys::SWITCHBOARD,
-                        SbMsg::Registered { ok }.to_bytes(),
-                        &[],
-                    );
+                    let payload = ctx.encode(&SbMsg::Registered { ok });
+                    let _ = ctx.send(reply, sys::SWITCHBOARD, payload, &[]);
                 }
             }
             SbMsg::Lookup { name } => {
@@ -94,20 +90,17 @@ impl Program for Switchboard {
                 match self.names.get(&name).copied() {
                     Some(idx) => {
                         self.lookups += 1;
+                        let payload = ctx.encode(&SbMsg::Found { name });
                         let _ = ctx.send(
                             reply,
                             sys::SWITCHBOARD,
-                            SbMsg::Found { name }.to_bytes(),
+                            payload,
                             &[Carry::Dup(LinkIdx(idx))],
                         );
                     }
                     None => {
-                        let _ = ctx.send(
-                            reply,
-                            sys::SWITCHBOARD,
-                            SbMsg::NotFound { name }.to_bytes(),
-                            &[],
-                        );
+                        let payload = ctx.encode(&SbMsg::NotFound { name });
+                        let _ = ctx.send(reply, sys::SWITCHBOARD, payload, &[]);
                     }
                 }
             }

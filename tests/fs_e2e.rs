@@ -1,10 +1,10 @@
 //! File-system tests, culminating in the paper's own hard case: migrating
 //! a file-system process while several user processes perform I/O (§2.3).
 
-use demos_sim::boot::{
+use demos_mp::sim::boot::{
     boot_system, spawn_fs_clients, total_client_errors, total_client_ops, BootConfig,
 };
-use demos_sim::prelude::*;
+use demos_mp::sim::prelude::*;
 
 fn m(i: u16) -> MachineId {
     MachineId(i)
@@ -138,8 +138,8 @@ fn migrate_whole_fs_quartet_sequentially() {
 #[test]
 fn switchboard_lookup_roundtrip() {
     // A client process can discover the fs through the switchboard.
-    use demos_sysproc::{sys, SbMsg};
-    use demos_types::wire::Wire;
+    use demos_mp::sysproc::{sys, SbMsg};
+    use demos_mp::types::wire::Wire;
 
     let mut cluster = Cluster::mesh(2);
     let handles = boot_system(&mut cluster, BootConfig::default()).unwrap();
@@ -151,7 +151,7 @@ fn switchboard_lookup_roundtrip() {
         .spawn(
             m(1),
             "cargo",
-            &demos_sim::programs::Cargo::state(0),
+            &demos_mp::sim::programs::Cargo::state(0),
             ImageLayout::default(),
         )
         .unwrap();

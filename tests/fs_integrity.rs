@@ -4,12 +4,12 @@
 //! across migrations of the servers mid-stream.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use demos_kernel::{Carry, Ctx, Delivered, Program};
-use demos_sim::boot::{boot_system, BootConfig};
-use demos_sim::prelude::*;
-use demos_sysproc::{sys, FsMsg};
-use demos_types::wire::Wire;
-use demos_types::LinkIdx;
+use demos_mp::kernel::{Carry, Ctx, Delivered, Program};
+use demos_mp::sim::boot::{boot_system, BootConfig};
+use demos_mp::sim::prelude::*;
+use demos_mp::sysproc::{sys, FsMsg};
+use demos_mp::types::wire::Wire;
+use demos_mp::types::LinkIdx;
 
 fn m(i: u16) -> MachineId {
     MachineId(i)

@@ -1,9 +1,9 @@
 //! System-process integration: process-manager spawning and migration,
 //! scripted shell sessions, memory-scheduler accounting.
 
-use demos_sim::boot::{boot_system, spawn_shell, BootConfig};
-use demos_sim::prelude::*;
-use demos_sysproc::{shell_stats, Cmd, ScriptEntry};
+use demos_mp::sim::boot::{boot_system, spawn_shell, BootConfig};
+use demos_mp::sim::prelude::*;
+use demos_mp::sysproc::{shell_stats, Cmd, ScriptEntry};
 
 fn m(i: u16) -> MachineId {
     MachineId(i)
@@ -25,7 +25,7 @@ fn shell_spawns_and_migrates_via_process_manager() {
             cmd: Cmd::Spawn {
                 machine: m(1),
                 program: "cargo".into(),
-                state: demos_sim::programs::Cargo::state(2048),
+                state: demos_mp::sim::programs::Cargo::state(2048),
                 layout: ImageLayout::default(),
             },
         },
@@ -98,7 +98,7 @@ fn shell_kill_removes_process() {
             cmd: Cmd::Spawn {
                 machine: m(1),
                 program: "cargo".into(),
-                state: demos_sim::programs::Cargo::state(16),
+                state: demos_mp::sim::programs::Cargo::state(16),
                 layout: ImageLayout::default(),
             },
         },
@@ -136,7 +136,7 @@ fn migrating_the_process_manager_itself() {
         cmd: Cmd::Spawn {
             machine: m(1),
             program: "cargo".into(),
-            state: demos_sim::programs::Cargo::state(8),
+            state: demos_mp::sim::programs::Cargo::state(8),
             layout: ImageLayout::default(),
         },
     }];
@@ -145,12 +145,12 @@ fn migrating_the_process_manager_itself() {
         .spawn_opt(
             m(0),
             "shell",
-            &demos_sysproc::Shell::state(&script),
+            &demos_mp::sysproc::Shell::state(&script),
             ImageLayout::default(),
             true,
         )
         .unwrap();
-    let stale_pm_link = demos_types::Link::to(handles.procmgr.at(m(0)));
+    let stale_pm_link = demos_mp::types::Link::to(handles.procmgr.at(m(0)));
     cluster
         .post(shell, wl::INIT, bytes::Bytes::new(), vec![stale_pm_link])
         .unwrap();
@@ -167,8 +167,8 @@ fn migrating_the_process_manager_itself() {
 
 #[test]
 fn memsched_grants_and_releases() {
-    use demos_sysproc::{sys, MemMsg};
-    use demos_types::wire::Wire;
+    use demos_mp::sysproc::{sys, MemMsg};
+    use demos_mp::types::wire::Wire;
 
     let mut cluster = Cluster::mesh(2);
     let handles = boot_system(&mut cluster, BootConfig::default()).unwrap();
@@ -176,7 +176,7 @@ fn memsched_grants_and_releases() {
         .spawn(
             m(1),
             "cargo",
-            &demos_sim::programs::Cargo::state(0),
+            &demos_mp::sim::programs::Cargo::state(0),
             ImageLayout::default(),
         )
         .unwrap();
@@ -196,6 +196,6 @@ fn memsched_grants_and_releases() {
     cluster.run_for(Duration::from_millis(100));
     // The probe counted the Granted reply.
     let p = cluster.node(m(1)).kernel.process(probe).unwrap();
-    let received = demos_sim::programs::cargo_received(&p.program.as_ref().unwrap().save());
+    let received = demos_mp::sim::programs::cargo_received(&p.program.as_ref().unwrap().save());
     assert_eq!(received, 1, "Granted reply delivered");
 }
