@@ -456,6 +456,11 @@ impl Kernel {
         self.procs.keys().copied()
     }
 
+    /// Iterate over resident processes, in pid order.
+    pub fn processes(&self) -> impl Iterator<Item = (ProcessId, &Process)> + '_ {
+        self.procs.iter().map(|(&pid, proc)| (pid, proc))
+    }
+
     /// Immutable access to a resident process.
     pub fn process(&self, pid: ProcessId) -> Option<&Process> {
         self.procs.get(&pid)

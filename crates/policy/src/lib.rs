@@ -61,9 +61,10 @@ pub struct MachineLoad {
     pub health: f64,
 }
 
-/// One process's resource profile.
+/// One process's resource profile. Its traffic is read in place from the
+/// process's own accounting, so a snapshot copies no per-process data.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ProcessInfo {
+pub struct ProcessInfo<'a> {
     /// The process.
     pub pid: ProcessId,
     /// Where it currently runs.
@@ -78,18 +79,19 @@ pub struct ProcessInfo {
     /// Cumulative bytes sent per destination machine (communication
     /// accounting; "collection of the communication data is beyond the
     /// ability of most current systems", §3.1 — ours collects it).
-    pub bytes_sent_to: Vec<(MachineId, u64)>,
+    pub bytes_sent_to: &'a BTreeMap<MachineId, u64>,
 }
 
-/// A snapshot of the whole cluster at `at`.
+/// A snapshot of the whole cluster at `at`, borrowing what it does not
+/// compute from the cluster it was taken of.
 #[derive(Clone, Debug, Default)]
-pub struct ClusterView {
+pub struct ClusterView<'a> {
     /// Snapshot time.
     pub at: Time,
     /// Per-machine loads (indexed by machine id order).
     pub machines: Vec<MachineLoad>,
     /// Every (migratable-relevant) process.
-    pub processes: Vec<ProcessInfo>,
+    pub processes: Vec<ProcessInfo<'a>>,
 }
 
 impl Default for MachineLoad {
@@ -118,7 +120,7 @@ pub struct MigrationOrder {
 /// A migration decision rule.
 pub trait Policy {
     /// Inspect a snapshot and decide which migrations to order now.
-    fn decide(&mut self, view: &ClusterView) -> Vec<MigrationOrder>;
+    fn decide(&mut self, view: &ClusterView<'_>) -> Vec<MigrationOrder>;
 }
 
 /// Hysteresis bookkeeping shared by the policies (§3.1: "a hysteresis
@@ -200,43 +202,46 @@ impl LoadBalance {
 }
 
 impl Policy for LoadBalance {
-    fn decide(&mut self, view: &ClusterView) -> Vec<MigrationOrder> {
+    fn decide(&mut self, view: &ClusterView<'_>) -> Vec<MigrationOrder> {
         if !self.hysteresis.global_ok(view.at) {
             return Vec::new();
         }
         let mut orders = Vec::new();
-        let healthy: Vec<&MachineLoad> = view.machines.iter().filter(|m| m.health > 0.5).collect();
-        if healthy.len() < 2 {
+        let healthy = || view.machines.iter().filter(|m| m.health > 0.5);
+        if healthy().nth(1).is_none() {
             return orders;
         }
-        let Some(hottest) = healthy
-            .iter()
-            .max_by_key(|m| (Self::load_of(m), m.machine.0))
-        else {
+        let Some(hottest) = healthy().max_by_key(|m| (Self::load_of(m), m.machine.0)) else {
             return orders;
         };
-        let Some(coolest) = healthy
-            .iter()
-            .min_by_key(|m| (Self::load_of(m), m.machine.0))
-        else {
+        let Some(coolest) = healthy().min_by_key(|m| (Self::load_of(m), m.machine.0)) else {
             return orders;
         };
         if hottest.machine == coolest.machine || hottest.runq < coolest.runq + self.imbalance {
             return orders;
         }
-        // Pick the cheapest eligible process on the hottest machine
-        // (smallest image → smallest relocation cost, §6).
-        let mut candidates: Vec<&ProcessInfo> = view
-            .processes
-            .iter()
-            .filter(|p| {
-                p.machine == hottest.machine
-                    && !p.privileged
-                    && self.hysteresis.pid_ok(view.at, p.pid)
-            })
-            .collect();
-        candidates.sort_by_key(|p| (p.image_len, p.pid.local_uid, p.pid.creating_machine.0));
-        for p in candidates.into_iter().take(self.max_moves) {
+        // Take the cheapest eligible processes on the hottest machine
+        // (smallest image → smallest relocation cost, §6), cheapest first.
+        // Each round picks the least key above the last one taken (a pid
+        // appears once per machine, so keys are distinct): the order a
+        // sort would give, without building the list to sort.
+        let key = |p: &ProcessInfo<'_>| (p.image_len, p.pid.local_uid, p.pid.creating_machine.0);
+        let mut last = None;
+        for _ in 0..self.max_moves {
+            let Some(p) = view
+                .processes
+                .iter()
+                .filter(|p| {
+                    p.machine == hottest.machine
+                        && !p.privileged
+                        && self.hysteresis.pid_ok(view.at, p.pid)
+                        && last.is_none_or(|last| key(p) > last)
+                })
+                .min_by_key(|p| key(p))
+            else {
+                break;
+            };
+            last = Some(key(p));
             if coolest.mem_used + p.image_len > coolest.mem_capacity {
                 continue;
             }
@@ -282,7 +287,7 @@ impl CommAffinity {
 }
 
 impl Policy for CommAffinity {
-    fn decide(&mut self, view: &ClusterView) -> Vec<MigrationOrder> {
+    fn decide(&mut self, view: &ClusterView<'_>) -> Vec<MigrationOrder> {
         let mut orders = Vec::new();
         // Guard against symmetric swaps: if this round already moves some
         // process A→B, a simultaneous B→A move would leave the pair still
@@ -296,7 +301,7 @@ impl Policy for CommAffinity {
             }
             let mut deltas: Vec<(MachineId, u64)> = Vec::new();
             let mut total = 0u64;
-            for &(m, bytes) in &p.bytes_sent_to {
+            for (&m, &bytes) in p.bytes_sent_to {
                 let prev = self.prev.insert((p.pid, m), bytes).unwrap_or(0);
                 let d = bytes.saturating_sub(prev);
                 if m != p.machine && d > 0 {
@@ -345,7 +350,7 @@ impl Evacuate {
 }
 
 impl Policy for Evacuate {
-    fn decide(&mut self, view: &ClusterView) -> Vec<MigrationOrder> {
+    fn decide(&mut self, view: &ClusterView<'_>) -> Vec<MigrationOrder> {
         let mut orders = Vec::new();
         let dying: Vec<MachineId> = view
             .machines
@@ -418,7 +423,7 @@ impl CostAwareBalance {
 }
 
 impl Policy for CostAwareBalance {
-    fn decide(&mut self, view: &ClusterView) -> Vec<MigrationOrder> {
+    fn decide(&mut self, view: &ClusterView<'_>) -> Vec<MigrationOrder> {
         let orders = self.inner.decide(view);
         orders
             .into_iter()
@@ -470,14 +475,16 @@ mod tests {
         }
     }
 
-    fn process(u: u32, m: u16) -> ProcessInfo {
+    static NO_TRAFFIC: BTreeMap<MachineId, u64> = BTreeMap::new();
+
+    fn process<'a>(u: u32, m: u16) -> ProcessInfo<'a> {
         ProcessInfo {
             pid: pid(u),
             machine: MachineId(m),
             cpu_used: Duration::ZERO,
             image_len: 1000,
             privileged: false,
-            bytes_sent_to: vec![],
+            bytes_sent_to: &NO_TRAFFIC,
         }
     }
 
@@ -519,6 +526,42 @@ mod tests {
     }
 
     #[test]
+    fn load_balance_orders_the_cheapest_first_and_skips_what_does_not_fit() {
+        let sized = |u, image_len| ProcessInfo {
+            image_len,
+            ..process(u, 0)
+        };
+        let orders = |mem_capacity| {
+            let mut p = LoadBalance::new(1, Hysteresis::off());
+            p.max_moves = 3;
+            let view = ClusterView {
+                at: Time(0),
+                machines: vec![
+                    machine(0, 8),
+                    MachineLoad {
+                        mem_capacity,
+                        ..machine(1, 0)
+                    },
+                ],
+                processes: vec![
+                    sized(1, 6000),
+                    sized(2, 9000),
+                    sized(3, 100),
+                    sized(4, 3000),
+                    sized(5, 3000),
+                    process(6, 1),
+                ],
+            };
+            let moved: Vec<u32> = p.decide(&view).iter().map(|o| o.pid.local_uid).collect();
+            moved
+        };
+        // By image size, then pid: 3, 4, 5, then 1 and 2.
+        assert_eq!(orders(u64::MAX), [3, 4, 5]);
+        // 4 and 5 do not fit; the next cheapest does not take their turn.
+        assert_eq!(orders(2000), [3]);
+    }
+
+    #[test]
     fn hysteresis_blocks_rapid_remigration() {
         let h = Hysteresis::new(Duration::from_secs(1), Duration::ZERO);
         let mut p = LoadBalance::new(1, h);
@@ -546,8 +589,9 @@ mod tests {
     fn affinity_follows_dominant_traffic_delta() {
         let h = Hysteresis::off();
         let mut p = CommAffinity::new(100, 0.6, h);
+        let traffic = BTreeMap::from([(MachineId(1), 1000), (MachineId(2), 50)]);
         let mut proc = process(1, 0);
-        proc.bytes_sent_to = vec![(MachineId(1), 1000), (MachineId(2), 50)];
+        proc.bytes_sent_to = &traffic;
         let view = ClusterView {
             at: Time(0),
             machines: vec![machine(0, 0), machine(1, 0), machine(2, 0)],
@@ -573,8 +617,9 @@ mod tests {
     #[test]
     fn affinity_ignores_local_traffic() {
         let mut p = CommAffinity::new(10, 0.5, Hysteresis::off());
+        let traffic = BTreeMap::from([(MachineId(0), 100_000)]);
         let mut proc = process(1, 0);
-        proc.bytes_sent_to = vec![(MachineId(0), 100_000)];
+        proc.bytes_sent_to = &traffic;
         let view = ClusterView {
             at: Time(0),
             machines: vec![machine(0, 0), machine(1, 0)],

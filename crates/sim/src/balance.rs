@@ -13,8 +13,14 @@ use demos_types::{Duration, MachineId, Time};
 use crate::cluster::Cluster;
 
 /// Build a policy snapshot of the cluster. `prev_busy`/`window` yield CPU
-/// utilization; pass an empty slice to report zero utilization.
-pub fn snapshot(cluster: &Cluster, prev_busy: &[Duration], window: Duration) -> ClusterView {
+/// utilization; pass an empty slice to report zero utilization. Each
+/// process's traffic is borrowed, not copied: the snapshot allocates its
+/// two lists and nothing per process.
+pub fn snapshot<'a>(
+    cluster: &'a Cluster,
+    prev_busy: &[Duration],
+    window: Duration,
+) -> ClusterView<'a> {
     let mut machines = Vec::with_capacity(cluster.len());
     let nprocs = cluster.nodes.iter().map(|n| n.kernel.nprocs()).sum();
     let mut processes = Vec::with_capacity(nprocs);
@@ -37,15 +43,14 @@ pub fn snapshot(cluster: &Cluster, prev_busy: &[Duration], window: Duration) -> 
             mem_capacity: node.kernel.config().mem_capacity,
             health: cluster.health(m),
         });
-        for pid in node.kernel.pids() {
-            let proc = node.kernel.process(pid).expect("listed");
+        for (pid, proc) in node.kernel.processes() {
             processes.push(ProcessInfo {
                 pid,
                 machine: m,
                 cpu_used: proc.cpu_used,
                 image_len: proc.image.total_len() as u64,
                 privileged: proc.privileged,
-                bytes_sent_to: proc.bytes_sent_to.iter().map(|(&k, &v)| (k, v)).collect(),
+                bytes_sent_to: &proc.bytes_sent_to,
             });
         }
     }

@@ -16,10 +16,17 @@
 //! by link-table indices, so any of the four processes can be migrated
 //! mid-operation: queued messages are forwarded (step 6), the link table
 //! travels whole, and the operation completes at the new location.
+//!
+//! A block is a [`Bytes`] slab of its own. A write refills the slab of the
+//! block it replaces (the disk), or of the entry it replaces or evicts (the
+//! cache), in place; a read sends a view of it, which the reply's encoding
+//! copies. So a block operation in steady state allocates nothing, and no
+//! block is ever a view into some message's payload.
 
 use std::collections::BTreeMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, SlabCursor};
+use demos_kernel::program::Kept;
 use demos_kernel::{Carry, Ctx, Delivered, Program};
 use demos_types::wire::{self, Wire};
 use demos_types::{Duration, LinkAttrs, LinkIdx};
@@ -28,6 +35,37 @@ use crate::proto::{sys, FsMsg};
 
 /// File-system block size.
 pub const BLOCK: u32 = 512;
+
+/// What an unwritten block reads as.
+static ZERO_BLOCK: [u8; BLOCK as usize] = [0; BLOCK as usize];
+
+/// Bytes `from..to` of `src`, zero past its end: what `Vec::resize` to
+/// `to` would leave there.
+fn put_range(out: &mut SlabCursor<'_>, src: &[u8], from: usize, to: usize) {
+    let have = src.get(from..to.min(src.len())).unwrap_or_default();
+    out.put_slice(have);
+    out.put_bytes(0, to - from - have.len());
+}
+
+/// `data` cut or zero-padded to `len` bytes, written into `old`'s slab if
+/// it is `len` bytes and nothing else reads it, else into a new one.
+fn refill(old: Bytes, data: &[u8], len: usize) -> Bytes {
+    Bytes::refilled(old.into_spare(), len, |out| put_range(out, data, 0, len))
+}
+
+/// `base` cut or zero-padded to a block with `data` written over it at
+/// `at` (as much of it as fits), into a block-sized slab of `slabs` if one
+/// is kept.
+fn patched(slabs: &mut Kept, base: &[u8], at: usize, data: &[u8]) -> Bytes {
+    let len = BLOCK as usize;
+    let at = at.min(len);
+    let data = &data[..data.len().min(len - at)];
+    Bytes::refilled(slabs.take(len), len, |out| {
+        put_range(out, base, 0, at);
+        out.put_slice(data);
+        put_range(out, base, at + data.len(), len);
+    })
+}
 
 fn opt_link(v: u32) -> Option<LinkIdx> {
     (v != 0).then_some(LinkIdx(v))
@@ -138,14 +176,14 @@ impl Program for DirServer {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u32(self.next_fid);
         b.put_u16(self.names.len() as u16);
         for (name, fid) in &self.names {
             wire::put_string(&mut b, name);
             b.put_u32(*fid);
         }
-        b.to_vec()
+        b
     }
 }
 
@@ -157,7 +195,7 @@ impl Program for DirServer {
 #[derive(Debug, Default)]
 pub struct DiskServer {
     next_blk: u32,
-    blocks: BTreeMap<u32, Vec<u8>>,
+    blocks: BTreeMap<u32, Bytes>,
     /// Simulated seek+transfer time per operation, microseconds.
     pub op_us: u32,
     /// Operations served.
@@ -195,7 +233,7 @@ impl DiskServer {
                 let Ok(data) = wire::get_bytes(&mut b, "disk.block", BLOCK as usize) else {
                     break;
                 };
-                d.blocks.insert(blk, data.to_vec());
+                d.blocks.insert(blk, Bytes::copy_from_slice(&data));
             }
         }
         if d.next_blk == 0 {
@@ -220,7 +258,8 @@ impl Program for DiskServer {
             FsMsg::BAlloc { tok } => {
                 let blk = self.next_blk;
                 self.next_blk += 1;
-                self.blocks.insert(blk, vec![0u8; BLOCK as usize]);
+                self.blocks
+                    .insert(blk, refill(Bytes::new(), &[], BLOCK as usize));
                 if let Some(r) = reply {
                     let payload = ctx.encode(&FsMsg::BOk { tok, blk });
                     let _ = ctx.send(*r, sys::FS, payload, &[]);
@@ -230,17 +269,16 @@ impl Program for DiskServer {
                 let bytes = self
                     .blocks
                     .get(&blk)
-                    .map(|v| Bytes::copy_from_slice(v))
-                    .unwrap_or_else(|| Bytes::from(vec![0u8; BLOCK as usize]));
+                    .cloned()
+                    .unwrap_or_else(|| Bytes::from_static(&ZERO_BLOCK));
                 if let Some(r) = reply {
                     let payload = ctx.encode(&FsMsg::BData { tok, blk, bytes });
                     let _ = ctx.send(*r, sys::FS, payload, &[]);
                 }
             }
             FsMsg::BWrite { tok, blk, bytes } => {
-                let mut v = bytes.to_vec();
-                v.resize(BLOCK as usize, 0);
-                self.blocks.insert(blk, v);
+                let block = self.blocks.entry(blk).or_default();
+                *block = refill(std::mem::take(block), &bytes, BLOCK as usize);
                 if let Some(r) = reply {
                     let payload = ctx.encode(&FsMsg::BOk { tok, blk });
                     let _ = ctx.send(*r, sys::FS, payload, &[]);
@@ -263,7 +301,7 @@ impl Program for DiskServer {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u32(self.next_blk);
         b.put_u32(self.op_us);
         b.put_u64(self.ops);
@@ -272,7 +310,7 @@ impl Program for DiskServer {
             b.put_u32(*blk);
             wire::put_bytes(&mut b, data);
         }
-        b.to_vec()
+        b
     }
 }
 
@@ -286,7 +324,7 @@ pub struct BufferCache {
     /// Capacity in blocks.
     cap: u16,
     /// LRU list, most recent first.
-    lru: Vec<(u32, Vec<u8>)>,
+    lru: Vec<(u32, Bytes)>,
     /// Link to the disk server (0 until INIT).
     disk: u32,
     /// Pending pass-through requests: our token → (client token, client
@@ -332,7 +370,7 @@ impl BufferCache {
                 let Ok(data) = wire::get_bytes(&mut b, "cache.block", BLOCK as usize) else {
                     break;
                 };
-                c.lru.push((blk, data.to_vec()));
+                c.lru.push((blk, Bytes::copy_from_slice(&data)));
             }
             let n_p = if b.remaining() >= 2 { b.get_u16() } else { 0 };
             for _ in 0..n_p {
@@ -351,20 +389,25 @@ impl BufferCache {
         Box::new(c)
     }
 
-    fn touch(&mut self, blk: u32, data: Vec<u8>) {
-        self.lru.retain(|(b, _)| *b != blk);
-        self.lru.insert(0, (blk, data));
-        while self.lru.len() > self.cap as usize {
-            self.lru.pop();
-        }
+    /// Make `blk` the most recent entry, holding `data` cut or padded to
+    /// `len` bytes, written into the slab of the entry it replaces or, in
+    /// a full cache, of the least recent one it evicts.
+    fn touch(&mut self, blk: u32, data: &[u8], len: usize) {
+        let cap = usize::from(self.cap);
+        let old = match self.lru.iter().position(|(b, _)| *b == blk) {
+            Some(pos) => self.lru.remove(pos).1,
+            None if self.lru.len() >= cap => self.lru.pop().map(|(_, d)| d).unwrap_or_default(),
+            None => Bytes::new(),
+        };
+        self.lru.insert(0, (blk, refill(old, data, len)));
+        self.lru.truncate(cap);
     }
 
-    fn get(&mut self, blk: u32) -> Option<Vec<u8>> {
+    /// `blk`'s cached bytes, made the most recent entry.
+    fn get(&mut self, blk: u32) -> Option<Bytes> {
         let pos = self.lru.iter().position(|(b, _)| *b == blk)?;
-        let entry = self.lru.remove(pos);
-        let data = entry.1.clone();
-        self.lru.insert(0, entry);
-        Some(data)
+        self.lru[..=pos].rotate_right(1);
+        Some(self.lru[0].1.clone())
     }
 }
 
@@ -393,7 +436,7 @@ impl Program for BufferCache {
                     let payload = ctx.encode(&FsMsg::BData {
                         tok,
                         blk,
-                        bytes: Bytes::from(data),
+                        bytes: data,
                     });
                     let _ = ctx.send(reply, sys::FS, payload, &[]);
                     return;
@@ -414,11 +457,7 @@ impl Program for BufferCache {
                     return;
                 };
                 // Write-through: update cache, then the disk.
-                self.touch(blk, {
-                    let mut v = bytes.to_vec();
-                    v.resize(BLOCK as usize, 0);
-                    v
-                });
+                self.touch(blk, &bytes, BLOCK as usize);
                 let Some(disk) = opt_link(self.disk) else {
                     reply_err(ctx, Some(&reply), 4);
                     return;
@@ -450,7 +489,7 @@ impl Program for BufferCache {
             FsMsg::BData { tok, blk, bytes } => {
                 // Reply from the disk for one of our pass-throughs.
                 if let Some((ctok, reply)) = self.pending.remove(&tok) {
-                    self.touch(blk, bytes.to_vec());
+                    self.touch(blk, &bytes, bytes.len());
                     if let Some(r) = opt_link(reply) {
                         let payload = ctx.encode(&FsMsg::BData {
                             tok: ctok,
@@ -484,7 +523,7 @@ impl Program for BufferCache {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u16(self.cap);
         b.put_u32(self.disk);
         b.put_u32(self.next_tok);
@@ -501,7 +540,7 @@ impl Program for BufferCache {
             b.put_u32(*ctok);
             b.put_u32(*reply);
         }
-        b.to_vec()
+        b
     }
 }
 
@@ -530,14 +569,14 @@ enum Pending {
         reply: u32,
         fid: u32,
         off: u32,
-        data: Vec<u8>,
+        data: Bytes,
     },
     /// Waiting for a block read to do read-modify-write.
     WriteRmw {
         reply: u32,
         fid: u32,
         off: u32,
-        data: Vec<u8>,
+        data: Bytes,
         blk: u32,
     },
     /// Waiting for the final block write.
@@ -556,6 +595,10 @@ pub struct FileServer {
     next_tok: u32,
     /// Client operations completed.
     pub ops: u64,
+    /// Slabs of written data and of blocks this server built and let go
+    /// of, refilled by the next of the same length (the kernel's keep
+    /// rules and bound). Host-only: not part of the saved state.
+    slabs: Kept,
 }
 
 impl FileServer {
@@ -617,7 +660,7 @@ impl FileServer {
                         let fid = b.get_u32();
                         let off = b.get_u32();
                         let data = wire::get_bytes(&mut b, "fs.pending", BLOCK as usize)
-                            .map(|d| d.to_vec())
+                            .map(|d| Bytes::copy_from_slice(&d))
                             .unwrap_or_default();
                         Pending::WriteAlloc {
                             reply,
@@ -632,7 +675,7 @@ impl FileServer {
                         let off = b.get_u32();
                         let blk = b.get_u32();
                         let data = wire::get_bytes(&mut b, "fs.pending", BLOCK as usize)
-                            .map(|d| d.to_vec())
+                            .map(|d| Bytes::copy_from_slice(&d))
                             .unwrap_or_default();
                         Pending::WriteRmw {
                             reply,
@@ -661,6 +704,13 @@ impl FileServer {
         let t = self.next_tok;
         self.next_tok = self.next_tok.wrapping_add(1).max(1);
         t
+    }
+
+    /// `bytes` copied into a slab of the server's own, so that a write in
+    /// progress holds no request's payload.
+    fn hold(&mut self, bytes: &[u8]) -> Bytes {
+        let len = bytes.len();
+        Bytes::refilled(self.slabs.take(len), len, |out| out.put_slice(bytes))
     }
 
     #[allow(clippy::wrong_self_convention)]
@@ -797,13 +847,14 @@ impl Program for FileServer {
                 if blk_i == meta.blocks.len() {
                     // Need a fresh block first.
                     let tok = self.tok();
+                    let data = self.hold(&bytes);
                     self.pending.insert(
                         tok,
                         Pending::WriteAlloc {
                             reply: reply.0,
                             fid,
                             off,
-                            data: bytes.to_vec(),
+                            data,
                         },
                     );
                     if !self.to_cache(ctx, FsMsg::BAlloc { tok }) {
@@ -813,7 +864,8 @@ impl Program for FileServer {
                     return;
                 }
                 let blk = meta.blocks[blk_i];
-                self.start_block_write(ctx, reply.0, fid, off, bytes.to_vec(), blk);
+                let data = self.hold(&bytes);
+                self.start_block_write(ctx, reply.0, fid, off, data, blk);
             }
             // ---------------- directory replies ----------------
             FsMsg::DirDone { tok, fid } => {
@@ -859,10 +911,7 @@ impl Program for FileServer {
                     blk: wblk,
                 }) => {
                     debug_assert_eq!(blk, wblk);
-                    let mut block = bytes.to_vec();
-                    block.resize(BLOCK as usize, 0);
-                    let in_blk = (off % BLOCK) as usize;
-                    block[in_blk..in_blk + data.len()].copy_from_slice(&data);
+                    let block = patched(&mut self.slabs, &bytes, (off % BLOCK) as usize, &data);
                     let end = off + data.len() as u32;
                     let tok2 = self.tok();
                     self.pending
@@ -872,11 +921,13 @@ impl Program for FileServer {
                         FsMsg::BWrite {
                             tok: tok2,
                             blk: wblk,
-                            bytes: Bytes::from(block),
+                            bytes: block.clone(),
                         },
                     ) {
                         self.pending.remove(&tok2);
                     }
+                    self.slabs.offer(block);
+                    self.slabs.offer(data);
                 }
                 Some(other) => {
                     self.pending.insert(tok, other);
@@ -934,7 +985,7 @@ impl Program for FileServer {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u32(self.dir);
         b.put_u32(self.cache);
         b.put_u32(self.next_tok);
@@ -1000,7 +1051,7 @@ impl Program for FileServer {
                 }
             }
         }
-        b.to_vec()
+        b
     }
 }
 
@@ -1011,7 +1062,7 @@ impl FileServer {
         reply: u32,
         fid: u32,
         off: u32,
-        data: Vec<u8>,
+        data: Bytes,
         blk: u32,
     ) {
         let end = off + data.len() as u32;
@@ -1020,14 +1071,16 @@ impl FileServer {
             let tok = self.tok();
             self.pending
                 .insert(tok, Pending::WriteFlush { reply, fid, end });
-            if !self.to_cache(
+            let sent = self.to_cache(
                 ctx,
                 FsMsg::BWrite {
                     tok,
                     blk,
-                    bytes: Bytes::from(data),
+                    bytes: data.clone(),
                 },
-            ) {
+            );
+            self.slabs.offer(data);
+            if !sent {
                 self.pending.remove(&tok);
                 if let Some(r) = opt_link(reply) {
                     let payload = ctx.encode(&FsMsg::Err { code: 4 });
@@ -1061,6 +1114,115 @@ impl FileServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demos_kernel::{Effects, LinkTable};
+    use demos_types::{MachineId, ProcessId, Time};
+
+    /// Run `p`'s handler on `m`, carrying no links (so no reply is sent).
+    fn deliver(p: &mut dyn Program, m: &FsMsg) {
+        let pid = ProcessId {
+            creating_machine: MachineId(0),
+            local_uid: 1,
+        };
+        let (mut lt, mut fx, mut kept) = (LinkTable::new(), Effects::default(), Kept::default());
+        let mut ctx = Ctx::new(Time(0), pid, MachineId(0), &mut lt, &mut fx, &mut kept);
+        let msg = Delivered {
+            from: pid,
+            msg_type: sys::FS,
+            payload: m.to_bytes(),
+            links: std::iter::empty().collect(),
+            forwarded: false,
+        };
+        p.on_message(&mut ctx, msg);
+    }
+
+    #[test]
+    fn a_patched_block_is_the_read_block_resized_with_the_write_over_it() {
+        let mut slabs = Kept::default();
+        for base_len in [0, 100, 512, 600] {
+            let base: Vec<u8> = (0..base_len).map(|i| (i % 251) as u8 + 1).collect();
+            for (at, n) in [(0, 0), (0, 512), (0, 96), (96, 96), (400, 112), (511, 1)] {
+                let data = vec![0xee; n];
+                let mut want = base.clone();
+                want.resize(BLOCK as usize, 0);
+                want[at..at + n].copy_from_slice(&data);
+                let got = patched(&mut slabs, &base, at, &data);
+                assert_eq!(&got[..], &want[..], "base {base_len}, {n} bytes at {at}");
+                // Let go of, it is the next block's slab.
+                let slab = got.as_ptr();
+                slabs.offer(got);
+                assert_eq!(patched(&mut slabs, &[], 0, &[]).as_ptr(), slab);
+            }
+        }
+        // A write past the block's end is cut at it, never a panic.
+        let got = patched(&mut slabs, &[1; 512], 500, &[2; 40]);
+        assert_eq!((&got[..500], &got[500..]), (&[1; 500][..], &[2; 12][..]));
+    }
+
+    #[test]
+    fn a_disk_write_refills_its_block_unless_a_reader_still_holds_it() {
+        let mut d = DiskServer {
+            next_blk: 1,
+            ..Default::default()
+        };
+        deliver(&mut d, &FsMsg::BAlloc { tok: 1 });
+        let slab = d.blocks[&1].as_ptr();
+        let write = |bytes: &[u8]| FsMsg::BWrite {
+            tok: 2,
+            blk: 1,
+            bytes: Bytes::copy_from_slice(bytes),
+        };
+        // Short: padded with zeros, in the block's own slab.
+        deliver(&mut d, &write(&[7; 100]));
+        assert_eq!(d.blocks[&1].as_ptr(), slab);
+        assert_eq!(
+            (&d.blocks[&1][..100], &d.blocks[&1][100..]),
+            (&[7; 100][..], &[0; 412][..])
+        );
+        // A reader's view keeps its bytes: the write goes to a new slab.
+        let reader = d.blocks[&1].clone();
+        deliver(&mut d, &write(&[8; 600]));
+        assert_ne!(d.blocks[&1].as_ptr(), slab);
+        assert_eq!(&d.blocks[&1][..], &[8; 512][..], "long: cut at the block");
+        assert_eq!(&reader[..100], &[7; 100][..]);
+        // Nobody reads the new one: the next write refills it.
+        let slab = d.blocks[&1].as_ptr();
+        deliver(&mut d, &write(&[9; 512]));
+        assert_eq!(
+            (d.blocks[&1].as_ptr(), &d.blocks[&1][..]),
+            (slab, &[9; 512][..])
+        );
+    }
+
+    #[test]
+    fn a_cache_entry_refills_the_slab_it_replaces_or_evicts_unless_it_is_read() {
+        let mut c = BufferCache {
+            cap: 2,
+            ..Default::default()
+        };
+        let ptr = |c: &BufferCache, blk: u32| {
+            c.lru
+                .iter()
+                .find(|(b, _)| *b == blk)
+                .map(|(_, d)| d.as_ptr())
+        };
+        c.touch(1, &[1; 512], 512);
+        c.touch(2, &[2; 512], 512);
+        let (one, two) = (ptr(&c, 1), ptr(&c, 2));
+        // Full: block 1, the least recent, is evicted and lends its slab.
+        c.touch(3, &[3; 512], 512);
+        assert_eq!((ptr(&c, 1), ptr(&c, 3)), (None, one));
+        // Replaced: block 2's new bytes, padded, in its own slab.
+        c.touch(2, &[5; 100], 512);
+        assert_eq!(ptr(&c, 2), two);
+        assert_eq!(c.get(2).unwrap()[100..], [0; 412][..]);
+        // A view handed out by a hit keeps block 3's slab from the eviction.
+        let hit = c.get(3).unwrap();
+        c.touch(4, &[4; 512], 512);
+        c.touch(5, &[6; 512], 512);
+        assert_eq!(c.lru.iter().map(|(b, _)| *b).collect::<Vec<_>>(), [5, 4]);
+        assert_ne!(ptr(&c, 5), one);
+        assert_eq!(&hit[..], &[3; 512][..], "the reader's bytes are untouched");
+    }
 
     #[test]
     fn dir_state_roundtrip() {
@@ -1081,8 +1243,8 @@ mod tests {
             ops: 7,
             ..Default::default()
         };
-        d.blocks.insert(1, vec![1u8; 512]);
-        d.blocks.insert(2, vec![2u8; 512]);
+        d.blocks.insert(1, Bytes::from_static(&[1u8; 512]));
+        d.blocks.insert(2, Bytes::from_static(&[2u8; 512]));
         assert_eq!(DiskServer::restore(&d.save()).save(), d.save());
     }
 
@@ -1094,9 +1256,9 @@ mod tests {
             disk: 1,
             ..Default::default()
         };
-        c.touch(1, vec![1; 512]);
-        c.touch(2, vec![2; 512]);
-        c.touch(3, vec![3; 512]);
+        c.touch(1, &[1; 512], 512);
+        c.touch(2, &[2; 512], 512);
+        c.touch(3, &[3; 512], 512);
         assert_eq!(c.lru.len(), 2, "capacity enforced");
         assert!(c.get(1).is_none(), "evicted");
         assert!(c.get(3).is_some());
@@ -1134,7 +1296,7 @@ mod tests {
                 reply: 4,
                 fid: 1,
                 off: 600,
-                data: vec![9; 32],
+                data: Bytes::from_static(&[9; 32]),
                 blk: 5,
             },
         );

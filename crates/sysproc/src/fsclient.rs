@@ -5,7 +5,7 @@
 //! files, then alternates reads and writes (per the configured read
 //! ratio) at block-aligned offsets, recording latencies and errors.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_kernel::{Carry, Ctx, Delivered, Program};
 use demos_types::wire::Wire;
 use demos_types::{Duration, LinkAttrs, LinkIdx};
@@ -51,6 +51,9 @@ pub struct FsClient {
     pub lat_max: u64,
     /// Unique name seed so several clients don't collide.
     seed: u32,
+    /// The last write's bytes, whose slab the next write refills.
+    /// Host-only: not part of the saved state.
+    pattern: Bytes,
 }
 
 impl FsClient {
@@ -80,7 +83,7 @@ impl FsClient {
 
     /// Restore from serialized state.
     pub fn restore(state: &[u8]) -> Box<dyn Program> {
-        let mut b = Bytes::copy_from_slice(state);
+        let mut b = state;
         let mut c = FsClient::default();
         if b.remaining() >= 4 + 2 + 2 {
             c.server = b.get_u32();
@@ -216,18 +219,20 @@ impl Program for FsClient {
             });
             let _ = ctx.send(server, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)]);
         } else {
-            let pattern = vec![(k % 251) as u8; self.op_bytes as usize];
+            let len = usize::from(self.op_bytes);
+            let spare = std::mem::take(&mut self.pattern).into_spare();
+            self.pattern = Bytes::refilled(spare, len, |out| out.put_bytes((k % 251) as u8, len));
             let payload = ctx.encode(&FsMsg::Write {
                 fid,
                 off,
-                bytes: Bytes::from(pattern),
+                bytes: self.pattern.clone(),
             });
             let _ = ctx.send(server, sys::FS, payload, &[Carry::New(LinkAttrs::REPLY)]);
         }
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u32(self.server);
         b.put_u16(self.nfiles);
         b.put_u16(self.created);
@@ -247,7 +252,7 @@ impl Program for FsClient {
         for fid in &self.fids {
             b.put_u32(*fid);
         }
-        b.to_vec()
+        b
     }
 }
 
@@ -270,7 +275,7 @@ pub struct FsClientStats {
 
 /// Parse an `FsClient` state blob.
 pub fn fs_client_stats(state: &[u8]) -> FsClientStats {
-    let mut b = Bytes::copy_from_slice(state);
+    let mut b = state;
     // server(4) nfiles(2) created(2)
     if b.remaining() < 8 {
         return FsClientStats {
@@ -304,6 +309,44 @@ pub fn fs_client_stats(state: &[u8]) -> FsClientStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demos_kernel::program::Kept;
+    use demos_kernel::{Effects, LinkTable};
+    use demos_types::{Link, MachineId, ProcessId, Time};
+
+    #[test]
+    fn each_write_refills_the_last_one_s_bytes_unless_they_are_still_read() {
+        let pid = ProcessId {
+            creating_machine: MachineId(0),
+            local_uid: 1,
+        };
+        let (mut lt, mut fx, mut kept) = (LinkTable::new(), Effects::default(), Kept::default());
+        let server = lt.insert(Link::to(pid.at(MachineId(1))));
+        let mut c = FsClient {
+            server: server.0,
+            fids: vec![7],
+            op_bytes: 100,
+            ..Default::default()
+        };
+        let mut write = |c: &mut FsClient, ops| {
+            c.ops = ops;
+            let mut ctx = Ctx::new(Time(0), pid, MachineId(0), &mut lt, &mut fx, &mut kept);
+            c.on_timer(&mut ctx, 1);
+            c.pattern.as_ptr()
+        };
+        let slab = write(&mut c, 1);
+        assert_eq!(write(&mut c, 2), slab, "refilled in place");
+        let held = c.pattern.clone();
+        assert_ne!(write(&mut c, 3), slab, "a held view is not written over");
+        assert_eq!(&held[..], &[2; 100][..]);
+        // Every write sent the bytes of its own operation.
+        for (k, sent) in (1u8..).zip(&fx.sends) {
+            let Ok(FsMsg::Write { fid: 7, bytes, .. }) = FsMsg::from_bytes(&sent.payload) else {
+                panic!("not a write: {sent:?}");
+            };
+            assert_eq!(&bytes[..], &[k; 100][..]);
+        }
+        assert_eq!(fx.sends.len(), 3);
+    }
 
     #[test]
     fn state_roundtrip() {

@@ -7,7 +7,7 @@
 //! their own hard capacity independently — this is the advisory,
 //! high-level view.)
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 use demos_kernel::{Ctx, Delivered, Program};
 use demos_types::wire::Wire;
 use demos_types::MachineId;
@@ -41,7 +41,7 @@ impl MemSched {
 
     /// Restore from serialized state.
     pub fn restore(state: &[u8]) -> Box<dyn Program> {
-        let mut b = Bytes::copy_from_slice(state);
+        let mut b = state;
         let mut ms = MemSched::default();
         if b.remaining() >= 10 {
             ms.requests = b.get_u64();
@@ -110,14 +110,14 @@ impl Program for MemSched {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u64(self.requests);
         b.put_u16(self.capacity.len() as u16);
         for i in 0..self.capacity.len() {
             b.put_u64(self.capacity[i]);
             b.put_u64(self.granted[i]);
         }
-        b.to_vec()
+        b
     }
 }
 

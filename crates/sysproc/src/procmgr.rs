@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 use demos_kernel::mgmt::KernelMgmt;
 use demos_kernel::{local_tags, Carry, Ctx, Delivered, Program};
 use demos_types::proto::KernelOp;
@@ -61,7 +61,7 @@ impl ProcMgr {
 
     /// Restore from serialized state.
     pub fn restore(state: &[u8]) -> Box<dyn Program> {
-        let mut b = Bytes::copy_from_slice(state);
+        let mut b = state;
         let mut pm = ProcMgr::default();
         if b.remaining() >= 14 {
             pm.machines = b.get_u16();
@@ -203,7 +203,7 @@ impl Program for ProcMgr {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u16(self.machines);
         b.put_u64(self.created);
         b.put_u32(self.next_token);
@@ -212,7 +212,7 @@ impl Program for ProcMgr {
             b.put_u32(*tok);
             b.put_u32(*reply);
         }
-        b.to_vec()
+        b
     }
 }
 

@@ -6,7 +6,7 @@
 //! n-th process it created, kill it, or log a marker. It exists to drive
 //! the runnable examples the way an operator at a terminal would have.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_kernel::{Carry, Ctx, Delivered, ImageLayout, Program};
 use demos_types::proto::MigrateMsg;
 use demos_types::wire::{self, Wire};
@@ -56,7 +56,7 @@ pub struct ScriptEntry {
 
 /// Encode a script for [`Shell::state`].
 pub fn encode_script(entries: &[ScriptEntry]) -> Vec<u8> {
-    let mut b = BytesMut::new();
+    let mut b = Vec::new();
     b.put_u16(entries.len() as u16);
     for e in entries {
         b.put_u32(e.delay_us);
@@ -88,7 +88,7 @@ pub fn encode_script(entries: &[ScriptEntry]) -> Vec<u8> {
             }
         }
     }
-    b.to_vec()
+    b
 }
 
 fn decode_script(b: &mut Bytes) -> Vec<ScriptEntry> {
@@ -303,7 +303,7 @@ impl Program for Shell {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u32(self.pm);
         b.put_u16(self.pc);
         b.put_u64(self.spawned_ok);
@@ -315,14 +315,14 @@ impl Program for Shell {
             b.put_u32(*c);
         }
         b.extend_from_slice(&encode_script(&self.script));
-        b.to_vec()
+        b
     }
 }
 
 /// Parse shell counters from a state blob:
 /// `(spawned_ok, spawn_failed, migrations_ok, migrations_failed)`.
 pub fn shell_stats(state: &[u8]) -> (u64, u64, u64, u64) {
-    let mut b = Bytes::copy_from_slice(state);
+    let mut b = state;
     if b.remaining() < 4 + 2 + 32 {
         return (0, 0, 0, 0);
     }

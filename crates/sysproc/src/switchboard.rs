@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use demos_kernel::{Carry, Ctx, Delivered, Program};
 use demos_types::wire::Wire;
 use demos_types::LinkIdx;
@@ -110,14 +110,14 @@ impl Program for Switchboard {
     }
 
     fn save(&self) -> Vec<u8> {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u64(self.lookups);
         b.put_u16(self.names.len() as u16);
         for (name, idx) in &self.names {
             demos_types::wire::put_string(&mut b, name);
             b.put_u32(*idx);
         }
-        b.to_vec()
+        b
     }
 }
 

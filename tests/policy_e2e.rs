@@ -1,10 +1,15 @@
 //! Policy-driven migration: the motivating applications of §1 —
 //! load balancing, communication affinity, and evacuating a dying
-//! processor — running closed-loop against the cluster.
+//! processor — running closed-loop against the cluster. And what a
+//! decision costs the host: a snapshot borrows every process's traffic
+//! instead of copying it, and the balancer allocates only its orders.
 
-use demos_policy::{CommAffinity, Evacuate, Hysteresis, LoadBalance};
-use demos_sim::prelude::*;
-use demos_sim::programs::{burner_done, CpuBurner};
+mod common;
+
+use common::allocs_in;
+use demos_mp::policy::{ClusterView, CommAffinity, Evacuate, Hysteresis, LoadBalance, Policy};
+use demos_mp::sim::prelude::*;
+use demos_mp::sim::programs::{burner_done, CpuBurner};
 
 fn m(i: u16) -> MachineId {
     MachineId(i)
@@ -107,7 +112,7 @@ fn affinity_moves_client_next_to_server() {
         .spawn(
             m(0),
             "pingpong",
-            &demos_sim::programs::PingPong::state(0, 20),
+            &programs::PingPong::state(0, 20),
             ImageLayout::default(),
         )
         .unwrap();
@@ -115,7 +120,7 @@ fn affinity_moves_client_next_to_server() {
         .spawn(
             m(2),
             "pingpong",
-            &demos_sim::programs::PingPong::state(0, 20),
+            &programs::PingPong::state(0, 20),
             ImageLayout::default(),
         )
         .unwrap();
@@ -200,4 +205,87 @@ fn evacuation_beats_no_evacuation_on_crash() {
     );
     assert_eq!(saved_survivors, 4, "evacuated processes survive the crash");
     assert!(saved_work > died_work, "{saved_work} > {died_work}");
+}
+
+/// `pairs` ping-pong pairs, each end on its own machine of `machines`,
+/// rallying for `run`.
+fn rallying(machines: u16, pairs: u16, run: Duration) -> Cluster {
+    let mut cluster = ClusterBuilder::new(machines as usize).no_trace().build();
+    for i in 0..pairs {
+        let spawn = |cluster: &mut Cluster, machine| {
+            let state = programs::PingPong::state(0, 20);
+            cluster
+                .spawn(m(machine), "pingpong", &state, ImageLayout::default())
+                .unwrap()
+        };
+        let a = spawn(&mut cluster, i % machines);
+        let b = spawn(&mut cluster, (i + 1) % machines);
+        let (la, lb) = (cluster.link_to(a).unwrap(), cluster.link_to(b).unwrap());
+        cluster
+            .post(a, wl::INIT, bytes::Bytes::from_static(&[1]), vec![lb])
+            .unwrap();
+        cluster
+            .post(b, wl::INIT, bytes::Bytes::from_static(&[0]), vec![la])
+            .unwrap();
+    }
+    cluster.run_for(run);
+    cluster
+}
+
+#[test]
+fn a_snapshot_borrows_every_process_traffic_instead_of_copying_it() {
+    for pairs in [2, 24] {
+        let cluster = rallying(4, pairs, Duration::from_millis(200));
+        let busy = vec![Duration::ZERO; 4];
+        let (view, allocs, _) = allocs_in(|| snapshot(&cluster, &busy, Duration::from_millis(20)));
+        assert_eq!(
+            allocs, 2,
+            "{pairs} pairs: its two lists, nothing per process"
+        );
+        assert_eq!(view.processes.len(), 2 * pairs as usize);
+        for p in &view.processes {
+            let proc = cluster.node(p.machine).kernel.process(p.pid).unwrap();
+            assert!(
+                std::ptr::eq(p.bytes_sent_to, &proc.bytes_sent_to),
+                "the process's own accounting, read in place"
+            );
+            assert!(!p.bytes_sent_to.is_empty(), "every pair talked");
+        }
+    }
+}
+
+#[test]
+fn the_load_balancer_allocates_only_the_orders_it_returns() {
+    let mut cluster = ClusterBuilder::new(4).no_trace().build();
+    spawn_burners(&mut cluster, m(0), 8, 900);
+    cluster.run_for(Duration::from_millis(50));
+    let busy = vec![Duration::ZERO; 4];
+    let view = snapshot(&cluster, &busy, Duration::from_millis(50));
+    let later = |ms| ClusterView {
+        at: view.at + Duration::from_millis(ms),
+        ..view.clone()
+    };
+    let mut policy = LoadBalance::new(
+        2,
+        Hysteresis::new(Duration::from_secs(1), Duration::from_millis(5)),
+    );
+    // The first order also starts the hysteresis record.
+    assert_eq!(policy.decide(&view).len(), 1);
+    // Too soon after it: nothing is looked at, nothing allocated.
+    let soon = later(1);
+    let (orders, allocs, _) = allocs_in(|| policy.decide(&soon));
+    assert_eq!((orders.len(), allocs), (0, 0));
+    // The next order, for another burner: the returned list only.
+    let next = later(10);
+    let (orders, allocs, _) = allocs_in(|| policy.decide(&next));
+    assert_eq!((orders.len(), allocs), (1, 1));
+    // A balanced cluster: no order, no allocation.
+    let mut even = ClusterBuilder::new(4).no_trace().build();
+    for i in 0..4 {
+        spawn_burners(&mut even, m(i), 2, 900);
+    }
+    even.run_for(Duration::from_millis(50));
+    let view = snapshot(&even, &busy, Duration::from_millis(50));
+    let (orders, allocs, _) = allocs_in(|| policy.decide(&view));
+    assert_eq!((orders.len(), allocs), (0, 0));
 }
