@@ -111,7 +111,7 @@ pub fn e5_link_update() {
             });
             counts.push(n as f64);
         }
-        let mean = demos_sim::metrics::mean(counts.iter().copied());
+        let mean = counts.iter().sum::<f64>() / counts.len() as f64;
         let max = counts.iter().cloned().fold(0.0f64, f64::max);
         t.row([
             label.to_string(),

@@ -5,8 +5,10 @@
 //! rather than the full trace: each sub-run serializes every machine's
 //! ring, parses and merges the dump exactly as the `demos-trace` CLI
 //! would, and prints the per-phase percentile table stitched from the
-//! compact records. The span profiler's `demos-top` phase panel renders
-//! the same migrations row-by-row as a cross-check.
+//! compact records. The `demos-top` phase panel renders the same
+//! migrations row-by-row from the trace: trace-fed and dump-fed input to
+//! the one lifecycle fold (`demos_obs::recorder::migration_spans`), which
+//! must agree on how many completed.
 //!
 //! The whole experiment runs twice and asserts both the printed output
 //! and the recorder dump are byte-identical — the determinism claim the
@@ -106,12 +108,12 @@ fn run_once() -> (String, Vec<u8>) {
         out.push_str(&table.render());
         out.push('\n');
         if matches!(case.accept, AcceptPolicy::Always) {
-            // The span profiler must agree with the recorder pipeline.
+            // Trace-fed and dump-fed input to the one fold agree.
             let spans = demos_sim::migration_spans_of(cluster.trace());
             let completed = spans.iter().filter(|s| s.completed()).count() as u64;
             assert_eq!(
                 completed, table.completed,
-                "span profiler and recorder pipeline agree"
+                "trace-fed and dump-fed lifecycles agree"
             );
             dump_for_ci = dump;
             if case.code_kib == 256 {

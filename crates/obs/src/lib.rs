@@ -28,7 +28,7 @@ pub mod snapshot;
 pub use corrset::{DeliveryEvent, DeliveryLedger};
 pub use features::FeatureSet;
 pub use hist::Histogram;
-pub use recorder::{FlightRecorder, NodeDump, PhaseTable, Record};
+pub use recorder::{FlightRecorder, MigrationOutcome, MigrationSpan, NodeDump, PhaseTable, Record};
 pub use registry::MetricsRegistry;
 pub use series::{SeriesStore, TimeSeries};
 pub use snapshot::{ClusterSnapshot, MachineSnapshot};

@@ -10,9 +10,10 @@
 //! timeline.
 //!
 //! This crate defines the *format* — the record layout, the kind/phase
-//! namespaces, the dump framing — but never sees the kernel's
-//! `TraceEvent` type (obs depends only on `demos-types`). The
-//! event→record encoder lives in `demos-sim`, which sees both sides.
+//! namespaces, the dump framing — and the one fold that reads migration
+//! lifecycles back out of records ([`migration_spans`]), but never sees
+//! the kernel's `TraceEvent` type (obs depends only on `demos-types`).
+//! The event→record encoder lives in `demos-sim`, which sees both sides.
 //!
 //! ## Record layout (32 bytes, little-endian)
 //!
@@ -30,6 +31,10 @@
 //! deliberately lossy — program names and log text are dropped — because
 //! the recorder's job is bounded cost, not archival; the unbounded
 //! [`crate::json`] trace still exists for tests.
+
+use std::collections::BTreeMap;
+
+use demos_types::{Duration, MachineId, ProcessId, Time};
 
 use crate::hist::Histogram;
 
@@ -442,10 +447,235 @@ pub fn merge(dumps: &[NodeDump]) -> Vec<Record> {
     all
 }
 
-/// Per-phase duration histograms reconstructed from the
-/// [`kind::MIGRATION`] records of a merged timeline. The recorder's own
-/// phase view — `demos-trace` builds its percentile tables from this
-/// without ever seeing the kernel's types.
+/// How a migration lifecycle ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MigrationOutcome {
+    /// Step 8 reached: the process restarted at the destination.
+    Completed,
+    /// The destination refused the offer (§3.2).
+    Rejected,
+    /// Abandoned mid-protocol (timeout, crash); resumed at the source.
+    Aborted,
+    /// The records ended before the protocol did.
+    InFlight,
+}
+
+impl MigrationOutcome {
+    /// `completed`, `rejected`, `aborted` or `in-flight`.
+    pub fn label(self) -> &'static str {
+        match self {
+            MigrationOutcome::Completed => "completed",
+            MigrationOutcome::Rejected => "rejected",
+            MigrationOutcome::Aborted => "aborted",
+            MigrationOutcome::InFlight => "in-flight",
+        }
+    }
+}
+
+/// One migration of one process, stitched from its [`kind::MIGRATION`]
+/// records — §3.1's eight steps plus the §4 residual: how long the
+/// forwarding address kept fielding traffic after the process had left.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MigrationSpan {
+    /// The migrating process.
+    pub pid: ProcessId,
+    /// Machine that froze it (from the `Frozen` record).
+    pub src: Option<MachineId>,
+    /// Machine that took it (from the destination-side records).
+    pub dest: Option<MachineId>,
+    /// Step 1: removed from execution.
+    pub frozen: Option<Time>,
+    /// Step 2: offer sent.
+    pub offered: Option<Time>,
+    /// Step 3: destination allocated.
+    pub allocated: Option<Time>,
+    /// Step 4 complete: process state arrived.
+    pub state_transferred: Option<Time>,
+    /// Step 5 complete: image arrived.
+    pub image_transferred: Option<Time>,
+    /// Step 6: pending messages forwarded.
+    pub pending_forwarded: Option<Time>,
+    /// Step 7: source cleaned up, forwarding address installed.
+    pub cleaned_up: Option<Time>,
+    /// Step 8: restarted at the destination.
+    pub restarted: Option<Time>,
+    /// When a rejection/abort ended the lifecycle instead.
+    pub ended: Option<Time>,
+    /// How the lifecycle ended.
+    pub outcome: MigrationOutcome,
+    /// Total size stamped on the offer (resident + swappable + image).
+    pub bytes_offered: u64,
+    /// State bytes received by step 4's completion.
+    pub bytes_state: u64,
+    /// Full transferred total stamped at step 5.
+    pub bytes_total: u64,
+    /// Messages that chased the forwarding address after cleanup (§4).
+    pub forwards: u64,
+    /// Last time the forwarding address fielded a message.
+    pub last_forward: Option<Time>,
+    /// When the forwarding address was garbage-collected, if observed.
+    pub forwarding_collected: Option<Time>,
+}
+
+impl MigrationSpan {
+    fn open(pid: ProcessId, src: MachineId, at: Time) -> Self {
+        MigrationSpan {
+            pid,
+            src: Some(src),
+            dest: None,
+            frozen: Some(at),
+            offered: None,
+            allocated: None,
+            state_transferred: None,
+            image_transferred: None,
+            pending_forwarded: None,
+            cleaned_up: None,
+            restarted: None,
+            ended: None,
+            outcome: MigrationOutcome::InFlight,
+            bytes_offered: 0,
+            bytes_state: 0,
+            bytes_total: 0,
+            forwards: 0,
+            last_forward: None,
+            forwarding_collected: None,
+        }
+    }
+
+    /// Whether step 8 was reached.
+    pub fn completed(&self) -> bool {
+        self.outcome == MigrationOutcome::Completed
+    }
+
+    /// Steps 1–3: freeze through destination allocation (the offer
+    /// negotiation, including the §3.2 policy decision).
+    pub fn negotiation(&self) -> Option<Duration> {
+        Some(self.allocated?.since(self.frozen?))
+    }
+
+    /// Steps 4–5: allocation through image arrival — the state-transfer
+    /// window the paper's §6 table prices by image size.
+    pub fn transfer(&self) -> Option<Duration> {
+        Some(self.image_transferred?.since(self.allocated?))
+    }
+
+    /// Step 8: image arrival through restart (cleanup confirmation
+    /// round-trip plus scheduling).
+    pub fn restart(&self) -> Option<Duration> {
+        Some(self.restarted?.since(self.image_transferred?))
+    }
+
+    /// The whole off-cpu window: freeze through restart.
+    pub fn frozen_total(&self) -> Option<Duration> {
+        Some(self.restarted?.since(self.frozen?))
+    }
+
+    /// Residual forwarding lifetime (§4): cleanup until the forwarding
+    /// address was collected, or until its last observed use.
+    pub fn residual(&self) -> Option<Duration> {
+        let start = self.cleaned_up?;
+        let end = self.forwarding_collected.or(self.last_forward)?;
+        Some(end.since(start))
+    }
+}
+
+/// Stitch every migration lifecycle out of a record stream, in freeze
+/// order — the one lifecycle fold every phase view reads: the simulator
+/// feeds it a whole trace encoded in trace order, [`PhaseTable`] and
+/// `demos-trace` a merged dump.
+///
+/// The kernel's `AlreadyMigrating` guard means a process has at most one
+/// lifecycle open at a time, so a per-pid "open span" map is sound.
+/// `Restarted` records with no open lifecycle (checkpoint restores, the
+/// engine's duplicate restart marker) are ignored. Residual forwarding
+/// records after step 7 are credited to the pid's most recent span.
+pub fn migration_spans(records: &[Record]) -> Vec<MigrationSpan> {
+    let mut out: Vec<MigrationSpan> = Vec::new();
+    // Packed pid → index in `out` of its open / most recent lifecycle.
+    let mut open: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut latest: BTreeMap<u64, usize> = BTreeMap::new();
+    for r in records {
+        let (at, machine) = (Time::from_micros(r.at), MachineId(r.machine));
+        match r.kind {
+            kind::MIGRATION if r.arg == phase::FROZEN => {
+                let (m, uid) = unpack_pid(r.a);
+                let pid = ProcessId {
+                    creating_machine: MachineId(m),
+                    local_uid: uid,
+                };
+                out.push(MigrationSpan::open(pid, machine, at));
+                open.insert(r.a, out.len() - 1);
+                latest.insert(r.a, out.len() - 1);
+            }
+            kind::MIGRATION => {
+                let Some(&i) = open.get(&r.a) else { continue };
+                let s = &mut out[i];
+                match r.arg {
+                    phase::OFFERED => {
+                        s.offered = s.offered.or(Some(at));
+                        s.bytes_offered = s.bytes_offered.max(r.b);
+                    }
+                    phase::ALLOCATED => {
+                        s.allocated = s.allocated.or(Some(at));
+                        s.dest = s.dest.or(Some(machine));
+                    }
+                    phase::STATE_TRANSFERRED => {
+                        s.state_transferred = s.state_transferred.or(Some(at));
+                        s.bytes_state = s.bytes_state.max(r.b);
+                    }
+                    phase::IMAGE_TRANSFERRED => {
+                        s.image_transferred = s.image_transferred.or(Some(at));
+                        s.bytes_total = s.bytes_total.max(r.b);
+                        s.dest = s.dest.or(Some(machine));
+                    }
+                    phase::PENDING_FORWARDED => {
+                        s.pending_forwarded = s.pending_forwarded.or(Some(at));
+                    }
+                    phase::CLEANED_UP => s.cleaned_up = s.cleaned_up.or(Some(at)),
+                    phase::RESTARTED => {
+                        s.restarted = Some(at);
+                        s.dest = s.dest.or(Some(machine));
+                        s.outcome = MigrationOutcome::Completed;
+                    }
+                    phase::REJECTED => {
+                        (s.ended, s.outcome) = (Some(at), MigrationOutcome::Rejected)
+                    }
+                    phase::ABORTED => (s.ended, s.outcome) = (Some(at), MigrationOutcome::Aborted),
+                    _ => {}
+                }
+                if s.outcome != MigrationOutcome::InFlight {
+                    open.remove(&r.a);
+                }
+            }
+            kind::FORWARDED => {
+                if let Some(&i) = latest.get(&r.b) {
+                    let s = &mut out[i];
+                    if s.cleaned_up.is_some_and(|c| at >= c) {
+                        s.forwards += 1;
+                        s.last_forward = Some(at);
+                    }
+                }
+            }
+            kind::FORWARDING_INSTALLED => {
+                if let Some(&i) = latest.get(&r.a) {
+                    out[i].dest = out[i].dest.or(Some(MachineId(r.c as u16)));
+                }
+            }
+            kind::FORWARDING_COLLECTED => {
+                if let Some(&i) = latest.get(&r.a) {
+                    out[i].forwarding_collected = out[i].forwarding_collected.or(Some(at));
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Per-phase duration histograms over the lifecycles
+/// [`migration_spans`] stitches from a merged timeline — the §6 cost
+/// table `demos-trace` prints. All values are microseconds except
+/// `bytes`.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseTable {
     /// Frozen → allocated (steps 1–3): negotiation.
@@ -465,53 +695,32 @@ pub struct PhaseTable {
 }
 
 impl PhaseTable {
-    /// Build from a time-ordered record slice.
+    /// Build from a time-ordered record slice. Completed lifecycles fill
+    /// the histograms (transfer and restart only when both ends of each
+    /// were recorded); rejected and aborted ones only count.
     pub fn from_records(records: &[Record]) -> PhaseTable {
-        // Open lifecycle per packed pid: (frozen, allocated, image, bytes).
-        let mut open: std::collections::BTreeMap<u64, (u64, Option<u64>, Option<u64>, u64)> =
-            std::collections::BTreeMap::new();
         let mut t = PhaseTable::default();
-        for r in records {
-            if r.kind != kind::MIGRATION {
-                continue;
-            }
-            match r.arg {
-                phase::FROZEN => {
-                    open.insert(r.a, (r.at, None, None, 0));
-                }
-                phase::ALLOCATED => {
-                    if let Some(lc) = open.get_mut(&r.a) {
-                        lc.1.get_or_insert(r.at);
+        for s in migration_spans(records) {
+            match s.outcome {
+                MigrationOutcome::Completed => {
+                    if let Some(d) = s.negotiation() {
+                        t.negotiation.record_duration(d);
                     }
-                }
-                phase::STATE_TRANSFERRED | phase::IMAGE_TRANSFERRED => {
-                    if let Some(lc) = open.get_mut(&r.a) {
-                        if r.arg == phase::IMAGE_TRANSFERRED {
-                            lc.2.get_or_insert(r.at);
-                        }
-                        lc.3 = lc.3.max(r.b);
+                    if let (Some(x), Some(r)) = (s.transfer(), s.restart()) {
+                        t.transfer.record_duration(x);
+                        t.restart.record_duration(r);
                     }
-                }
-                phase::RESTARTED => {
-                    if let Some((frozen, allocated, image, bytes)) = open.remove(&r.a) {
-                        if let Some(a) = allocated {
-                            t.negotiation.record(a.saturating_sub(frozen));
-                            if let Some(i) = image {
-                                t.transfer.record(i.saturating_sub(a));
-                                t.restart.record(r.at.saturating_sub(i));
-                            }
-                        }
-                        t.total.record(r.at.saturating_sub(frozen));
-                        if bytes > 0 {
-                            t.bytes.record(bytes);
-                        }
-                        t.completed += 1;
+                    if let Some(d) = s.frozen_total() {
+                        t.total.record_duration(d);
                     }
+                    let bytes = s.bytes_state.max(s.bytes_total);
+                    if bytes > 0 {
+                        t.bytes.record(bytes);
+                    }
+                    t.completed += 1;
                 }
-                phase::REJECTED | phase::ABORTED if open.remove(&r.a).is_some() => {
-                    t.failed += 1;
-                }
-                _ => {}
+                MigrationOutcome::Rejected | MigrationOutcome::Aborted => t.failed += 1,
+                MigrationOutcome::InFlight => {}
             }
         }
         t
@@ -709,6 +918,171 @@ mod tests {
         assert_eq!(t.completed, 0);
         assert_eq!(t.failed, 1);
         assert!(t.total.is_empty());
+    }
+
+    fn pid(uid: u32) -> ProcessId {
+        ProcessId {
+            creating_machine: MachineId(0),
+            local_uid: uid,
+        }
+    }
+
+    fn t(us: u64) -> Time {
+        Time::from_micros(us)
+    }
+
+    /// A `kind::MIGRATION` record of process `p0.uid`.
+    fn mig(at: u64, machine: u16, uid: u32, ph: u8, bytes: u64) -> Record {
+        Record {
+            at,
+            a: pack_pid(0, uid),
+            b: bytes,
+            c: 0,
+            machine,
+            kind: kind::MIGRATION,
+            arg: ph,
+        }
+    }
+
+    /// A residual message chasing `p0.uid`'s forwarding address.
+    fn forwarded(at: u64, uid: u32) -> Record {
+        Record {
+            b: pack_pid(0, uid),
+            c: 1 << 16 | 42,
+            ..rec(at, 0, kind::FORWARDED, 5)
+        }
+    }
+
+    /// Pid 1 completes a full eight-step migration with residual
+    /// forwarding afterwards; pid 2 is rejected; pid 1's second attempt
+    /// aborts.
+    fn migration_records() -> Vec<Record> {
+        vec![
+            mig(10, 0, 1, phase::FROZEN, 0),
+            mig(12, 0, 1, phase::OFFERED, 900),
+            mig(14, 0, 2, phase::FROZEN, 0),
+            mig(16, 0, 2, phase::OFFERED, 300),
+            mig(20, 1, 1, phase::ALLOCATED, 0),
+            mig(22, 1, 2, phase::REJECTED, 0),
+            mig(40, 1, 1, phase::STATE_TRANSFERRED, 400),
+            mig(55, 1, 1, phase::IMAGE_TRANSFERRED, 900),
+            mig(60, 0, 1, phase::PENDING_FORWARDED, 0),
+            mig(61, 0, 1, phase::CLEANED_UP, 0),
+            Record {
+                c: 1,
+                ..rec(61, 0, kind::FORWARDING_INSTALLED, pack_pid(0, 1))
+            },
+            mig(70, 1, 1, phase::RESTARTED, 0),
+            forwarded(80, 1),
+            forwarded(95, 1),
+            rec(120, 0, kind::FORWARDING_COLLECTED, pack_pid(0, 1)),
+            mig(200, 1, 1, phase::FROZEN, 0),
+            mig(202, 1, 1, phase::OFFERED, 900),
+            mig(260, 1, 1, phase::ABORTED, 0),
+        ]
+    }
+
+    #[test]
+    fn migration_spans_golden() {
+        let spans = migration_spans(&migration_records());
+        assert_eq!(spans.len(), 3, "two p1 attempts + one p2 attempt");
+
+        let done = &spans[0];
+        assert_eq!(done.pid, pid(1));
+        assert_eq!(done.outcome, MigrationOutcome::Completed);
+        assert_eq!(done.src, Some(MachineId(0)));
+        assert_eq!(done.dest, Some(MachineId(1)));
+        assert_eq!(done.bytes_offered, 900);
+        assert_eq!(done.bytes_state, 400);
+        assert_eq!(done.bytes_total, 900);
+        assert_eq!(done.negotiation(), Some(Duration::from_micros(10)));
+        assert_eq!(done.transfer(), Some(Duration::from_micros(35)));
+        assert_eq!(done.restart(), Some(Duration::from_micros(15)));
+        assert_eq!(done.frozen_total(), Some(Duration::from_micros(60)));
+        assert_eq!(done.forwards, 2, "both residual messages credited");
+        assert_eq!(done.residual(), Some(Duration::from_micros(59)));
+
+        let rejected = &spans[1];
+        assert_eq!(rejected.pid, pid(2));
+        assert_eq!(rejected.outcome, MigrationOutcome::Rejected);
+        assert_eq!(rejected.ended, Some(t(22)));
+        assert_eq!(rejected.negotiation(), None);
+        assert_eq!(rejected.frozen_total(), None);
+
+        let aborted = &spans[2];
+        assert_eq!(aborted.pid, pid(1));
+        assert_eq!(aborted.outcome, MigrationOutcome::Aborted);
+        assert_eq!(aborted.ended, Some(t(260)));
+        assert_eq!(aborted.forwards, 0, "earlier residuals stay on span 1");
+
+        let table = PhaseTable::from_records(&migration_records());
+        assert_eq!((table.completed, table.failed), (1, 2));
+        assert_eq!(table.total.max(), 60);
+        assert_eq!(table.bytes.max(), 900);
+    }
+
+    #[test]
+    fn duplicate_restarted_records_are_ignored() {
+        // The engine records Restarted on both the kernel and engine
+        // paths; checkpoint restores add more. Only an open lifecycle
+        // absorbs one.
+        let spans = migration_spans(&[
+            mig(5, 1, 1, phase::RESTARTED, 0),
+            mig(10, 0, 1, phase::FROZEN, 0),
+            mig(30, 1, 1, phase::RESTARTED, 0),
+            mig(31, 1, 1, phase::RESTARTED, 0),
+        ]);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].restarted, Some(t(30)));
+        assert_eq!(spans[0].outcome, MigrationOutcome::Completed);
+    }
+
+    #[test]
+    fn aborted_attempt_interleaved_with_another_pid_then_a_completed_retry() {
+        // Pid 1's first attempt aborts after the offer; a second attempt
+        // completes. Pid 2's migration is interleaved throughout and must
+        // not bleed into pid 1's lifecycles.
+        let spans = migration_spans(&[
+            mig(10, 0, 1, phase::FROZEN, 0),
+            mig(12, 0, 2, phase::FROZEN, 0),
+            mig(15, 0, 1, phase::OFFERED, 0),
+            mig(18, 0, 2, phase::OFFERED, 0),
+            mig(20, 0, 1, phase::ABORTED, 0),
+            mig(30, 0, 1, phase::FROZEN, 0),
+            mig(32, 0, 1, phase::OFFERED, 0),
+            mig(34, 1, 1, phase::ALLOCATED, 0),
+            mig(40, 1, 1, phase::STATE_TRANSFERRED, 0),
+            mig(55, 1, 1, phase::IMAGE_TRANSFERRED, 0),
+            mig(60, 0, 1, phase::PENDING_FORWARDED, 0),
+            mig(61, 0, 1, phase::CLEANED_UP, 0),
+            mig(62, 0, 2, phase::ABORTED, 0),
+            mig(70, 1, 1, phase::RESTARTED, 0),
+        ]);
+        let of = |uid| spans.iter().filter(move |s| s.pid == pid(uid));
+        let mine: Vec<_> = of(1).collect();
+        assert_eq!(mine.len(), 2, "two attempts, two lifecycles");
+        assert_eq!(mine[0].outcome, MigrationOutcome::Aborted);
+        assert_eq!(mine[0].offered, Some(t(15)));
+        assert_eq!((mine[0].restarted, mine[0].frozen_total()), (None, None));
+        assert!(mine[1].completed(), "second attempt completed");
+        assert_eq!(mine[1].frozen, Some(t(30)));
+        assert_eq!(mine[1].restarted, Some(t(70)));
+        assert_eq!(mine[1].frozen_total(), Some(Duration::from_micros(40)));
+        let steps = [
+            mine[1].frozen,
+            mine[1].offered,
+            mine[1].allocated,
+            mine[1].state_transferred,
+            mine[1].image_transferred,
+            mine[1].pending_forwarded,
+            mine[1].cleaned_up,
+            mine[1].restarted,
+        ];
+        assert!(steps.iter().all(Option::is_some), "all eight steps");
+        let others: Vec<_> = of(2).collect();
+        assert_eq!(others.len(), 1);
+        assert_eq!(others[0].outcome, MigrationOutcome::Aborted);
+        assert_eq!(others[0].frozen, Some(t(12)));
     }
 
     #[test]

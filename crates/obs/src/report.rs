@@ -6,7 +6,9 @@
 //! output is plain text so experiment binaries can print it and golden
 //! tests can pin it.
 
+use crate::recorder::MigrationSpan;
 use crate::snapshot::{ClusterSnapshot, MachineSnapshot};
+use demos_types::{Duration, MachineId};
 use std::fmt::Write as _;
 
 const HEADERS: [&str; 11] = [
@@ -93,55 +95,30 @@ pub fn render(snap: &ClusterSnapshot) -> String {
     out
 }
 
-/// One migration's row in the phase panel. Times are microsecond
-/// durations (`None` = phase never reached); the producer (`demos-sim`'s
-/// phase profiler) fills them from reconstructed lifecycle spans.
-#[derive(Debug, Clone, Default)]
-pub struct PhasePanelRow {
-    /// Process label (`p0.1`).
-    pub pid: String,
-    /// `src->dest` label (`m0->m2`; `m0->?` if no destination committed).
-    pub route: String,
-    /// `completed`, `rejected`, `aborted` or `in-flight`.
-    pub outcome: String,
-    /// Frozen → allocated (steps 1–3).
-    pub negotiation_us: Option<u64>,
-    /// Allocated → image transferred (steps 4–5).
-    pub transfer_us: Option<u64>,
-    /// Bytes moved during state+image transfer.
-    pub bytes: u64,
-    /// Image transferred → restarted (step 8).
-    pub restart_us: Option<u64>,
-    /// Frozen → restarted: the process's total off-cpu window.
-    pub frozen_us: Option<u64>,
-    /// Cleanup → last forwarded message / collection: how long the
-    /// forwarding address stayed hot (§4).
-    pub residual_us: Option<u64>,
-    /// Messages that chased the forwarding address.
-    pub forwards: u64,
-}
-
 /// Render the `demos-top` migration-phase panel: one aligned row per
-/// migration, §6's cost table shape.
-pub fn render_phase_panel(rows: &[PhasePanelRow]) -> String {
+/// migration lifecycle, §6's cost table shape. Durations are
+/// microseconds, `-` where a phase was never reached; `bytes` is the
+/// larger of the offered and transferred totals.
+pub fn render_phase_panel(spans: &[MigrationSpan]) -> String {
     const PH: [&str; 10] = [
         "pid", "route", "outcome", "negot", "xfer", "bytes", "restart", "frozen", "resid", "fwds",
     ];
-    let opt = |v: Option<u64>| v.map(|u| u.to_string()).unwrap_or_else(|| "-".to_string());
-    let cells: Vec<[String; 10]> = rows
+    let us = |d: Option<Duration>| d.map_or_else(|| "-".to_string(), |d| d.as_micros().to_string());
+    let at = |m: Option<MachineId>| m.map_or_else(|| "?".to_string(), |m| m.to_string());
+    let cells: Vec<[String; 10]> = spans
         .iter()
-        .map(|r| {
+        .map(|s| {
             [
-                r.pid.clone(),
-                r.route.clone(),
-                r.outcome.clone(),
-                opt(r.negotiation_us),
-                opt(r.transfer_us),
-                r.bytes.to_string(),
-                opt(r.restart_us),
-                opt(r.frozen_us),
-                opt(r.residual_us),
-                r.forwards.to_string(),
+                s.pid.to_string(),
+                format!("{}->{}", at(s.src), at(s.dest)),
+                s.outcome.label().to_string(),
+                us(s.negotiation()),
+                us(s.transfer()),
+                s.bytes_total.max(s.bytes_offered).to_string(),
+                us(s.restart()),
+                us(s.frozen_total()),
+                us(s.residual()),
+                s.forwards.to_string(),
             ]
         })
         .collect();
@@ -174,7 +151,7 @@ pub fn render_phase_panel(rows: &[PhasePanelRow]) -> String {
     for row in &cells {
         let _ = writeln!(out, "{}", line(row));
     }
-    if rows.is_empty() {
+    if spans.is_empty() {
         let _ = writeln!(out, "(no migrations)");
     }
     out
@@ -187,33 +164,35 @@ mod tests {
 
     #[test]
     fn phase_panel_renders_rows_and_dashes() {
-        let rows = vec![
-            PhasePanelRow {
-                pid: "p0.1".into(),
-                route: "m0->m2".into(),
-                outcome: "completed".into(),
-                negotiation_us: Some(120),
-                transfer_us: Some(800),
-                bytes: 4096,
-                restart_us: Some(60),
-                frozen_us: Some(1000),
-                residual_us: Some(2500),
-                forwards: 3,
-            },
-            PhasePanelRow {
-                pid: "p0.2".into(),
-                route: "m0->?".into(),
-                outcome: "rejected".into(),
-                ..Default::default()
-            },
-        ];
-        let text = render_phase_panel(&rows);
+        use crate::recorder::{kind, migration_spans, pack_pid, phase, Record};
+        let mig = |at: u64, uid: u32, machine: u16, arg: u8, b: u64| Record {
+            at,
+            a: pack_pid(0, uid),
+            b,
+            machine,
+            kind: kind::MIGRATION,
+            arg,
+            ..Record::default()
+        };
+        let spans = migration_spans(&[
+            mig(100, 1, 0, phase::FROZEN, 0),
+            mig(220, 1, 2, phase::ALLOCATED, 0),
+            mig(1020, 1, 2, phase::IMAGE_TRANSFERRED, 4096),
+            mig(1080, 1, 2, phase::RESTARTED, 0),
+            mig(2000, 2, 0, phase::FROZEN, 0),
+            mig(2010, 2, 0, phase::REJECTED, 0),
+        ]);
+        let text = render_phase_panel(&spans);
         assert!(text.contains("migration phases"), "{text}");
-        assert!(text.lines().any(|l| l.starts_with("p0.1")), "{text}");
-        assert!(text.contains("4096"), "{text}");
+        let done = text.lines().find(|l| l.starts_with("p0.1")).unwrap();
+        assert_eq!(
+            done.split_whitespace().collect::<Vec<_>>().join(" "),
+            "p0.1 m0->m2 completed 120 800 4096 60 980 - 0",
+            "{text}"
+        );
         let rejected = text.lines().find(|l| l.starts_with("p0.2")).unwrap();
         assert!(
-            rejected.contains("rejected") && rejected.contains("-"),
+            rejected.contains("m0->?") && rejected.contains("rejected") && rejected.contains("-"),
             "{rejected}"
         );
         let empty = render_phase_panel(&[]);

@@ -7,31 +7,51 @@
 //! [`MetricsRegistry`] / [`ClusterSnapshot`] this module produces.
 
 use demos_core::Node;
-use demos_kernel::TrafficBreakdown;
-use demos_obs::report::PhasePanelRow;
+use demos_kernel::{MsgCount, TrafficBreakdown};
+use demos_obs::MigrationSpan;
 use demos_obs::{json::Json, report, ClusterSnapshot, MachineSnapshot, MetricsRegistry};
-use demos_types::{Duration, MachineId};
+use demos_types::{Duration, MachineId, Time};
 
 use crate::cluster::Cluster;
-use crate::span::{migration_spans_of, MigrationOutcome, MigrationSpan};
+use crate::span::migration_spans_of;
+
+/// Traffic classes in report order: the class, and the registry counters
+/// of its messages and bytes.
+const TRAFFIC_CLASSES: [(&str, &str, &str); 9] = [
+    ("kernel_op", "msgs_kernel_op", "bytes_kernel_op"),
+    ("migrate", "msgs_migrate", "bytes_migrate"),
+    ("md_req", "msgs_md_req", "bytes_md_req"),
+    ("md_data", "msgs_md_data", "bytes_md_data"),
+    ("md_ack", "msgs_md_ack", "bytes_md_ack"),
+    ("md_done", "msgs_md_done", "bytes_md_done"),
+    ("link_maint", "msgs_link_maint", "bytes_link_maint"),
+    ("mgmt", "msgs_mgmt", "bytes_mgmt"),
+    ("user", "msgs_user", "bytes_user"),
+];
+
+/// `t`'s per-class counts in [`TRAFFIC_CLASSES`] order.
+fn class_counts(t: &TrafficBreakdown) -> [MsgCount; 9] {
+    [
+        t.kernel_op,
+        t.migrate,
+        t.md_req,
+        t.md_data,
+        t.md_ack,
+        t.md_done,
+        t.link_maint,
+        t.mgmt,
+        t.user,
+    ]
+}
 
 /// Traffic classes in report order, with their per-class counts.
 pub fn traffic_classes(t: &TrafficBreakdown) -> Vec<(&'static str, u64, u64)> {
-    [
-        ("kernel_op", t.kernel_op),
-        ("migrate", t.migrate),
-        ("md_req", t.md_req),
-        ("md_data", t.md_data),
-        ("md_ack", t.md_ack),
-        ("md_done", t.md_done),
-        ("link_maint", t.link_maint),
-        ("mgmt", t.mgmt),
-        ("user", t.user),
-    ]
-    .into_iter()
-    .filter(|(_, c)| c.msgs > 0)
-    .map(|(name, c)| (name, c.msgs, c.bytes))
-    .collect()
+    TRAFFIC_CLASSES
+        .iter()
+        .zip(class_counts(t))
+        .filter(|(_, c)| c.msgs > 0)
+        .map(|(&(class, ..), c)| (class, c.msgs, c.bytes))
+        .collect()
 }
 
 /// Read one node's kernel into a metrics registry: gauges for current
@@ -63,44 +83,10 @@ pub fn machine_registry(node: &Node) -> MetricsRegistry {
     r.counter_set("forwarded", s.forwarded);
     r.counter_set("link_updates_sent", s.link_updates_sent);
     r.counter_set("nondeliverable", s.nondeliverable);
-    for (class, msgs, bytes) in traffic_classes(&s.traffic) {
-        match class {
-            "kernel_op" => {
-                r.counter_set("msgs_kernel_op", msgs);
-                r.counter_set("bytes_kernel_op", bytes);
-            }
-            "migrate" => {
-                r.counter_set("msgs_migrate", msgs);
-                r.counter_set("bytes_migrate", bytes);
-            }
-            "md_req" => {
-                r.counter_set("msgs_md_req", msgs);
-                r.counter_set("bytes_md_req", bytes);
-            }
-            "md_data" => {
-                r.counter_set("msgs_md_data", msgs);
-                r.counter_set("bytes_md_data", bytes);
-            }
-            "md_ack" => {
-                r.counter_set("msgs_md_ack", msgs);
-                r.counter_set("bytes_md_ack", bytes);
-            }
-            "md_done" => {
-                r.counter_set("msgs_md_done", msgs);
-                r.counter_set("bytes_md_done", bytes);
-            }
-            "link_maint" => {
-                r.counter_set("msgs_link_maint", msgs);
-                r.counter_set("bytes_link_maint", bytes);
-            }
-            "mgmt" => {
-                r.counter_set("msgs_mgmt", msgs);
-                r.counter_set("bytes_mgmt", bytes);
-            }
-            _ => {
-                r.counter_set("msgs_user", msgs);
-                r.counter_set("bytes_user", bytes);
-            }
+    for (&(_, msgs, bytes), c) in TRAFFIC_CLASSES.iter().zip(class_counts(&s.traffic)) {
+        if c.msgs > 0 {
+            r.counter_set(msgs, c.msgs);
+            r.counter_set(bytes, c.bytes);
         }
     }
     r
@@ -155,9 +141,7 @@ impl Cluster {
     /// The `demos-top` migration-phase panel: every migration lifecycle
     /// stitched from the trace, one row each, in freeze order.
     pub fn phase_report(&self) -> String {
-        let spans = migration_spans_of(self.trace());
-        let rows: Vec<PhasePanelRow> = spans.iter().map(phase_panel_row).collect();
-        report::render_phase_panel(&rows)
+        report::render_phase_panel(&migration_spans_of(self.trace()))
     }
 
     /// Migration lifecycle spans as JSON lines (one object per
@@ -172,44 +156,14 @@ impl Cluster {
     }
 }
 
-/// One migration span as a `demos-top` phase-panel row.
-pub fn phase_panel_row(s: &MigrationSpan) -> PhasePanelRow {
-    let us = |d: Option<Duration>| d.map(|d| d.as_micros());
-    PhasePanelRow {
-        pid: s.pid.to_string(),
-        route: format!(
-            "{}->{}",
-            s.src.map_or_else(|| "?".into(), |m| format!("m{}", m.0)),
-            s.dest.map_or_else(|| "?".into(), |m| format!("m{}", m.0)),
-        ),
-        outcome: outcome_label(s.outcome).to_string(),
-        negotiation_us: us(s.negotiation()),
-        transfer_us: us(s.transfer()),
-        bytes: s.bytes_total.max(s.bytes_offered),
-        restart_us: us(s.restart()),
-        frozen_us: us(s.frozen_total()),
-        residual_us: us(s.residual()),
-        forwards: s.forwards,
-    }
-}
-
-fn outcome_label(o: MigrationOutcome) -> &'static str {
-    match o {
-        MigrationOutcome::Completed => "completed",
-        MigrationOutcome::Rejected => "rejected",
-        MigrationOutcome::Aborted => "aborted",
-        MigrationOutcome::InFlight => "in-flight",
-    }
-}
-
 fn span_json(s: &MigrationSpan) -> Json {
-    let time = |t: Option<demos_types::Time>| t.map_or(Json::Null, |t| Json::num(t.as_micros()));
+    let time = |t: Option<Time>| t.map_or(Json::Null, |t| Json::num(t.as_micros()));
     let dur = |d: Option<Duration>| d.map_or(Json::Null, |d| Json::num(d.as_micros()));
     Json::obj([
         ("pid", Json::str(s.pid.to_string())),
         ("src", s.src.map_or(Json::Null, |m| Json::num(m.0 as u64))),
         ("dest", s.dest.map_or(Json::Null, |m| Json::num(m.0 as u64))),
-        ("outcome", Json::str(outcome_label(s.outcome))),
+        ("outcome", Json::str(s.outcome.label())),
         ("frozen", time(s.frozen)),
         ("offered", time(s.offered)),
         ("allocated", time(s.allocated)),
@@ -293,6 +247,22 @@ mod tests {
         let panel = c.phase_report();
         assert!(panel.contains("m0->m1"), "{panel}");
         assert!(panel.contains("completed"), "{panel}");
+        let spans = migration_spans_of(c.trace());
+        let s = &spans[0];
+        let steps = [
+            s.frozen,
+            s.offered,
+            s.allocated,
+            s.state_transferred,
+            s.image_transferred,
+            s.pending_forwarded,
+            s.cleaned_up,
+            s.restarted,
+        ];
+        assert!(
+            steps.iter().all(Option::is_some) && steps.windows(2).all(|w| w[0] <= w[1]),
+            "all eight steps, in order: {steps:?}"
+        );
 
         let parsed = json::parse_lines(&c.phase_json_lines()).unwrap();
         assert_eq!(parsed.len(), 1);
@@ -302,6 +272,38 @@ mod tests {
         assert_eq!(span.u64_field("dest"), Some(1));
         assert!(span.u64_field("frozen_us").unwrap() > 0);
         assert!(span.u64_field("bytes_total").unwrap() > 0);
+    }
+
+    #[test]
+    fn a_refused_offer_is_a_rejected_row() {
+        use crate::programs::Cargo;
+        use demos_core::{AcceptPolicy, MigrationConfig};
+        let mut c = crate::cluster::ClusterBuilder::new(2)
+            .migration_config(MigrationConfig {
+                accept: AcceptPolicy::Never,
+                ..Default::default()
+            })
+            .build();
+        let pid = c
+            .spawn(
+                MachineId(0),
+                "cargo",
+                &Cargo::state(64),
+                ImageLayout::default(),
+            )
+            .unwrap();
+        c.run_for(Duration::from_millis(5));
+        c.migrate(pid, MachineId(1)).unwrap();
+        c.run_for(Duration::from_millis(400));
+        let spans = migration_spans_of(c.trace());
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].outcome, demos_obs::MigrationOutcome::Rejected);
+        assert_eq!(spans[0].restarted, None);
+        assert!(
+            c.phase_report().contains("rejected"),
+            "{}",
+            c.phase_report()
+        );
     }
 
     #[test]

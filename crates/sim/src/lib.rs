@@ -14,14 +14,14 @@
 //!   thread per shard, bit-identical to the sequential loop;
 //! * [`trace`] — the event log experiments are reconstructed from;
 //! * [`span`] — per-message journey reconstruction from correlation ids,
-//!   and per-migration lifecycle spans (the §6 phase profiler);
+//!   and the trace's per-migration lifecycle spans (the §6 phase
+//!   profiler, stitched by `demos_obs::recorder`);
 //! * [`flight`] — [`TraceEvent`](demos_kernel::TraceEvent) → flight
 //!   recorder encoding (the always-on post-mortem ring, `demos-obs`);
 //! * [`coverage`] — schedule-coverage feature extraction from the trace
 //!   and recovery episodes (the chaos fuzzer's feedback signal);
 //! * [`export`] — metrics registries, cluster snapshots, the JSON-lines
-//!   exporter and the `demos-top` report (via `demos-obs`);
-//! * [`metrics`] — summary statistics.
+//!   exporter and the `demos-top` report (via `demos-obs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,11 +36,9 @@ pub mod coverage;
 mod evindex;
 pub mod export;
 pub mod flight;
-pub mod metrics;
 pub mod partition;
 pub mod programs;
 pub mod recovery;
-pub mod report;
 mod residency;
 pub mod shard;
 pub mod span;
@@ -55,12 +53,8 @@ pub use export::machine_registry;
 pub use flight::DEFAULT_RECORDER_CAPACITY;
 pub use partition::ShardPlan;
 pub use recovery::{RecoveryConfig, RecoveryEpisode, RecoveryManager, RecoveryStats};
-pub use report::{migrations_of, render, MigrationReport};
 pub use shard::ShardStats;
-pub use span::{
-    latency_histogram, migration_spans_of, phase_histograms, spans_of, Hop, HopKind,
-    MigrationOutcome, MigrationSpan, PhaseHistograms, Span,
-};
+pub use span::{latency_histogram, migration_spans_of, spans_of, Hop, HopKind, Span};
 pub use trace::Trace;
 
 /// Convenience re-exports for harnesses and examples.

@@ -8,13 +8,20 @@
 //! message's complete causal journey — which machines touched it, in what
 //! order, and how much virtual time each hop took — without any parsing
 //! of wire bytes.
+//!
+//! Migration lifecycles ([`migration_spans_of`]) are not stitched here:
+//! the trace is encoded as flight records and handed to the one
+//! lifecycle fold in `demos_obs::recorder`, which the recorder's phase
+//! table and `demos-trace` read too.
 
 use std::collections::BTreeMap;
 
-use demos_kernel::{MigrationPhase, TraceEvent};
-use demos_obs::{DeliveryEvent, DeliveryLedger, Histogram};
+use demos_kernel::TraceEvent;
+use demos_obs::recorder::{migration_spans, Record};
+use demos_obs::{DeliveryEvent, DeliveryLedger, Histogram, MigrationSpan};
 use demos_types::{tags, CorrId, Duration, MachineId, ProcessId, Time};
 
+use crate::flight::encode;
 use crate::trace::Trace;
 
 /// What happened to a message at one point of its journey.
@@ -319,282 +326,16 @@ pub fn latency_histogram<'a>(spans: impl IntoIterator<Item = &'a Span>) -> Histo
     h
 }
 
-// ---------------------------------------------------------------------
-// Migration lifecycle spans (the §6 phase profiler)
-// ---------------------------------------------------------------------
-
-/// How a migration lifecycle ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MigrationOutcome {
-    /// Step 8 reached: the process restarted at the destination.
-    Completed,
-    /// The destination refused the offer (§3.2).
-    Rejected,
-    /// Abandoned mid-protocol (timeout, crash); resumed at the source.
-    Aborted,
-    /// The trace ended before the protocol did.
-    InFlight,
-}
-
-/// One migration of one process, stitched from its
-/// [`MigrationPhase`] trace events — §3.1's eight steps plus the
-/// §4 residual: how long the forwarding address kept fielding traffic
-/// after the process had left.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MigrationSpan {
-    /// The migrating process.
-    pub pid: ProcessId,
-    /// Machine that froze it (from the `Frozen` record).
-    pub src: Option<MachineId>,
-    /// Machine that took it (from the destination-side records).
-    pub dest: Option<MachineId>,
-    /// Step 1: removed from execution.
-    pub frozen: Option<Time>,
-    /// Step 2: offer sent.
-    pub offered: Option<Time>,
-    /// Step 3: destination allocated.
-    pub allocated: Option<Time>,
-    /// Step 4 complete: process state arrived.
-    pub state_transferred: Option<Time>,
-    /// Step 5 complete: image arrived.
-    pub image_transferred: Option<Time>,
-    /// Step 6: pending messages forwarded.
-    pub pending_forwarded: Option<Time>,
-    /// Step 7: source cleaned up, forwarding address installed.
-    pub cleaned_up: Option<Time>,
-    /// Step 8: restarted at the destination.
-    pub restarted: Option<Time>,
-    /// When a rejection/abort ended the lifecycle instead.
-    pub ended: Option<Time>,
-    /// How the lifecycle ended.
-    pub outcome: MigrationOutcome,
-    /// Total size stamped on the offer (resident + swappable + image).
-    pub bytes_offered: u64,
-    /// State bytes received by step 4's completion.
-    pub bytes_state: u64,
-    /// Full transferred total stamped at step 5.
-    pub bytes_total: u64,
-    /// Messages that chased the forwarding address after cleanup (§4).
-    pub forwards: u64,
-    /// Last time the forwarding address fielded a message.
-    pub last_forward: Option<Time>,
-    /// When the forwarding address was garbage-collected, if observed.
-    pub forwarding_collected: Option<Time>,
-}
-
-impl MigrationSpan {
-    fn open(pid: ProcessId, src: MachineId, at: Time) -> Self {
-        MigrationSpan {
-            pid,
-            src: Some(src),
-            dest: None,
-            frozen: Some(at),
-            offered: None,
-            allocated: None,
-            state_transferred: None,
-            image_transferred: None,
-            pending_forwarded: None,
-            cleaned_up: None,
-            restarted: None,
-            ended: None,
-            outcome: MigrationOutcome::InFlight,
-            bytes_offered: 0,
-            bytes_state: 0,
-            bytes_total: 0,
-            forwards: 0,
-            last_forward: None,
-            forwarding_collected: None,
-        }
-    }
-
-    /// Whether step 8 was reached.
-    pub fn completed(&self) -> bool {
-        self.outcome == MigrationOutcome::Completed
-    }
-
-    /// Steps 1–3: freeze through destination allocation (the offer
-    /// negotiation, including the §3.2 policy decision).
-    pub fn negotiation(&self) -> Option<Duration> {
-        Some(self.allocated?.since(self.frozen?))
-    }
-
-    /// Steps 4–5: allocation through image arrival — the state-transfer
-    /// window the paper's §6 table prices by image size.
-    pub fn transfer(&self) -> Option<Duration> {
-        Some(self.image_transferred?.since(self.allocated?))
-    }
-
-    /// Step 8: image arrival through restart (cleanup confirmation
-    /// round-trip plus scheduling).
-    pub fn restart(&self) -> Option<Duration> {
-        Some(self.restarted?.since(self.image_transferred?))
-    }
-
-    /// The whole off-cpu window: freeze through restart.
-    pub fn frozen_total(&self) -> Option<Duration> {
-        Some(self.restarted?.since(self.frozen?))
-    }
-
-    /// Residual forwarding lifetime (§4): cleanup until the forwarding
-    /// address was collected, or until its last observed use.
-    pub fn residual(&self) -> Option<Duration> {
-        let start = self.cleaned_up?;
-        let end = self.forwarding_collected.or(self.last_forward)?;
-        Some(end.since(start))
-    }
-}
-
-/// Stitch every migration lifecycle out of the trace, in freeze order.
-///
-/// The kernel's `AlreadyMigrating` guard means a process has at most one
-/// lifecycle open at a time, so a per-pid "open span" map is sound.
-/// `Restarted` events with no open lifecycle (checkpoint restores, the
-/// engine's duplicate restart marker) are ignored. Residual forwarding
-/// events after step 7 are credited to the pid's most recent span.
+/// Every migration lifecycle in the trace, in freeze order: the whole
+/// trace encoded record by record, in trace order, and stitched by the
+/// one lifecycle fold, [`demos_obs::recorder::migration_spans`].
 pub fn migration_spans_of(trace: &Trace) -> Vec<MigrationSpan> {
-    let mut out: Vec<MigrationSpan> = Vec::new();
-    let mut open: BTreeMap<ProcessId, usize> = BTreeMap::new();
-    let mut latest: BTreeMap<ProcessId, usize> = BTreeMap::new();
-    for r in trace.records() {
-        match &r.event {
-            TraceEvent::Migration { pid, phase, bytes } => {
-                if *phase == MigrationPhase::Frozen {
-                    out.push(MigrationSpan::open(*pid, r.machine, r.at));
-                    open.insert(*pid, out.len() - 1);
-                    latest.insert(*pid, out.len() - 1);
-                    continue;
-                }
-                let Some(&i) = open.get(pid) else { continue };
-                let s = &mut out[i];
-                match phase {
-                    MigrationPhase::Offered => {
-                        s.offered = s.offered.or(Some(r.at));
-                        s.bytes_offered = s.bytes_offered.max(*bytes);
-                    }
-                    MigrationPhase::Allocated => {
-                        s.allocated = s.allocated.or(Some(r.at));
-                        s.dest = s.dest.or(Some(r.machine));
-                    }
-                    MigrationPhase::StateTransferred => {
-                        s.state_transferred = s.state_transferred.or(Some(r.at));
-                        s.bytes_state = s.bytes_state.max(*bytes);
-                    }
-                    MigrationPhase::ImageTransferred => {
-                        s.image_transferred = s.image_transferred.or(Some(r.at));
-                        s.bytes_total = s.bytes_total.max(*bytes);
-                        s.dest = s.dest.or(Some(r.machine));
-                    }
-                    MigrationPhase::PendingForwarded => {
-                        s.pending_forwarded = s.pending_forwarded.or(Some(r.at));
-                    }
-                    MigrationPhase::CleanedUp => {
-                        s.cleaned_up = s.cleaned_up.or(Some(r.at));
-                    }
-                    MigrationPhase::Restarted => {
-                        s.restarted = Some(r.at);
-                        s.dest = s.dest.or(Some(r.machine));
-                        s.outcome = MigrationOutcome::Completed;
-                        open.remove(pid);
-                    }
-                    MigrationPhase::Rejected => {
-                        s.ended = Some(r.at);
-                        s.outcome = MigrationOutcome::Rejected;
-                        open.remove(pid);
-                    }
-                    MigrationPhase::Aborted => {
-                        s.ended = Some(r.at);
-                        s.outcome = MigrationOutcome::Aborted;
-                        open.remove(pid);
-                    }
-                    MigrationPhase::Frozen => {
-                        // Handled above; listed so the match stays
-                        // exhaustive without a catch-all.
-                    }
-                }
-            }
-            TraceEvent::ForwardedMessage { pid, .. } => {
-                if let Some(&i) = latest.get(pid) {
-                    let s = &mut out[i];
-                    if s.cleaned_up.is_some_and(|c| r.at >= c) {
-                        s.forwards += 1;
-                        s.last_forward = Some(r.at);
-                    }
-                }
-            }
-            TraceEvent::ForwardingInstalled { pid, to } => {
-                if let Some(&i) = latest.get(pid) {
-                    let s = &mut out[i];
-                    s.dest = s.dest.or(Some(*to));
-                }
-            }
-            TraceEvent::ForwardingCollected { pid } => {
-                if let Some(&i) = latest.get(pid) {
-                    let s = &mut out[i];
-                    s.forwarding_collected = s.forwarding_collected.or(Some(r.at));
-                }
-            }
-            // Listed explicitly (not `_`) so a new event type must decide
-            // whether it participates in migration lifecycles.
-            TraceEvent::Spawned { .. }
-            | TraceEvent::Exited { .. }
-            | TraceEvent::Submitted { .. }
-            | TraceEvent::Enqueued { .. }
-            | TraceEvent::KernelReceived { .. }
-            | TraceEvent::LinkUpdateSent { .. }
-            | TraceEvent::LinkUpdateApplied { .. }
-            | TraceEvent::NonDeliverable { .. }
-            | TraceEvent::MoveDataDone { .. }
-            | TraceEvent::Log { .. } => {}
-        }
-    }
-    out
-}
-
-/// Per-phase duration histograms over a set of migration spans — the §6
-/// cost table's raw material. All values are microseconds except
-/// `bytes` (total transferred bytes of completed migrations).
-#[derive(Debug, Clone, Default)]
-pub struct PhaseHistograms {
-    /// Freeze → allocation.
-    pub negotiation: Histogram,
-    /// Allocation → image arrival.
-    pub transfer: Histogram,
-    /// Image arrival → restart.
-    pub restart: Histogram,
-    /// Freeze → restart.
-    pub total: Histogram,
-    /// Residual forwarding lifetimes (spans that forwarded anything or
-    /// were collected).
-    pub residual: Histogram,
-    /// Transferred byte totals.
-    pub bytes: Histogram,
-}
-
-/// Aggregate spans into per-phase histograms (completed lifecycles feed
-/// the duration rows; residuals feed from any span that has one).
-pub fn phase_histograms<'a>(spans: impl IntoIterator<Item = &'a MigrationSpan>) -> PhaseHistograms {
-    let mut h = PhaseHistograms::default();
-    for s in spans {
-        if let Some(d) = s.negotiation() {
-            h.negotiation.record_duration(d);
-        }
-        if let Some(d) = s.transfer() {
-            h.transfer.record_duration(d);
-        }
-        if let Some(d) = s.restart() {
-            h.restart.record_duration(d);
-        }
-        if let Some(d) = s.frozen_total() {
-            h.total.record_duration(d);
-        }
-        if let Some(d) = s.residual() {
-            h.residual.record_duration(d);
-        }
-        if s.completed() && s.bytes_total > 0 {
-            h.bytes.record(s.bytes_total);
-        }
-    }
-    h
+    let records: Vec<Record> = trace
+        .records()
+        .iter()
+        .map(|r| encode(r.at, r.machine, &r.event))
+        .collect();
+    migration_spans(&records)
 }
 
 #[cfg(test)]
@@ -715,168 +456,5 @@ mod tests {
         let h = latency_histogram(&spans);
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), 400);
-    }
-
-    fn mig(p: ProcessId, ph: MigrationPhase, bytes: u64) -> TraceEvent {
-        TraceEvent::Migration {
-            pid: p,
-            phase: ph,
-            bytes,
-        }
-    }
-
-    /// Hand-built trace: pid 1 completes a full eight-step migration with
-    /// residual forwarding afterwards; pid 2 is rejected; pid 1's second
-    /// attempt aborts.
-    fn migration_trace() -> Trace {
-        let mut tr = Trace::enabled();
-        let (p1, p2) = (pid(1), pid(2));
-        tr.extend(t(10), MachineId(0), [mig(p1, MigrationPhase::Frozen, 0)]);
-        tr.extend(t(12), MachineId(0), [mig(p1, MigrationPhase::Offered, 900)]);
-        tr.extend(t(14), MachineId(0), [mig(p2, MigrationPhase::Frozen, 0)]);
-        tr.extend(t(16), MachineId(0), [mig(p2, MigrationPhase::Offered, 300)]);
-        tr.extend(t(20), MachineId(1), [mig(p1, MigrationPhase::Allocated, 0)]);
-        tr.extend(t(22), MachineId(1), [mig(p2, MigrationPhase::Rejected, 0)]);
-        tr.extend(
-            t(40),
-            MachineId(1),
-            [mig(p1, MigrationPhase::StateTransferred, 400)],
-        );
-        tr.extend(
-            t(55),
-            MachineId(1),
-            [mig(p1, MigrationPhase::ImageTransferred, 900)],
-        );
-        tr.extend(
-            t(60),
-            MachineId(0),
-            [mig(p1, MigrationPhase::PendingForwarded, 0)],
-        );
-        tr.extend(
-            t(61),
-            MachineId(0),
-            [
-                mig(p1, MigrationPhase::CleanedUp, 0),
-                TraceEvent::ForwardingInstalled {
-                    pid: p1,
-                    to: MachineId(1),
-                },
-            ],
-        );
-        tr.extend(t(70), MachineId(1), [mig(p1, MigrationPhase::Restarted, 0)]);
-        // Residual traffic chases the forwarding address.
-        tr.extend(
-            t(80),
-            MachineId(0),
-            [TraceEvent::ForwardedMessage {
-                corr: CorrId::new(MachineId(0), 5),
-                pid: p1,
-                to: MachineId(1),
-                msg_type: 42,
-            }],
-        );
-        tr.extend(
-            t(95),
-            MachineId(0),
-            [TraceEvent::ForwardedMessage {
-                corr: CorrId::new(MachineId(0), 6),
-                pid: p1,
-                to: MachineId(1),
-                msg_type: 42,
-            }],
-        );
-        tr.extend(
-            t(120),
-            MachineId(0),
-            [TraceEvent::ForwardingCollected { pid: p1 }],
-        );
-        // A second attempt by p1 that gets abandoned.
-        tr.extend(t(200), MachineId(1), [mig(p1, MigrationPhase::Frozen, 0)]);
-        tr.extend(
-            t(202),
-            MachineId(1),
-            [mig(p1, MigrationPhase::Offered, 900)],
-        );
-        tr.extend(t(260), MachineId(1), [mig(p1, MigrationPhase::Aborted, 0)]);
-        tr
-    }
-
-    #[test]
-    fn migration_spans_golden() {
-        let spans = migration_spans_of(&migration_trace());
-        assert_eq!(spans.len(), 3, "two p1 attempts + one p2 attempt");
-
-        let done = &spans[0];
-        assert_eq!(done.pid, pid(1));
-        assert_eq!(done.outcome, MigrationOutcome::Completed);
-        assert_eq!(done.src, Some(MachineId(0)));
-        assert_eq!(done.dest, Some(MachineId(1)));
-        assert_eq!(done.bytes_offered, 900);
-        assert_eq!(done.bytes_state, 400);
-        assert_eq!(done.bytes_total, 900);
-        assert_eq!(done.negotiation(), Some(Duration::from_micros(10)));
-        assert_eq!(done.transfer(), Some(Duration::from_micros(35)));
-        assert_eq!(done.restart(), Some(Duration::from_micros(15)));
-        assert_eq!(done.frozen_total(), Some(Duration::from_micros(60)));
-        assert_eq!(done.forwards, 2, "both residual messages credited");
-        assert_eq!(done.residual(), Some(Duration::from_micros(59)));
-
-        let rejected = &spans[1];
-        assert_eq!(rejected.pid, pid(2));
-        assert_eq!(rejected.outcome, MigrationOutcome::Rejected);
-        assert_eq!(rejected.ended, Some(t(22)));
-        assert_eq!(rejected.negotiation(), None);
-        assert_eq!(rejected.frozen_total(), None);
-
-        let aborted = &spans[2];
-        assert_eq!(aborted.pid, pid(1));
-        assert_eq!(aborted.outcome, MigrationOutcome::Aborted);
-        assert_eq!(aborted.ended, Some(t(260)));
-        assert_eq!(aborted.forwards, 0, "earlier residuals stay on span 1");
-    }
-
-    #[test]
-    fn duplicate_restarted_events_are_ignored() {
-        // The engine emits Restarted on both the kernel and engine paths;
-        // checkpoint restores add more. Only an open lifecycle absorbs one.
-        let mut tr = Trace::enabled();
-        tr.extend(
-            t(5),
-            MachineId(1),
-            [mig(pid(1), MigrationPhase::Restarted, 0)],
-        );
-        tr.extend(
-            t(10),
-            MachineId(0),
-            [mig(pid(1), MigrationPhase::Frozen, 0)],
-        );
-        tr.extend(
-            t(30),
-            MachineId(1),
-            [mig(pid(1), MigrationPhase::Restarted, 0)],
-        );
-        tr.extend(
-            t(31),
-            MachineId(1),
-            [mig(pid(1), MigrationPhase::Restarted, 0)],
-        );
-        let spans = migration_spans_of(&tr);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].restarted, Some(t(30)));
-        assert_eq!(spans[0].outcome, MigrationOutcome::Completed);
-    }
-
-    #[test]
-    fn phase_histograms_aggregate_completed_spans() {
-        let spans = migration_spans_of(&migration_trace());
-        let h = phase_histograms(&spans);
-        assert_eq!(h.total.count(), 1);
-        assert_eq!(h.negotiation.count(), 1);
-        assert_eq!(h.transfer.count(), 1);
-        assert_eq!(h.restart.count(), 1);
-        assert_eq!(h.residual.count(), 1);
-        assert_eq!(h.bytes.count(), 1);
-        assert_eq!(h.total.max(), 60);
-        assert_eq!(h.bytes.max(), 900);
     }
 }

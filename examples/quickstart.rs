@@ -79,9 +79,8 @@ fn main() {
         fwd.get(&pb).map(|e| e.to).unwrap()
     );
 
-    // The eight steps of §3.1, reconstructed from the trace.
-    println!("\nmigration timeline (§3.1):");
-    for report in demos_mp::sim::migrations_of(cluster.trace(), pb) {
-        print!("{}", demos_mp::sim::render(&report));
-    }
+    // The eight steps of §3.1, stitched from the trace and priced per
+    // phase: the `demos-top` phase panel's row for pb.
+    println!();
+    print!("{}", cluster.phase_report());
 }

@@ -7,10 +7,10 @@
 //! pending-queue gauge must show the held messages of §3.1 step 6 —
 //! rising while the process is frozen, back to zero once it restarts.
 
-use demos_kernel::TraceEvent;
-use demos_sim::prelude::*;
-use demos_sim::programs::{self, PingPong};
-use demos_sim::spans_of;
+use demos_mp::obs::recorder::parse_dump;
+use demos_mp::sim::prelude::*;
+use demos_mp::sim::programs::{self, PingPong};
+use demos_mp::sim::{spans_of, DEFAULT_RECORDER_CAPACITY};
 
 fn m(i: u16) -> MachineId {
     MachineId(i)
@@ -163,8 +163,8 @@ fn recorder_dump_is_byte_deterministic() {
     // Same seed, same capacity, two independent clusters: the black box
     // must be byte-identical — the property that makes repro-*.flight
     // artifacts and E16's phase-cost table trustworthy.
-    let a = scenario_dump(demos_sim::DEFAULT_RECORDER_CAPACITY);
-    let b = scenario_dump(demos_sim::DEFAULT_RECORDER_CAPACITY);
+    let a = scenario_dump(DEFAULT_RECORDER_CAPACITY);
+    let b = scenario_dump(DEFAULT_RECORDER_CAPACITY);
     assert!(!a.is_empty());
     assert_eq!(a, b, "recorder dumps diverged across identical runs");
 }
@@ -172,7 +172,7 @@ fn recorder_dump_is_byte_deterministic() {
 #[test]
 fn recorder_ring_wraps_at_tiny_capacity() {
     let dump = scenario_dump(8);
-    let nodes = demos_obs::recorder::parse_dump(&dump).expect("dump parses");
+    let nodes = parse_dump(&dump).expect("dump parses");
     assert_eq!(nodes.len(), 3, "one section per machine");
     for d in &nodes {
         assert_eq!(d.capacity, 8);

@@ -6,7 +6,10 @@
 //!   gives, and a cleared trace starts it over;
 //! * the streamed record renderer — `Trace::fingerprint`,
 //!   `trace_json_lines` and the teed pass that produces both must be
-//!   byte-identical to the `format!`-per-record formulas they replaced.
+//!   byte-identical to the `format!`-per-record formulas they replaced;
+//! * the migration-phase views — `phase_json_lines`, `phase_report` and
+//!   the recorder dump's `PhaseTable` — against digests pinned in
+//!   `tests/views/PHASE_DIGESTS.txt`.
 //!
 //! Traces come from real runs: every committed corpus and distilled seed,
 //! plus ablation runs (`no-forwarding`, `no-recovery`) that end in a
@@ -16,6 +19,7 @@ use std::path::{Path, PathBuf};
 
 use demos_chaos::{run_cluster, trace_json_lines, RunConfig, Scenario};
 use demos_kernel::{TraceEvent, TraceRecord};
+use demos_obs::recorder::{merge, parse_dump, PhaseTable};
 use demos_obs::DeliveryLedger;
 use demos_sim::span::{ledger_of, LedgerFold};
 use demos_sim::{Cluster, Trace};
@@ -39,7 +43,8 @@ fn finished_runs() -> Vec<(String, Cluster)> {
                 Scenario::from_corpus(&text).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
             let (report, cluster) = run_cluster(&sc, &RunConfig::default());
             assert!(report.passed(), "{}: {:?}", p.display(), report.violation);
-            runs.push((p.display().to_string(), cluster));
+            let name = p.strip_prefix(&root).unwrap_or(&p).display().to_string();
+            runs.push((name, cluster));
         }
     }
     assert!(runs.len() >= 59, "the whole committed corpus was replayed");
@@ -255,4 +260,43 @@ fn streamed_renderings_match_the_format_reference_on_awkward_text() {
         )
     );
     assert!(lines.contains("é → end"), "non-ASCII is copied verbatim");
+}
+
+// ------------------------------------------------------------------
+// Migration-phase views: pinned digests.
+// ------------------------------------------------------------------
+
+/// FNV-1a over a rendered view.
+fn digest(text: &str) -> u64 {
+    text.bytes().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+#[test]
+fn migration_phase_views_match_their_pinned_digests() {
+    let (mut completed, mut failed) = (0, 0);
+    let mut got = String::new();
+    for (name, cluster) in finished_runs() {
+        let records = merge(&parse_dump(&cluster.recorder_dump()).expect("own dump parses"));
+        let table = PhaseTable::from_records(&records);
+        (completed, failed) = (completed + table.completed, failed + table.failed);
+        got.push_str(&format!(
+            "{:016x} {:016x} {:016x} {name}\n",
+            digest(&cluster.phase_json_lines()),
+            digest(&cluster.phase_report()),
+            digest(&table.render()),
+        ));
+    }
+    assert!(
+        completed > 0 && failed > 0,
+        "completed ({completed}) and rejected/aborted ({failed}) migrations are in play"
+    );
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/views/PHASE_DIGESTS.txt");
+    let want = std::fs::read_to_string(&path).unwrap_or_default();
+    assert!(
+        got == want,
+        "phase views differ from {}; they render now as:\n{got}",
+        path.display()
+    );
 }
