@@ -6,6 +6,8 @@
 //! these events (administrative message counts, forwarding overhead,
 //! link-update convergence, migration step timings).
 
+use std::io::Write as _;
+
 use demos_types::{CorrId, MachineId, ProcessId, Time};
 
 /// One traced kernel event.
@@ -169,6 +171,154 @@ impl TraceEvent {
             | TraceEvent::ForwardingCollected { .. }
             | TraceEvent::MoveDataDone { .. }
             | TraceEvent::Log { .. } => None,
+        }
+    }
+}
+
+/// Append each field's `Debug` text (`TraceEvent::write_text`).
+trait Text {
+    fn put(&self, out: &mut Vec<u8>);
+}
+
+/// Append `n` in decimal, as `{n}` writes it.
+pub fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+macro_rules! decimal_text {
+    ($($int:ty),+) => {$(
+        impl Text for $int {
+            fn put(&self, out: &mut Vec<u8>) {
+                push_decimal(out, *self as u64);
+            }
+        }
+    )+};
+}
+
+decimal_text!(u8, u16, u32, u64, usize);
+
+impl Text for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(if *self { b"true" } else { b"false" });
+    }
+}
+
+impl Text for MachineId {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(b'm');
+        self.0.put(out);
+    }
+}
+
+impl Text for ProcessId {
+    fn put(&self, out: &mut Vec<u8>) {
+        if self.is_kernel() {
+            out.extend_from_slice(b"kernel(");
+            self.creating_machine.put(out);
+            out.push(b')');
+        } else {
+            out.push(b'p');
+            self.creating_machine.0.put(out);
+            out.push(b'.');
+            self.local_uid.put(out);
+        }
+    }
+}
+
+impl Text for CorrId {
+    fn put(&self, out: &mut Vec<u8>) {
+        if self.is_none() {
+            out.extend_from_slice(b"corr:-");
+        } else {
+            out.extend_from_slice(b"corr:m");
+            self.machine().0.put(out);
+            out.push(b'/');
+            self.seq().put(out);
+        }
+    }
+}
+
+impl Text for MigrationPhase {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(match self {
+            MigrationPhase::Frozen => b"Frozen",
+            MigrationPhase::Offered => b"Offered",
+            MigrationPhase::Allocated => b"Allocated",
+            MigrationPhase::Rejected => b"Rejected",
+            MigrationPhase::StateTransferred => b"StateTransferred",
+            MigrationPhase::ImageTransferred => b"ImageTransferred",
+            MigrationPhase::PendingForwarded => b"PendingForwarded",
+            MigrationPhase::CleanedUp => b"CleanedUp",
+            MigrationPhase::Restarted => b"Restarted",
+            MigrationPhase::Aborted => b"Aborted",
+        });
+    }
+}
+
+/// Free text keeps `str`'s `Debug` quoting and escaping, which is the
+/// one thing not rewritten here.
+impl Text for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "{self:?}");
+    }
+}
+
+/// One `match` arm per variant, each writing the derived `Debug` text
+/// `Variant { field: value, … }`. The arms bind every field by name and
+/// there is no `_`, so a new variant or field fails to compile here.
+macro_rules! variant_text {
+    ($event:expr, $out:ident, $($variant:ident { $first:ident $(, $field:ident)* }),+ $(,)?) => {
+        match $event {
+            $(TraceEvent::$variant { $first $(, $field)* } => {
+                $out.extend_from_slice(
+                    concat!(stringify!($variant), " { ", stringify!($first), ": ").as_bytes(),
+                );
+                $first.put($out);
+                $(
+                    $out.extend_from_slice(concat!(", ", stringify!($field), ": ").as_bytes());
+                    $field.put($out);
+                )*
+                $out.extend_from_slice(b" }");
+            })+
+        }
+    };
+}
+
+impl TraceEvent {
+    /// Append exactly what `format!("{self:?}")` gives to `out`, without
+    /// going through `core::fmt` for anything but the `String` fields of
+    /// `Spawned` and `Log`. The trace fingerprint and the JSON-lines
+    /// export render every record through this; the derived `Debug` stays
+    /// as the reference it is tested against.
+    pub fn write_text(&self, out: &mut Vec<u8>) {
+        variant_text! {
+            self,
+            out,
+            Spawned { pid, program },
+            Exited { pid },
+            Submitted { corr, dest, msg_type },
+            Enqueued { corr, pid, msg_type, forwarded, hops },
+            KernelReceived { corr, pid, msg_type },
+            ForwardedMessage { corr, pid, to, msg_type },
+            LinkUpdateSent { corr, sender, migrated, new_machine },
+            LinkUpdateApplied { corr, sender, migrated, patched },
+            NonDeliverable { corr, pid, msg_type },
+            Migration { pid, phase, bytes },
+            ForwardingInstalled { pid, to },
+            ForwardingCollected { pid },
+            MoveDataDone { op, bytes, status },
+            Log { pid, text },
         }
     }
 }

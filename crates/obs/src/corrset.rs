@@ -19,8 +19,17 @@ use demos_types::CorrId;
 pub enum DeliveryEvent {
     /// Stamped and entered the delivery system.
     Submitted,
-    /// Reached a process queue or the kernel.
+    /// Reached the kernel.
     Delivered,
+    /// Reached a process queue after `hops` forwarding hops. §3.1 step 6
+    /// re-homes a frozen process's pending messages without a forward
+    /// event of their own but one hop further, so an `Enqueued` with more
+    /// hops than the id's last one counts as a `Forwarded` and then a
+    /// delivery; with equal hops it is a second delivery.
+    Enqueued {
+        /// Forwarding hops the message took.
+        hops: u8,
+    },
     /// Resubmitted along a forwarding address (§4); the next delivery is
     /// a re-delivery of the same message, not a duplicate.
     Forwarded,
@@ -34,6 +43,8 @@ struct CorrState {
     deliveries: u32,
     deliveries_since_forward: u32,
     failed: bool,
+    /// Hop count of the latest `Enqueued`.
+    last_hops: Option<u8>,
 }
 
 /// Per-[`CorrId`] delivery accounting. Feed it every traced event (in
@@ -56,7 +67,13 @@ impl DeliveryLedger {
         let st = self.per.entry(corr).or_default();
         match ev {
             DeliveryEvent::Submitted => st.submitted = true,
-            DeliveryEvent::Delivered => {
+            DeliveryEvent::Delivered | DeliveryEvent::Enqueued { .. } => {
+                if let DeliveryEvent::Enqueued { hops } = ev {
+                    if st.last_hops.is_some_and(|h| hops > h) {
+                        st.deliveries_since_forward = 0;
+                    }
+                    st.last_hops = Some(hops);
+                }
                 st.deliveries += 1;
                 st.deliveries_since_forward += 1;
                 if st.deliveries_since_forward > 1 {
@@ -161,6 +178,19 @@ mod tests {
         assert!(l.duplicates().is_empty());
         // A second delivery with no forward in between IS a duplicate.
         l.record(c(1), DeliveryEvent::Delivered);
+        assert_eq!(l.duplicates(), vec![c(1)]);
+    }
+
+    #[test]
+    fn enqueued_with_more_hops_is_a_rehome() {
+        let mut l = DeliveryLedger::new();
+        l.record(c(1), DeliveryEvent::Submitted);
+        l.record(c(1), DeliveryEvent::Enqueued { hops: 0 });
+        // Re-homed one hop further (§3.1 step 6): not a duplicate.
+        l.record(c(1), DeliveryEvent::Enqueued { hops: 1 });
+        assert!(l.duplicates().is_empty());
+        // The same hop count again is.
+        l.record(c(1), DeliveryEvent::Enqueued { hops: 1 });
         assert_eq!(l.duplicates(), vec![c(1)]);
     }
 

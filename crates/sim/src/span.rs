@@ -226,14 +226,13 @@ pub fn spans_of(trace: &Trace) -> Vec<Span> {
 /// * §3.1 step 6 re-homes messages pending on a frozen process's queue
 ///   *silently* (no per-message forward event), but increments the
 ///   message's hop count. A second `Enqueued` with strictly greater
-///   `hops` is therefore a legitimate re-home, and a synthetic
-///   `Forwarded` is fed to the ledger; equal hops means the kernel
-///   really delivered the same message twice.
+///   `hops` is therefore a legitimate re-home; equal hops means the
+///   kernel really delivered the same message twice. The ledger keeps
+///   each id's last hop count beside its other state
+///   ([`DeliveryEvent::Enqueued`]), so a record costs one map lookup.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LedgerFold {
     ledger: DeliveryLedger,
-    /// Hop count of each message's latest `Enqueued` (re-home detection).
-    last_hops: BTreeMap<CorrId, u8>,
     /// Records of the trace already folded.
     cursor: usize,
 }
@@ -267,12 +266,7 @@ impl LedgerFold {
                     DeliveryEvent::Submitted
                 }
                 TraceEvent::Enqueued { msg_type, hops, .. } if msg_type >= tags::USER_BASE => {
-                    let rehomed = self.last_hops.get(&corr).is_some_and(|&h| hops > h);
-                    if rehomed {
-                        self.ledger.record(corr, DeliveryEvent::Forwarded);
-                    }
-                    self.last_hops.insert(corr, hops);
-                    DeliveryEvent::Delivered
+                    DeliveryEvent::Enqueued { hops }
                 }
                 TraceEvent::KernelReceived { msg_type, .. } if msg_type >= tags::USER_BASE => {
                     DeliveryEvent::Delivered

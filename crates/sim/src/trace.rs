@@ -5,8 +5,7 @@
 //! paper's numbers from this log: administrative message counts, per-step
 //! migration timings, forwarding overhead and link-update convergence.
 
-use std::fmt::{self, Write as _};
-
+use demos_kernel::trace::push_decimal;
 use demos_kernel::{MigrationPhase, TraceEvent, TraceRecord};
 use demos_types::{MachineId, ProcessId, Time};
 
@@ -116,13 +115,11 @@ impl Trace {
 
     /// A compact deterministic fingerprint of the whole log, used by the
     /// replay-determinism property tests: FNV-1a over the bytes of
-    /// `{at}|{machine}|{event:?}`, record after record. The bytes are
-    /// hashed as `Debug` produces them — no record is rendered into a
-    /// `String` first.
+    /// `{at}|{machine}|{event:?}`, record after record. Each record's line
+    /// is written as bytes by [`TraceEvent::write_text`] and hashed once
+    /// it is complete.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = Fnv1a::default();
-        self.render(Some(&mut hash), None);
-        hash.0
+        self.render(None)
     }
 
     /// The log as JSON lines, one
@@ -130,97 +127,81 @@ impl Trace {
     /// in order. Escaped are `"`, `\`, `\n`, `\t` and the other bytes
     /// below 0x20 (`\u00XX`); everything else is copied as it is.
     pub fn json_lines(&self) -> String {
-        let mut out = String::new();
-        self.render(None, Some(&mut out));
-        out
+        self.fingerprint_and_json_lines().1
     }
 
     /// [`fingerprint`](Trace::fingerprint) and
-    /// [`json_lines`](Trace::json_lines) from one pass: each event's
-    /// `Debug` text — the expensive part both share — is produced once
-    /// and teed into the two sinks.
+    /// [`json_lines`](Trace::json_lines) from one pass: each record's
+    /// line is written once and serves both.
     pub fn fingerprint_and_json_lines(&self) -> (u64, String) {
-        let (mut hash, mut out) = (Fnv1a::default(), String::new());
-        self.render(Some(&mut hash), Some(&mut out));
-        (hash.0, out)
+        let mut out = Vec::with_capacity(self.records.len() * EXPORT_BYTES_PER_RECORD);
+        let hash = self.render(Some(&mut out));
+        let out = String::from_utf8(out).expect("every byte is ASCII or from a `str`'s `Debug`");
+        (hash, out)
     }
 
-    /// The one record renderer. Each sink gets its own envelope; the
-    /// event's `Debug` goes through [`EventSink`] to whichever are there.
-    fn render(&self, mut hash: Option<&mut Fnv1a>, mut json: Option<&mut String>) {
-        // Neither sink can fail, so the `fmt::Result`s carry nothing.
+    /// The one record renderer: for each record, write the line
+    /// `{at}|{machine}|{event:?}` into one reused buffer, fold it into
+    /// the FNV-1a hash it returns, and, if asked, append the record's
+    /// export object to `json`.
+    fn render(&self, mut json: Option<&mut Vec<u8>>) -> u64 {
+        let mut hash: u64 = 0xcbf29ce484222325;
+        let mut line = Vec::with_capacity(256);
         for r in &self.records {
-            let (at, machine) = (r.at.as_micros(), r.machine.0);
-            if let Some(h) = hash.as_deref_mut() {
-                let _ = write!(h, "{at}|{machine}|");
+            line.clear();
+            push_decimal(&mut line, r.at.as_micros());
+            let at_end = line.len();
+            line.push(b'|');
+            push_decimal(&mut line, u64::from(r.machine.0));
+            let machine_end = line.len();
+            line.push(b'|');
+            r.event.write_text(&mut line);
+            for &b in &line {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x100000001b3);
             }
             if let Some(out) = json.as_deref_mut() {
-                let _ = write!(out, "{{\"at\":{at},\"machine\":{machine},\"event\":\"");
-            }
-            let mut sink = EventSink {
-                hash: hash.as_deref_mut(),
-                json: json.as_deref_mut(),
-            };
-            let _ = write!(sink, "{:?}", r.event);
-            if let Some(out) = json.as_deref_mut() {
-                out.push_str("\"}\n");
+                out.extend_from_slice(b"{\"at\":");
+                out.extend_from_slice(&line[..at_end]);
+                out.extend_from_slice(b",\"machine\":");
+                out.extend_from_slice(&line[at_end + 1..machine_end]);
+                out.extend_from_slice(b",\"event\":\"");
+                push_escaped(out, &line[machine_end + 1..]);
+                out.extend_from_slice(b"\"}\n");
             }
         }
+        hash
     }
 }
 
-/// FNV-1a over the bytes written to it.
-struct Fnv1a(u64);
+/// Bytes of export reserved per record. Lines average about 104 B; 110
+/// holds the largest `fault_sweep` export without a regrowth, and both
+/// smaller and larger reserves raise its peak heap (DESIGN.md §10).
+const EXPORT_BYTES_PER_RECORD: usize = 110;
 
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf29ce484222325)
+/// Append `text` JSON-string-escaped. Text with nothing to escape — all
+/// but the quoted strings of `Spawned` and `Log` — is copied as is.
+fn push_escaped(out: &mut Vec<u8>, text: &[u8]) {
+    let special = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+    if !text.iter().any(|&b| special(b)) {
+        out.extend_from_slice(text);
+        return;
     }
-}
-
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
-        }
-        Ok(())
-    }
-}
-
-/// Where an event's `Debug` text goes: hashed, and/or JSON-string-escaped
-/// onto the end of the export.
-struct EventSink<'a> {
-    hash: Option<&'a mut Fnv1a>,
-    json: Option<&'a mut String>,
-}
-
-impl fmt::Write for EventSink<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        if let Some(h) = self.hash.as_deref_mut() {
-            h.write_str(s)?;
-        }
-        let Some(out) = self.json.as_deref_mut() else {
-            return Ok(());
-        };
-        // Every escaped byte is ASCII, so cutting `s` at one is a
-        // character boundary and multi-byte characters pass untouched.
-        let mut done = 0;
-        for (i, b) in s.bytes().enumerate() {
-            if b >= 0x20 && b != b'"' && b != b'\\' {
-                continue;
+    // Every escaped byte is ASCII, so multi-byte characters pass
+    // untouched.
+    for &b in text {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b if b < 0x20 => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 0xf)]);
             }
-            out.push_str(&s[done..i]);
-            done = i + 1;
-            match b {
-                b'"' => out.push_str("\\\""),
-                b'\\' => out.push_str("\\\\"),
-                b'\n' => out.push_str("\\n"),
-                b'\t' => out.push_str("\\t"),
-                _ => write!(out, "\\u{b:04x}")?,
-            }
+            b => out.push(b),
         }
-        out.push_str(&s[done..]);
-        Ok(())
     }
 }
 
@@ -289,21 +270,17 @@ mod tests {
     }
 
     #[test]
-    fn json_sink_escapes_raw_specials_and_copies_the_rest() {
-        // Derived `Debug` never hands the sink a raw control character, so
-        // that half of the escape table is only reachable directly.
-        let (mut hash, mut out) = (Fnv1a::default(), String::new());
-        let mut sink = EventSink {
-            hash: Some(&mut hash),
-            json: Some(&mut out),
-        };
-        sink.write_str("a\"b\\c\nd\te\u{1}f\u{1f}é→").unwrap();
-        sink.write_str("").unwrap();
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001f\\u001fé→");
-        // The hash side saw the text as written, not as escaped.
-        let mut plain = Fnv1a::default();
-        plain.write_str("a\"b\\c\nd\te\u{1}f\u{1f}é→").unwrap();
-        assert_eq!(hash.0, plain.0);
+    fn export_escapes_raw_specials_and_copies_the_rest() {
+        // Derived `Debug` never hands the escape a raw control character,
+        // so that half of its table is only reachable directly.
+        let mut out = Vec::new();
+        push_escaped(&mut out, "a\"b\\c\nd\te\u{1}f\u{1f}é→".as_bytes());
+        push_escaped(&mut out, b"");
+        push_escaped(&mut out, "plain é→".as_bytes());
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "a\\\"b\\\\c\\nd\\te\\u0001f\\u001fé→plain é→"
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Self-requested migration (§3.1): a process asks the process manager to
 //! move it, repeatedly, and hops around the cluster while computing.
 
-use demos_sim::boot::{boot_system, BootConfig};
-use demos_sim::prelude::*;
-use demos_sim::programs::{nomad_stats, Nomad};
+use demos_mp::sim::boot::{boot_system, BootConfig};
+use demos_mp::sim::prelude::*;
+use demos_mp::sim::programs::{nomad_stats, Nomad};
 
 #[test]
 fn nomad_hops_the_cluster_by_its_own_request() {

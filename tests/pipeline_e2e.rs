@@ -2,8 +2,8 @@
 //! links; migrating a middle stage must not lose or duplicate a token —
 //! the "processes cooperating in a computation" of §3.1.
 
-use demos_sim::prelude::*;
-use demos_sim::programs::{stage_processed, Stage};
+use demos_mp::sim::prelude::*;
+use demos_mp::sim::programs::{stage_processed, Stage};
 
 fn m(i: u16) -> MachineId {
     MachineId(i)

@@ -4,9 +4,10 @@
 //! * the delivery ledger as a resumable fold (`LedgerFold`) — advanced in
 //!   pieces it must give what one `ledger_of` pass over the whole trace
 //!   gives, and a cleared trace starts it over;
-//! * the streamed record renderer — `Trace::fingerprint`,
-//!   `trace_json_lines` and the teed pass that produces both must be
-//!   byte-identical to the `format!`-per-record formulas they replaced;
+//! * the record renderer — `TraceEvent::write_text` must write what the
+//!   derived `Debug` writes, and `Trace::fingerprint`, `trace_json_lines`
+//!   and the one pass that produces both must be byte-identical to the
+//!   `format!`-per-record formulas they replaced;
 //! * the migration-phase views — `phase_json_lines`, `phase_report` and
 //!   the recorder dump's `PhaseTable` — against digests pinned in
 //!   `tests/views/PHASE_DIGESTS.txt`.
@@ -14,16 +15,19 @@
 //! Traces come from real runs: every committed corpus and distilled seed,
 //! plus ablation runs (`no-forwarding`, `no-recovery`) that end in a
 //! violation, so ledgers with failed and undelivered ids are covered too.
+//! The renderer is also held to the reference on the 64 scenarios the
+//! `fault_sweep` benchmark workload runs, and on a table of every event
+//! variant at boundary values.
 
 use std::path::{Path, PathBuf};
 
 use demos_chaos::{run_cluster, trace_json_lines, RunConfig, Scenario};
-use demos_kernel::{TraceEvent, TraceRecord};
+use demos_kernel::{MigrationPhase, TraceEvent, TraceRecord};
 use demos_obs::recorder::{merge, parse_dump, PhaseTable};
 use demos_obs::DeliveryLedger;
 use demos_sim::span::{ledger_of, LedgerFold};
 use demos_sim::{Cluster, Trace};
-use demos_types::{MachineId, ProcessId, Time};
+use demos_types::{CorrId, MachineId, ProcessId, Time};
 
 /// Finished runs to take traces from: the committed corpus, and the
 /// first few violating seeds of each ablation.
@@ -220,6 +224,204 @@ fn streamed_renderings_match_the_format_reference_on_real_traces() {
         assert!(!cluster.trace().is_empty(), "{name}: traced");
         assert_renders_like_the_reference(cluster.trace(), &name);
     }
+    // The scenarios the `fault_sweep` benchmark workload generates.
+    for seed in 0..64 {
+        let (what, sc) = if seed % 2 == 0 {
+            ("generate", Scenario::generate(seed))
+        } else {
+            ("generate_recovery", Scenario::generate_recovery(seed))
+        };
+        let (_, cluster) = run_cluster(&sc, &RunConfig::default());
+        assert!(!cluster.trace().is_empty(), "{what} seed {seed}: traced");
+        assert_renders_like_the_reference(cluster.trace(), &format!("{what} seed {seed}"));
+    }
+}
+
+/// Every migration phase. The `match` fails to compile when a phase is
+/// added, and the assertion fails until it is listed here.
+fn every_phase() -> Vec<MigrationPhase> {
+    use MigrationPhase::*;
+    let phases = vec![
+        Frozen,
+        Offered,
+        Allocated,
+        Rejected,
+        StateTransferred,
+        ImageTransferred,
+        PendingForwarded,
+        CleanedUp,
+        Restarted,
+        Aborted,
+    ];
+    let ordinal = |p: MigrationPhase| match p {
+        Frozen => 0,
+        Offered => 1,
+        Allocated => 2,
+        Rejected => 3,
+        StateTransferred => 4,
+        ImageTransferred => 5,
+        PendingForwarded => 6,
+        CleanedUp => 7,
+        Restarted => 8,
+        Aborted => 9,
+    };
+    let seen: Vec<usize> = phases.iter().map(|&p| ordinal(p)).collect();
+    assert_eq!(seen, (0..10).collect::<Vec<_>>(), "every phase, once");
+    phases
+}
+
+/// Which variant an event is; the `match` names all of them.
+fn variant_ordinal(e: &TraceEvent) -> usize {
+    match e {
+        TraceEvent::Spawned { .. } => 0,
+        TraceEvent::Exited { .. } => 1,
+        TraceEvent::Submitted { .. } => 2,
+        TraceEvent::Enqueued { .. } => 3,
+        TraceEvent::KernelReceived { .. } => 4,
+        TraceEvent::ForwardedMessage { .. } => 5,
+        TraceEvent::LinkUpdateSent { .. } => 6,
+        TraceEvent::LinkUpdateApplied { .. } => 7,
+        TraceEvent::NonDeliverable { .. } => 8,
+        TraceEvent::Migration { .. } => 9,
+        TraceEvent::ForwardingInstalled { .. } => 10,
+        TraceEvent::ForwardingCollected { .. } => 11,
+        TraceEvent::MoveDataDone { .. } => 12,
+        TraceEvent::Log { .. } => 13,
+    }
+}
+
+#[test]
+fn every_variant_writes_its_debug_text_at_boundary_values() {
+    let top = MachineId(u16::MAX);
+    let kernel = ProcessId::kernel_of(top);
+    let zero_kernel = ProcessId::kernel_of(MachineId(0));
+    let pid = ProcessId {
+        creating_machine: top,
+        local_uid: u32::MAX,
+    };
+    let low = ProcessId {
+        creating_machine: MachineId(0),
+        local_uid: 1,
+    };
+    let (none, max) = (CorrId::NONE, CorrId(u64::MAX));
+    let awkward = "quote \" backslash \\ nl \n cr \r tab \t nul \0 del \u{7f} \u{1}\u{1f} \
+                   apostrophe ' é → \u{301} \u{200b} \u{10ffff}";
+    let mut events = vec![
+        TraceEvent::Spawned {
+            pid,
+            program: awkward.to_string(),
+        },
+        TraceEvent::Spawned {
+            pid: kernel,
+            program: String::new(),
+        },
+        TraceEvent::Exited { pid: zero_kernel },
+        TraceEvent::Submitted {
+            corr: none,
+            dest: kernel,
+            msg_type: u16::MAX,
+        },
+        TraceEvent::Enqueued {
+            corr: max,
+            pid,
+            msg_type: 0,
+            forwarded: true,
+            hops: u8::MAX,
+        },
+        TraceEvent::Enqueued {
+            corr: none,
+            pid: low,
+            msg_type: u16::MAX,
+            forwarded: false,
+            hops: 0,
+        },
+        TraceEvent::KernelReceived {
+            corr: max,
+            pid: kernel,
+            msg_type: u16::MAX,
+        },
+        TraceEvent::ForwardedMessage {
+            corr: none,
+            pid,
+            to: top,
+            msg_type: 0,
+        },
+        TraceEvent::LinkUpdateSent {
+            corr: max,
+            sender: kernel,
+            migrated: pid,
+            new_machine: top,
+        },
+        TraceEvent::LinkUpdateApplied {
+            corr: none,
+            sender: pid,
+            migrated: zero_kernel,
+            patched: usize::MAX,
+        },
+        TraceEvent::NonDeliverable {
+            corr: max,
+            pid: kernel,
+            msg_type: u16::MAX,
+        },
+        TraceEvent::ForwardingInstalled { pid, to: top },
+        TraceEvent::ForwardingCollected { pid: kernel },
+        TraceEvent::MoveDataDone {
+            op: u16::MAX,
+            bytes: u64::MAX,
+            status: u8::MAX,
+        },
+        TraceEvent::MoveDataDone {
+            op: 0,
+            bytes: 0,
+            status: 0,
+        },
+        TraceEvent::Log {
+            pid: kernel,
+            text: awkward.to_string(),
+        },
+        TraceEvent::Log {
+            pid: low,
+            text: "\"\\\u{0}".to_string(),
+        },
+    ];
+    events.extend(
+        every_phase()
+            .into_iter()
+            .map(|phase| TraceEvent::Migration {
+                pid,
+                phase,
+                bytes: u64::MAX,
+            }),
+    );
+
+    let mut seen: Vec<usize> = events.iter().map(variant_ordinal).collect();
+    seen.sort();
+    seen.dedup();
+    assert_eq!(
+        seen,
+        (0..14).collect::<Vec<_>>(),
+        "every variant is in the table"
+    );
+
+    for event in &events {
+        let mut text = vec![b'>'];
+        event.write_text(&mut text);
+        assert_eq!(
+            String::from_utf8(text).expect("UTF-8"),
+            format!(">{event:?}"),
+            "appended after what is there"
+        );
+    }
+    let mut trace = Trace::enabled();
+    for (i, event) in events.iter().enumerate() {
+        let (at, machine) = if i % 2 == 0 {
+            (Time::from_micros(u64::MAX), top)
+        } else {
+            (Time::from_micros(0), MachineId(0))
+        };
+        trace.extend(at, machine, [event.clone()]);
+    }
+    assert_renders_like_the_reference(&trace, "boundary table");
 }
 
 #[test]
