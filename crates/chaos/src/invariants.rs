@@ -22,6 +22,7 @@
 //! duplicates; the network never does), and class totals summing to the
 //! whole.
 
+use demos_core::Ownership;
 use demos_kernel::LinkAttrsExt;
 use demos_sim::cluster::Cluster;
 use demos_sim::programs::{cargo_received, client_stats, pingpong_rallies};
@@ -320,9 +321,10 @@ impl Checker {
     }
 
     /// Process-state conservation. Mid-migration the image legitimately
-    /// exists on two machines (source until cleanup, destination from
-    /// install), so two copies are tolerated while any migration engine
-    /// has state in flight; `strict` (quiescence) demands exactly one.
+    /// exists on two machines: frozen at its source (`Offered`) until
+    /// cleanup, and held at its destination (`Installed`) from the install.
+    /// Two copies are tolerated only while this pid's engines say exactly
+    /// that; `strict` (quiescence) demands one.
     ///
     /// In recovery mode a watched process may be absent *mid-run* while
     /// some machine is down — it died with the crash and its re-home
@@ -332,17 +334,16 @@ impl Checker {
     /// tolerated — a re-home that duplicates a live process is a bug in
     /// any mode.
     fn check_conservation(&self, c: &Cluster, strict: bool) -> Option<Violation> {
-        let migrations_in_flight: usize = (0..c.len() as u16)
-            .filter(|&m| !c.is_crashed(MachineId(m)))
-            .map(|m| c.node(MachineId(m)).engine.in_flight())
-            .sum();
+        let live = || {
+            (0..c.len() as u16)
+                .map(MachineId)
+                .filter(|&m| !c.is_crashed(m))
+        };
+        let held = |pid, state| live().any(|m| c.node(m).engine.ownership(pid) == Some(state));
         let any_crashed = (0..c.len() as u16).any(|m| c.is_crashed(MachineId(m)));
         for &pid in &self.watched {
-            let count = (0..c.len() as u16)
-                .filter(|&m| {
-                    !c.is_crashed(MachineId(m))
-                        && c.node(MachineId(m)).kernel.process(pid).is_some()
-                })
+            let count = live()
+                .filter(|&m| c.node(m).kernel.process(pid).is_some())
                 .count();
             if count == 0 {
                 if self.recovery && !strict && any_crashed {
@@ -350,7 +351,9 @@ impl Checker {
                 }
                 return Some(Violation::ProcessVanished { pid });
             }
-            if count > 2 || (count == 2 && (strict || migrations_in_flight == 0)) {
+            let handing_over =
+                count == 2 && held(pid, Ownership::Offered) && held(pid, Ownership::Installed);
+            if count > 2 || (count == 2 && (strict || !handing_over)) {
                 return Some(Violation::ProcessMultiplied { pid, count });
             }
         }

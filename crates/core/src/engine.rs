@@ -19,30 +19,28 @@
 //! criteria". Timeouts abort half-done migrations and thaw the process at
 //! the source, so a crashed destination cannot wedge a process forever.
 //!
-//! # Two roles, explicit state
+//! # Ownership is a state
 //!
-//! A **destination** record (`incoming`, keyed by source machine and the
-//! source's context) is in one `DestPhase`: `Pulling(Resident)` →
-//! `Pulling(Swappable)` → `Pulling(Image)` → `Installed`. Only the
-//! completion of the outstanding pull advances it, and only an `Installed`
-//! record can commit.
+//! Every record names who holds its process ([`Ownership`], read by
+//! [`MigrationEngine::ownership`]), and one function per side moves it:
+//! `source_step` and `dest_step`, each one exhaustive `match (state,
+//! event)` that yields the next state or how the record settled. The entry
+//! points only decode an input and route it to the record its context, its
+//! sender and (where carried) its pid all name; an input that names no
+//! live record changes nothing.
 //!
-//! A **source** record (`outgoing`, keyed by the context minted here) has
-//! no phase beyond existing, from the freeze until it settles. After the
-//! offer the destination drives: its pulls are served by the kernel
-//! without consulting the engine, so the first pull — not `Accept`, which
-//! stays on the wire as message #3 and is handled by an empty arm — is the
-//! source's go-ahead, and nothing here would read a flag that recorded it.
+//! | source record (keyed by the context minted here) | `Accept` | `TransferComplete` | `Reject` · `Abort` · timeout · peer dead |
+//! |---|---|---|---|
+//! | `Offered`: frozen here; the only runnable copy | stays: the kernel serves the pulls, and the first is the go-ahead | steps 6–7 | thaws ([`SourceFail`]) |
 //!
-//! # Every ending, once
+//! | destination record (keyed by source and its context) | its pull completes | it fails | `CleanupDone` | `Abort` | timeout | source dead |
+//! |---|---|---|---|---|---|---|
+//! | `Pulling(stage)`: nothing installed | next stage; the image installs → `Installed` | fails, tells | fails, tells | fails | fails, tells | fails |
+//! | `Installed`: a held copy here; the source's frozen copy may still exist | stays | stays | commits | fails, kills | fails, kills, tells | commits |
 //!
-//! A message acts only on the record that its context, its sender and
-//! (where it carries one) its pid all name; "names no live record" and
-//! "wrong phase" are written-out cases that change nothing. A record
-//! leaves its map through exactly one of: `finish_outgoing` (steps 6–7),
-//! `fail_outgoing` (one of the four `SourceFail` causes), `restart` (the
-//! commit, step 8) or `fail_incoming`. DESIGN.md §2 tabulates what each
-//! cause traces, whom it tells and the `Done.status` it reports.
+//! A completion of another stage than the outstanding one changes nothing.
+//! DESIGN.md §2 tabulates what each ending traces, whom it tells and the
+//! `Done.status` it reports.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -140,25 +138,71 @@ pub struct MigrationStats {
 }
 
 /// The three data moves of §6, in the order the destination pulls them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Stage {
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Stage {
+    /// The resident state record.
     Resident,
+    /// The swappable state record.
     Swappable,
+    /// Code, data and stack.
     Image,
 }
 
-/// Where an incoming migration stands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DestPhase {
-    /// The pull of this stage is outstanding; nothing is installed yet.
+/// Who holds a process while its migration is in flight, as one machine's
+/// engine sees it ([`MigrationEngine::ownership`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Ownership {
+    /// Source: frozen here and offered. This is the only runnable copy.
+    Offered,
+    /// Destination: this stage's pull is outstanding; nothing is installed.
     Pulling(Stage),
+    /// Destination: a held copy is installed here; the source's frozen
+    /// copy may still exist.
+    Installed,
+}
+
+/// A source record's state: it has one, from the freeze until it settles.
+#[derive(Clone, Copy, Debug)]
+enum SourceState {
+    /// Frozen here and offered; this is the only runnable copy.
+    Offered,
+}
+
+/// A destination record's state.
+#[derive(Debug)]
+enum DestState {
+    /// A pull is outstanding and nothing is installed.
+    Pulling(Pull),
     /// The process is installed and held (`in_migration`) until the source
     /// confirms cleanup. From here a failure must destroy the copy.
     Installed,
 }
 
-/// Source-side record of an outgoing migration, keyed by its context.
+/// The outstanding pull, carrying the blobs pulled so far and the sizes
+/// the offer announced for the pulls still to start: `Resident(swappable_len,
+/// image_len)`, `Swappable(resident, image_len)`, `Image(resident,
+/// swappable)`. Each size is a reassembly buffer's: `image_len` is what
+/// `reserve_incoming` admitted, the state records are 16-bit on the wire.
 #[derive(Debug)]
+enum Pull {
+    Resident(u16, u32),
+    Swappable(Vec<u8>, u32),
+    Image(Vec<u8>, Vec<u8>),
+}
+
+impl DestState {
+    fn ownership(&self) -> Ownership {
+        match self {
+            DestState::Pulling(Pull::Resident(..)) => Ownership::Pulling(Stage::Resident),
+            DestState::Pulling(Pull::Swappable(..)) => Ownership::Pulling(Stage::Swappable),
+            DestState::Pulling(Pull::Image(..)) => Ownership::Pulling(Stage::Image),
+            DestState::Installed => Ownership::Installed,
+        }
+    }
+}
+
+/// Source-side record of an outgoing migration, keyed by its context.
+#[derive(Clone, Copy, Debug)]
 struct SourceMig {
     pid: ProcessId,
     dest: MachineId,
@@ -166,6 +210,7 @@ struct SourceMig {
     /// Reply link from the `MigrateRequest`, forwarded inside the offer so
     /// the destination can send `Done` (message #9).
     reply: Option<Link>,
+    state: SourceState,
 }
 
 /// Destination-side record of an incoming migration, keyed by
@@ -176,22 +221,25 @@ struct DestMig {
     slot: u16,
     started: Time,
     reply: Option<Link>,
-    phase: DestPhase,
-    resident: Vec<u8>,
-    swappable: Vec<u8>,
-    /// Sizes the offer announced for the two pulls still to start. Each
-    /// sizes its reassembly buffer: `image_len` is what
-    /// `reserve_incoming` admitted, the state records are 16-bit on the
-    /// wire.
-    swappable_len: u16,
-    image_len: u32,
     received: u64,
+    state: DestState,
 }
 
 type DestKey = (MachineId, u16);
 
+/// An input to a source record.
+#[derive(Clone, Copy, Debug)]
+enum SourceEvent {
+    /// Message #3: an acknowledgement only.
+    Accept,
+    /// Message #7: the destination installed its copy.
+    TransferComplete,
+    /// The attempt failed, for this cause.
+    Fail(SourceFail),
+}
+
 /// Why an outgoing migration failed. One row each of the source table in
-/// DESIGN.md §2; [`MigrationEngine::fail_outgoing`] is the only reader.
+/// DESIGN.md §2; `source_step` is the only reader.
 #[derive(Clone, Copy, Debug)]
 enum SourceFail {
     /// The destination refused the offer.
@@ -205,35 +253,47 @@ enum SourceFail {
 }
 
 impl SourceFail {
-    /// `Done.status` for the requester when no retry takes over.
-    fn status(self) -> u8 {
+    /// The cause's row: `Done.status` for the requester when no retry
+    /// takes over, the record traced after the thaw's own `Aborted`, and
+    /// whether to send `Abort` (the destination may still hold a record
+    /// that only that settles before its own timeout). The second
+    /// `Aborted` of peer death and the two empty trace cells are pinned by
+    /// every committed fingerprint: carried as data, not fixed here.
+    fn row(self) -> (u8, Option<MigrationPhase>, bool) {
         match self {
-            SourceFail::Rejected(reason) => 1 + reason as u8,
-            SourceFail::PeerAborted => 200,
-            SourceFail::TimedOut => 201,
-            SourceFail::PeerDead => 203,
+            SourceFail::Rejected(r) => (1 + r as u8, Some(MigrationPhase::Rejected), false),
+            SourceFail::PeerAborted => (200, None, false),
+            SourceFail::TimedOut => (201, None, true),
+            SourceFail::PeerDead => (203, Some(MigrationPhase::Aborted), false),
         }
     }
+}
 
-    /// The record traced after the thaw's own `Aborted`. The second
-    /// `Aborted` of peer death and the two empty rows are pinned by every
-    /// committed fingerprint: carried as data, not fixed here.
-    fn extra_trace(self) -> Option<MigrationPhase> {
-        match self {
-            SourceFail::Rejected(_) => Some(MigrationPhase::Rejected),
-            SourceFail::PeerAborted | SourceFail::TimedOut => None,
-            SourceFail::PeerDead => Some(MigrationPhase::Aborted),
-        }
-    }
+/// An input to a destination record.
+#[derive(Debug)]
+enum DestEvent {
+    /// The kernel finished this stage's pull: its bytes, or `None` on failure.
+    Pulled(Stage, Option<Vec<u8>>),
+    /// Message #8: the source has done steps 6–7.
+    CleanupDone,
+    /// The source abandoned the migration.
+    Abort,
+    /// No completion within `cfg.timeout`.
+    TimedOut,
+    /// The source was confirmed dead, or rebooted.
+    PeerDead,
+}
 
-    /// Whether the destination may still hold a record that only an
-    /// `Abort` from here will settle before its own timeout.
-    fn tells_dest(self) -> bool {
-        match self {
-            SourceFail::TimedOut => true,
-            SourceFail::Rejected(_) | SourceFail::PeerAborted | SourceFail::PeerDead => false,
-        }
-    }
+/// How a destination record settles.
+#[derive(Clone, Copy, Debug)]
+enum DestEnd {
+    /// Step 8: restart the installed copy, tell the requester. `echo`
+    /// repeats the kernel's `Restarted`, as the peer-death commit always
+    /// has (pinned like the trace cells of [`SourceFail::row`]).
+    Commit { echo: bool },
+    /// Free the reservation (a no-op once installed), destroy an installed
+    /// copy, tell the source unless it told us or is dead.
+    Fail { tell_source: bool },
 }
 
 /// Retry bookkeeping for one process whose outgoing migration aborted.
@@ -263,13 +323,7 @@ pub struct MigrationEngine {
 
 /// Cookie layout for kernel pulls: src machine ≪ 32 | ctx ≪ 8 | stage.
 fn cookie((src, ctx): DestKey, stage: Stage) -> u64 {
-    ((src.0 as u64) << 32)
-        | ((ctx as u64) << 8)
-        | match stage {
-            Stage::Resident => 0,
-            Stage::Swappable => 1,
-            Stage::Image => 2,
-        }
+    ((src.0 as u64) << 32) | ((ctx as u64) << 8) | stage as u64
 }
 
 fn uncookie(c: u64) -> (DestKey, Stage) {
@@ -303,9 +357,8 @@ impl<'a> Cx<'a> {
     }
 
     fn trace(&mut self, pid: ProcessId, phase: MigrationPhase, bytes: u64) {
-        self.out
-            .trace
-            .push(TraceEvent::Migration { pid, phase, bytes });
+        let event = TraceEvent::Migration { pid, phase, bytes };
+        self.out.trace.push(event);
     }
 
     /// Send a protocol message to `to`'s engine; `link` rides along (the
@@ -331,11 +384,7 @@ impl<'a> Cx<'a> {
 
     /// Start the `stage` pull of `pid` for the incoming record `key`.
     fn pull(&mut self, key: DestKey, pid: ProcessId, stage: Stage, len: u32) {
-        let sel = match stage {
-            Stage::Resident => AreaSel::Resident,
-            Stage::Swappable => AreaSel::Swappable,
-            Stage::Image => AreaSel::Image,
-        };
+        let sel = [AreaSel::Resident, AreaSel::Swappable, AreaSel::Image][stage as usize];
         let c = cookie(key, stage);
         self.kernel
             .start_kernel_pull(self.now, c, pid, key.0, sel, len, self.phys, self.out);
@@ -375,14 +424,8 @@ impl MigrationEngine {
     /// `failed` in cyclic peer order, never self; falls back to `failed`
     /// itself when no other candidate exists.
     fn alternate_dest(&self, failed: MachineId) -> MachineId {
-        let cands: Vec<MachineId> = self
-            .peers
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .copied()
-            .filter(|&p| p != self.machine)
-            .collect();
+        let peers = self.peers.as_deref().unwrap_or_default().iter();
+        let cands: Vec<MachineId> = peers.copied().filter(|&p| p != self.machine).collect();
         match cands.iter().position(|&p| p == failed) {
             Some(i) if cands.len() > 1 => cands[(i + 1) % cands.len()],
             Some(_) => failed,
@@ -411,20 +454,25 @@ impl MigrationEngine {
             return false;
         }
         let delay = self.cfg.retry_backoff.saturating_mul(1 << attempts.min(16));
-        let alt = self.alternate_dest(dest);
-        self.retries.insert(
-            pid,
-            Retry {
-                attempts,
-                pending: Some((now + delay, alt, reply)),
-            },
-        );
+        let pending = Some((now + delay, self.alternate_dest(dest), reply));
+        self.retries.insert(pid, Retry { attempts, pending });
         true
     }
 
     /// Migrations currently in flight on either side.
     pub fn in_flight(&self) -> usize {
         self.outgoing.len() + self.incoming.len()
+    }
+
+    /// Where the migration of `pid` stands on this machine, if one is in
+    /// flight here (the furthest state, should two records name it).
+    pub fn ownership(&self, pid: ProcessId) -> Option<Ownership> {
+        let src = self.outgoing.values().filter(|m| m.pid == pid);
+        let src = src.map(|m| match m.state {
+            SourceState::Offered => Ownership::Offered,
+        });
+        let dest = self.incoming.values().filter(|m| m.pid == pid);
+        src.chain(dest.map(|m| m.state.ownership())).max()
     }
 
     /// Begin migrating local process `pid` to `dest` (steps 1–2). The
@@ -470,16 +518,14 @@ impl MigrationEngine {
         }
         let ctx = self.next_ctx;
         self.next_ctx = ctx.wrapping_add(1).max(1);
-        let started = cx.now;
-        self.outgoing.insert(
-            ctx,
-            SourceMig {
-                pid,
-                dest,
-                started,
-                reply,
-            },
-        );
+        let mig = SourceMig {
+            pid,
+            dest,
+            started: cx.now,
+            reply,
+            state: SourceState::Offered,
+        };
+        self.outgoing.insert(ctx, mig);
         self.stats.started += 1;
         // Step 2: offer, carrying the reply link so the destination can
         // notify the requester directly (links are context-independent).
@@ -507,13 +553,6 @@ impl MigrationEngine {
             .is_some_and(|m| m.dest == from && pid.is_none_or(|p| p == m.pid))
     }
 
-    /// The phase of the incoming record `key` names, if it is live (and is
-    /// about `pid`, when the message names one).
-    fn incoming_phase(&self, key: DestKey, pid: Option<ProcessId>) -> Option<DestPhase> {
-        let mig = self.incoming.get(&key)?;
-        pid.is_none_or(|p| p == mig.pid).then_some(mig.phase)
-    }
-
     /// Feed one message from the kernel's migration inbox (both the
     /// kernel-to-kernel `MIGRATE` protocol and `MigrateRequest` control
     /// ops). Anything else, and anything that does not decode, is dropped.
@@ -536,7 +575,7 @@ impl MigrationEngine {
                 {
                     let pid = msg.header.dest.pid;
                     if let Err(e) = self.start(cx, pid, dest, reply) {
-                        cx.notify(reply, pid, dest, reject_status(&e));
+                        cx.notify(reply, pid, dest, refusal(&e).1);
                     }
                 }
                 return;
@@ -564,141 +603,106 @@ impl MigrationEngine {
                 };
                 self.on_offer(cx, ctx, info, reply);
             }
-            // Message #3 is an acknowledgement only: the source's go-ahead
-            // is the first pull, which the kernel's move-data machinery
-            // serves without consulting the engine.
-            MigrateMsg::Accept { .. } => {}
-            MigrateMsg::Reject { ctx, pid, reason } => {
-                if self.names_outgoing(ctx, from, Some(pid)) {
-                    self.fail_outgoing(cx, ctx, SourceFail::Rejected(reason));
-                }
+            MigrateMsg::Accept { ctx, .. } if self.names_outgoing(ctx, from, None) => {
+                self.source_step(cx, ctx, SourceEvent::Accept);
             }
-            MigrateMsg::TransferComplete { ctx, .. } => {
-                if self.names_outgoing(ctx, from, None) {
-                    self.finish_outgoing(cx, ctx);
-                }
+            MigrateMsg::Reject { ctx, pid, reason }
+                if self.names_outgoing(ctx, from, Some(pid)) =>
+            {
+                self.source_step(cx, ctx, SourceEvent::Fail(SourceFail::Rejected(reason)));
+            }
+            MigrateMsg::TransferComplete { ctx, .. } if self.names_outgoing(ctx, from, None) => {
+                self.source_step(cx, ctx, SourceEvent::TransferComplete);
             }
             MigrateMsg::CleanupDone { ctx, .. } => {
-                let key = (from, ctx);
-                match self.incoming_phase(key, None) {
-                    // Step 8 at the destination.
-                    Some(DestPhase::Installed) => self.restart(cx, key, false),
-                    // Nothing is installed, so the source cannot have
-                    // cleaned anything up: a protocol violation. Dropping
-                    // the record alone would strand its reservation.
-                    Some(DestPhase::Pulling(_)) => self.fail_incoming(cx, key, true),
-                    None => {}
-                }
+                self.dest_step(cx, (from, ctx), DestEvent::CleanupDone);
             }
             // Either side abandoning. The incoming record is tried first;
             // with crossing migrations both may carry the same number, and
             // `pid` (with the sender) tells them apart.
             MigrateMsg::Abort { ctx, pid } => {
-                if self.incoming_phase((from, ctx), Some(pid)).is_some() {
-                    self.fail_incoming(cx, (from, ctx), false);
+                let incoming = self.incoming.get(&(from, ctx));
+                if incoming.is_some_and(|m| m.pid == pid) {
+                    self.dest_step(cx, (from, ctx), DestEvent::Abort);
                 } else if self.names_outgoing(ctx, from, Some(pid)) {
-                    self.fail_outgoing(cx, ctx, SourceFail::PeerAborted);
+                    self.source_step(cx, ctx, SourceEvent::Fail(SourceFail::PeerAborted));
                 }
             }
+            // Names no live record.
+            MigrateMsg::Accept { .. }
+            | MigrateMsg::Reject { .. }
+            | MigrateMsg::TransferComplete { .. } => {}
             // Addressed to the requesting process, not the engine.
             MigrateMsg::Done { .. } => {}
         }
     }
 
-    /// The one way an outgoing migration fails: thaw the process, book a
-    /// retry or tell the requester. The order — count, thaw (which traces
-    /// `Aborted`), the cause's own trace, its `Abort`, then `Done` — is
-    /// part of every fingerprint: each send also traces a `Submitted`.
-    fn fail_outgoing(&mut self, cx: &mut Cx<'_>, ctx: u16, why: SourceFail) {
-        let Some(mig) = self.outgoing.remove(&ctx) else {
+    /// The source side's one transition function: `ev` on the outgoing
+    /// record `ctx`. The match yields the next state, or `None` once its
+    /// arm has settled the record. Within an arm the order of the actions
+    /// — here count, thaw (which traces `Aborted`), the cause's own trace,
+    /// its `Abort`, then `Done` — is part of every fingerprint: each send
+    /// also traces a `Submitted`.
+    fn source_step(&mut self, cx: &mut Cx<'_>, ctx: u16, ev: SourceEvent) {
+        let Some(&mig) = self.outgoing.get(&ctx) else {
             return;
         };
-        self.stats.aborted += 1;
-        if let SourceFail::Rejected(reason) = why {
-            self.stats.rejected_by_reason[match reason {
-                RejectReason::Capacity => 0,
-                RejectReason::Policy => 1,
-                RejectReason::DuplicatePid => 2,
-                RejectReason::Protocol => 3,
-            }] += 1;
-        }
-        let retried = self.schedule_retry(cx.now, mig.pid, mig.dest, mig.reply);
-        cx.kernel.unfreeze(mig.pid, cx.out);
-        if let Some(phase) = why.extra_trace() {
-            cx.trace(mig.pid, phase, 0);
-        }
-        if why.tells_dest() {
-            cx.send(mig.dest, MigrateMsg::Abort { ctx, pid: mig.pid }, None);
-        }
-        if !retried {
-            cx.notify(mig.reply, mig.pid, mig.dest, why.status());
-        }
-    }
-
-    /// Steps 6–7 at the source, on `TransferComplete`: forward the pending
-    /// messages, leave the forwarding address, confirm.
-    fn finish_outgoing(&mut self, cx: &mut Cx<'_>, ctx: u16) {
-        let Some(mig) = self.outgoing.remove(&ctx) else {
-            return;
-        };
-        self.retries.remove(&mig.pid);
-        match cx
-            .kernel
-            .finish_source_side(cx.now, mig.pid, mig.dest, cx.phys, cx.out)
-        {
-            Ok(forwarded) => {
-                self.stats.pending_forwarded += forwarded as u64;
-                self.stats.completed_out += 1;
-                cx.send(mig.dest, MigrateMsg::CleanupDone { ctx, forwarded }, None);
+        let (pid, dest, reply) = (mig.pid, mig.dest, mig.reply);
+        let next = match (mig.state, ev) {
+            // The go-ahead is the first pull, which the kernel serves.
+            (SourceState::Offered, SourceEvent::Accept) => Some(SourceState::Offered),
+            // Steps 6–7: forward the pending messages, leave the
+            // forwarding address, confirm.
+            (SourceState::Offered, SourceEvent::TransferComplete) => {
+                self.retries.remove(&pid);
+                let finished = cx
+                    .kernel
+                    .finish_source_side(cx.now, pid, dest, cx.phys, cx.out);
+                match finished {
+                    Ok(forwarded) => {
+                        self.stats.pending_forwarded += forwarded as u64;
+                        self.stats.completed_out += 1;
+                        cx.send(dest, MigrateMsg::CleanupDone { ctx, forwarded }, None);
+                    }
+                    // Process vanished mid-migration (killed): tell the
+                    // destination to drop its copy.
+                    Err(_) => {
+                        cx.send(dest, MigrateMsg::Abort { ctx, pid }, None);
+                        self.stats.aborted += 1;
+                    }
+                }
+                None
             }
-            // Process vanished mid-migration (killed): tell the
-            // destination to drop its copy.
-            Err(_) => {
-                cx.send(mig.dest, MigrateMsg::Abort { ctx, pid: mig.pid }, None);
+            // Thaw the process, then book a retry or tell the requester.
+            (SourceState::Offered, SourceEvent::Fail(why)) => {
                 self.stats.aborted += 1;
+                if let SourceFail::Rejected(reason) = why {
+                    self.stats.rejected_by_reason[match reason {
+                        RejectReason::Capacity => 0,
+                        RejectReason::Policy => 1,
+                        RejectReason::DuplicatePid => 2,
+                        RejectReason::Protocol => 3,
+                    }] += 1;
+                }
+                let retried = self.schedule_retry(cx.now, pid, dest, reply);
+                let (status, extra_trace, tells_dest) = why.row();
+                cx.kernel.unfreeze(pid, cx.out);
+                if let Some(phase) = extra_trace {
+                    cx.trace(pid, phase, 0);
+                }
+                if tells_dest {
+                    cx.send(dest, MigrateMsg::Abort { ctx, pid }, None);
+                }
+                if !retried {
+                    cx.notify(reply, pid, dest, status);
+                }
+                None
             }
-        }
-    }
-
-    /// The one way an incoming migration fails, whatever its phase: free
-    /// the reservation (a no-op once the install consumed it), destroy an
-    /// installed copy, tell the source unless it told us or is dead. The
-    /// order — release, kill, count, `Abort`, trace — is pinned likewise.
-    fn fail_incoming(&mut self, cx: &mut Cx<'_>, key: DestKey, tell_source: bool) {
-        let Some(mig) = self.incoming.remove(&key) else {
-            return;
         };
-        let (src, ctx) = key;
-        cx.kernel.release_reservation(mig.slot);
-        if mig.phase == DestPhase::Installed {
-            cx.kernel.kill(cx.now, mig.pid, cx.phys, cx.out);
-        }
-        self.stats.aborted += 1;
-        if tell_source {
-            cx.send(src, MigrateMsg::Abort { ctx, pid: mig.pid }, None);
-        }
-        cx.trace(mig.pid, MigrationPhase::Aborted, 0);
-    }
-
-    /// The one commit (step 8): restart the installed copy and tell the
-    /// requester. `echo` repeats the kernel's `Restarted` record, as the
-    /// peer-death commit always has (`sim::span`'s "duplicate restart
-    /// marker"; pinned like the rows of [`SourceFail::extra_trace`]).
-    fn restart(&mut self, cx: &mut Cx<'_>, key: DestKey, echo: bool) {
-        let Some(mig) = self.incoming.get(&key) else {
-            return;
+        match next {
+            Some(state) => self.outgoing.insert(ctx, SourceMig { state, ..mig }),
+            None => self.outgoing.remove(&ctx),
         };
-        if cx.kernel.restart_migrated(mig.pid, cx.out).is_err() {
-            // The held copy is gone: there is nothing left to commit.
-            return self.fail_incoming(cx, key, false);
-        }
-        self.stats.completed_in += 1;
-        self.stats.total_in_duration += cx.now.since(mig.started);
-        if echo {
-            cx.trace(mig.pid, MigrationPhase::Restarted, 0);
-        }
-        cx.notify(mig.reply, mig.pid, self.machine, 0);
-        self.incoming.remove(&key);
     }
 
     /// Destination side of the offer (steps 3–5 start here).
@@ -720,30 +724,8 @@ impl MigrationEngine {
         } else {
             // Step 3: allocate an (empty) process state — here, a capacity
             // reservation under the same process identifier.
-            cx.kernel
-                .reserve_incoming(info.pid, info.image_len as u64)
-                // Exhaustive: a new error variant must consciously pick
-                // its reject reason (Capacity is the §5 step-3 bucket —
-                // "allocate process state" failed — not a default).
-                .map_err(|e| match e {
-                    DemosError::AlreadyMigrating(_) => RejectReason::DuplicatePid,
-                    DemosError::NoSuchMachine(_)
-                    | DemosError::NoSuchProcess(_)
-                    | DemosError::BadLink(_)
-                    | DemosError::LinkAccess { .. }
-                    | DemosError::ReplyLinkConsumed(_)
-                    | DemosError::AreaOutOfBounds
-                    | DemosError::MigrationRejected(_)
-                    | DemosError::MigrationAborted(_)
-                    | DemosError::MigrationToSelf(_)
-                    | DemosError::KernelImmovable(_)
-                    | DemosError::NonDeliverable(_)
-                    | DemosError::TooLarge { .. }
-                    | DemosError::Capacity(_)
-                    | DemosError::Wire(_)
-                    | DemosError::UnknownProgram(_)
-                    | DemosError::Internal(_) => RejectReason::Capacity,
-                })
+            let reserved = cx.kernel.reserve_incoming(info.pid, info.image_len as u64);
+            reserved.map_err(|e| refusal(&e).0)
         };
         let pid = info.pid;
         let slot = match admitted {
@@ -757,23 +739,119 @@ impl MigrationEngine {
         cx.trace(pid, MigrationPhase::Allocated, 0);
         let window = 1024;
         cx.send(info.src, MigrateMsg::Accept { ctx, slot, window }, None);
-        self.incoming.insert(
-            key,
-            DestMig {
-                pid,
-                slot,
-                started: cx.now,
-                reply,
-                phase: DestPhase::Pulling(Stage::Resident),
-                resident: Vec::new(),
-                swappable: Vec::new(),
-                swappable_len: info.swappable_len,
-                image_len: info.image_len,
-                received: 0,
-            },
-        );
+        let mig = DestMig {
+            pid,
+            slot,
+            started: cx.now,
+            reply,
+            received: 0,
+            state: DestState::Pulling(Pull::Resident(info.swappable_len, info.image_len)),
+        };
+        self.incoming.insert(key, mig);
         // Step 4 begins: pull the resident state.
         cx.pull(key, pid, Stage::Resident, u32::from(info.resident_len));
+    }
+
+    /// The destination side's one transition function: `ev` on the
+    /// incoming record `key`. The match yields the next state, or how the
+    /// record settles; the tail carries a settlement out in the order
+    /// every fingerprint pins — a commit restarts, counts, echoes and
+    /// sends `Done`; a failure releases, kills an installed copy, counts,
+    /// sends `Abort`, then traces.
+    fn dest_step(&mut self, cx: &mut Cx<'_>, key: DestKey, ev: DestEvent) {
+        use DestEnd::{Commit, Fail};
+        use DestEvent::{Abort, CleanupDone, PeerDead, Pulled, TimedOut};
+        use DestState::{Installed, Pulling};
+        let Some(mig) = self.incoming.get_mut(&key) else {
+            return;
+        };
+        let ((src, ctx), pid) = (key, mig.pid);
+        let installed = matches!(mig.state, Installed);
+        // `Installed` holds the place until the arm yields the next state.
+        let end = match (std::mem::replace(&mut mig.state, Installed), ev) {
+            // A duplicate, or a completion after the install: there is
+            // nothing it could advance.
+            (Installed, Pulled(..)) => Ok(Installed),
+            (s @ Pulling(_), Pulled(stage, _)) if s.ownership() != Ownership::Pulling(stage) => {
+                Ok(s)
+            }
+            (Pulling(_), Pulled(_, None)) => Err(Fail { tell_source: true }),
+            (Pulling(pull), Pulled(_, Some(data))) => {
+                mig.received += data.len() as u64;
+                self.stats.bytes_received += data.len() as u64;
+                match pull {
+                    Pull::Resident(swappable_len, image_len) => {
+                        cx.pull(key, pid, Stage::Swappable, u32::from(swappable_len));
+                        Ok(Pulling(Pull::Swappable(data, image_len)))
+                    }
+                    Pull::Swappable(resident, image_len) => {
+                        cx.trace(pid, MigrationPhase::StateTransferred, mig.received);
+                        cx.pull(key, pid, Stage::Image, image_len);
+                        Ok(Pulling(Pull::Image(resident, data)))
+                    }
+                    // Step 5 complete: install.
+                    Pull::Image(resident, swappable) => {
+                        let (now, slot) = (cx.now, mig.slot);
+                        let install = cx
+                            .kernel
+                            .install_migrated(now, slot, src, resident, swappable, data, cx.out);
+                        match install {
+                            Ok(installed_pid) => {
+                                debug_assert_eq!(installed_pid, pid);
+                                let received = mig.received as u32;
+                                cx.send(src, MigrateMsg::TransferComplete { ctx, received }, None);
+                                Ok(Installed)
+                            }
+                            Err(_) => Err(Fail { tell_source: true }),
+                        }
+                    }
+                }
+            }
+            // Step 8 at the destination.
+            (Installed, CleanupDone) => Err(Commit { echo: false }),
+            // Nothing is installed, so the source cannot have cleaned
+            // anything up: a protocol violation. Dropping the record alone
+            // would strand its reservation.
+            (Pulling(_), CleanupDone) => Err(Fail { tell_source: true }),
+            (Pulling(_) | Installed, Abort) => Err(Fail { tell_source: false }),
+            (Pulling(_) | Installed, TimedOut) => Err(Fail { tell_source: true }),
+            (Pulling(_), PeerDead) => Err(Fail { tell_source: false }),
+            // The dead source can send neither `CleanupDone` nor `Abort`,
+            // and its copy died with it: this one is the last (see
+            // `on_peer_dead`).
+            (Installed, PeerDead) => Err(Commit { echo: true }),
+        };
+        let tell_source = match end {
+            Ok(next) => {
+                mig.state = next;
+                return;
+            }
+            Err(Commit { echo }) => {
+                if cx.kernel.restart_migrated(pid, cx.out).is_ok() {
+                    self.stats.completed_in += 1;
+                    self.stats.total_in_duration += cx.now.since(mig.started);
+                    if echo {
+                        cx.trace(pid, MigrationPhase::Restarted, 0);
+                    }
+                    cx.notify(mig.reply, pid, self.machine, 0);
+                    self.incoming.remove(&key);
+                    return;
+                }
+                // The held copy is gone: there is nothing left to commit.
+                false
+            }
+            Err(Fail { tell_source }) => tell_source,
+        };
+        cx.kernel.release_reservation(mig.slot);
+        if installed {
+            cx.kernel.kill(cx.now, pid, cx.phys, cx.out);
+        }
+        self.stats.aborted += 1;
+        if tell_source {
+            cx.send(src, MigrateMsg::Abort { ctx, pid }, None);
+        }
+        cx.trace(pid, MigrationPhase::Aborted, 0);
+        self.incoming.remove(&key);
     }
 
     /// Feed a completed kernel pull (from [`Outbox::pull_done`]).
@@ -787,76 +865,22 @@ impl MigrationEngine {
     ) {
         let cx = &mut Cx::new(now, kernel, phys, out);
         let (key, stage) = uncookie(done.cookie);
-        let (src, ctx) = key;
-        let Some(mig) = self
-            .incoming
-            .get_mut(&key)
-            .filter(|m| m.phase == DestPhase::Pulling(stage))
-        else {
-            // Names no live record, or not the pull its record is waiting
-            // for (a duplicate, or a completion after the install): there
-            // is nothing it could advance.
-            return;
-        };
-        if done.status != 0 {
-            return self.fail_incoming(cx, key, true);
-        }
-        mig.received += done.data.len() as u64;
-        self.stats.bytes_received += done.data.len() as u64;
-        match stage {
-            Stage::Resident => {
-                mig.resident = done.data;
-                mig.phase = DestPhase::Pulling(Stage::Swappable);
-                let len = u32::from(mig.swappable_len);
-                cx.pull(key, mig.pid, Stage::Swappable, len);
-            }
-            Stage::Swappable => {
-                mig.swappable = done.data;
-                mig.phase = DestPhase::Pulling(Stage::Image);
-                cx.trace(mig.pid, MigrationPhase::StateTransferred, mig.received);
-                cx.pull(key, mig.pid, Stage::Image, mig.image_len);
-            }
-            Stage::Image => {
-                // Step 5 complete: install.
-                let (resident, swappable) = (
-                    std::mem::take(&mut mig.resident),
-                    std::mem::take(&mut mig.swappable),
-                );
-                let (slot, image) = (mig.slot, done.data);
-                match cx
-                    .kernel
-                    .install_migrated(cx.now, slot, src, resident, swappable, image, cx.out)
-                {
-                    Ok(installed_pid) => {
-                        debug_assert_eq!(installed_pid, mig.pid);
-                        mig.phase = DestPhase::Installed;
-                        let received = mig.received as u32;
-                        cx.send(src, MigrateMsg::TransferComplete { ctx, received }, None);
-                    }
-                    Err(_) => self.fail_incoming(cx, key, true),
-                }
-            }
-        }
+        let data = (done.status == 0).then_some(done.data);
+        self.dest_step(cx, key, DestEvent::Pulled(stage, data));
     }
 
-    /// A peer machine was confirmed dead by the failure detector: resolve
-    /// every in-flight migration touching it now instead of letting the
-    /// timeout guess.
+    /// A peer machine was confirmed dead by the failure detector (or
+    /// rebooted): resolve every in-flight migration touching it now
+    /// instead of letting the timeout guess.
     ///
-    /// An **installed** incoming copy is committed locally — the dead
-    /// source can no longer send `CleanupDone` or `Abort`, and whichever
-    /// point of the handshake it died at, its own copy is gone, so the
-    /// local copy is the only one (§1's "migration off a crashed
-    /// processor"). Killing it on timeout instead would destroy the last
-    /// copy of the process. A **partial** incoming transfer is dropped and
-    /// its reservation released. An **outgoing** migration to the dead
-    /// machine is aborted, the frozen source copy thawed, and the process
-    /// re-offered to an alternate destination when the retry budget
-    /// allows.
-    ///
-    /// "Its own copy is gone" assumes the verdict is true. A live source
-    /// that is merely unreachable times out and thaws its copy as well:
-    /// the open split-brain finding of DESIGN.md §7.
+    /// An `Installed` incoming copy is committed: the dead source can send
+    /// neither `CleanupDone` nor `Abort`, and its own copy died with it, so
+    /// this is the last copy (§1's "migration off a crashed processor");
+    /// the timeout would kill it. A transfer still `Pulling` is dropped,
+    /// and an outgoing migration to the dead machine thaws and may
+    /// re-offer. "Its own copy died" assumes the verdict is true: a live
+    /// source that is merely unreachable times out and thaws its copy as
+    /// well, the open split-brain finding of DESIGN.md §7.
     pub fn on_peer_dead(
         &mut self,
         now: Time,
@@ -866,48 +890,24 @@ impl MigrationEngine {
         out: &mut Outbox,
     ) {
         let cx = &mut Cx::new(now, kernel, phys, out);
-        let incoming: Vec<(DestKey, DestPhase)> = self
-            .incoming
-            .iter()
-            .filter(|(&(src, _), _)| src == peer)
-            .map(|(&key, m)| (key, m.phase))
-            .collect();
-        for (key, phase) in incoming {
-            match phase {
-                DestPhase::Installed => self.restart(cx, key, true),
-                DestPhase::Pulling(_) => self.fail_incoming(cx, key, false),
-            }
+        let incoming = self.incoming.keys().filter(|key| key.0 == peer);
+        for key in incoming.copied().collect::<Vec<_>>() {
+            self.dest_step(cx, key, DestEvent::PeerDead);
         }
-        let outgoing: Vec<u16> = self
-            .outgoing
-            .iter()
-            .filter(|(_, m)| m.dest == peer)
-            .map(|(&c, _)| c)
-            .collect();
-        for ctx in outgoing {
-            self.fail_outgoing(cx, ctx, SourceFail::PeerDead);
+        let outgoing = self.outgoing.iter().filter(|(_, m)| m.dest == peer);
+        for ctx in outgoing.map(|(&ctx, _)| ctx).collect::<Vec<_>>() {
+            self.source_step(cx, ctx, SourceEvent::Fail(SourceFail::PeerDead));
         }
     }
 
     /// Earliest in-flight migration deadline or scheduled retry, for the
     /// simulation loop.
     pub fn next_timeout(&self) -> Option<Time> {
-        let o = self
-            .outgoing
-            .values()
-            .map(|m| m.started + self.cfg.timeout)
-            .min();
-        let i = self
-            .incoming
-            .values()
-            .map(|m| m.started + self.cfg.timeout)
-            .min();
-        let r = self
-            .retries
-            .values()
-            .filter_map(|r| r.pending.map(|(t, _, _)| t))
-            .min();
-        [o, i, r].into_iter().flatten().min()
+        let o = self.outgoing.values().map(|m| m.started);
+        let i = self.incoming.values().map(|m| m.started);
+        let deadlines = o.chain(i).map(|t| t + self.cfg.timeout);
+        let r = self.retries.values().filter_map(|r| r.pending);
+        deadlines.chain(r.map(|(t, _, _)| t)).min()
     }
 
     /// Abort migrations that exceeded the timeout (crashed peers), then
@@ -921,23 +921,19 @@ impl MigrationEngine {
     ) {
         let cx = &mut Cx::new(now, kernel, phys, out);
         let timeout = self.cfg.timeout;
-        let stale_out: Vec<u16> = self
+        let stale = self
             .outgoing
             .iter()
-            .filter(|(_, m)| now.since(m.started) >= timeout)
-            .map(|(&c, _)| c)
-            .collect();
-        for ctx in stale_out {
-            self.fail_outgoing(cx, ctx, SourceFail::TimedOut);
+            .filter(|(_, m)| now.since(m.started) >= timeout);
+        for ctx in stale.map(|(&ctx, _)| ctx).collect::<Vec<_>>() {
+            self.source_step(cx, ctx, SourceEvent::Fail(SourceFail::TimedOut));
         }
-        let stale_in: Vec<DestKey> = self
+        let stale = self
             .incoming
             .iter()
-            .filter(|(_, m)| now.since(m.started) >= timeout)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in stale_in {
-            self.fail_incoming(cx, key, true);
+            .filter(|(_, m)| now.since(m.started) >= timeout);
+        for key in stale.map(|(&key, _)| key).collect::<Vec<_>>() {
+            self.dest_step(cx, key, DestEvent::TimedOut);
         }
         // Fire scheduled retries: re-offer each aborted process to its
         // alternate destination (bounded by `cfg.retries`).
@@ -967,14 +963,18 @@ impl MigrationEngine {
     }
 }
 
-fn reject_status(e: &DemosError) -> u8 {
-    // Exhaustive: a new error variant must consciously pick its status
-    // byte (199 is the generic bucket, chosen per-variant, not by default).
+/// How a refusal is reported: the `Reject` reason a destination sends when
+/// it cannot reserve the process, and the `Done.status` a source sends when
+/// it cannot start the migration.
+fn refusal(e: &DemosError) -> (RejectReason, u8) {
+    // Exhaustive: a new error variant must consciously pick both (Capacity
+    // is the §5 step-3 bucket, "allocate process state" failed; 199 the
+    // generic status), chosen per variant, not by default.
     match e {
-        DemosError::MigrationToSelf(_) => 100,
-        DemosError::AlreadyMigrating(_) => 101,
-        DemosError::NoSuchProcess(_) => 102,
-        DemosError::KernelImmovable(_) => 103,
+        DemosError::MigrationToSelf(_) => (RejectReason::Capacity, 100),
+        DemosError::AlreadyMigrating(_) => (RejectReason::DuplicatePid, 101),
+        DemosError::NoSuchProcess(_) => (RejectReason::Capacity, 102),
+        DemosError::KernelImmovable(_) => (RejectReason::Capacity, 103),
         DemosError::NoSuchMachine(_)
         | DemosError::BadLink(_)
         | DemosError::LinkAccess { .. }
@@ -987,7 +987,7 @@ fn reject_status(e: &DemosError) -> u8 {
         | DemosError::Capacity(_)
         | DemosError::Wire(_)
         | DemosError::UnknownProgram(_)
-        | DemosError::Internal(_) => 199,
+        | DemosError::Internal(_) => (RejectReason::Capacity, 199),
     }
 }
 

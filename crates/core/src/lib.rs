@@ -41,4 +41,5 @@ pub mod engine;
 pub mod node;
 
 pub use engine::{AcceptPolicy, MigrationConfig, MigrationEngine, MigrationStats, OfferInfo};
+pub use engine::{Ownership, Stage};
 pub use node::Node;

@@ -115,20 +115,16 @@ impl Node {
     /// callers (the native runtime); the simulation hot loop uses
     /// [`Node::next_deadline`].
     pub fn next_timer_at(&self) -> Option<Time> {
-        match (self.kernel.next_timer_at(), self.engine.next_timeout()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let engine = self.engine.next_timeout();
+        self.kernel.next_timer_at().into_iter().chain(engine).min()
     }
 
     /// Indexed equivalent of [`Node::next_timer_at`]: O(log n) peeks over
     /// the kernel's lazy timer/retransmission heaps, plus the engine's
     /// scan over its (few) active migrations.
     pub fn next_deadline(&mut self) -> Option<Time> {
-        match (self.kernel.next_deadline(), self.engine.next_timeout()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let engine = self.engine.next_timeout();
+        self.kernel.next_deadline().into_iter().chain(engine).min()
     }
 
     /// Fire due deadlines. Newly confirmed-dead peers (the detector

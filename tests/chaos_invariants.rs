@@ -186,6 +186,22 @@ fn handwritten_corpus_seeds_hit_their_target_coverage() {
     );
 }
 
+/// The guided campaign of the CLI's defaults, pinned: `chaos --guided
+/// --execs 300 --jobs 2 --quiet` prints this digest (as does `--jobs 1`;
+/// the next test holds campaigns to that). A change not meant to alter
+/// simulated behaviour leaves it as it is; one that does re-pins it here
+/// and in CI's `chaos-smoke` in one diff.
+#[test]
+fn guided_campaign_digest_is_pinned() {
+    let cfg = CampaignConfig {
+        jobs: 2,
+        max_execs: Some(300),
+        ..CampaignConfig::default()
+    };
+    let digest = format!("{:016x}", campaign(&cfg, &|| true).fingerprint());
+    assert_eq!(digest, "1eb4cf08babee20a");
+}
+
 /// The acceptance test for the parallel fuzzer: the same campaign
 /// seed produces a byte-identical outcome — report fingerprint AND the
 /// repro artifacts written for the bugs it finds — whether it runs on

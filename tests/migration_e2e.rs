@@ -1,9 +1,13 @@
 //! End-to-end migration tests over the full stack: kernels, reliable
 //! transport, migration engine, workload programs.
 
-use demos_sim::prelude::*;
-use demos_sim::programs::{cargo_received, pingpong_rallies, Cargo, PingPong};
-use demos_types::LinkIdx;
+use demos_mp::kernel::{LinkAttrsExt, Outbox};
+use demos_mp::net::SimNetwork;
+use demos_mp::sim::prelude::*;
+use demos_mp::sim::programs::{
+    burner_done, cargo_received, pingpong_rallies, Cargo, CpuBurner, PingPong,
+};
+use demos_mp::types::LinkIdx;
 
 fn m(i: u16) -> MachineId {
     MachineId(i)
@@ -296,14 +300,14 @@ fn timer_survives_migration() {
         .spawn(
             m(0),
             "cpu_burner",
-            &demos_sim::programs::CpuBurner::state(0, 100, 5_000),
+            &CpuBurner::state(0, 100, 5_000),
             ImageLayout::default(),
         )
         .unwrap();
     cluster.run_for(Duration::from_millis(50));
     let before = {
         let p = cluster.node(m(0)).kernel.process(pid).unwrap();
-        demos_sim::programs::burner_done(&p.program.as_ref().unwrap().save())
+        burner_done(&p.program.as_ref().unwrap().save())
     };
     assert!(before > 3);
     cluster.migrate(pid, m(1)).unwrap();
@@ -311,7 +315,7 @@ fn timer_survives_migration() {
     assert_eq!(cluster.where_is(pid), Some(m(1)));
     let after = {
         let p = cluster.node(m(1)).kernel.process(pid).unwrap();
-        demos_sim::programs::burner_done(&p.program.as_ref().unwrap().save())
+        burner_done(&p.program.as_ref().unwrap().save())
     };
     assert!(
         after > before + 10,
@@ -327,13 +331,10 @@ fn nondeliverable_after_kill_marks_links_dead() {
     // Kill pb; pa's next ball bounces as non-deliverable and pa's link is
     // marked dead.
     let now = cluster.now();
-    let mut out = demos_kernel::Outbox::default();
+    let mut out = Outbox::default();
     {
         let node = cluster.node_mut(m(1));
-        let mut tmp_net = demos_net::SimNetwork::new(
-            demos_net::Topology::full_mesh(2, demos_net::EdgeParams::fast()),
-            0,
-        );
+        let mut tmp_net = SimNetwork::new(Topology::full_mesh(2, EdgeParams::fast()), 0);
         node.kernel.kill(now, pb, &mut tmp_net, &mut out);
     }
     cluster.run_for(Duration::from_millis(100));
@@ -342,10 +343,7 @@ fn nondeliverable_after_kill_marks_links_dead() {
         .links
         .iter()
         .filter(|(_, l)| l.target() == pb)
-        .all(|(_, l)| {
-            l.attrs
-                .contains(<LinkAttrs as demos_kernel::LinkAttrsExt>::DEAD)
-        });
+        .all(|(_, l)| l.attrs.contains(<LinkAttrs as LinkAttrsExt>::DEAD));
     assert!(dead, "links to the dead process are marked DEAD");
     let idx = pa_proc
         .links
