@@ -54,6 +54,10 @@ impl Generator {
     }
 }
 
+/// Percent of post-warmup candidates drawn fresh instead of mutated
+/// (exploration floor).
+const FRESH_PCT: u64 = 20;
+
 /// Campaign parameters.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
@@ -71,9 +75,6 @@ pub struct CampaignConfig {
     pub batch: usize,
     /// Hard execution ceiling; `None` = until `keep_going` says stop.
     pub max_execs: Option<u64>,
-    /// Percent of post-warmup candidates drawn fresh instead of mutated
-    /// (exploration floor).
-    pub fresh_pct: u64,
     /// Initial corpus scenarios, executed before anything else.
     pub corpus: Vec<Scenario>,
     /// Stop at the end of the first fold that found a violation.
@@ -89,7 +90,6 @@ impl Default for CampaignConfig {
             jobs: 1,
             batch: 16,
             max_execs: None,
-            fresh_pct: 20,
             corpus: Vec::new(),
             stop_on_violation: false,
         }
@@ -193,7 +193,7 @@ pub fn campaign(cfg: &CampaignConfig, keep_going: &(dyn Fn() -> bool + Sync)) ->
             }
         }
         while cands.len() < cfg.batch {
-            if pool.is_empty() || rng.gen_range(0..100) < cfg.fresh_pct {
+            if pool.is_empty() || rng.gen_range(0..100) < FRESH_PCT {
                 let sc = cfg.generator.scenario(cfg.seed.wrapping_add(fresh_counter));
                 fresh_counter += 1;
                 cands.push(Candidate {

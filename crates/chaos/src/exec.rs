@@ -218,7 +218,6 @@ fn execute(sc: &Scenario, cfg: &RunConfig, check: QuantumCheck) -> Executed {
             // but short of the drain budget, so a migration stalled by a
             // guarded-out edge case still aborts and thaws in time.
             timeout: Duration::from_secs(10),
-            ..MigrationConfig::default()
         });
     if recovery {
         builder = builder.recovery(RecoveryConfig {

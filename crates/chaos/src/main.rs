@@ -59,9 +59,7 @@ struct Args {
     quiet: bool,
     guided: bool,
     jobs: usize,
-    batch: usize,
     execs: Option<u64>,
-    fresh_pct: u64,
     time_budget: Option<std::time::Duration>,
     coverage_report: Option<PathBuf>,
     corpus: Vec<PathBuf>,
@@ -74,16 +72,14 @@ fn usage() -> ! {
     eprintln!(
         "usage: chaos [--seed N] [--iters N] [--until-failure] [--recovery] [--rare]
              [--fault no-forwarding|no-recovery] [--out DIR] [--quiet]
-             [--guided] [--jobs N] [--batch N] [--execs N] [--fresh-pct N]
+             [--guided] [--jobs N] [--execs N]
              [--time-budget DUR] [--coverage-report FILE]
              [--corpus DIR]... [--corpus-out DIR] [--distill DIR]
              [--replay DIR]...
   --guided           coverage-guided campaign instead of a blind sweep
   --jobs N           worker threads for --guided (default 1)
-  --batch N          candidates per round (default 16)
   --execs N          execution ceiling for --guided
   --time-budget DUR  stop after DUR (e.g. 60s, 500ms, 2m), between rounds
-  --fresh-pct N      percent of candidates drawn fresh, not mutated (default 20)
   --rare             rare-interleaving generators (the E17 regime)
   --coverage-report  write the campaign (or replay) coverage report here
   --corpus DIR       seed the campaign from DIR's *.seed files
@@ -126,9 +122,7 @@ fn parse_args() -> Args {
         quiet: false,
         guided: false,
         jobs: 1,
-        batch: 16,
         execs: None,
-        fresh_pct: 20,
         time_budget: None,
         coverage_report: None,
         corpus: Vec::new(),
@@ -164,9 +158,7 @@ fn parse_args() -> Args {
             "--quiet" => args.quiet = true,
             "--guided" => args.guided = true,
             "--jobs" => args.jobs = next(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--batch" => args.batch = next(&mut it).parse().unwrap_or_else(|_| usage()),
             "--execs" => args.execs = Some(next(&mut it).parse().unwrap_or_else(|_| usage())),
-            "--fresh-pct" => args.fresh_pct = next(&mut it).parse().unwrap_or_else(|_| usage()),
             "--time-budget" => {
                 args.time_budget = Some(parse_duration(&next(&mut it)).unwrap_or_else(|| usage()))
             }
@@ -179,7 +171,7 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    if args.batch == 0 || args.jobs == 0 {
+    if args.jobs == 0 {
         usage();
     }
     if args.until_failure && !explicit_iters {
@@ -356,11 +348,10 @@ fn guided(args: &Args, started: Instant) -> ! {
         generator,
         fault: args.fault,
         jobs: args.jobs,
-        batch: args.batch,
         max_execs: args.execs,
-        fresh_pct: args.fresh_pct,
         corpus,
         stop_on_violation: args.until_failure,
+        ..CampaignConfig::default()
     };
     let budget = args.time_budget;
     let keep_going = move || match budget {

@@ -43,7 +43,6 @@
 //! `Done.status` it reports.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use demos_kernel::{Kernel, MigrationPhase, Outbox, TraceEvent};
 use demos_net::Phys;
@@ -87,15 +86,9 @@ pub struct MigrationConfig {
     /// Destination acceptance policy.
     pub accept: AcceptPolicy,
     /// Abort an in-flight migration after this long without completion.
+    /// A failed outgoing migration thaws its process and tells the
+    /// requester, so this also bounds how long a process stays frozen.
     pub timeout: Duration,
-    /// After an outgoing migration aborts mid-transfer, re-offer the
-    /// process to an alternate destination at most this many times
-    /// (0 disables retries). Candidates come from
-    /// [`MigrationEngine::set_peers`].
-    pub retries: u32,
-    /// Delay before the first retry; doubles per attempt (bounded
-    /// exponential backoff).
-    pub retry_backoff: Duration,
 }
 
 impl Default for MigrationConfig {
@@ -103,8 +96,6 @@ impl Default for MigrationConfig {
         MigrationConfig {
             accept: AcceptPolicy::Always,
             timeout: Duration::from_secs(30),
-            retries: 0,
-            retry_backoff: Duration::from_millis(50),
         }
     }
 }
@@ -133,7 +124,9 @@ pub struct MigrationStats {
     /// (freeze-to-restart is measured by the harness from traces; this is
     /// offer-to-restart at the destination).
     pub total_in_duration: Duration,
-    /// Aborted outgoing migrations re-offered to an alternate destination.
+    /// Aborted outgoing migrations re-offered to another destination.
+    /// Always 0: a failed migration is never re-offered (the requester
+    /// hears `Done` and may ask again). Still reported as `core.retried`.
     pub retried: u64,
 }
 
@@ -253,12 +246,12 @@ enum SourceFail {
 }
 
 impl SourceFail {
-    /// The cause's row: `Done.status` for the requester when no retry
-    /// takes over, the record traced after the thaw's own `Aborted`, and
-    /// whether to send `Abort` (the destination may still hold a record
-    /// that only that settles before its own timeout). The second
-    /// `Aborted` of peer death and the two empty trace cells are pinned by
-    /// every committed fingerprint: carried as data, not fixed here.
+    /// The cause's row: `Done.status` for the requester, the record
+    /// traced after the thaw's own `Aborted`, and whether to send `Abort`
+    /// (the destination may still hold a record that only that settles
+    /// before its own timeout). The second `Aborted` of peer death and the
+    /// two empty trace cells are pinned by every committed fingerprint:
+    /// carried as data, not fixed here.
     fn row(self) -> (u8, Option<MigrationPhase>, bool) {
         match self {
             SourceFail::Rejected(r) => (1 + r as u8, Some(MigrationPhase::Rejected), false),
@@ -296,15 +289,6 @@ enum DestEnd {
     Fail { tell_source: bool },
 }
 
-/// Retry bookkeeping for one process whose outgoing migration aborted.
-#[derive(Debug)]
-struct Retry {
-    /// Retries already launched for this process.
-    attempts: u32,
-    /// A scheduled re-offer: fire time, alternate destination, reply link.
-    pending: Option<(Time, MachineId, Option<Link>)>,
-}
-
 /// The per-machine migration engine.
 #[derive(Debug)]
 pub struct MigrationEngine {
@@ -313,11 +297,6 @@ pub struct MigrationEngine {
     next_ctx: u16,
     outgoing: BTreeMap<u16, SourceMig>,
     incoming: BTreeMap<DestKey, DestMig>,
-    /// Alternate-destination candidates for retries (set by the harness;
-    /// one list shared by every engine of a cluster).
-    peers: Option<Arc<[MachineId]>>,
-    /// Aborted outgoing migrations awaiting (or between) re-offers.
-    retries: BTreeMap<ProcessId, Retry>,
     stats: MigrationStats,
 }
 
@@ -400,63 +379,13 @@ impl MigrationEngine {
             next_ctx: 1,
             outgoing: BTreeMap::new(),
             incoming: BTreeMap::new(),
-            peers: None,
-            retries: BTreeMap::new(),
             stats: MigrationStats::default(),
         }
-    }
-
-    /// Provide the set of machines usable as alternate destinations when
-    /// an aborted migration is retried (self and the failed destination
-    /// are skipped automatically). The list is shared, not copied: a
-    /// cluster hands every engine a clone of one `Arc`, so an engine's
-    /// size does not grow with the number of machines.
-    pub fn set_peers(&mut self, peers: Arc<[MachineId]>) {
-        self.peers = Some(peers);
     }
 
     /// Counters.
     pub fn stats(&self) -> MigrationStats {
         self.stats
-    }
-
-    /// The alternate destination for a retry: the next candidate after
-    /// `failed` in cyclic peer order, never self; falls back to `failed`
-    /// itself when no other candidate exists.
-    fn alternate_dest(&self, failed: MachineId) -> MachineId {
-        let peers = self.peers.as_deref().unwrap_or_default().iter();
-        let cands: Vec<MachineId> = peers.copied().filter(|&p| p != self.machine).collect();
-        match cands.iter().position(|&p| p == failed) {
-            Some(i) if cands.len() > 1 => cands[(i + 1) % cands.len()],
-            Some(_) => failed,
-            None => cands.first().copied().unwrap_or(failed),
-        }
-    }
-
-    /// An outgoing migration of `pid` to `dest` aborted: schedule a
-    /// bounded backoff re-offer to an alternate destination, if the
-    /// configured retry budget allows. Returns whether a retry was
-    /// scheduled (in which case the requester is not yet notified of
-    /// failure — it will hear `Done` from whichever attempt settles it).
-    fn schedule_retry(
-        &mut self,
-        now: Time,
-        pid: ProcessId,
-        dest: MachineId,
-        reply: Option<Link>,
-    ) -> bool {
-        if self.cfg.retries == 0 {
-            return false;
-        }
-        let attempts = self.retries.get(&pid).map_or(0, |r| r.attempts);
-        if attempts >= self.cfg.retries {
-            self.retries.remove(&pid);
-            return false;
-        }
-        let delay = self.cfg.retry_backoff.saturating_mul(1 << attempts.min(16));
-        let pending = Some((now + delay, self.alternate_dest(dest), reply));
-        self.retries.insert(pid, Retry { attempts, pending });
-        true
     }
 
     /// Migrations currently in flight on either side.
@@ -510,8 +439,9 @@ impl MigrationEngine {
             .kernel
             .freeze_for_migration(cx.now, pid, cx.phys, cx.out)?;
         // The counter wraps and a record can outlive 65 535 later offers
-        // (a reject/retry storm under a long timeout): skip the contexts
-        // still live — overwriting one leaves its process frozen forever.
+        // (a storm of rejected offers under a long timeout): skip the
+        // contexts still live — overwriting one leaves its process frozen
+        // forever.
         // One record per local process at most, so the scan is short.
         while self.outgoing.contains_key(&self.next_ctx) {
             self.next_ctx = self.next_ctx.wrapping_add(1).max(1);
@@ -654,7 +584,6 @@ impl MigrationEngine {
             // Steps 6–7: forward the pending messages, leave the
             // forwarding address, confirm.
             (SourceState::Offered, SourceEvent::TransferComplete) => {
-                self.retries.remove(&pid);
                 let finished = cx
                     .kernel
                     .finish_source_side(cx.now, pid, dest, cx.phys, cx.out);
@@ -673,7 +602,7 @@ impl MigrationEngine {
                 }
                 None
             }
-            // Thaw the process, then book a retry or tell the requester.
+            // Thaw the process, then tell the requester.
             (SourceState::Offered, SourceEvent::Fail(why)) => {
                 self.stats.aborted += 1;
                 if let SourceFail::Rejected(reason) = why {
@@ -684,7 +613,6 @@ impl MigrationEngine {
                         RejectReason::Protocol => 3,
                     }] += 1;
                 }
-                let retried = self.schedule_retry(cx.now, pid, dest, reply);
                 let (status, extra_trace, tells_dest) = why.row();
                 cx.kernel.unfreeze(pid, cx.out);
                 if let Some(phase) = extra_trace {
@@ -693,9 +621,7 @@ impl MigrationEngine {
                 if tells_dest {
                     cx.send(dest, MigrateMsg::Abort { ctx, pid }, None);
                 }
-                if !retried {
-                    cx.notify(reply, pid, dest, status);
-                }
+                cx.notify(reply, pid, dest, status);
                 None
             }
         };
@@ -877,8 +803,8 @@ impl MigrationEngine {
     /// neither `CleanupDone` nor `Abort`, and its own copy died with it, so
     /// this is the last copy (§1's "migration off a crashed processor");
     /// the timeout would kill it. A transfer still `Pulling` is dropped,
-    /// and an outgoing migration to the dead machine thaws and may
-    /// re-offer. "Its own copy died" assumes the verdict is true: a live
+    /// and an outgoing migration to the dead machine thaws and tells its
+    /// requester. "Its own copy died" assumes the verdict is true: a live
     /// source that is merely unreachable times out and thaws its copy as
     /// well, the open split-brain finding of DESIGN.md §7.
     pub fn on_peer_dead(
@@ -900,18 +826,14 @@ impl MigrationEngine {
         }
     }
 
-    /// Earliest in-flight migration deadline or scheduled retry, for the
-    /// simulation loop.
+    /// Earliest in-flight migration deadline, for the simulation loop.
     pub fn next_timeout(&self) -> Option<Time> {
         let o = self.outgoing.values().map(|m| m.started);
         let i = self.incoming.values().map(|m| m.started);
-        let deadlines = o.chain(i).map(|t| t + self.cfg.timeout);
-        let r = self.retries.values().filter_map(|r| r.pending);
-        deadlines.chain(r.map(|(t, _, _)| t)).min()
+        o.chain(i).map(|t| t + self.cfg.timeout).min()
     }
 
-    /// Abort migrations that exceeded the timeout (crashed peers), then
-    /// fire the retries that are due.
+    /// Abort migrations that exceeded the timeout (crashed peers).
     pub fn on_time(
         &mut self,
         now: Time,
@@ -934,31 +856,6 @@ impl MigrationEngine {
             .filter(|(_, m)| now.since(m.started) >= timeout);
         for key in stale.map(|(&key, _)| key).collect::<Vec<_>>() {
             self.dest_step(cx, key, DestEvent::TimedOut);
-        }
-        // Fire scheduled retries: re-offer each aborted process to its
-        // alternate destination (bounded by `cfg.retries`).
-        let due: Vec<(ProcessId, MachineId, Option<Link>)> = self
-            .retries
-            .iter()
-            .filter_map(|(&pid, r)| {
-                r.pending
-                    .filter(|&(t, _, _)| t <= now)
-                    .map(|(_, dest, reply)| (pid, dest, reply))
-            })
-            .collect();
-        for (pid, dest, reply) in due {
-            let Some(entry) = self.retries.get_mut(&pid) else {
-                continue;
-            };
-            entry.pending = None;
-            entry.attempts += 1;
-            self.stats.retried += 1;
-            if self.start(cx, pid, dest, reply).is_err() {
-                // The process is gone (killed) or already moving again:
-                // give up on this retry chain.
-                self.retries.remove(&pid);
-                cx.notify(reply, pid, dest, 202);
-            }
         }
     }
 }

@@ -159,7 +159,7 @@ impl Node {
     /// exactly as a confirmed death would — an installed incoming copy
     /// is the last copy of its process and restarts here (the 10 s
     /// timeout would kill it), a partial transfer is dropped, an
-    /// outgoing migration thaws and may re-offer. Without this, a peer
+    /// outgoing migration thaws and tells its requester. Without this, a peer
     /// that crashes and reboots *inside* the failure-detection window
     /// leaves the migration to the timeout's worst-case guess.
     pub fn peer_revived(

@@ -42,6 +42,11 @@ use crate::process::{ExecStatus, Process, Queued, TimerEntry};
 use crate::program::{local_tags, Ctx, Delivered, Effects, Kept, MoveDataReq, Registry};
 use crate::trace::{MigrationPhase, TraceEvent};
 
+/// Base virtual CPU charged per program activation (context switch +
+/// minimal handler). Never zero: virtual time must advance per activation
+/// or the event loop could livelock on a zero-cost message cycle.
+const BASE_MSG_CPU: Duration = Duration::from_micros(100);
+
 /// Kernel tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct KernelConfig {
@@ -49,9 +54,6 @@ pub struct KernelConfig {
     pub max_processes: usize,
     /// Total image memory available, bytes.
     pub mem_capacity: u64,
-    /// Base virtual CPU charged per program activation (context switch +
-    /// minimal handler).
-    pub base_msg_cpu: Duration,
     /// Move-data streaming parameters.
     pub movedata: MoveDataConfig,
     /// Reliable-channel parameters.
@@ -81,7 +83,6 @@ impl Default for KernelConfig {
         KernelConfig {
             max_processes: 64,
             mem_capacity: 16 << 20,
-            base_msg_cpu: Duration::from_micros(100),
             movedata: MoveDataConfig::default(),
             channel: ChannelConfig::default(),
             forwarding: true,
@@ -106,8 +107,9 @@ pub struct DetectorStats {
     pub false_positives: u64,
     /// Peers confirmed dead (terminal).
     pub confirmed_dead: u64,
-    /// Frames returned by the transport instead of being sent to a dead
-    /// peer (queued at confirmation time or submitted afterwards).
+    /// Frames returned by the transport instead of being sent to a peer
+    /// this detector confirmed dead: queued at confirmation time, or
+    /// submitted afterwards. The transport never condemns a peer itself.
     pub bounced: u64,
 }
 
@@ -783,9 +785,8 @@ impl Kernel {
                 let Some(Queued::Message(msg)) = proc.queue.pop_front() else {
                     continue;
                 };
-                let cost = self.cfg.base_msg_cpu.max(Duration::from_micros(1));
                 if let Some(proc) = self.procs.get_mut(&pid) {
-                    proc.cpu_used += cost;
+                    proc.cpu_used += BASE_MSG_CPU;
                     if proc.queue.is_empty() {
                         proc.status = ExecStatus::Waiting;
                     }
@@ -798,7 +799,7 @@ impl Kernel {
                 });
                 self.handle_control(now, pid, msg, phys, out);
                 self.schedule(pid);
-                return Some((pid, cost));
+                return Some((pid, BASE_MSG_CPU));
             }
             self.stats.activations += 1;
             let Some(mut program) = proc.program.take() else {
@@ -859,9 +860,7 @@ impl Kernel {
                 continue;
             };
             proc.program = Some(program);
-            // Never zero: virtual time must advance per activation or the
-            // event loop could livelock on a zero-cost message cycle.
-            let cost = (self.cfg.base_msg_cpu + effects.cpu).max(Duration::from_micros(1));
+            let cost = BASE_MSG_CPU + effects.cpu;
             proc.cpu_used += cost;
             let armed_timers = !effects.timers.is_empty();
             for (delay, token) in effects.timers.drain(..) {
@@ -964,8 +963,7 @@ impl Kernel {
 
     /// Fire everything due at or before `now`.
     pub fn on_time(&mut self, now: Time, phys: &mut dyn Phys, out: &mut Outbox) {
-        let bounces = self.endpoint.on_timeout(now, phys);
-        self.det_stats.bounced += bounces.len() as u64;
+        self.endpoint.on_timeout(now, phys);
         self.heartbeat_tick(now, phys);
         // Pop due, still-live entries instead of scanning every process.
         // Sorting restores the pre-index order (ascending pid), keeping

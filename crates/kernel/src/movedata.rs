@@ -43,9 +43,6 @@ pub struct MoveDataConfig {
     pub chunk: usize,
     /// Maximum unacknowledged packets in flight per operation.
     pub window: u32,
-    /// Acknowledge every n-th packet (1 = every packet, as the paper
-    /// describes; larger values are an ablation knob).
-    pub ack_every: u32,
 }
 
 impl Default for MoveDataConfig {
@@ -53,7 +50,6 @@ impl Default for MoveDataConfig {
         MoveDataConfig {
             chunk: 1024,
             window: 16,
-            ack_every: 1,
         }
     }
 }
@@ -164,7 +160,6 @@ struct Inbound {
     purpose: Option<PullPurpose>,
     /// For inbound pushes: validated sink in a local process.
     sink: Option<PushSink>,
-    received_packets: u32,
 }
 
 impl Inbound {
@@ -291,7 +286,6 @@ impl MoveData {
                 next_seq: 0,
                 purpose: Some(purpose),
                 sink: None,
-                received_packets: 0,
             },
         );
         (
@@ -386,7 +380,6 @@ impl MoveData {
                     expect,
                     written: 0,
                 }),
-                received_packets: 0,
             },
         );
         MdAction::Send {
@@ -525,13 +518,11 @@ impl MoveData {
                 // Transport delivers in order; a gap means a protocol bug.
                 debug_assert_eq!(seq, ib.next_seq, "move-data stream out of order");
                 ib.next_seq = seq + 1;
-                ib.received_packets += 1;
-                if ib.received_packets % self.cfg.ack_every == 0 {
-                    actions.push(MdAction::Send {
-                        to: from,
-                        msg: MoveDataMsg::Ack { op, seq },
-                    });
-                }
+                // §6: the receiving kernel acknowledges each packet.
+                actions.push(MdAction::Send {
+                    to: from,
+                    msg: MoveDataMsg::Ack { op, seq },
+                });
                 if let Some(sink) = &mut ib.sink {
                     let off = sink.base_off + sink.written;
                     sink.written += bytes.len() as u32;
@@ -665,11 +656,7 @@ mod tests {
     }
 
     fn cfg(chunk: usize, window: u32) -> MoveDataConfig {
-        MoveDataConfig {
-            chunk,
-            window,
-            ack_every: 1,
-        }
+        MoveDataConfig { chunk, window }
     }
 
     /// Drive a complete pull between two engines, returning the collected
@@ -896,44 +883,6 @@ mod tests {
                 }
             )
             .is_empty());
-    }
-
-    #[test]
-    fn ack_every_n_reduces_acks() {
-        let mut reader = MoveData::new(MoveDataConfig {
-            chunk: 100,
-            window: 64,
-            ack_every: 4,
-        });
-        let (op, _req) = reader.start_pull(
-            PullPurpose::Kernel { cookie: 1 },
-            pid(1),
-            AreaSel::Image,
-            0,
-            0,
-        );
-        let mut acks = 0;
-        for seq in 0..8 {
-            for a in reader.on_msg(
-                m(1),
-                MoveDataMsg::Data {
-                    op,
-                    seq,
-                    bytes: Bytes::from_static(&[0; 100]),
-                },
-            ) {
-                if matches!(
-                    a,
-                    MdAction::Send {
-                        msg: MoveDataMsg::Ack { .. },
-                        ..
-                    }
-                ) {
-                    acks += 1;
-                }
-            }
-        }
-        assert_eq!(acks, 2, "8 packets, ack every 4");
     }
 
     #[test]

@@ -29,24 +29,19 @@ use demos_types::{CorrId, Duration, MachineId, Time};
 use crate::frame::{Frame, FrameMeta};
 use crate::network::{NetEvent, Phys};
 
+/// Ceiling on the backoff exponent: the inter-retransmission gap never
+/// exceeds `rto * 2^MAX_BACKOFF_EXP` (plus jitter).
+const MAX_BACKOFF_EXP: u32 = 6;
+
 /// Tuning knobs for the reliable channel.
 #[derive(Clone, Copy, Debug)]
 pub struct ChannelConfig {
     /// Retransmission timeout for the first retransmission round. Later
     /// rounds back off exponentially (with deterministic jitter) up to
-    /// `rto << max_backoff_exp`.
+    /// `rto << MAX_BACKOFF_EXP`.
     pub rto: Duration,
     /// Maximum unacknowledged data frames per peer before sends queue.
     pub window: usize,
-    /// Ceiling on the backoff exponent: the inter-retransmission gap never
-    /// exceeds `rto * 2^max_backoff_exp` (plus jitter).
-    pub max_backoff_exp: u32,
-    /// Consecutive retransmission rounds without an ack before the peer is
-    /// escalated to [`PeerState::Dead`] and its queued frames are bounced.
-    /// `0` disables the budget: the channel retransmits forever and only
-    /// an explicit [`Endpoint::mark_dead`] (the kernel failure detector)
-    /// can condemn a peer.
-    pub retx_budget: u32,
 }
 
 impl Default for ChannelConfig {
@@ -56,26 +51,21 @@ impl Default for ChannelConfig {
         ChannelConfig {
             rto: Duration::from_millis(20),
             window: 64,
-            max_backoff_exp: 6,
-            retx_budget: 0,
         }
     }
 }
 
 /// Liveness verdict the transport holds about one peer.
 ///
-/// Escalation is one-way from the channel's point of view: a peer goes
-/// `Alive → Suspect` after half the retransmit budget is burned,
-/// `Suspect → Dead` when the budget is exhausted (or the kernel's failure
-/// detector calls [`Endpoint::mark_dead`]). An ack de-escalates
-/// `Suspect → Alive`; `Dead` is terminal until [`Endpoint::reset_peer`].
+/// The channel never condemns a peer on its own: it retransmits until
+/// acknowledged, and a peer turns `Dead` only when the kernel's failure
+/// detector calls [`Endpoint::mark_dead`]. `Dead` is terminal until
+/// [`Endpoint::reset_peer`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PeerState {
-    /// Acks are flowing; nothing is overdue.
+    /// Not condemned: frames are sent and retransmitted.
     #[default]
     Alive,
-    /// Retransmissions have gone unacknowledged for half the budget.
-    Suspect,
     /// The peer is condemned: nothing more will be sent to it, and every
     /// queued frame has been bounced back to the kernel.
     Dead,
@@ -148,8 +138,6 @@ struct Peer {
     state: PeerState,
     /// Backoff exponent for the next retransmission round (0 ⇒ base RTO).
     backoff_exp: u32,
-    /// Consecutive retransmission rounds since the last ack.
-    retx_rounds: u32,
 }
 
 /// One machine's end of the reliable transport: a set of sequenced channels
@@ -381,15 +369,9 @@ impl Endpoint {
                     };
                     Self::transmit_data(src, cfg, &mut self.rto_heap, peer, now, from, q, phys);
                 }
-                // An ack is proof of life: reset the backoff ladder and the
-                // retransmit budget, and clear any suspicion. (Dead stays
-                // dead — the queues were already bounced.)
+                // An ack is proof of life: reset the backoff ladder.
                 if popped > 0 {
                     peer.backoff_exp = 0;
-                    peer.retx_rounds = 0;
-                    if peer.state == PeerState::Suspect {
-                        peer.state = PeerState::Alive;
-                    }
                 }
                 peer.rto_deadline = if peer.unacked.is_empty() {
                     None
@@ -453,10 +435,9 @@ impl Endpoint {
     /// exponential backoff between rounds. Retransmissions keep their
     /// original correlation id and are marked in the frame metadata.
     ///
-    /// When a peer exhausts the configured retransmit budget it is
-    /// escalated to [`PeerState::Dead`] and everything queued for it is
-    /// returned for the kernel's local non-deliverable handling.
-    pub fn on_timeout(&mut self, now: Time, phys: &mut dyn Phys) -> Vec<Bounce> {
+    /// The channel retransmits to an unresponsive peer for as long as it
+    /// holds frames for it; only [`Endpoint::mark_dead`] gives up on one.
+    pub fn on_timeout(&mut self, now: Time, phys: &mut dyn Phys) {
         let cfg = self.cfg;
         let src = self.machine;
         // Pop every due, still-live deadline from the heap instead of
@@ -479,24 +460,12 @@ impl Endpoint {
         }
         due.sort_unstable();
         due.dedup();
-        let mut bounces = Vec::new();
         for dst in due {
+            // A live deadline means frames in flight, so the peer is not
+            // condemned: `mark_dead` clears the deadline.
             let Some(peer) = self.peers.get_mut(&dst) else {
                 continue;
             };
-            if peer.state == PeerState::Dead {
-                continue;
-            }
-            peer.retx_rounds += 1;
-            if cfg.retx_budget > 0 {
-                if peer.retx_rounds >= cfg.retx_budget {
-                    bounces.extend(Self::condemn(&mut self.stats, dst, peer));
-                    continue;
-                }
-                if peer.retx_rounds >= cfg.retx_budget.div_ceil(2) {
-                    peer.state = PeerState::Suspect;
-                }
-            }
             for (seq, q) in &peer.unacked {
                 self.stats.retransmits += 1;
                 let frame = Frame::Data {
@@ -510,7 +479,7 @@ impl Endpoint {
             // Back off: the first round re-arms at the base RTO (exp 0),
             // later rounds double up to the ceiling, plus deterministic
             // jitter once backoff is in effect.
-            let exp = peer.backoff_exp.min(cfg.max_backoff_exp);
+            let exp = peer.backoff_exp.min(MAX_BACKOFF_EXP);
             let base_us = cfg.rto.as_micros() << exp;
             let jitter = if exp == 0 {
                 0
@@ -520,42 +489,29 @@ impl Endpoint {
             let deadline = now + Duration::from_micros(base_us + jitter);
             peer.rto_deadline = Some(deadline);
             self.rto_heap.push(Reverse((deadline, dst)));
-            peer.backoff_exp = (peer.backoff_exp + 1).min(cfg.max_backoff_exp);
+            peer.backoff_exp = (peer.backoff_exp + 1).min(MAX_BACKOFF_EXP);
         }
-        bounces
     }
 
-    /// Transition `peer` to Dead, draining its queues into bounces.
-    fn condemn(stats: &mut ChannelStats, dst: MachineId, peer: &mut Peer) -> Vec<Bounce> {
-        peer.state = PeerState::Dead;
-        peer.rto_deadline = None;
-        let mut bounces = Vec::new();
-        for (_, q) in peer.unacked.drain(..) {
-            stats.bounced += 1;
-            bounces.push(Bounce {
-                dst,
-                corr: q.corr,
-                bytes: q.bytes,
-            });
-        }
-        for q in peer.pending.drain(..) {
-            stats.bounced += 1;
-            bounces.push(Bounce {
-                dst,
-                corr: q.corr,
-                bytes: q.bytes,
-            });
-        }
-        bounces
-    }
-
-    /// Condemn `peer` on external evidence (the kernel's heartbeat
+    /// Condemn `dst` on external evidence (the kernel's heartbeat
     /// failure detector): escalate it to [`PeerState::Dead`] immediately
     /// and return every queued frame as a bounce. Subsequent sends to the
     /// peer bounce synchronously until [`Endpoint::reset_peer`].
-    pub fn mark_dead(&mut self, peer: MachineId) -> Vec<Bounce> {
-        let entry = self.peers.entry(peer).or_default();
-        Self::condemn(&mut self.stats, peer, entry)
+    pub fn mark_dead(&mut self, dst: MachineId) -> Vec<Bounce> {
+        let peer = self.peers.entry(dst).or_default();
+        peer.state = PeerState::Dead;
+        peer.rto_deadline = None;
+        let mut bounces = Vec::new();
+        let queued = peer.unacked.drain(..).map(|(_, q)| q);
+        for q in queued.chain(peer.pending.drain(..)) {
+            self.stats.bounced += 1;
+            bounces.push(Bounce {
+                dst,
+                corr: q.corr,
+                bytes: q.bytes,
+            });
+        }
+        bounces
     }
 
     /// The transport's liveness verdict for `peer` (Alive if unknown).
@@ -732,7 +688,6 @@ mod tests {
         let cfg = ChannelConfig {
             rto: Duration::from_millis(5),
             window: 4,
-            ..Default::default()
         };
         let mut a = Endpoint::new(m(0), cfg);
         let mut phys = Capture::default();
@@ -754,7 +709,6 @@ mod tests {
         let cfg = ChannelConfig {
             rto: Duration::from_millis(5),
             window: 2,
-            ..Default::default()
         };
         let mut a = Endpoint::new(m(0), cfg);
         let mut phys = Capture::default();
@@ -778,45 +732,45 @@ mod tests {
         assert_eq!(phys.0[3].2.meta().unwrap().corr, corr(4));
     }
 
-    /// Backoff doubles per unacked retransmission round, caps at the
-    /// configured ceiling, and an ack resets the ladder so the next loss
+    /// Backoff doubles per unacked retransmission round, caps at
+    /// `MAX_BACKOFF_EXP`, and an ack resets the ladder so the next loss
     /// starts again from the base RTO.
     #[test]
     fn backoff_caps_and_rearms_after_ack() {
         let cfg = ChannelConfig {
             rto: Duration::from_millis(5),
             window: 4,
-            max_backoff_exp: 2,
-            retx_budget: 0,
         };
         let mut a = Endpoint::new(m(0), cfg);
         let mut phys = Capture::default();
         a.send(Time(0), m(1), bytes("x"), corr(1), &mut phys);
         phys.0.clear();
-        // Walk the ladder: gap after round n is rto<<min(n-1, cap) + jitter
+        // Walk the ladder: gap after round n is rto<<min(n, cap) + jitter
         // (jitter only once backoff kicks in). At the cap the gap stops
         // growing and becomes constant — same exponent, same jitter.
+        let cap = MAX_BACKOFF_EXP as usize;
         let mut now = a.next_timeout().unwrap();
         let mut gaps = Vec::new();
-        for _ in 0..5 {
+        for _ in 0..cap + 3 {
             a.on_timeout(now, &mut phys);
             let next = a.next_timeout().unwrap();
             gaps.push(next.since(now).as_micros());
             now = next;
         }
         assert_eq!(gaps[0], 5_000, "first round re-arms at the base RTO");
-        assert!(
-            (10_000..10_000 + 10_000 / 8 + 1).contains(&gaps[1]),
-            "second round doubles (plus bounded jitter): {}",
-            gaps[1]
+        for (n, &gap) in gaps.iter().enumerate().take(cap + 1).skip(1) {
+            let base = 5_000 << n;
+            assert!(
+                (base..base + base / 8 + 1).contains(&gap),
+                "round {n} doubles (plus bounded jitter): {gap}"
+            );
+        }
+        assert_eq!(
+            gaps[cap],
+            gaps[cap + 1],
+            "ceiling reached: the gap stops growing"
         );
-        assert!(
-            (20_000..20_000 + 20_000 / 8 + 1).contains(&gaps[2]),
-            "third round doubles again: {}",
-            gaps[2]
-        );
-        assert_eq!(gaps[2], gaps[3], "ceiling reached: the gap stops growing");
-        assert_eq!(gaps[3], gaps[4]);
+        assert_eq!(gaps[cap + 1], gaps[cap + 2]);
         // An ack clears the ladder; a fresh loss starts from the base RTO.
         a.on_frame(now, m(1), Frame::Ack { epoch: 0, cum: 1 }, &mut phys);
         assert!(a.next_timeout().is_none());
@@ -834,31 +788,31 @@ mod tests {
         );
     }
 
-    /// Exhausting the retransmit budget condemns the peer: queued frames
-    /// (in-flight and deferred) come back as bounces, the peer reads Dead,
-    /// and later sends bounce synchronously instead of transmitting.
+    /// Condemning a peer bounces its in-flight and deferred frames in
+    /// send order, leaves no deadline or queue behind, and later sends
+    /// bounce synchronously instead of transmitting; retransmission
+    /// alone never condemns.
     #[test]
-    fn budget_exhaustion_bounces_and_condemns() {
+    fn condemning_bounces_deferred_frames_and_later_sends() {
         let cfg = ChannelConfig {
             rto: Duration::from_millis(5),
             window: 1,
-            max_backoff_exp: 6,
-            retx_budget: 3,
         };
         let mut a = Endpoint::new(m(0), cfg);
         let mut phys = Capture::default();
         a.send(Time(0), m(1), bytes("one"), corr(1), &mut phys);
         a.send(Time(0), m(1), bytes("two"), corr(2), &mut phys); // deferred
-        assert_eq!(a.peer_state(m(1)), PeerState::Alive);
-        let mut now = a.next_timeout().unwrap();
-        // Round 1 retransmits; round 2 (>= ceil(3/2)) suspects.
-        assert!(a.on_timeout(now, &mut phys).is_empty());
-        now = a.next_timeout().unwrap();
-        assert!(a.on_timeout(now, &mut phys).is_empty());
-        assert_eq!(a.peer_state(m(1)), PeerState::Suspect);
-        // Round 3 exhausts the budget: both frames bounce.
-        now = a.next_timeout().unwrap();
-        let bounces = a.on_timeout(now, &mut phys);
+        let mut now = Time(0);
+        for _ in 0..MAX_BACKOFF_EXP + 4 {
+            now = a.next_timeout().unwrap();
+            a.on_timeout(now, &mut phys);
+        }
+        assert_eq!(
+            a.peer_state(m(1)),
+            PeerState::Alive,
+            "silence alone condemns nobody"
+        );
+        let bounces = a.mark_dead(m(1));
         assert_eq!(bounces.len(), 2, "in-flight and deferred frames bounce");
         assert_eq!(bounces[0].dst, m(1));
         assert_eq!(bounces[0].corr, corr(1));

@@ -34,6 +34,16 @@ pub struct SystemHandles {
     pub fs_disk: ProcessId,
 }
 
+/// Simulated disk latency per block operation, microseconds.
+const DISK_OP_US: u32 = 2_000;
+
+/// Image layout of every system process.
+const SYS_LAYOUT: ImageLayout = ImageLayout {
+    code: 16 * 1024,
+    data: 8 * 1024,
+    stack: 2 * 1024,
+};
+
 /// Boot configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BootConfig {
@@ -41,12 +51,8 @@ pub struct BootConfig {
     pub control_machine: MachineId,
     /// Machine hosting the four file-system processes.
     pub fs_machine: MachineId,
-    /// Simulated disk latency per block operation, microseconds.
-    pub disk_op_us: u32,
     /// Buffer-cache capacity in blocks.
     pub cache_blocks: u16,
-    /// Image layout for system processes.
-    pub sys_layout: ImageLayout,
 }
 
 impl Default for BootConfig {
@@ -54,13 +60,7 @@ impl Default for BootConfig {
         BootConfig {
             control_machine: MachineId(0),
             fs_machine: MachineId(0),
-            disk_op_us: 2_000,
             cache_blocks: 32,
-            sys_layout: ImageLayout {
-                code: 16 * 1024,
-                data: 8 * 1024,
-                stack: 2 * 1024,
-            },
         }
     }
 }
@@ -70,7 +70,7 @@ pub fn boot_system(cluster: &mut Cluster, cfg: BootConfig) -> Result<SystemHandl
     let n = cluster.len() as u16;
     let cm = cfg.control_machine;
     let fm = cfg.fs_machine;
-    let layout = cfg.sys_layout;
+    let layout = SYS_LAYOUT;
 
     let switchboard =
         cluster.spawn_opt(cm, Switchboard::NAME, &Switchboard::state(), layout, true)?;
@@ -91,7 +91,7 @@ pub fn boot_system(cluster: &mut Cluster, cfg: BootConfig) -> Result<SystemHandl
     let fs_disk = cluster.spawn_opt(
         fm,
         DiskServer::NAME,
-        &DiskServer::state(cfg.disk_op_us),
+        &DiskServer::state(DISK_OP_US),
         layout,
         true,
     )?;

@@ -162,7 +162,6 @@ impl ClusterBuilder {
             .iter()
             .map(|&m| {
                 let mut node = Node::new(m, self.kernel, self.migration, Arc::clone(&registry));
-                node.engine.set_peers(Arc::clone(&machines));
                 if self.kernel.heartbeat_every > Duration::ZERO {
                     node.kernel
                         .watch_peers(Time::ZERO, machines.iter().copied());
@@ -245,8 +244,8 @@ impl StepStats {
 pub struct Cluster {
     pub(crate) now: Time,
     pub(crate) nodes: Vec<Node>,
-    /// Every machine id, ascending: the one peer list all the engines
-    /// share, so a machine's host state does not grow with the cluster.
+    /// Every machine id, ascending: the peers each kernel's failure
+    /// detector watches.
     machines: Arc<[MachineId]>,
     pub(crate) net: SimNetwork,
     pub(crate) cpu_busy_until: Vec<Time>,
@@ -709,7 +708,6 @@ impl Cluster {
         // Build a brand-new node with the same identity and configuration.
         let mut fresh = Node::new(m, kcfg, self.migration, Arc::clone(&self.registry));
         fresh.kernel.resume_id_watermarks(uid_wm, corr_wm);
-        fresh.engine.set_peers(Arc::clone(&self.machines));
         if kcfg.heartbeat_every > Duration::ZERO {
             fresh
                 .kernel

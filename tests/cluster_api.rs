@@ -1,10 +1,10 @@
 //! Cluster harness API tests: fault injection semantics, quiescence,
 //! trace queries, and configuration plumbing.
 
-use demos_sim::prelude::*;
-use demos_sim::programs::{burner_done, Cargo, CpuBurner};
-use demos_types::proto::KernelOp;
-use demos_types::wire::Wire;
+use demos_mp::sim::prelude::*;
+use demos_mp::sim::programs::{burner_done, Cargo, CpuBurner};
+use demos_mp::types::proto::KernelOp;
+use demos_mp::types::wire::Wire;
 
 fn m(i: u16) -> MachineId {
     MachineId(i)
@@ -140,7 +140,7 @@ fn post_dtk_query_status_roundtrip() {
         .post_dtk(
             target,
             m(1),
-            demos_types::tags::KERNEL_OP,
+            demos_mp::types::tags::KERNEL_OP,
             KernelOp::Suspend.to_bytes(),
         )
         .unwrap();
@@ -153,7 +153,7 @@ fn post_dtk_query_status_roundtrip() {
         .post_dtk(
             target,
             m(1),
-            demos_types::tags::KERNEL_OP,
+            demos_mp::types::tags::KERNEL_OP,
             KernelOp::Resume.to_bytes(),
         )
         .unwrap();
@@ -182,7 +182,7 @@ fn dtk_follows_forwarding_addresses() {
         .post_dtk(
             pid,
             m(0),
-            demos_types::tags::KERNEL_OP,
+            demos_mp::types::tags::KERNEL_OP,
             KernelOp::Suspend.to_bytes(),
         )
         .unwrap();
@@ -248,7 +248,7 @@ fn gc_disabled_keeps_forwarding_addresses() {
         .post_dtk(
             pid,
             m(1),
-            demos_types::tags::KERNEL_OP,
+            demos_mp::types::tags::KERNEL_OP,
             KernelOp::Kill.to_bytes(),
         )
         .unwrap();

@@ -91,9 +91,6 @@ enum Ev {
 #[derive(Clone, Copy, Debug)]
 enum Cfg {
     Plain,
-    /// One retry: a failed outgoing attempt books a re-offer instead of
-    /// telling the requester.
-    Retry,
     /// `AcceptPolicy::Never`.
     Closed,
 }
@@ -141,8 +138,8 @@ const TABLE: &[Row] = &[
           did: &["L Aborted", "L Rejected", "Done(1)→m3"], ..ROW },
     Row { out: true, ev: Ev::Reject(RejectReason::Protocol), after: &["L - live"],
           did: &["L Aborted", "L Rejected", "Done(4)→m3"], ..ROW },
-    Row { out: true, cfg: Cfg::Retry, ev: Ev::Reject(RejectReason::Policy), after: &["L - live"],
-          did: &["L Aborted", "L Rejected"], ..ROW },
+    Row { out: true, ev: Ev::Reject(RejectReason::Policy), after: &["L - live"],
+          did: &["L Aborted", "L Rejected", "Done(2)→m3"], ..ROW },
     Row { out: true, ev: Ev::Abort(Who::Local), after: &["L - live"],
           did: &["L Aborted", "Done(200)→m3"], ..ROW },
     // Steps 6–7: forward the (empty) queue, leave the forwarding address.
@@ -153,12 +150,8 @@ const TABLE: &[Row] = &[
           did: &["Abort→m0"], ..ROW },
     Row { out: true, ev: Ev::Timeout, after: &["L - live"],
           did: &["L Aborted", "Abort→m0", "Done(201)→m3"], ..ROW },
-    Row { out: true, cfg: Cfg::Retry, ev: Ev::Timeout, after: &["L - live"],
-          did: &["L Aborted", "Abort→m0"], ..ROW },
     Row { out: true, ev: Ev::PeerDead, after: &["L - live"],
           did: &["L Aborted", "L Aborted", "Done(203)→m3"], ..ROW },
-    Row { out: true, cfg: Cfg::Retry, ev: Ev::PeerDead, after: &["L - live"],
-          did: &["L Aborted", "L Aborted"], ..ROW },
     // Names no live source record: changes nothing.
     Row { out: true, from: STRANGER, ev: Ev::Reject(RejectReason::Policy), after: &["L Offered frozen"], ..ROW },
     Row { out: true, from: STRANGER, ev: Ev::TransferComplete, after: &["L Offered frozen"], ..ROW },
@@ -375,10 +368,6 @@ impl Rig {
     fn new(row: &Row, blobs: &Blobs) -> Rig {
         let cfg = match row.cfg {
             Cfg::Plain => MigrationConfig::default(),
-            Cfg::Retry => MigrationConfig {
-                retries: 1,
-                ..MigrationConfig::default()
-            },
             Cfg::Closed => MigrationConfig {
                 accept: AcceptPolicy::Never,
                 ..MigrationConfig::default()
@@ -394,7 +383,6 @@ impl Rig {
             remote: blobs.pid,
             incoming: row.inc.is_some() || matches!(row.ev, Ev::Offer(_)),
         };
-        rig.engine.set_peers(Arc::from([PEER, HERE, STRANGER]));
         if row.out {
             let pid = spawn_cargo(&mut rig.kernel);
             let started = rig.engine.start_migration(

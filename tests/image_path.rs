@@ -400,7 +400,6 @@ fn an_aborted_transfer_leaves_a_source_that_runs_on_and_migrates_again() {
         .migration_config(MigrationConfig {
             accept: AcceptPolicy::Always,
             timeout: Duration::from_millis(150),
-            ..MigrationConfig::default()
         })
         .build();
     let layout = ImageLayout {

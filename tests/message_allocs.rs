@@ -339,7 +339,6 @@ fn a_slab_is_never_written_again_while_any_view_of_it_lives() {
 #[test]
 fn bounce_condemn_and_reset_never_reclaim_a_slab() {
     let cfg = ChannelConfig {
-        retx_budget: 1,
         window: 2,
         ..ChannelConfig::default()
     };
@@ -369,12 +368,14 @@ fn bounce_condemn_and_reset_never_reclaim_a_slab() {
     nothing_kept(&mut a, "a bounced send");
     drop((bounced, back));
 
-    // Condemned by the retransmit budget.
+    // Condemned after a retransmission round: the image the channel sent
+    // twice comes back like any other.
     send(&mut a, &mut cable, m(2));
+    a.on_timeout(now + cfg.rto, &mut cable);
     cable.0.clear();
-    let bounced = a.on_timeout(now + cfg.rto, &mut cable);
+    let bounced = a.mark_dead(m(2));
     assert_eq!(bounced.len(), 1);
-    nothing_kept(&mut a, "budget exhaustion");
+    nothing_kept(&mut a, "a condemned retransmission");
     drop(bounced);
 
     // Reset: the old incarnation's images go with it.

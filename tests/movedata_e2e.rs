@@ -3,9 +3,9 @@
 //! writes, validation failures, and interaction with migration.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use demos_kernel::{Carry, Ctx, Delivered, MoveDataReq, Program};
-use demos_sim::prelude::*;
-use demos_types::{DataArea, LinkIdx};
+use demos_mp::kernel::{Carry, Ctx, Delivered, MoveDataReq, Program};
+use demos_mp::sim::prelude::*;
+use demos_mp::types::{DataArea, LinkIdx};
 
 fn m(i: u16) -> MachineId {
     MachineId(i)
@@ -118,8 +118,8 @@ impl Program for Copier {
                     token: 2,
                 });
             }
-            demos_kernel::local_tags::MOVE_DATA_DONE => {
-                if let Some((tok, status, len)) = demos_kernel::decode_md_done(&msg.payload) {
+            demos_mp::kernel::local_tags::MOVE_DATA_DONE => {
+                if let Some((tok, status, len)) = demos_mp::kernel::decode_md_done(&msg.payload) {
                     self.done.push((tok, status, len));
                 }
             }
@@ -320,7 +320,7 @@ fn out_of_window_rejected() {
         let proc = node.kernel.process_mut(copier).unwrap();
         // Shrink the copier's view by replacing its area link with one
         // whose window is only 8 bytes: a 600-byte read must be refused.
-        let idx = LinkIdx(demos_sim::programs::cargo_received(&[0; 8]) as u32 + 1);
+        let idx = LinkIdx(demos_mp::sim::programs::cargo_received(&[0; 8]) as u32 + 1);
         let _ = idx; // (area link is at index 1: the first installed link)
         let link = proc.links.get(LinkIdx(1)).unwrap();
         let mut small = link;

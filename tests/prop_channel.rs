@@ -105,7 +105,6 @@ fn run(
     let cfg = ChannelConfig {
         rto: Duration::from_millis(5),
         window: WINDOW,
-        ..Default::default()
     };
     let mut a = Endpoint::new(MachineId(0), cfg);
     let mut b = Endpoint::new(MachineId(1), cfg);

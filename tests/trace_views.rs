@@ -3,7 +3,8 @@
 //!
 //! * the delivery ledger as a resumable fold (`LedgerFold`) — advanced in
 //!   pieces it must give what one `ledger_of` pass over the whole trace
-//!   gives, and a cleared trace starts it over;
+//!   gives, and a cleared trace starts it over — and the ledger's own
+//!   re-home rule, on a hand-made journey;
 //! * the record renderer — `TraceEvent::write_text` must write what the
 //!   derived `Debug` writes, and `Trace::fingerprint`, `trace_json_lines`
 //!   and the one pass that produces both must be byte-identical to the
@@ -23,8 +24,8 @@ use std::path::{Path, PathBuf};
 
 use demos_chaos::{run_cluster, trace_json_lines, RunConfig, Scenario};
 use demos_kernel::{MigrationPhase, TraceEvent, TraceRecord};
+use demos_mp::obs::{DeliveryEvent, DeliveryLedger};
 use demos_obs::recorder::{merge, parse_dump, PhaseTable};
-use demos_obs::DeliveryLedger;
 use demos_sim::span::{ledger_of, LedgerFold};
 use demos_sim::{Cluster, Trace};
 use demos_types::{CorrId, MachineId, ProcessId, Time};
@@ -161,6 +162,31 @@ fn a_cleared_trace_starts_the_fold_over() {
     trace.clear();
     fold.advance(&trace);
     assert_eq!(fold, LedgerFold::default(), "cleared and left empty");
+}
+
+/// §3.1 step 6 re-homes a frozen process's pending messages one hop
+/// further, with no `Forwarded` of their own. So a later `Enqueued` with
+/// more hops than the id's last is a re-home, not a second delivery; one
+/// with equal or fewer hops is a duplicate.
+#[test]
+fn a_later_enqueue_with_more_hops_is_a_rehome() {
+    let c = |n| CorrId::new(MachineId(1), n);
+    let mut ledger = DeliveryLedger::new();
+    for n in 1..=3 {
+        ledger.record(c(n), DeliveryEvent::Submitted);
+        ledger.record(c(n), DeliveryEvent::Enqueued { hops: 0 });
+    }
+    // Re-homed twice, one hop further each time.
+    ledger.record(c(1), DeliveryEvent::Enqueued { hops: 1 });
+    ledger.record(c(1), DeliveryEvent::Enqueued { hops: 2 });
+    // Enqueued again at the same hop count.
+    ledger.record(c(2), DeliveryEvent::Enqueued { hops: 0 });
+    // Re-homed, then enqueued again back at fewer hops.
+    ledger.record(c(3), DeliveryEvent::Enqueued { hops: 1 });
+    ledger.record(c(3), DeliveryEvent::Enqueued { hops: 0 });
+    assert_eq!(ledger.duplicates(), vec![c(2), c(3)]);
+    assert!(ledger.undelivered().is_empty());
+    assert_eq!(ledger.delivered_set().len(), 3);
 }
 
 // ------------------------------------------------------------------
