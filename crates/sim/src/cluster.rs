@@ -35,7 +35,7 @@ use crate::flight::{self, DEFAULT_RECORDER_CAPACITY};
 use crate::partition::ShardPlan;
 use crate::recovery::{RecoveryConfig, RecoveryEpisode, RecoveryManager};
 use crate::residency::{self, Residency};
-use crate::shard::ShardStats;
+use crate::shard::{ShardLocal, ShardStats};
 use crate::trace::Trace;
 
 /// How many machines a cluster can hold: a [`MachineId`] is 16 bits.
@@ -192,14 +192,14 @@ impl ClusterBuilder {
             migration: self.migration,
             recovery: self.recovery.map(RecoveryManager::new),
             crash_log: BTreeMap::new(),
-            idx: EventIndex::new(0, n),
+            idx: EventIndex::new(0, 1, n),
+            shard_local: Vec::new(),
             residency: Residency::default(),
             dirty: Vec::new(),
             cpu_scratch: Vec::new(),
             fired_scratch: Vec::new(),
             step_stats: StepStats::default(),
             shards: self.shards,
-            send_idx: vec![0; n],
             plan_cache: None,
             parallel_segments: 0,
             shard_stats: ShardStats::default(),
@@ -267,6 +267,9 @@ pub struct Cluster {
     /// Node deadlines, CPU completions and the runnable set: finding the
     /// next event is an O(1) peek instead of a scan over every machine.
     pub(crate) idx: EventIndex,
+    /// What each shard keeps between parallel segments (its event index,
+    /// CPU clocks and send counters), built by the first one.
+    pub(crate) shard_local: Vec<ShardLocal>,
     /// Which machines hold which processes: finding a process is a range
     /// walk over its pairs instead of a visit to every kernel.
     pub(crate) residency: Residency,
@@ -281,9 +284,6 @@ pub struct Cluster {
     pub(crate) step_stats: StepStats,
     /// Requested worker-thread count ([`ClusterBuilder::shards`]).
     shards: usize,
-    /// Per-machine canonical send counters for the sharded executor
-    /// (monotone across segments; only key *order* matters).
-    pub(crate) send_idx: Vec<u64>,
     /// Shard plan memoised against (topology version, shard count).
     plan_cache: Option<(usize, Arc<ShardPlan>)>,
     /// How many parallel segments have actually executed — lets tests

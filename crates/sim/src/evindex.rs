@@ -13,6 +13,12 @@
 //! summary bit per 64 machines, sized once. Membership changes on
 //! nearly every event, so it must not allocate; the ascending walk
 //! `run_cpus` takes over it decides same-instant CPU ties.
+//!
+//! An index covers the machines `first, first + stride, …`: all of them
+//! for the sequential loop (0, 1), the machines dealt to one shard for a
+//! worker (shard id, shard count). Callers name a machine by its local
+//! slot `l` going in and get global machine ids `first + stride · l`
+//! coming out, ascending, so the sequential index never divides.
 
 use demos_core::Node;
 use demos_types::Time;
@@ -34,6 +40,14 @@ impl SlotHeap {
             heap: Vec::new(),
             pos: vec![ABSENT; slots],
         }
+    }
+
+    /// Remove every entry, keeping the heap's capacity.
+    fn clear(&mut self) {
+        for &(_, slot) in &self.heap {
+            self.pos[slot as usize] = ABSENT;
+        }
+        self.heap.clear();
     }
 
     /// The key of `slot`, if it is live.
@@ -115,50 +129,56 @@ fn ones(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A set of machine indices in `base .. base + n` as a two-level bitset
-/// that never allocates after construction. Indices in the interface
-/// are global, like [`EventIndex`]'s.
+/// A set of `n` local slots, slot `l` standing for machine
+/// `first + stride · l`, as a two-level bitset that never allocates
+/// after construction. Slots go in, machine ids come out.
 #[derive(Debug)]
 pub(crate) struct RunSet {
-    base: usize,
+    first: usize,
+    stride: usize,
     /// The `leaves` membership words — bit `l % 64` of word `l / 64` is
-    /// local machine `l` — followed by the summary words: bit `w % 64`
-    /// of summary word `w / 64` is set exactly when membership word `w`
-    /// is non-zero. One buffer, so a set is one allocation.
+    /// slot `l` — followed by the summary words: bit `w % 64` of summary
+    /// word `w / 64` is set exactly when membership word `w` is
+    /// non-zero. One buffer, so a set is one allocation.
     words: Vec<u64>,
     leaves: usize,
 }
 
 impl RunSet {
-    pub(crate) fn new(base: usize, n: usize) -> Self {
+    pub(crate) fn new(first: usize, stride: usize, n: usize) -> Self {
         let leaves = n.div_ceil(64);
         RunSet {
-            base,
+            first,
+            stride,
             words: vec![0; leaves + leaves.div_ceil(64)],
             leaves,
         }
     }
 
-    /// `(membership word, bit)` of machine `i`.
-    fn locate(&self, i: usize) -> (usize, u64) {
-        let l = i - self.base;
+    /// The machine id of slot `l`.
+    fn id(&self, l: usize) -> usize {
+        self.first + self.stride * l
+    }
+
+    /// `(membership word, bit)` of slot `l`.
+    fn locate(l: usize) -> (usize, u64) {
         (l / 64, 1 << (l % 64))
     }
 
-    pub(crate) fn contains(&self, i: usize) -> bool {
-        let (w, bit) = self.locate(i);
+    pub(crate) fn contains(&self, l: usize) -> bool {
+        let (w, bit) = Self::locate(l);
         self.words[w] & bit != 0
     }
 
-    pub(crate) fn insert(&mut self, i: usize) {
-        let (w, bit) = self.locate(i);
+    pub(crate) fn insert(&mut self, l: usize) {
+        let (w, bit) = Self::locate(l);
         self.words[w] |= bit;
         self.words[self.leaves + w / 64] |= 1 << (w % 64);
     }
 
-    /// Remove `i`; whether it was a member.
-    pub(crate) fn remove(&mut self, i: usize) -> bool {
-        let (w, bit) = self.locate(i);
+    /// Remove slot `l`; whether it was a member.
+    pub(crate) fn remove(&mut self, l: usize) -> bool {
+        let (w, bit) = Self::locate(l);
         let was = self.words[w] & bit != 0;
         self.words[w] &= !bit;
         if self.words[w] == 0 {
@@ -167,24 +187,23 @@ impl RunSet {
         was
     }
 
-    /// The members, ascending. Empty membership words are skipped
-    /// through the summary.
+    /// The members' machine ids, ascending. Empty membership words are
+    /// skipped through the summary.
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         let (members, summary) = self.words.split_at(self.leaves);
         summary.iter().enumerate().flat_map(move |(s, &sum)| {
             ones(sum).flat_map(move |b| {
                 let w = 64 * s + b;
-                ones(members[w]).map(move |bit| self.base + 64 * w + bit)
+                ones(members[w]).map(move |bit| self.id(64 * w + bit))
             })
         })
     }
 }
 
-/// Deadlines, CPU wake-ups and the runnable set of the machines
-/// `base .. base + n`. Machine indices in the interface are global.
+/// Deadlines, CPU wake-ups and the runnable set of `n` machines,
+/// `first, first + stride, …`: local slots in, machine ids out.
 #[derive(Debug)]
 pub(crate) struct EventIndex {
-    base: usize,
     heap: SlotHeap,
     /// Each node's earliest deadline as of its last `touch`. Outlives the
     /// heap entry when the deadline fires: a node whose deadline is the
@@ -196,13 +215,20 @@ pub(crate) struct EventIndex {
 }
 
 impl EventIndex {
-    pub(crate) fn new(base: usize, n: usize) -> Self {
+    pub(crate) fn new(first: usize, stride: usize, n: usize) -> Self {
         EventIndex {
-            base,
             heap: SlotHeap::new(2 * n),
             node_deadline: vec![None; n],
-            runnable: RunSet::new(base, n),
+            runnable: RunSet::new(first, stride, n),
         }
+    }
+
+    /// Forget every deadline, wake-up and runnable machine, as a new
+    /// index would, keeping every buffer.
+    pub(crate) fn clear(&mut self) {
+        self.heap.clear();
+        self.node_deadline.fill(None);
+        self.runnable.words.fill(0);
     }
 
     /// The runnable machines, ascending.
@@ -210,14 +236,13 @@ impl EventIndex {
         self.runnable.iter()
     }
 
-    /// Re-derive machine `i`'s deadline, runnable membership and CPU
+    /// Re-derive slot `l`'s deadline, runnable membership and CPU
     /// wake-up (`busy` is when its CPU frees) after a mutation. A crashed
     /// machine (`down`) holds none of them.
-    pub(crate) fn touch(&mut self, i: usize, node: &mut Node, down: bool, busy: Time, now: Time) {
-        let l = i - self.base;
+    pub(crate) fn touch(&mut self, l: usize, node: &mut Node, down: bool, busy: Time, now: Time) {
         if down {
             self.node_deadline[l] = None;
-            self.runnable.remove(i);
+            self.runnable.remove(l);
             self.heap.set(2 * l, None);
             self.heap.set(2 * l + 1, None);
             return;
@@ -228,21 +253,21 @@ impl EventIndex {
             self.heap.set(2 * l, d);
         }
         if node.has_runnable() {
-            self.runnable.insert(i);
+            self.runnable.insert(l);
             if busy > now {
                 // Work is queued behind a running activation: wake up at
                 // the completion instant to run it.
                 self.heap.set(2 * l + 1, Some(busy));
             }
-        } else if self.runnable.remove(i) {
+        } else if self.runnable.remove(l) {
             self.heap.set(2 * l + 1, None);
         }
     }
 
     /// Earliest indexed event. A CPU wake-up at or before `now` is not
     /// one — the CPU is free, `run_cpus` picks the node up from the
-    /// runnable set — so it is dropped, never returned. `busy` is the
-    /// owning range's `cpu_busy_until`, read by the debug cross-check.
+    /// runnable set — so it is dropped, never returned. `busy` is each
+    /// slot's `cpu_busy_until`, read by the debug cross-check.
     pub(crate) fn peek(&mut self, now: Time, busy: &[Time]) -> Option<Time> {
         let r = loop {
             match self.heap.peek() {
@@ -263,7 +288,7 @@ impl EventIndex {
             let timer = self.heap.get(2 * l);
             // A deadline leaves the heap only by firing (`pop_due`).
             assert!(timer == d || (timer.is_none() && d.is_some_and(|t| t <= now)));
-            let cpu = (self.runnable.contains(self.base + l) && busy[l] > now).then(|| busy[l]);
+            let cpu = (self.runnable.contains(l) && busy[l] > now).then(|| busy[l]);
             // A wake-up that `now` has reached may still await its drop.
             let slot = self.heap.get(2 * l + 1).filter(|&t| t > now);
             assert_eq!(slot, cpu, "cpu slot of local node {l}");
@@ -283,7 +308,7 @@ impl EventIndex {
             }
             self.heap.set(slot, None);
             if slot % 2 == 0 {
-                due.push(self.base + slot / 2);
+                due.push(self.runnable.id(slot / 2));
             }
         }
         due.sort_unstable();
@@ -296,9 +321,10 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
 
     /// Random `insert` / `remove` / `contains` / walk sequences against a
-    /// `BTreeSet`, for ranges that start off zero and end off a word
-    /// boundary: same answers, same ascending walk, and a summary bit is
-    /// clear exactly when its 64 members are.
+    /// `BTreeSet` of machine ids, for sets that end off a word boundary,
+    /// dense (stride 1) and dealt (stride 2 and 3, first id off zero):
+    /// same answers, same ascending walk, and a summary bit is clear
+    /// exactly when its 64 members are.
     #[test]
     fn run_set_matches_btreeset_model() {
         let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -308,50 +334,50 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (rng >> 33) as usize % bound
         };
-        for base in [0, 4_096] {
+        for (first, stride) in [(0, 1), (4_096, 1), (1, 2), (2, 3)] {
             for n in [1, 63, 64, 65, 4_096, 4_097, 65_536] {
-                let mut set = RunSet::new(base, n);
+                let id = |l: usize| first + stride * l;
+                let at = format!("{first}+{stride}*{n}");
+                let mut set = RunSet::new(first, stride, n);
                 let mut model: BTreeSet<usize> = BTreeSet::new();
                 let mut ops = 0;
                 while ops < 200_000 {
-                    let i = base + next(n);
+                    let l = next(n);
                     match next(1024) {
                         // The whole walk, and every summary bit.
                         0 => {
-                            assert!(set.iter().eq(model.iter().copied()), "{base}+{n}");
+                            assert!(set.iter().eq(model.iter().copied()), "{at}");
                             let (members, summary) = set.words.split_at(set.leaves);
                             for (w, &word) in members.iter().enumerate() {
                                 let bit = summary[w / 64] >> (w % 64) & 1;
-                                assert_eq!(bit == 1, word != 0, "{base}+{n} word {w}");
+                                assert_eq!(bit == 1, word != 0, "{at} word {w}");
                             }
                             ops += 1;
                         }
                         // Drain a run of neighbours, so that a dense set
                         // still empties whole words.
                         1..=8 => {
-                            let end = (i + next(200)).min(base + n);
-                            for j in i..end {
-                                assert_eq!(set.remove(j), model.remove(&j), "{base}+{n} at {j}");
+                            let end = (l + next(200)).min(n);
+                            for k in l..end {
+                                assert_eq!(set.remove(k), model.remove(&id(k)), "{at} at {k}");
                             }
-                            ops += end - i;
+                            ops += end - l;
                         }
                         op => {
                             match op % 3 {
                                 0 => {
-                                    set.insert(i);
-                                    model.insert(i);
+                                    set.insert(l);
+                                    model.insert(id(l));
                                 }
-                                1 => {
-                                    assert_eq!(set.remove(i), model.remove(&i), "{base}+{n} at {i}")
-                                }
+                                1 => assert_eq!(set.remove(l), model.remove(&id(l)), "{at} at {l}"),
                                 _ => {}
                             }
-                            assert_eq!(set.contains(i), model.contains(&i), "{base}+{n} at {i}");
+                            assert_eq!(set.contains(l), model.contains(&id(l)), "{at} at {l}");
                             ops += 1;
                         }
                     }
                 }
-                assert!(set.iter().eq(model.iter().copied()), "{base}+{n}");
+                assert!(set.iter().eq(model.iter().copied()), "{at}");
             }
         }
     }

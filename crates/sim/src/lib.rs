@@ -9,9 +9,10 @@
 //!   processes from machines the failure detector confirmed dead;
 //! * [`balance`] — drives `demos-policy` decision rules against the live
 //!   cluster, playing the process manager's monitoring role;
-//! * [`partition`] / [`shard`] — contiguous shard plans and the
-//!   conservative parallel (PDES) executor that runs them, one worker
-//!   thread per shard, bit-identical to the sequential loop;
+//! * [`partition`] / [`shard`] — shard plans that deal machine `i` to
+//!   shard `i mod S`, and the conservative parallel (PDES) executor that
+//!   runs them, one worker thread per shard, bit-identical to the
+//!   sequential loop;
 //! * [`trace`] — the event log experiments are reconstructed from;
 //! * [`span`] — per-message journey reconstruction from correlation ids,
 //!   and the trace's per-migration lifecycle spans (the §6 phase

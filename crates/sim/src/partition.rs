@@ -1,10 +1,14 @@
 //! Shard partitioning for the parallel executor.
 //!
-//! The cluster's machines are split into `S` contiguous, balanced index
-//! ranges — one per worker thread. Contiguity keeps every per-machine
-//! array (`nodes`, `cpu_busy_until`, recorders, …) splittable with
-//! `split_at_mut`, so the workers borrow disjoint slices of the *same*
-//! storage the sequential loop uses: no copying in, no copying out.
+//! The cluster's machines are dealt to `S` shards — one per worker
+//! thread — like cards: machine `i` belongs to shard `i mod S`, at local
+//! index `i / S`. A workload rarely spreads evenly over the machine
+//! range, but it rarely lines up with the residues mod `S` either, so
+//! every lookahead window splits about evenly; a contiguous split hands
+//! whichever range is busy in a window all of that window's work while
+//! the other shards wait at the barrier. Each worker borrows strided
+//! views of the *same* per-machine storage the sequential loop uses: no
+//! copying in, no copying out.
 //!
 //! The plan also derives the **lookahead** — the minimum latency over
 //! edges whose endpoints live in different shards. Any frame that crosses
@@ -13,6 +17,7 @@
 //! shard somewhere), so a frame sent at time `T` arrives no earlier than
 //! `T + lookahead`. That bound is what lets a shard safely execute the
 //! whole window `[W, W + lookahead)` without hearing from its neighbours.
+//! The argument holds for any partition; only which edges cross changes.
 
 use demos_net::Topology;
 use demos_types::{Duration, MachineId};
@@ -23,11 +28,8 @@ use demos_types::{Duration, MachineId};
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
     /// Number of shards (worker threads). Always ≥ 1 and ≤ machine count.
+    /// Machine `i` belongs to shard `i % shards`.
     pub shards: usize,
-    /// Half-open machine-index range `[start, end)` owned by each shard.
-    pub ranges: Vec<(usize, usize)>,
-    /// Machine index → owning shard.
-    pub shard_of: Vec<u16>,
     /// Minimum latency over cross-shard edges: how far a shard may run
     /// past the global horizon without missing a cross-shard arrival.
     /// `None` means no edge crosses a shard boundary — shards are fully
@@ -39,36 +41,20 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Partition `n` machines over (at most) `shards` threads against
-    /// `topo`. Shard counts above `n` are clamped; ranges are balanced to
-    /// within one machine, earlier shards taking the remainder.
+    /// `topo`. Shard counts above `n` are clamped; machines are dealt
+    /// round-robin, so shard sizes differ by at most one, earlier shards
+    /// taking the remainder.
     pub fn new(n: usize, shards: usize, topo: &Topology) -> ShardPlan {
         let s = shards.clamp(1, n.max(1));
-        let base = n / s;
-        let rem = n % s;
-        let mut ranges = Vec::with_capacity(s);
-        let mut shard_of = vec![0u16; n];
-        let mut start = 0usize;
-        for i in 0..s {
-            let len = base + usize::from(i < rem);
-            let end = start + len;
-            ranges.push((start, end));
-            for slot in &mut shard_of[start..end] {
-                *slot = i as u16;
-            }
-            start = end;
-        }
-        let lookahead = Self::cross_lookahead(topo, &shard_of, s);
         ShardPlan {
             shards: s,
-            ranges,
-            shard_of,
-            lookahead,
+            lookahead: Self::cross_lookahead(topo, n, s),
             topo_version: topo.version(),
         }
     }
 
     /// Minimum latency over edges whose endpoints are in different shards.
-    fn cross_lookahead(topo: &Topology, shard_of: &[u16], s: usize) -> Option<Duration> {
+    fn cross_lookahead(topo: &Topology, n: usize, s: usize) -> Option<Duration> {
         if s <= 1 {
             return None;
         }
@@ -79,11 +65,10 @@ impl ShardPlan {
         }
         // Dense: scan the (small — only edited topologies are dense)
         // matrix once per plan.
-        let n = shard_of.len();
         let mut min: Option<Duration> = None;
         for a in 0..n {
             for b in (a + 1)..n {
-                if shard_of[a] == shard_of[b] {
+                if a % s == b % s {
                     continue;
                 }
                 if let Some(e) = topo.edge(MachineId(a as u16), MachineId(b as u16)) {
@@ -100,7 +85,7 @@ impl ShardPlan {
 
     /// The shard owning machine index `i`.
     pub fn shard_of(&self, i: usize) -> usize {
-        self.shard_of[i] as usize
+        i % self.shards
     }
 }
 
@@ -110,16 +95,16 @@ mod tests {
     use demos_net::EdgeParams;
 
     #[test]
-    fn ranges_are_balanced_and_contiguous() {
+    fn machines_are_dealt_round_robin() {
         let topo = Topology::full_mesh(10, EdgeParams::default());
         let plan = ShardPlan::new(10, 4, &topo);
         assert_eq!(plan.shards, 4);
-        assert_eq!(plan.ranges, vec![(0, 3), (3, 6), (6, 8), (8, 10)]);
-        for (s, &(start, end)) in plan.ranges.iter().enumerate() {
-            for i in start..end {
-                assert_eq!(plan.shard_of(i), s);
-            }
+        let mut sizes = vec![0; 4];
+        for i in 0..10 {
+            assert_eq!(plan.shard_of(i), i % 4);
+            sizes[plan.shard_of(i)] += 1;
         }
+        assert_eq!(sizes, vec![3, 3, 2, 2], "sizes differ by at most one");
     }
 
     #[test]
@@ -127,7 +112,6 @@ mod tests {
         let topo = Topology::full_mesh(3, EdgeParams::default());
         let plan = ShardPlan::new(3, 8, &topo);
         assert_eq!(plan.shards, 3);
-        assert_eq!(plan.ranges, vec![(0, 1), (1, 2), (2, 3)]);
         let solo = ShardPlan::new(3, 1, &topo);
         assert_eq!(solo.shards, 1);
         assert_eq!(solo.lookahead, None, "one shard needs no lookahead");
@@ -142,7 +126,7 @@ mod tests {
 
     #[test]
     fn dense_lookahead_is_min_cross_edge() {
-        // Line 0-1-2-3 split in two: the only cross-shard edge is 1—2.
+        // Line 0-1-2-3 dealt in two: every edge crosses, 1—2 is cheapest.
         let mut topo = Topology::line(4, EdgeParams::default());
         topo.set_edge(
             MachineId(1),
@@ -159,10 +143,10 @@ mod tests {
 
     #[test]
     fn disconnected_shards_have_unbounded_lookahead() {
-        // Two disjoint pairs: 0-1 and 2-3, split exactly at the gap.
+        // Two disjoint pairs, 0-2 and 1-3, each inside one dealt shard.
         let mut topo = Topology::new(4);
-        topo.set_edge(MachineId(0), MachineId(1), EdgeParams::default());
-        topo.set_edge(MachineId(2), MachineId(3), EdgeParams::default());
+        topo.set_edge(MachineId(0), MachineId(2), EdgeParams::default());
+        topo.set_edge(MachineId(1), MachineId(3), EdgeParams::default());
         let plan = ShardPlan::new(4, 2, &topo);
         assert_eq!(plan.lookahead, None);
     }

@@ -1,8 +1,14 @@
 //! Conservative parallel (PDES) execution of the cluster event loop.
 //!
-//! The cluster is split into [`ShardPlan`] ranges, one worker thread per
-//! shard, each running a faithful port of the sequential
-//! [`Cluster::step`] loop over its own machines. Synchronization is
+//! The cluster's machines are dealt to shards by [`ShardPlan`] — machine
+//! `i` to shard `i mod S` — one worker thread per shard, each running a
+//! faithful port of the sequential [`Cluster::step`] loop over its own
+//! machines. A worker holds strided views of the cluster's nodes and
+//! recorders (element `i / S` of each view is machine `i`) and a
+//! [`ShardLocal`] the cluster keeps across segments: an event index over
+//! the same machines, cleared in place at the start of each segment, and
+//! dense copies of their CPU clocks, so that no two workers write the
+//! same cache line. Synchronization is
 //! **conservative**: every round, each shard runs a window
 //! `[·, min(next event anywhere) + lookahead)` — where lookahead is the
 //! minimum cross-shard link latency — inside which no not-yet-sent
@@ -211,7 +217,9 @@ struct WorkerResult {
 /// topologies never reach the parallel path) and the key is canonical.
 struct ShardNet<'a> {
     topo: &'a Topology,
-    shard_of: &'a [u16],
+    /// The shard count: machine `i` lives on shard `i % shards`, at
+    /// local index `i / shards`.
+    shards: usize,
     sid: usize,
     /// Global crashed flags, fixed for the whole segment (crash/revive
     /// only happen between runs).
@@ -222,7 +230,6 @@ struct ShardNet<'a> {
     now_us: u64,
     /// Per-sender canonical send counters for this shard's machines.
     send_idx: &'a mut [u64],
-    base: usize,
     arrivals: BinaryHeap<Reverse<InFlight>>,
     /// Outgoing cross-shard frames accumulated this round, per shard.
     outmail: Vec<Vec<InFlight>>,
@@ -238,7 +245,7 @@ impl Phys for ShardNet<'_> {
             return;
         };
         debug_assert!(loss == 0.0, "lossy topologies take the sequential path");
-        let slot = &mut self.send_idx[src.0 as usize - self.base];
+        let slot = &mut self.send_idx[src.0 as usize / self.shards];
         *slot += 1;
         let arr = InFlight {
             at: now + transit,
@@ -247,7 +254,7 @@ impl Phys for ShardNet<'_> {
             dst,
             frame,
         };
-        let ds = self.shard_of[dst.0 as usize] as usize;
+        let ds = dst.0 as usize % self.shards;
         if ds == self.sid {
             self.arrivals.push(Reverse(arr));
         } else {
@@ -261,21 +268,49 @@ impl Phys for ShardNet<'_> {
     }
 }
 
-/// One shard's executable state: disjoint `&mut` slices of the cluster's
-/// per-machine storage plus an event index of its own.
+/// What a shard keeps between parallel segments, so that a segment
+/// allocates none of it. Indexed by local index, like the worker's views.
+pub(crate) struct ShardLocal {
+    idx: EventIndex,
+    /// The machines' `cpu_busy_until` / `cpu_busy_total`, copied in at
+    /// segment start and out at its end. Dealt machines are neighbours
+    /// in the cluster's arrays, so writing those in place would bounce
+    /// their cache lines between the workers' cores.
+    busy_until: Vec<Time>,
+    busy_total: Vec<Duration>,
+    /// Per-sender canonical send counters, monotone across segments
+    /// (only key order matters); only the sharded executor reads them.
+    sent: Vec<u64>,
+}
+
+impl ShardLocal {
+    fn new(sid: usize, s: usize, n: usize) -> Self {
+        let len = (n - sid).div_ceil(s);
+        ShardLocal {
+            idx: EventIndex::new(sid, s, len),
+            busy_until: vec![Time::ZERO; len],
+            busy_total: vec![Duration::ZERO; len],
+            sent: vec![0; len],
+        }
+    }
+}
+
+/// One shard's executable state: strided `&mut` views of the cluster's
+/// nodes and recorders and the shard's [`ShardLocal`], all indexed by
+/// local index.
 struct Worker<'a> {
     sid: usize,
-    base: usize,
-    nodes: &'a mut [Node],
-    recorders: &'a mut [FlightRecorder],
+    nodes: Vec<&'a mut Node>,
+    recorders: Vec<&'a mut FlightRecorder>,
     cpu_busy_until: &'a mut [Time],
+    /// Every machine's, by global index: read-only in a segment.
     cpu_factor_ppm: &'a [u64],
     cpu_busy_total: &'a mut [Duration],
     trace_on: bool,
     now: Time,
     net: ShardNet<'a>,
     outbox: Outbox,
-    idx: EventIndex,
+    idx: &'a mut EventIndex,
     segments: Vec<Segment>,
     moves: Vec<Change>,
     stats: StepStats,
@@ -287,10 +322,15 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
+    /// The local index of machine `i`, one of this shard's.
+    fn local(&self, i: usize) -> usize {
+        i / self.net.shards
+    }
+
     fn touch_node(&mut self, i: usize) {
-        let l = i - self.base;
+        let l = self.local(i);
         let (down, busy) = (self.net.down[i], self.cpu_busy_until[l]);
-        self.idx.touch(i, &mut self.nodes[l], down, busy, self.now);
+        self.idx.touch(l, self.nodes[l], down, busy, self.now);
     }
 
     /// Earliest pending local event: frame arrival (frames to crashed
@@ -308,7 +348,7 @@ impl<'a> Worker<'a> {
     /// residency changes handed back at segment end, and a tagged trace
     /// segment.
     fn drain(&mut self, machine: MachineId, phase: u8, key: SendKey) {
-        let l = (machine.0 as usize) - self.base;
+        let l = self.local(machine.0 as usize);
         let rec = &mut self.recorders[l];
         if rec.capacity() > 0 {
             for ev in &self.outbox.trace {
@@ -342,7 +382,7 @@ impl<'a> Worker<'a> {
         candidates.clear();
         candidates.extend(self.idx.runnable());
         for &i in &candidates {
-            let l = i - self.base;
+            let l = self.local(i);
             if self.net.down[i] || self.cpu_busy_until[l] > self.now {
                 continue;
             }
@@ -353,7 +393,7 @@ impl<'a> Worker<'a> {
                 self.nodes[l].run_next(self.now, &mut self.net, &mut self.outbox)
             {
                 let scaled =
-                    Cluster::scale(cost, self.cpu_factor_ppm[l]).max(Duration::from_micros(1));
+                    Cluster::scale(cost, self.cpu_factor_ppm[i]).max(Duration::from_micros(1));
                 self.cpu_busy_until[l] = self.now + scaled;
                 self.cpu_busy_total[l] += scaled;
             }
@@ -382,7 +422,7 @@ impl<'a> Worker<'a> {
                 continue;
             }
             self.stats.frame_visits += 1;
-            let l = (a.dst.0 as usize) - self.base;
+            let l = self.local(a.dst.0 as usize);
             let now = self.now;
             self.net.phase = PHASE_FRAME;
             self.net.now_us = now.as_micros();
@@ -403,7 +443,7 @@ impl<'a> Worker<'a> {
             self.net.phase = PHASE_TIMER;
             self.net.now_us = self.now.as_micros();
             let now = self.now;
-            let l = i - self.base;
+            let l = self.local(i);
             self.nodes[l].on_time(now, &mut self.net, &mut self.outbox);
             let key = SendKey::canonical(self.net.era, now.as_micros(), PHASE_TIMER, i as u16, 0);
             self.drain(MachineId(i as u16), PHASE_TIMER, key);
@@ -543,18 +583,19 @@ fn can_spin(parties: usize) -> bool {
     parties <= *cores
 }
 
-/// Split `slice` into the plan's contiguous per-shard sub-slices.
-fn split_ranges<'t, T>(mut slice: &'t mut [T], ranges: &[(usize, usize)]) -> Vec<&'t mut [T]> {
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut consumed = 0usize;
-    for &(start, end) in ranges {
-        debug_assert_eq!(start, consumed, "ranges must be contiguous from 0");
-        let (head, tail) = slice.split_at_mut(end - consumed);
-        out.push(head);
-        slice = tail;
-        consumed = end;
+/// Deal `slice` to `s` strided views, as [`ShardPlan`] deals machines:
+/// element `i` becomes element `i / s` of view `i % s`.
+fn deal<T>(slice: &mut [T], s: usize) -> Vec<Vec<&mut T>> {
+    let n = slice.len();
+    let mut views: Vec<Vec<&mut T>> = (0..s)
+        .map(|sid| Vec::with_capacity((n - sid).div_ceil(s)))
+        .collect();
+    for row in slice.chunks_mut(s) {
+        for (view, x) in views.iter_mut().zip(row) {
+            view.push(x);
+        }
     }
-    out
+    views
 }
 
 /// Run one parallel segment: windows up to `bound`, then the overshoot
@@ -586,57 +627,60 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
             .collect(),
     };
 
+    // Built by the first segment; the partition never changes after.
+    if c.shard_local.len() != s {
+        c.shard_local = (0..s).map(|sid| ShardLocal::new(sid, s, n)).collect();
+    }
     let trace_on = c.trace.is_enabled();
     let crashed = &c.crashed;
     let topo = c.net.topology();
-    let node_slices = split_ranges(&mut c.nodes, &plan.ranges);
-    let rec_slices = split_ranges(&mut c.recorders, &plan.ranges);
-    let busy_slices = split_ranges(&mut c.cpu_busy_until, &plan.ranges);
-    let total_slices = split_ranges(&mut c.cpu_busy_total, &plan.ranges);
-    let idx_slices = split_ranges(&mut c.send_idx, &plan.ranges);
+    let node_views = deal(&mut c.nodes, s);
+    let rec_views = deal(&mut c.recorders, s);
     let ppm = &c.cpu_factor_ppm;
 
     let mut workers: Vec<Worker<'_>> = Vec::with_capacity(s);
     let mut inflight_iter = inflight.into_iter();
-    for (sid, (((nodes, recorders), (busy, total)), send_idx)) in node_slices
+    for (sid, ((nodes, recorders), local)) in node_views
         .into_iter()
-        .zip(rec_slices)
-        .zip(busy_slices.into_iter().zip(total_slices))
-        .zip(idx_slices)
+        .zip(rec_views)
+        .zip(c.shard_local.iter_mut())
         .enumerate()
     {
-        let (base, end) = plan.ranges[sid];
+        let machines = (sid..n).step_by(s);
+        for (l, i) in machines.clone().enumerate() {
+            local.busy_until[l] = c.cpu_busy_until[i];
+            local.busy_total[l] = c.cpu_busy_total[i];
+        }
+        local.idx.clear();
         let mut arrivals = BinaryHeap::new();
         for a in inflight_iter.next().unwrap_or_default() {
             arrivals.push(Reverse(a));
         }
         let mut w = Worker {
             sid,
-            base,
             nodes,
             recorders,
-            cpu_busy_until: busy,
-            cpu_factor_ppm: &ppm[base..end],
-            cpu_busy_total: total,
+            cpu_busy_until: &mut local.busy_until,
+            cpu_factor_ppm: ppm,
+            cpu_busy_total: &mut local.busy_total,
             trace_on,
             now: start_now,
             net: ShardNet {
                 topo,
-                shard_of: &plan.shard_of,
+                shards: s,
                 sid,
                 down: crashed,
                 era,
                 phase: PHASE_CPU,
                 now_us: start_now.as_micros(),
-                send_idx,
-                base,
+                send_idx: &mut local.sent,
                 arrivals,
                 outmail: (0..s).map(|_| Vec::new()).collect(),
                 posted_min: T_NONE,
                 stats: NetStats::default(),
             },
             outbox: Outbox::default(),
-            idx: EventIndex::new(base, end - base),
+            idx: &mut local.idx,
             segments: Vec::new(),
             moves: Vec::new(),
             stats: StepStats::default(),
@@ -646,7 +690,7 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
             cpu_scratch: Vec::new(),
             fired_scratch: Vec::new(),
         };
-        for i in base..end {
+        for i in machines {
             w.touch_node(i);
         }
         workers.push(w);
@@ -679,8 +723,12 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
         stats.visits.resize(s, 0);
         stats.mailbox_high_water.resize(s, 0);
     }
-    for (sid, r) in results.into_iter().enumerate() {
+    for (sid, (r, local)) in results.into_iter().zip(&c.shard_local).enumerate() {
         debug_assert_eq!(r.fin, fin, "workers disagree on the closing instant");
+        for (l, i) in (sid..n).step_by(s).enumerate() {
+            c.cpu_busy_until[i] = local.busy_until[l];
+            c.cpu_busy_total[i] = local.busy_total[l];
+        }
         new_now = new_now.max(r.now);
         c.net.restore_in_flight(r.leftovers);
         c.net.absorb_stats(r.net_stats);
@@ -716,8 +764,8 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
     for seg in segments {
         c.trace.extend(seg.at, seg.machine, seg.events);
     }
-    // Rebuild the sequential event index from scratch.
-    c.idx = EventIndex::new(0, n);
+    // Rebuild the sequential event index in place.
+    c.idx.clear();
     for i in 0..n {
         c.touch_node(i);
     }

@@ -353,3 +353,58 @@ fn oversubscribed_shards_clamp_and_agree() {
     assert!(segs > 0);
     assert_eq!(par, seq);
 }
+
+/// Balance, by an exact counter: the `idle_scale` shape — every pair has
+/// one player in each half of the machine range, every first ball is
+/// served from the low half, and a ball crosses in about one lookahead
+/// window — puts each window's work in one half. Dealt shards split
+/// every window about evenly anyway: the critical path of the windows
+/// (`critical_visits`) is within 10 % of an even split of all visits,
+/// where a contiguous split is near 1.66 of 2.
+#[test]
+fn half_to_half_rallies_balance_across_dealt_shards() {
+    const N: u16 = 512;
+    let run = |shards: usize| {
+        let mut c = ClusterBuilder::new(N as usize)
+            .seed(1983)
+            .shards(shards)
+            .build();
+        let half = N / 2;
+        for k in 0..N / 8 {
+            // Odd multipliers permute each half, so pairs mix parities.
+            let (low, high) = (k * 37 % half, half + k * 53 % half);
+            let rally = |c: &mut Cluster, at: u16| {
+                let state = PingPong::state(40, 50 + u32::from(k % 64));
+                c.spawn(m(at), "pingpong", &state, ImageLayout::default())
+                    .unwrap()
+            };
+            let (pa, pb) = (rally(&mut c, low), rally(&mut c, high));
+            let (la, lb) = (c.link_to(pa).unwrap(), c.link_to(pb).unwrap());
+            c.post(pa, programs::wl::INIT, vec![1u8], vec![lb]).unwrap();
+            c.post(pb, programs::wl::INIT, vec![0u8], vec![la]).unwrap();
+        }
+        for b in 0..N / 8 {
+            let state = CpuBurner::state(60, 120, 900 + u32::from(b % 64));
+            c.spawn(
+                m(8 * b + b * 5 % 8),
+                "cpu_burner",
+                &state,
+                ImageLayout::default(),
+            )
+            .unwrap();
+        }
+        c.run_quiescent(Duration::from_secs(10));
+        (observe(&c), c.shard_stats().clone())
+    };
+    let (seq, _) = run(1);
+    let (par, stats) = run(2);
+    assert_eq!(par, seq);
+    let total: u64 = stats.visits.iter().sum();
+    assert!(total > 10_000, "the rallies ran: {total} visits");
+    let imbalance = stats.critical_visits as f64 * 2.0 / total as f64;
+    assert!(
+        imbalance <= 1.1,
+        "critical path {} of {total} visits: imbalance {imbalance:.3}",
+        stats.critical_visits
+    );
+}
