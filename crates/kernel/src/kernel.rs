@@ -47,17 +47,16 @@ use crate::trace::{MigrationPhase, TraceEvent};
 /// or the event loop could livelock on a zero-cost message cycle.
 const BASE_MSG_CPU: Duration = Duration::from_micros(100);
 
+/// Maximum resident processes per machine, reservations for incoming
+/// migrations included (capacity for migration accept/reject).
+pub const MAX_PROCESSES: usize = 64;
+
+/// Total image memory per machine, bytes, reservations included.
+pub const MEM_CAPACITY: u64 = 16 << 20;
+
 /// Kernel tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct KernelConfig {
-    /// Maximum resident processes (capacity for migration accept/reject).
-    pub max_processes: usize,
-    /// Total image memory available, bytes.
-    pub mem_capacity: u64,
-    /// Move-data streaming parameters.
-    pub movedata: MoveDataConfig,
-    /// Reliable-channel parameters.
-    pub channel: ChannelConfig,
     /// Forwarding addresses enabled (§4). `false` selects the paper's
     /// rejected alternative — return messages as non-deliverable — used as
     /// an ablation (experiment E8).
@@ -81,10 +80,6 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
-            max_processes: 64,
-            mem_capacity: 16 << 20,
-            movedata: MoveDataConfig::default(),
-            channel: ChannelConfig::default(),
             forwarding: true,
             gc_forwarding: false,
             heartbeat_every: Duration::ZERO,
@@ -342,8 +337,8 @@ impl Kernel {
     pub fn new(machine: MachineId, cfg: KernelConfig, registry: Arc<Registry>) -> Self {
         Kernel {
             machine,
-            endpoint: Endpoint::new(machine, cfg.channel),
-            md: MoveData::new(cfg.movedata),
+            endpoint: Endpoint::new(machine, ChannelConfig::default()),
+            md: MoveData::new(MoveDataConfig::default()),
             cfg,
             registry,
             procs: BTreeMap::new(),
@@ -663,12 +658,6 @@ impl Kernel {
         self.endpoint.quiescent()
     }
 
-    /// Per-peer transmit backlog (`(peer, unacked, pending, state)`),
-    /// for diagnosing a non-quiescent endpoint.
-    pub fn transport_backlog(&self) -> Vec<(MachineId, usize, usize, demos_net::PeerState)> {
-        self.endpoint.backlog()
-    }
-
     // ------------------------------------------------------------------
     // Spawning and bootstrap
     // ------------------------------------------------------------------
@@ -684,7 +673,7 @@ impl Kernel {
         privileged: bool,
         out: &mut Outbox,
     ) -> Result<ProcessId> {
-        if self.procs.len() >= self.cfg.max_processes {
+        if self.procs.len() >= MAX_PROCESSES {
             return Err(DemosError::Capacity(self.machine));
         }
         let program = self.registry.instantiate(name, state)?;
@@ -695,7 +684,7 @@ impl Kernel {
         self.next_uid += 1;
         let proc = Process::new(pid, name, program, layout, privileged, now);
         let image_len = proc.image.total_len() as u64;
-        if self.mem_used + image_len > self.cfg.mem_capacity {
+        if self.mem_used + image_len > MEM_CAPACITY {
             return Err(DemosError::Capacity(self.machine));
         }
         self.mem_used += image_len;
@@ -717,15 +706,6 @@ impl Kernel {
             .get_mut(&pid)
             .ok_or(DemosError::NoSuchProcess(pid))?;
         Ok(proc.links.insert(link))
-    }
-
-    /// Mint a link to a local process (kernel participates in all link
-    /// operations; used at bootstrap and by `CreateProcess` replies).
-    pub fn mint_link(&self, pid: ProcessId) -> Result<Link> {
-        if !self.procs.contains_key(&pid) {
-            return Err(DemosError::NoSuchProcess(pid));
-        }
-        Ok(Link::to(pid.at(self.machine)))
     }
 
     // ------------------------------------------------------------------
@@ -2153,15 +2133,15 @@ impl Kernel {
         if self.procs.contains_key(&pid) {
             return Err(DemosError::AlreadyMigrating(pid));
         }
-        if self.procs.len() + self.reserved.len() >= self.cfg.max_processes {
+        if self.procs.len() + self.reserved.len() >= MAX_PROCESSES {
             return Err(DemosError::Capacity(self.machine));
         }
-        if self.mem_used + image_len > self.cfg.mem_capacity {
+        if self.mem_used + image_len > MEM_CAPACITY {
             return Err(DemosError::Capacity(self.machine));
         }
         // The counter wraps: skip slots still reserved, or the older
         // reservation's bytes are orphaned in `mem_used`. `reserved` holds
-        // fewer than `max_processes` entries, so the scan is short.
+        // fewer than [`MAX_PROCESSES`] entries, so the scan is short.
         while self.reserved.contains_key(&self.next_slot) {
             self.next_slot = self.next_slot.wrapping_add(1).max(1);
         }

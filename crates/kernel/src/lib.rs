@@ -51,7 +51,8 @@ pub use checkpoint::Checkpoint;
 pub use image::{ImageLayout, ProcessImage};
 pub use kernel::{
     decode_md_done, encode_md_done, DetectorStats, ForwardEntry, Kernel, KernelConfig,
-    KernelPullDone, KernelStats, MigrationSizes, MsgCount, Outbox, TrafficBreakdown,
+    KernelPullDone, KernelStats, MigrationSizes, MsgCount, Outbox, TrafficBreakdown, MAX_PROCESSES,
+    MEM_CAPACITY,
 };
 pub use linktable::{LinkAttrsExt, LinkTable};
 pub use movedata::{MdAction, MoveData, MoveDataConfig, PullPurpose};

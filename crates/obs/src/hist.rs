@@ -182,17 +182,6 @@ impl Histogram {
         }
     }
 
-    /// `(upper_bound, count)` for every non-empty bucket, ascending — the
-    /// export shape for dumps and the `demos-trace` percentile tables.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_max(i), n))
-            .collect()
-    }
-
     /// One-line percentile summary: `n=..  p50=..  p90=..  p99=..  p999=..  max=..`.
     pub fn summary(&self) -> String {
         format!(

@@ -7,6 +7,7 @@
 //! a [`ClusterView`], asks a [`Policy`] for orders, and applies them
 //! through the migration mechanism.
 
+use demos_kernel::MEM_CAPACITY;
 use demos_policy::{ClusterView, MachineLoad, MigrationOrder, Policy, ProcessInfo};
 use demos_types::{Duration, MachineId, Time};
 
@@ -40,7 +41,7 @@ pub fn snapshot<'a>(
             nprocs: node.kernel.nprocs(),
             cpu_util: util.min(1.0),
             mem_used: node.kernel.mem_used(),
-            mem_capacity: node.kernel.config().mem_capacity,
+            mem_capacity: MEM_CAPACITY,
             health: cluster.health(m),
         });
         for (pid, proc) in node.kernel.processes() {

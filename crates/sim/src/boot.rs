@@ -13,7 +13,7 @@ use demos_types::{MachineId, ProcessId, Result};
 
 use crate::cluster::Cluster;
 use crate::programs::wl;
-use demos_kernel::ImageLayout;
+use demos_kernel::{ImageLayout, MEM_CAPACITY};
 
 /// Where each system process ended up at boot.
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +83,7 @@ pub fn boot_system(cluster: &mut Cluster, cfg: BootConfig) -> Result<SystemHandl
     let memsched = cluster.spawn_opt(
         cm,
         MemSched::NAME,
-        &MemSched::state(n, cluster.node(cm).kernel.config().mem_capacity),
+        &MemSched::state(n, MEM_CAPACITY),
         layout,
         true,
     )?;

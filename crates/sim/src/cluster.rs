@@ -21,7 +21,6 @@ use std::sync::Arc;
 use demos_core::{MigrationConfig, Node};
 use demos_kernel::{ImageLayout, KernelConfig, Outbox, Registry};
 use demos_net::{EdgeParams, SimNetwork, Topology};
-use demos_obs::SeriesStore;
 use demos_types::proto::KernelOp;
 use demos_types::{
     tags, CorrId, DemosError, Duration, Link, MachineId, Message, MsgFlags, MsgHeader, ProcessId,
@@ -49,7 +48,6 @@ pub struct ClusterBuilder {
     migration: MigrationConfig,
     registry: Registry,
     trace: bool,
-    sample: Option<Duration>,
     recovery: Option<RecoveryConfig>,
     recorder_capacity: usize,
     shards: usize,
@@ -65,7 +63,6 @@ impl ClusterBuilder {
             migration: MigrationConfig::default(),
             registry: crate::programs::registry(),
             trace: true,
-            sample: None,
             recovery: None,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
             shards: 1,
@@ -108,13 +105,6 @@ impl ClusterBuilder {
     /// Disable trace collection (long benchmark runs).
     pub fn no_trace(mut self) -> Self {
         self.trace = false;
-        self
-    }
-
-    /// Sample every kernel's metrics into time series on this virtual-time
-    /// cadence (see [`Cluster::series`]). Off by default.
-    pub fn sample_every(mut self, cadence: Duration) -> Self {
-        self.sample = Some(cadence);
         self
     }
 
@@ -188,7 +178,6 @@ impl ClusterBuilder {
                 .map(|i| FlightRecorder::new(i as u16, self.recorder_capacity))
                 .collect(),
             registry,
-            series: self.sample.map(SeriesStore::new),
             migration: self.migration,
             recovery: self.recovery.map(RecoveryManager::new),
             crash_log: BTreeMap::new(),
@@ -260,7 +249,6 @@ pub struct Cluster {
     /// events, kept even when the full [`Trace`] is disabled.
     pub(crate) recorders: Vec<FlightRecorder>,
     registry: Arc<Registry>,
-    pub(crate) series: Option<SeriesStore>,
     migration: MigrationConfig,
     recovery: Option<RecoveryManager>,
     crash_log: BTreeMap<MachineId, Time>,
@@ -408,38 +396,6 @@ impl Cluster {
     /// Reset the instrumentation counters (e.g. after warm-up).
     pub fn reset_step_stats(&mut self) {
         self.step_stats = StepStats::default();
-    }
-
-    /// The sampled metric time series, if the cluster was built with
-    /// [`ClusterBuilder::sample_every`]. Keys are `"m{machine}.{metric}"`
-    /// (`"m0.pending"`, `"m2.retransmits"`, …).
-    pub fn series(&self) -> Option<&SeriesStore> {
-        self.series.as_ref()
-    }
-
-    /// Take a sample now regardless of cadence (e.g. a final sample when
-    /// an experiment ends between grid points). No-op without sampling.
-    pub fn sample_now(&mut self) {
-        let Some(store) = &mut self.series else {
-            return;
-        };
-        for (i, node) in self.nodes.iter().enumerate() {
-            if self.crashed[i] {
-                continue;
-            }
-            store.record(
-                self.now,
-                MachineId(i as u16),
-                &crate::export::machine_registry(node),
-            );
-        }
-        store.advance(self.now);
-    }
-
-    fn maybe_sample(&mut self) {
-        if self.series.as_ref().is_some_and(|s| s.due(self.now)) {
-            self.sample_now();
-        }
     }
 
     /// Which machine currently hosts `pid`, if any. Processes on crashed
@@ -906,7 +862,6 @@ impl Cluster {
         }
         self.drive_recovery(&fired);
         self.fired_scratch = fired;
-        self.maybe_sample();
         true
     }
 
@@ -1328,11 +1283,6 @@ impl Cluster {
             self.nodes[i].kernel.forwarding_next(pid)
         };
         std::iter::successors(Some(start), step).take(self.nodes.len() + 1)
-    }
-
-    /// [`forwarding_walk`](Cluster::forwarding_walk), collected.
-    pub fn forwarding_chain(&self, start: MachineId, pid: ProcessId) -> Vec<MachineId> {
-        self.forwarding_walk(start, pid).collect()
     }
 }
 

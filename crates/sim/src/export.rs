@@ -2,94 +2,36 @@
 //!
 //! This is the only place that knows how to read a kernel's observable
 //! state (queue depths, table sizes, transport health, traffic classes)
-//! and spell it as metrics. Everything downstream — time series, the
-//! JSON-lines dump, the `demos-top` report — consumes the
-//! [`MetricsRegistry`] / [`ClusterSnapshot`] this module produces.
+//! into a typed [`MachineSnapshot`]. The JSON-lines dump and the
+//! `demos-top` report both render the [`ClusterSnapshot`] this module
+//! produces.
 
 use demos_core::Node;
-use demos_kernel::{MsgCount, TrafficBreakdown};
+use demos_kernel::TrafficBreakdown;
 use demos_obs::MigrationSpan;
-use demos_obs::{json::Json, report, ClusterSnapshot, MachineSnapshot, MetricsRegistry};
+use demos_obs::{json::Json, report, ClusterSnapshot, MachineSnapshot};
 use demos_types::{Duration, MachineId, Time};
 
 use crate::cluster::Cluster;
 use crate::span::migration_spans_of;
 
-/// Traffic classes in report order: the class, and the registry counters
-/// of its messages and bytes.
-const TRAFFIC_CLASSES: [(&str, &str, &str); 9] = [
-    ("kernel_op", "msgs_kernel_op", "bytes_kernel_op"),
-    ("migrate", "msgs_migrate", "bytes_migrate"),
-    ("md_req", "msgs_md_req", "bytes_md_req"),
-    ("md_data", "msgs_md_data", "bytes_md_data"),
-    ("md_ack", "msgs_md_ack", "bytes_md_ack"),
-    ("md_done", "msgs_md_done", "bytes_md_done"),
-    ("link_maint", "msgs_link_maint", "bytes_link_maint"),
-    ("mgmt", "msgs_mgmt", "bytes_mgmt"),
-    ("user", "msgs_user", "bytes_user"),
-];
-
-/// `t`'s per-class counts in [`TRAFFIC_CLASSES`] order.
-fn class_counts(t: &TrafficBreakdown) -> [MsgCount; 9] {
-    [
-        t.kernel_op,
-        t.migrate,
-        t.md_req,
-        t.md_data,
-        t.md_ack,
-        t.md_done,
-        t.link_maint,
-        t.mgmt,
-        t.user,
-    ]
-}
-
 /// Traffic classes in report order, with their per-class counts.
 pub fn traffic_classes(t: &TrafficBreakdown) -> Vec<(&'static str, u64, u64)> {
-    TRAFFIC_CLASSES
-        .iter()
-        .zip(class_counts(t))
-        .filter(|(_, c)| c.msgs > 0)
-        .map(|(&(class, ..), c)| (class, c.msgs, c.bytes))
-        .collect()
-}
-
-/// Read one node's kernel into a metrics registry: gauges for current
-/// depths/sizes, counters for cumulative transport and delivery totals.
-pub fn machine_registry(node: &Node) -> MetricsRegistry {
-    let k = &node.kernel;
-    let mut r = MetricsRegistry::new();
-    r.gauge_set("procs", k.nprocs() as u64);
-    r.gauge_set("runq", k.runq_len() as u64);
-    r.gauge_set("msgq", k.msg_queue_len() as u64);
-    r.gauge_set("pending", k.pending_queue_len() as u64);
-    r.gauge_set("links", k.link_table_len() as u64);
-    r.gauge_set("forwarding", k.forwarding_table().len() as u64);
-    r.gauge_set("mem_used", k.mem_used());
-    let ch = k.channel_stats();
-    r.counter_set("retransmits", ch.retransmits);
-    r.counter_set("dup_acks", ch.dup_acks);
-    r.counter_set("dedup_drops", ch.dedup_drops);
-    r.counter_set("bounced_frames", ch.bounced);
-    let d = k.detector_stats();
-    r.counter_set("hb_sent", d.beats_sent);
-    r.counter_set("hb_received", d.beats_received);
-    r.counter_set("suspicions", d.suspicions);
-    r.counter_set("false_positives", d.false_positives);
-    r.counter_set("peers_confirmed_dead", d.confirmed_dead);
-    r.counter_set("bounced_msgs", d.bounced);
-    let s = k.stats();
-    r.counter_set("submitted", s.submitted);
-    r.counter_set("forwarded", s.forwarded);
-    r.counter_set("link_updates_sent", s.link_updates_sent);
-    r.counter_set("nondeliverable", s.nondeliverable);
-    for (&(_, msgs, bytes), c) in TRAFFIC_CLASSES.iter().zip(class_counts(&s.traffic)) {
-        if c.msgs > 0 {
-            r.counter_set(msgs, c.msgs);
-            r.counter_set(bytes, c.bytes);
-        }
-    }
-    r
+    [
+        ("kernel_op", t.kernel_op),
+        ("migrate", t.migrate),
+        ("md_req", t.md_req),
+        ("md_data", t.md_data),
+        ("md_ack", t.md_ack),
+        ("md_done", t.md_done),
+        ("link_maint", t.link_maint),
+        ("mgmt", t.mgmt),
+        ("user", t.user),
+    ]
+    .into_iter()
+    .filter(|(_, c)| c.msgs > 0)
+    .map(|(class, c)| (class, c.msgs, c.bytes))
+    .collect()
 }
 
 fn machine_snapshot(node: &Node) -> MachineSnapshot {

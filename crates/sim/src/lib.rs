@@ -21,8 +21,8 @@
 //!   recorder encoding (the always-on post-mortem ring, `demos-obs`);
 //! * [`coverage`] — schedule-coverage feature extraction from the trace
 //!   and recovery episodes (the chaos fuzzer's feedback signal);
-//! * [`export`] — metrics registries, cluster snapshots, the JSON-lines
-//!   exporter and the `demos-top` report (via `demos-obs`).
+//! * [`export`] — cluster snapshots, the JSON-lines exporter and the
+//!   `demos-top` report (via `demos-obs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +50,6 @@ pub use boot::{boot_system, BootConfig, SystemHandles};
 pub use cluster::{Cluster, ClusterBuilder, StepStats};
 pub use coverage::{coverage_of, features_of_trace};
 pub use demos_obs::Histogram;
-pub use export::machine_registry;
 pub use flight::DEFAULT_RECORDER_CAPACITY;
 pub use partition::ShardPlan;
 pub use recovery::{RecoveryConfig, RecoveryEpisode, RecoveryManager, RecoveryStats};

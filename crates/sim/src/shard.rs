@@ -776,19 +776,12 @@ pub(crate) fn run_scope(c: &mut Cluster, bound: Time, plan: &ShardPlan) -> Optio
     fin.map(Time::from_micros)
 }
 
-/// Run parallel segments, clipped at sampling due-points, until `deadline`
-/// has been reached (`true`) or the cluster is quiescent (`false`).
+/// Run parallel segments until `deadline` has been reached (`true`) or
+/// the cluster is quiescent (`false`).
 fn run_segments(c: &mut Cluster, deadline: Time, plan: &ShardPlan) -> bool {
     while c.now < deadline {
-        let due = c.series.as_ref().map(|s| s.next_due());
-        let bound = due.map_or(deadline, |d| d.min(deadline));
-        match run_scope(c, bound, plan) {
-            None => return false,
-            Some(fin) => {
-                if due.is_some_and(|d| fin >= d) {
-                    c.sample_now();
-                }
-            }
+        if run_scope(c, deadline, plan).is_none() {
+            return false;
         }
     }
     true

@@ -1,6 +1,6 @@
 //! The observability layer end to end: causal message spans, the
-//! migration-phase profiler, the always-on flight recorder, sampled
-//! gauges, and the `demos-top` cluster report.
+//! migration-phase profiler, the always-on flight recorder, the
+//! pending-queue gauge, and the `demos-top` cluster report.
 //!
 //! A ping-pong pair rallies across machines while one end is migrated.
 //! Every message was stamped with a correlation id at its first kernel,
@@ -11,7 +11,8 @@
 //! per-step durations and byte counts. And independent of the trace,
 //! every machine's flight recorder kept a bounded ring of compact
 //! records: the black box a post-mortem (or the `demos-trace` CLI)
-//! reads after a crash.
+//! reads after a crash. Polling the source kernel's pending-queue gauge
+//! between short slices of the run catches §3.1 step 6 in the act.
 //!
 //! Run: `cargo run --example observability`
 
@@ -22,9 +23,7 @@ use demos_mp::sim::{latency_histogram, migration_spans_of, spans_of};
 
 fn main() {
     println!("DEMOS/MP: watching a live migration through the observability layer\n");
-    let mut cluster = ClusterBuilder::new(3)
-        .sample_every(Duration::from_micros(500))
-        .build();
+    let mut cluster = Cluster::mesh(3);
     let pa = cluster
         .spawn(
             MachineId(0),
@@ -52,7 +51,15 @@ fn main() {
 
     println!(">> migrating pb to m2 while balls are in flight …\n");
     cluster.migrate(pb, MachineId(2)).unwrap();
-    cluster.run_for(Duration::from_millis(300));
+    let mut pending_peak = 0;
+    cluster.run_with_quantum(
+        Duration::from_millis(300),
+        Duration::from_micros(500),
+        |c| {
+            pending_peak = pending_peak.max(c.node(MachineId(1)).kernel.pending_queue_len());
+            true
+        },
+    );
 
     // Per-message journeys, reconstructed from correlation ids alone.
     let spans = spans_of(cluster.trace());
@@ -106,13 +113,10 @@ fn main() {
     let table = PhaseTable::from_records(&merge(&nodes));
     print!("{}", table.render());
 
-    // The sampled pending-queue gauge caught step 6 in the act.
-    let series = cluster.series().expect("sampling enabled");
-    let pending = series.series("m1.pending").expect("gauge sampled");
+    // The pending-queue gauge, polled every 500 µs, caught step 6 in the act.
     println!(
-        "\nm1 pending-queue gauge (sampled every 500us): peak {} held, now {}",
-        pending.max(),
-        pending.last().map(|(_, v)| v).unwrap_or(0),
+        "\nm1 pending-queue gauge (polled every 500us): peak {pending_peak} held, now {}",
+        cluster.node(MachineId(1)).kernel.pending_queue_len(),
     );
 
     println!("\n{}", cluster.report());

@@ -5,7 +5,6 @@
 //! clients, and the workload resumes making progress — with the delivery
 //! ledger still clean.
 
-use demos_mp::sim::export::machine_registry;
 use demos_mp::sim::prelude::*;
 use demos_mp::sim::programs::{client_stats, Client, EchoServer};
 use demos_mp::sim::span::ledger_of;
@@ -157,21 +156,13 @@ fn no_fault_run_has_zero_false_positives() {
     cluster.run_for(Duration::from_millis(400));
 
     for i in 0..4 {
-        let reg = machine_registry(cluster.node(m(i)));
-        assert!(reg.counter("hb_sent") > 0, "m{i} heartbeated");
+        let det = cluster.node(m(i)).kernel.detector_stats();
+        assert!(det.beats_sent > 0, "m{i} heartbeated");
+        assert_eq!(det.confirmed_dead, 0, "m{i} confirmed a live peer dead");
         assert_eq!(
-            reg.counter("false_positives"),
-            0,
+            det.false_positives, 0,
             "m{i} suspected a live peer and heard it again"
         );
-        assert_eq!(
-            reg.counter("peers_confirmed_dead"),
-            0,
-            "m{i} confirmed a live peer dead"
-        );
-        let det = cluster.node(m(i)).kernel.detector_stats();
-        assert_eq!(det.confirmed_dead, 0);
-        assert_eq!(det.false_positives, 0);
     }
 }
 

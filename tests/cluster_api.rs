@@ -1,10 +1,12 @@
 //! Cluster harness API tests: fault injection semantics, quiescence,
 //! trace queries, and configuration plumbing.
 
+use demos_mp::kernel::MAX_PROCESSES;
 use demos_mp::sim::prelude::*;
 use demos_mp::sim::programs::{burner_done, Cargo, CpuBurner};
 use demos_mp::types::proto::KernelOp;
 use demos_mp::types::wire::Wire;
+use demos_mp::types::DemosError;
 
 fn m(i: u16) -> MachineId {
     MachineId(i)
@@ -194,37 +196,33 @@ fn dtk_follows_forwarding_addresses() {
     );
 }
 
+/// Spawn [`MAX_PROCESSES`] small cargo processes on `at`: the machine is
+/// then full by process count, far below [`demos_mp::kernel::MEM_CAPACITY`].
+fn fill(cluster: &mut Cluster, at: MachineId) {
+    for _ in 0..MAX_PROCESSES {
+        cluster
+            .spawn(at, "cargo", &Cargo::state(0), ImageLayout::default())
+            .unwrap();
+    }
+}
+
 #[test]
 fn capacity_rejection_on_spawn() {
-    let kcfg = KernelConfig {
-        max_processes: 2,
-        ..Default::default()
-    };
-    let mut cluster = ClusterBuilder::new(1).kernel_config(kcfg).build();
-    cluster
-        .spawn(m(0), "cargo", &Cargo::state(0), ImageLayout::default())
-        .unwrap();
-    cluster
-        .spawn(m(0), "cargo", &Cargo::state(0), ImageLayout::default())
-        .unwrap();
-    assert!(cluster
-        .spawn(m(0), "cargo", &Cargo::state(0), ImageLayout::default())
-        .is_err());
+    let mut cluster = Cluster::mesh(1);
+    fill(&mut cluster, m(0));
+    assert_eq!(
+        cluster.spawn(m(0), "cargo", &Cargo::state(0), ImageLayout::default()),
+        Err(DemosError::Capacity(m(0)))
+    );
 }
 
 #[test]
 fn capacity_rejection_on_migration() {
-    let kcfg = KernelConfig {
-        max_processes: 1,
-        ..Default::default()
-    };
-    let mut cluster = ClusterBuilder::new(2).kernel_config(kcfg).build();
+    let mut cluster = Cluster::mesh(2);
     let a = cluster
         .spawn(m(0), "cargo", &Cargo::state(0), ImageLayout::default())
         .unwrap();
-    let _b = cluster
-        .spawn(m(1), "cargo", &Cargo::state(0), ImageLayout::default())
-        .unwrap();
+    fill(&mut cluster, m(1));
     cluster.run_for(Duration::from_millis(5));
     // m1 is full: the offer is rejected with Capacity and `a` stays put.
     cluster.migrate(a, m(1)).unwrap();
